@@ -6,9 +6,10 @@ moves the price along the power-balance violation (dual gradient ascent):
 
     lambda' = lambda + alpha * (sum of device powers - demanded power).
 
-`centralized_solve` solves the same allocation monolithically (augmented
-Lagrangian on the balance equality with Gauss-Seidel block sweeps, each
-block solved by the same QP kernel) and serves as the verification oracle
+Every node problem is solved exactly by the LDP kernel of `qp`, and its
+constraint rows are built once per MPC step. `centralized_solve` solves the
+same allocation monolithically (one stacked QP with the balance as an
+equality, solved by the same kernel) and serves as the verification oracle
 for the distributed loop.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import qp as qpmod
 from .nodes import (
@@ -29,8 +31,6 @@ from .nodes import (
 )
 from .plant import BusSpec, PcmSpec, PgmSpec
 
-OPTIMAL = qpmod.OPTIMAL
-MAX_ITER = qpmod.MAX_ITER
 INFEASIBLE = qpmod.INFEASIBLE
 
 # divergence heuristic: residual floor not improving across this window
@@ -131,12 +131,23 @@ def default_balance_tol_w(p_f: np.ndarray) -> float:
     return 1e-4 * max(float(np.max(np.abs(p_f))), 1.0)
 
 
-def _solve_all(fleet: Fleet, lam: np.ndarray, polish: bool):
-    gen = [pgm_solve(lam, g.spec, g.prev_power_w, polish=polish)
-           for g in fleet.pgms]
-    batt = [pcm_solve(lam, b.spec, fleet.bus, b.soc, b.prev_power_w,
-                      fleet.td_s, polish=polish)
+def _node_problems(fleet: Fleet, h: int):
+    """Every node's horizon QP at the fleet's state, built once per MPC
+    step; across dual iterations only the price changes."""
+    zero = np.zeros(h)
+    gen = [pgm_qp(zero, g.spec, g.prev_power_w) for g in fleet.pgms]
+    batt = [pcm_qp(zero, b.spec, fleet.bus, b.soc, b.prev_power_w, fleet.td_s)
             for b in fleet.pcms]
+    return gen, batt
+
+
+def _solve_all(fleet: Fleet, lam: np.ndarray, problems):
+    gen_qps, batt_qps = problems
+    gen = [pgm_solve(lam, g.spec, g.prev_power_w, problem=p)
+           for g, p in zip(fleet.pgms, gen_qps)]
+    batt = [pcm_solve(lam, b.spec, fleet.bus, b.soc, b.prev_power_w,
+                      fleet.td_s, problem=p)
+            for b, p in zip(fleet.pcms, batt_qps)]
     for r, state in zip(gen, fleet.pgms):
         if r.qp_status == INFEASIBLE:
             raise RuntimeError(
@@ -158,8 +169,12 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
 
     Returns the best-residual allocation when the iteration budget runs out
     or when divergence is detected (demand beyond fleet capability); in the
-    latter case ``shortfall_w`` reports the worst per-step deficit.
+    latter case ``shortfall_w`` reports the worst per-step deficit. Node
+    solves are exact, so the reported allocation is the one computed at the
+    reported price.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p_f = np.asarray(p_f, dtype=float)
     h = p_f.size
     if alpha is None:
@@ -169,11 +184,12 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     lam = (np.zeros(h) if lambda_warm is None
            else np.asarray(lambda_warm, dtype=float).copy())
     state = DualState(lam)
-    best_lam, best_res = lam.copy(), np.inf
+    problems = _node_problems(fleet, h)
+    best = None  # (residual, price, gen, batt, total)
     lam_norms = []
     converged = False
     for _ in range(max_iter):
-        gen, batt = _solve_all(fleet, state.lam, polish=False)
+        gen, batt = _solve_all(fleet, state.lam, problems)
         total = np.zeros(h)
         for r in gen + batt:
             total += r.profile
@@ -181,8 +197,8 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         res_inf = float(np.max(np.abs(residual)))
         state.record(res_inf)
         lam_norms.append(float(np.max(np.abs(state.lam))))
-        if res_inf < best_res:
-            best_res, best_lam = res_inf, state.lam.copy()
+        if best is None or res_inf < best[0]:
+            best = (res_inf, state.lam.copy(), gen, batt, total)
         if res_inf <= bal_tol_w:
             converged = True
             break
@@ -195,14 +211,8 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
             if recent >= prior * (1.0 - 1e-6) and growing:
                 break
         state.lam = dual_update(state.lam, total, p_f, alpha)
-    # final polished solve at the best price seen
-    lam_final = state.lam if converged else best_lam
-    gen, batt = _solve_all(fleet, lam_final, polish=True)
-    total = np.zeros(h)
-    for r in gen + batt:
-        total += r.profile
-    final_res = float(np.max(np.abs(total - p_f)))
-    converged = final_res <= bal_tol_w
+    # the converged iterate is the best one seen
+    final_res, lam_final, gen, batt, total = best
     shortfall = 0.0 if converged else max(0.0, float(np.max(p_f - total)))
     return CoordinationReport(
         gen=gen,
@@ -231,116 +241,44 @@ class CentralizedResult:
         return total
 
 
-def _fleet_reach_intervals(fleet: Fleet, h: int):
-    """Per-step sum of reachable power intervals across the fleet.
-
-    Necessary condition for balance feasibility: the demand profile must lie
-    inside the summed intervals (not sufficient, since step choices couple
-    through each device's ramp chain).
-    """
-    lo_sum, hi_sum = np.zeros(h), np.zeros(h)
-    for node in fleet.pgms + fleet.pcms:
-        spec = node.spec
-        lo_k = max(spec.p_min_w, node.prev_power_w - spec.ramp_limit_w_per_step)
-        hi_k = min(spec.p_max_w, node.prev_power_w + spec.ramp_limit_w_per_step)
-        for k in range(h):
-            if k:
-                lo_k = max(spec.p_min_w, lo_k - spec.ramp_limit_w_per_step)
-                hi_k = min(spec.p_max_w, hi_k + spec.ramp_limit_w_per_step)
-            lo_sum[k] += lo_k
-            hi_sum[k] += hi_k
-    return lo_sum, hi_sum
-
-
 def centralized_solve(fleet: Fleet, p_f: np.ndarray,
                       tol: float = 1e-6) -> CentralizedResult:
     """Monolithic allocation with balance as an explicit equality.
 
-    Augmented-Lagrangian outer loop (multiplier step on the balance
-    residual, penalty doubled whenever the residual fails to shrink by 4x)
-    around Gauss-Seidel block sweeps; every block minimization reuses the
-    horizon QP kernel with an added diagonal rho and shifted linear term.
-    ``tol`` is relative: the run stops when the balance residual drops
-    below tol * max(|p_f|, 1).
+    One stacked QP over every node's profile: each node's own rows plus the
+    h balance equalities, solved exactly by the same LDP kernel as the node
+    problems. ``tol`` is the accepted constraint violation relative to
+    max(1, ||x||inf); the status is "infeasible" only on a verified
+    certificate that no allocation meets the demand.
     """
     p_f = np.asarray(p_f, dtype=float)
     h = p_f.size
-    tol_w = tol * max(float(np.max(np.abs(p_f))), 1.0)
-
-    nodes = []  # (kind, spec-state, weight, target)
-    for g in fleet.pgms:
-        nodes.append(("g", g, max(g.spec.weight_beta, WEIGHT_FLOOR),
-                      g.spec.rated_power_w))
-    for b in fleet.pcms:
-        nodes.append(("b", b, max(b.spec.weight_gamma, WEIGHT_FLOOR), 0.0))
-    n = len(nodes)
-
-    # block problems built once; only quad/lin mutate inside the loops
-    problems = []
-    for kind, node, _, _ in nodes:
-        if kind == "g":
-            problems.append(pgm_qp(np.zeros(h), node.spec, node.prev_power_w))
-        else:
-            problems.append(pcm_qp(np.zeros(h), node.spec, fleet.bus,
-                                   node.soc, node.prev_power_w, fleet.td_s))
-    # reject nodes whose own constraint chain is empty, then demand levels
-    # no summed reachable interval can cover
-    for problem in problems:
-        if qpmod.feasibility_check(problem) == INFEASIBLE:
-            return CentralizedResult([], [], np.inf, np.inf, INFEASIBLE)
-    lo_sum, hi_sum = _fleet_reach_intervals(fleet, h)
-    slack = 1e-9 * max(float(np.max(np.abs(p_f))), 1.0)
-    if np.any(p_f < lo_sum - slack) or np.any(p_f > hi_sum + slack):
+    gen_qps, batt_qps = _node_problems(fleet, h)
+    problems = gen_qps + batt_qps
+    n = len(problems)
+    rows = [p.constraint_rows() for p in problems]
+    balance = np.tile(np.eye(h), n)
+    a = np.vstack([scipy.linalg.block_diag(*[r[0] for r in rows]),
+                   balance, -balance])
+    b = np.concatenate([r[1] for r in rows] + [p_f, -p_f])
+    boxes = [p.effective_box() for p in problems]
+    kernel = qpmod.Ldp(np.concatenate([p.quad_diag for p in problems]), a, b,
+                       np.concatenate([lo for lo, _ in boxes]),
+                       np.concatenate([hi for _, hi in boxes]))
+    x, status, _, _ = kernel.solve(np.concatenate([p.lin for p in problems]),
+                                   tol)
+    if status == INFEASIBLE:
         return CentralizedResult([], [], np.inf, np.inf, INFEASIBLE)
-
-    # start every block from its unconstrained tracking point clipped to box
-    profiles = [np.clip(np.full(h, target), node.spec.p_min_w,
-                        node.spec.p_max_w)
-                for kind, node, _, target in nodes]
-    mu = np.zeros(h)
-    rho = float(np.mean([w for _, _, w, _ in nodes]))
-    total = np.sum(profiles, axis=0)
-    prev_res = float(np.max(np.abs(total - p_f)))
-    best = None
-    for _outer in range(200):
-        # Gauss-Seidel sweeps at fixed (mu, rho)
-        for _sweep in range(60):
-            delta = 0.0
-            for i, (kind, node, w, target) in enumerate(nodes):
-                rest = total - profiles[i]
-                problem = problems[i]
-                problem.quad_diag.fill(w + rho)
-                problem.lin = mu + rho * (rest - p_f) - w * target
-                sol = qpmod.solve(problem, tol=1e-10, polish=False,
-                                  x0=profiles[i])
-                delta = max(delta, float(np.max(np.abs(sol.profile
-                                                       - profiles[i]))))
-                total = rest + sol.profile
-                profiles[i] = sol.profile
-            scale = max(1.0, float(np.max(np.abs(total))))
-            if delta <= 1e-10 * scale:
-                break
-        c = total - p_f
-        res = float(np.max(np.abs(c)))
-        obj = sum(0.5 * w * float((p - t) @ (p - t))
-                  for (_, _, w, t), p in zip(nodes, profiles))
-        if best is None or res < best[0]:
-            best = (res, [p.copy() for p in profiles], obj)
-        if res <= tol_w:
-            break
-        mu = mu + rho * c
-        if res > 0.25 * prev_res:
-            rho *= 2.0
-        prev_res = res
-        if rho > 1e18:
-            break
-    res, profiles, obj = best
-    n_g = len(fleet.pgms)
-    status = OPTIMAL if res <= tol_w else MAX_ITER
+    profiles = list(x.reshape(n, h))
+    n_g = len(gen_qps)
+    targets = [g.spec.rated_power_w for g in fleet.pgms] + [0.0] * (n - n_g)
+    dev = [x_i - t for x_i, t in zip(profiles, targets)]
     return CentralizedResult(
         gen_profiles=profiles[:n_g],
         batt_profiles=profiles[n_g:],
-        objective=obj,
-        balance_residual_w=res,
+        objective=sum(0.5 * w * float(v @ v)
+                      for w, v in zip(fleet.weights(), dev)),
+        balance_residual_w=float(np.max(np.abs(np.sum(profiles, axis=0)
+                                                - p_f))),
         status=status,
     )

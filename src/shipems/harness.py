@@ -254,12 +254,9 @@ def verify(cfg: ScenarioConfig, n_perturbations: int = 100) -> VerifyReport:
 
     Compares the config's first MPC step, then n_perturbations randomized
     variants (demand level, initial SoC, previous setpoints) drawn from
-    cfg.seed. The horizon is capped at 5 steps to keep the monolithic
-    solves cheap.
+    cfg.seed, over the config's full fleet and horizon.
     """
-    if len(cfg.pgms) > 3 or len(cfg.pcms) > 3:
-        raise ValueError("verify expects a small instance (n_g <= 3, n_b <= 3)")
-    h = min(cfg.horizon_steps, 5)
+    h = cfg.horizon_steps
     cases = []
 
     base_fleet = _first_step_fleet(cfg)

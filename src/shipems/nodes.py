@@ -91,10 +91,18 @@ def pcm_qp(lam: np.ndarray, spec: PcmSpec, bus: BusSpec, soc0: float,
 
 def pgm_solve(lam: np.ndarray, spec: PgmSpec, prev_power_w: float,
               tol: float = 1e-8, max_iter: int = 100_000,
-              polish: bool = True, x0: np.ndarray | None = None) -> NodeResult:
-    """Solve the generator node problem for a given price profile."""
-    problem = pgm_qp(lam, spec, prev_power_w)
-    sol = qpmod.solve(problem, tol=tol, max_iter=max_iter, polish=polish, x0=x0)
+              problem: qpmod.HorizonQp | None = None) -> NodeResult:
+    """Solve the generator node problem for a given price profile.
+
+    ``problem`` is this node's `pgm_qp` at the same state, from an earlier
+    call; only its price is replaced, so its constraint rows are reused.
+    """
+    if problem is None:
+        problem = pgm_qp(lam, spec, prev_power_w)
+    else:
+        problem = problem.with_lin(
+            lam - problem.quad_diag * spec.rated_power_w)
+    sol = qpmod.solve(problem, tol=tol, max_iter=max_iter)
     beta = max(spec.weight_beta, WEIGHT_FLOOR)
     dev = sol.profile - spec.rated_power_w
     local = 0.5 * beta * float(dev @ dev)
@@ -104,10 +112,17 @@ def pgm_solve(lam: np.ndarray, spec: PgmSpec, prev_power_w: float,
 def pcm_solve(lam: np.ndarray, spec: PcmSpec, bus: BusSpec, soc0: float,
               prev_power_w: float, td_s: float,
               tol: float = 1e-8, max_iter: int = 100_000,
-              polish: bool = True, x0: np.ndarray | None = None) -> NodeResult:
-    """Solve the battery node problem; returns the eliminated-state SoC path."""
-    problem = pcm_qp(lam, spec, bus, soc0, prev_power_w, td_s)
-    sol = qpmod.solve(problem, tol=tol, max_iter=max_iter, polish=polish, x0=x0)
+              problem: qpmod.HorizonQp | None = None) -> NodeResult:
+    """Solve the battery node problem; returns the eliminated-state SoC path.
+
+    ``problem`` is this node's `pcm_qp` at the same state, as in
+    `pgm_solve`.
+    """
+    if problem is None:
+        problem = pcm_qp(lam, spec, bus, soc0, prev_power_w, td_s)
+    else:
+        problem = problem.with_lin(lam)
+    sol = qpmod.solve(problem, tol=tol, max_iter=max_iter)
     gamma = max(spec.weight_gamma, WEIGHT_FLOOR)
     local = 0.5 * gamma * float(sol.profile @ sol.profile)
     kappa = problem.cumsum_coeff

@@ -1,43 +1,113 @@
-"""Dense convex QP solver for horizon-profile problems.
+"""Exact solver for diagonal-quadratic QPs over horizon polytopes.
 
-Solves min 0.5*sum_k d_k x_k^2 + sum_k q_k x_k over the polytope cut out by
-per-step box bounds, step-to-step ramp bounds anchored at a previous value,
-and optional cumulative-sum (state-of-charge type) bounds. The method is
-projected gradient with the projection onto the intersection computed by
-Dykstra's alternating scheme over the three constraint families; a final
-active-set polish (KKT solve on the identified active rows, certified by
-nonnegative-least-squares multipliers) brings solutions to near machine
-precision. The diagonal Hessian makes every step closed form.
+Every device problem, and the monolithic fleet problem of the oracle, reads
+
+    min 0.5 x'Dx + q'x   s.t.   A x <= b
+
+with D diagonal and positive. Substituting x = x_u + D^(-1/2) z, where
+x_u = -q/D is the unconstrained minimizer, turns it into a least-distance
+program (LDP), min ||z|| s.t. G z >= h. Lawson & Hanson (Solving Least
+Squares Problems, 1974, ch. 23) reduce an LDP to one nonnegative least
+squares problem, min ||E u - e|| over u >= 0 with E = [G'; h'] and e the
+last unit vector: the residual r = E u - e gives z = -r[:-1]/r[-1] when the
+polytope is nonempty, and when the residual vanishes u is a Farkas
+certificate that it is empty. One compiled `scipy.optimize.nnls` call
+therefore solves the QP exactly or proves it infeasible, and both answers
+are checked before they are returned.
+
+Only h, the last row of E, depends on q: `Ldp` builds the scaled rows once
+per constraint set and reuses them for every price. Rows are scaled to unit
+norm; state-of-charge limits stay in power units (bounds on prefix sums of
+power), never scaled by the tiny per-step SoC coefficient.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.optimize
-
-try:
-    from numba import njit
-
-    NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
+from scipy.optimize import nnls
 
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
 FEASIBLE = "feasible"
+
+
+class Ldp:
+    """min 0.5 x'diag(d)x + q'x s.t. a x <= b over a fixed polytope, any q.
+
+    ``lo``/``hi`` bound every point of the polytope componentwise (entries
+    may be infinite); an infeasibility certificate is checked over that box.
+    """
+
+    def __init__(self, d, a, b, lo, hi):
+        norms = np.linalg.norm(a, axis=1)
+        self.d = np.asarray(d, dtype=float)
+        self.a = a / norms[:, None]
+        self.b = b / norms
+        self.lo, self.hi = lo, hi
+        self.w = 1.0 / np.sqrt(self.d)
+        g = self.a * self.w  # the rows in z, where x = x_u + w*z
+        self.rho = np.linalg.norm(g, axis=1)
+        n = self.d.size
+        self.e = np.empty((n + 1, self.b.size))
+        self.e[:n] = -(g / self.rho[:, None]).T
+        self.unit = np.zeros(n + 1)
+        self.unit[n] = 1.0
+        bounds = np.abs(np.concatenate([lo, hi]))
+        self.x_scale = max(1.0, float(np.max(bounds[np.isfinite(bounds)],
+                                             initial=0.0)))
+
+    def violation(self, x) -> float:
+        """Largest violation of a unit-norm row at x (0 when feasible)."""
+        return float((self.a @ x - self.b).max(initial=0.0))
+
+    def solve(self, q, tol: float, max_iter: int = 100_000):
+        """Returns (x, status, iterations, violation); x is None when
+        infeasible.
+
+        The point is accepted when every row holds to tol*max(1, ||x||inf);
+        infeasibility only when the certificate shows that every point of
+        the box violates some row by more than tol*max(1, ||box||inf).
+        Anything else is MAX_ITER with the candidate point.
+        """
+        xu = -q / self.d
+        slack = self.a @ xu - self.b  # > 0 on the rows x_u violates
+        if slack.max(initial=0.0) <= 0.0:
+            return xu, OPTIMAL, 0, 0.0
+        h = slack / self.rho
+        s = float(h.max())  # scaled so the LDP solution has ||z|| >= 1
+        self.e[-1] = h / s
+        try:
+            u, _ = nnls(self.e, self.unit, maxiter=max_iter)
+        except RuntimeError:  # iteration cap
+            x = np.clip(xu, self.lo, self.hi)
+            return x, MAX_ITER, max_iter, self.violation(x)
+        r = self.e @ u - self.unit
+        if r[-1] < 0.0:
+            x = xu - (s / r[-1]) * self.w * r[:-1]
+            viol = self.violation(x)
+            if viol <= tol * max(1.0, float(np.abs(x).max())):
+                return x, OPTIMAL, 1, viol
+        else:
+            x = np.clip(xu, self.lo, self.hi)
+            viol = self.violation(x)
+        if self._certifies_empty(u / self.rho, tol):
+            return None, INFEASIBLE, 1, np.inf
+        return x, MAX_ITER, 1, viol
+
+    def _certifies_empty(self, y, tol: float) -> bool:
+        """Farkas test: y >= 0 weighs the unit rows so that y'(a x - b)
+        exceeds tol*x_scale*sum(y) at every x of the box."""
+        c = self.a.T @ y
+        with np.errstate(invalid="ignore"):
+            low = np.where(c > 0.0, c * self.lo, np.where(c < 0.0, c * self.hi,
+                                                         0.0))
+        return float(np.sum(low) - self.b @ y) \
+            > tol * self.x_scale * float(np.sum(y))
 
 
 @dataclass(eq=False)
@@ -94,6 +164,13 @@ class HorizonQp:
                     f"{self.cumsum_lower}, {self.cumsum_init}, {self.cumsum_upper}"
                 )
 
+    def with_lin(self, lin) -> "HorizonQp":
+        """The same problem with another linear term; shares `ldp`."""
+        self.ldp  # built before the copy so that both hold it
+        other = copy.copy(self)
+        other.lin = np.asarray(lin, dtype=float)
+        return other
+
     def effective_box(self):
         """Box bounds with the k=0 ramp anchor folded into the first step."""
         lo = self.lower.copy()
@@ -132,270 +209,64 @@ class HorizonQp:
         return max(v, 0.0)
 
     def constraint_rows(self):
-        """All inequalities as (A, b) with rows scaled to unit norm dropped
-        for infinite bounds. Used by the polish step."""
+        """All inequalities as (A, b), A x <= b: box (anchor folded), ramp,
+        and prefix-sum rows in power units; rows with an infinite bound are
+        dropped."""
         h = self.h
-        lo, hi = self.effective_box()
-        rows, rhs = [], []
         eye = np.eye(h)
-        for k in range(h):
-            if np.isfinite(hi[k]):
-                rows.append(eye[k]); rhs.append(hi[k])
-            if np.isfinite(lo[k]):
-                rows.append(-eye[k]); rhs.append(-lo[k])
-        if np.isfinite(self.ramp_limit):
-            for k in range(1, h):
-                r = eye[k] - eye[k - 1]
-                rows.append(r); rhs.append(self.ramp_limit)
-                rows.append(-r); rhs.append(self.ramp_limit)
+        diff = eye[1:] - eye[:-1]
+        lo, hi = self.effective_box()
+        rows = [eye, -eye, diff, -diff]
+        rhs = [hi, -lo, np.full(h - 1, self.ramp_limit),
+               np.full(h - 1, self.ramp_limit)]
         plo, phi = self.prefix_bounds()
         if plo is not None:
-            for k in range(h):
-                pref = np.zeros(h)
-                pref[: k + 1] = 1.0
-                rows.append(pref); rhs.append(phi[k])
-                rows.append(-pref); rhs.append(-plo[k])
-        if not rows:
-            return np.zeros((0, h)), np.zeros(0)
-        return np.array(rows), np.array(rhs)
+            prefix = np.tril(np.ones((h, h)))
+            rows += [prefix, -prefix]
+            rhs += [phi, -plo]
+        a, b = np.vstack(rows), np.concatenate(rhs)
+        keep = np.isfinite(b)
+        return a[keep], b[keep]
+
+    @cached_property
+    def ldp(self) -> Ldp:
+        """The LDP form of this constraint set and Hessian, built once."""
+        return Ldp(self.quad_diag, *self.constraint_rows(),
+                   *self.effective_box())
 
 
 @dataclass
 class QpSolution:
     profile: np.ndarray
     objective: float
-    iterations: int
+    iterations: int  # 0 for the unconstrained shortcut, 1 for an LDP solve
     primal_residual: float  # max constraint violation of profile
     status: str
     fixed_point_residual: float = field(default=np.nan)
 
 
-@njit(cache=True)
-def _dykstra(y, lo, hi, ramp, m_pref, pref_lo, pref_hi, tol, max_sweeps):
-    """Project y onto box (anchor folded) ∩ ramp slabs ∩ prefix slabs."""
-    h = y.shape[0]
-    x = y.copy()
-    cb = np.zeros(h)
-    cd = np.zeros(h - 1 if h > 1 else 0)
-    cp = np.zeros(m_pref)
-    for _ in range(max_sweeps):
-        delta = 0.0
-        # box family
-        for k in range(h):
-            yk = x[k] + cb[k]
-            xk = min(max(yk, lo[k]), hi[k])
-            cb[k] = yk - xk
-            if abs(xk - x[k]) > delta:
-                delta = abs(xk - x[k])
-            x[k] = xk
-        # difference slabs |x_k - x_{k-1}| <= ramp, normal (e_k - e_{k-1})
-        for k in range(1, h):
-            ya = x[k - 1] - cd[k - 1]
-            yb = x[k] + cd[k - 1]
-            v = yb - ya
-            t = min(max(v, -ramp), ramp)
-            theta = 0.5 * (v - t)
-            na = ya + theta
-            nb = yb - theta
-            if abs(na - x[k - 1]) > delta:
-                delta = abs(na - x[k - 1])
-            if abs(nb - x[k]) > delta:
-                delta = abs(nb - x[k])
-            x[k - 1] = na
-            x[k] = nb
-            cd[k - 1] = theta
-        # prefix slabs pref_lo[k] <= sum_{j<=k} x_j <= pref_hi[k]
-        for k in range(m_pref):
-            s = 0.0
-            for j in range(k + 1):
-                s += x[j] + cp[k]
-            t = min(max(s, pref_lo[k]), pref_hi[k])
-            theta = (s - t) / (k + 1)
-            shift = cp[k] - theta
-            if abs(shift) > delta:
-                delta = abs(shift)
-            for j in range(k + 1):
-                x[j] += shift
-            cp[k] = theta
-        if delta <= tol:
-            break
-    return x
-
-
-@njit(cache=True)
-def _pg_iterate(x0, d, q, lo, hi, ramp, m_pref, pref_lo, pref_hi, tol, max_iter):
-    """Projected gradient to a fixed point; returns (x, iterations, residual).
-
-    The residual is the last step length ||x_{t+1} - x_t||_inf, with the
-    tolerance applied relative to max(1, ||x||_inf).
-    """
-    big = d[0]
-    for k in range(1, d.shape[0]):
-        if d[k] > big:
-            big = d[k]
-    x = x0.copy()
-    res = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        y = x - (d * x + q) / big
-        scale = 1.0
-        for k in range(x.shape[0]):
-            if abs(x[k]) > scale:
-                scale = abs(x[k])
-        dyk_tol = 0.02 * tol * scale
-        xn = _dykstra(y, lo, hi, ramp, m_pref, pref_lo, pref_hi, dyk_tol, 2000)
-        res = 0.0
-        for k in range(x.shape[0]):
-            if abs(xn[k] - x[k]) > res:
-                res = abs(xn[k] - x[k])
-        x = xn
-        if res <= tol * scale:
-            break
-    return x, it, res
-
-
-def _certified_polish(qp: HorizonQp, x: np.ndarray, act_tol: float):
-    """KKT polish on the active set detected at x.
-
-    Solves the equality-constrained QP on rows within act_tol of activity,
-    then certifies with primal feasibility and a nonnegative multiplier fit.
-    Returns the polished point or None when certification fails.
-    """
-    a, b = qp.constraint_rows()
-    d, q = qp.quad_diag, qp.lin
-    if a.shape[0] == 0:
-        xu = -q / d
-        return xu if qp.violation(xu) == 0.0 else None
-    row_scale = np.maximum(1.0, np.abs(b))
-    act = (b - a @ x) <= act_tol * row_scale
-    n = qp.h
-    if not np.any(act):
-        x_hat = -q / d
-    else:
-        s = a[act]
-        k = s.shape[0]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = np.diag(d)
-        kkt[:n, n:] = s.T
-        kkt[n:, :n] = s
-        rhs = np.concatenate([-q, b[act]])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        x_hat = sol[:n]
-    if not np.all(np.isfinite(x_hat)):
-        return None
-    xscale = max(1.0, float(np.abs(x_hat).max()))
-    if qp.violation(x_hat) > 1e-11 * xscale:
-        return None
-    # stationarity with sign-constrained multipliers on the active rows
-    g = d * x_hat + q
-    gscale = max(1.0, float(np.abs(g).max()), float(np.abs(d * x_hat).max()))
-    act_hat = (b - a @ x_hat) <= 1e-9 * row_scale
-    if not np.any(act_hat):
-        resid = float(np.abs(g).max())
-    else:
-        _, resid = scipy.optimize.nnls(a[act_hat].T, -g)
-    if resid > 1e-9 * gscale:
-        return None
-    return x_hat
-
-
-def _chain_feasible(qp: HorizonQp) -> bool:
-    """Exact emptiness test for the box∩ramp chain by forward interval
-    propagation (the reachable set at each step is an interval)."""
-    lo, hi = qp.effective_box()
-    reach_lo, reach_hi = lo[0], hi[0]
-    if reach_lo > reach_hi:
-        return False
-    for k in range(1, qp.h):
-        a = max(lo[k], reach_lo - qp.ramp_limit)
-        b = min(hi[k], reach_hi + qp.ramp_limit)
-        if a > b:
-            return False
-        reach_lo, reach_hi = a, b
-    return True
-
-
 def feasibility_check(qp: HorizonQp) -> str:
-    """Decide emptiness of the constraint polytope.
-
-    Box-and-ramp chains are decided exactly by forward interval propagation;
-    with cumulative-sum constraints active, a Phase-1 LP settles the general
-    case.
-    """
-    if not _chain_feasible(qp):
-        return INFEASIBLE
-    if qp.cumsum_coeff == 0.0:
-        return FEASIBLE
-    plo, phi = qp.prefix_bounds()
-    a_ub, b_ub = [], []
-    h = qp.h
-    for k in range(1, h):
-        r = np.zeros(h)
-        r[k], r[k - 1] = 1.0, -1.0
-        a_ub.append(r); b_ub.append(qp.ramp_limit)
-        a_ub.append(-r); b_ub.append(qp.ramp_limit)
-    for k in range(h):
-        pref = np.zeros(h)
-        pref[: k + 1] = 1.0
-        a_ub.append(pref); b_ub.append(phi[k])
-        a_ub.append(-pref); b_ub.append(-plo[k])
-    lo, hi = qp.effective_box()
-    res = scipy.optimize.linprog(
-        c=np.zeros(h),
-        A_ub=np.array(a_ub),
-        b_ub=np.array(b_ub),
-        bounds=list(zip(lo, hi)),
-        method="highs",
-    )
-    return FEASIBLE if res.status == 0 else INFEASIBLE
+    """Decide emptiness of the constraint polytope: FEASIBLE once a feasible
+    point is found, INFEASIBLE on a verified certificate, MAX_ITER if
+    neither came out of the solve."""
+    status = solve(qp).status
+    return FEASIBLE if status == OPTIMAL else status
 
 
-def solve(qp: HorizonQp, tol: float = 1e-8, max_iter: int = 100_000,
-          x0: np.ndarray | None = None, polish: bool = True) -> QpSolution:
-    """Minimize the QP; see module docstring for the method.
+def solve(qp: HorizonQp, tol: float = 1e-8,
+          max_iter: int = 100_000) -> QpSolution:
+    """Minimize the QP exactly; see the module docstring for the method.
 
-    ``status`` is "infeasible" when the polytope is empty (profile is all
-    zeros, objective inf), "max_iter" when the fixed-point residual never
-    reached tol (best iterate returned), "optimal" otherwise. ``polish=False``
-    skips the active-set finish, leaving the projected-gradient iterate
-    (accurate to tol); useful inside iterative coordination loops.
+    ``status`` is "infeasible" when the polytope is certified empty
+    (profile all zeros, objective inf), "max_iter" when `nnls` hit
+    ``max_iter`` or its point could not be verified (the best point is
+    returned), "optimal" otherwise. ``tol`` is the accepted constraint
+    violation relative to max(1, ||x||inf).
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not _chain_feasible(qp):
-        return QpSolution(np.zeros(qp.h), np.inf, 0, np.inf, INFEASIBLE)
-    d, q = qp.quad_diag, qp.lin
-    lo, hi = qp.effective_box()
-    plo, phi = qp.prefix_bounds()
-    m_pref = 0 if plo is None else qp.h
-    if plo is None:
-        plo = np.zeros(0)
-        phi = np.zeros(0)
-
-    xu = -q / d
-    if qp.violation(xu) == 0.0:
-        return QpSolution(xu, qp.objective(xu), 0, 0.0, OPTIMAL, 0.0)
-
-    start = np.clip(xu, lo, hi) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x, it, res = _pg_iterate(start, d, q, lo, hi, qp.ramp_limit,
-                             m_pref, plo, phi, tol, max_iter)
-    scale = max(1.0, float(np.abs(x).max()))
-    converged = res <= tol * scale
-
-    if polish:
-        # a certified KKT point is globally optimal regardless of PG state
-        act0 = max(100.0 * tol, 1e-6)
-        for act_tol in (act0, act0 * 1e-2, act0 * 1e2):
-            x_hat = _certified_polish(qp, x, act_tol)
-            if x_hat is not None:
-                return QpSolution(x_hat, qp.objective(x_hat), it,
-                                  qp.violation(x_hat), OPTIMAL, 0.0)
-    viol = qp.violation(x)
-    if viol <= 10.0 * tol * scale:
-        status = OPTIMAL if converged else MAX_ITER
-        return QpSolution(x, qp.objective(x), it, viol, status, res)
-    # the iterate never became feasible: either the polytope is empty
-    # (Dykstra cycles between disjoint sets) or projection stalled
-    if qp.cumsum_coeff != 0.0 and feasibility_check(qp) == INFEASIBLE:
-        return QpSolution(np.zeros(qp.h), np.inf, it, np.inf, INFEASIBLE)
-    return QpSolution(x, qp.objective(x), it, viol, MAX_ITER, res)
+    x, status, iters, viol = qp.ldp.solve(qp.lin, tol, max_iter)
+    if status == INFEASIBLE:
+        return QpSolution(np.zeros(qp.h), np.inf, iters, viol, INFEASIBLE)
+    return QpSolution(x, qp.objective(x), iters, viol, status,
+                      0.0 if status == OPTIMAL else np.nan)

@@ -36,6 +36,8 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 
 LOAD_KINDS = ("constant", "step", "ramp", "pulse_train")
+# resolution of pulse edges, as a share of the period
+PHASE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,11 @@ def load_at(t, spec: LoadProfileSpec):
             t >= spec.start_s, spec.slope_w_per_s * (t - spec.start_s), 0.0
         )
     else:  # pulse_train
+        # edges are placed to PHASE_EPS of a period, so a time that rounds
+        # to just below an edge (a plant step times dt, say) sits on it
         rel = (t - spec.start_s) / spec.period_s
-        frac = rel - np.floor(rel)
-        on = (t >= spec.start_s) & (frac < spec.duty_fraction)
+        frac = rel - np.floor(rel + PHASE_EPS)
+        on = (t >= spec.start_s) & (frac < spec.duty_fraction - PHASE_EPS)
         out = spec.base_w + np.where(on, spec.amplitude_w, 0.0)
     return float(out) if out.ndim == 0 else out
 

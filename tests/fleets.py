@@ -4,13 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from shipems.coordinator import (
-    Fleet,
-    PcmNodeState,
-    PgmNodeState,
-    _fleet_reach_intervals,
-)
+from shipems.coordinator import Fleet, PcmNodeState, PgmNodeState
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
+
+
+def fleet_reach_intervals(fleet: Fleet, h: int):
+    """Per-step sum of reachable power intervals across the fleet.
+
+    Necessary condition for balance feasibility: the demand profile must lie
+    inside the summed intervals (not sufficient, since step choices couple
+    through each device's ramp chain).
+    """
+    lo_sum, hi_sum = np.zeros(h), np.zeros(h)
+    for node in fleet.pgms + fleet.pcms:
+        spec = node.spec
+        lo_k = max(spec.p_min_w, node.prev_power_w - spec.ramp_limit_w_per_step)
+        hi_k = min(spec.p_max_w, node.prev_power_w + spec.ramp_limit_w_per_step)
+        for k in range(h):
+            if k:
+                lo_k = max(spec.p_min_w, lo_k - spec.ramp_limit_w_per_step)
+                hi_k = min(spec.p_max_w, hi_k + spec.ramp_limit_w_per_step)
+            lo_sum[k] += lo_k
+            hi_sum[k] += hi_k
+    return lo_sum, hi_sum
 
 
 def random_fleet(rng: np.random.Generator, n_g=None, n_b=None) -> Fleet:
@@ -47,7 +63,7 @@ def random_fleet(rng: np.random.Generator, n_g=None, n_b=None) -> Fleet:
 def feasible_demand(rng: np.random.Generator, fleet: Fleet, h: int) -> np.ndarray:
     """Constant demand profile strictly inside every step's summed reachable
     interval; such a level is jointly reachable (hit it at step one, hold)."""
-    lo, hi = _fleet_reach_intervals(fleet, h)
+    lo, hi = fleet_reach_intervals(fleet, h)
     floor_w, ceil_w = float(np.max(lo)), float(np.min(hi))
     width = ceil_w - floor_w
     assert width > 0.0

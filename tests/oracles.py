@@ -96,3 +96,76 @@ def horizon_qp_matrices(h, p_min, p_max, ramp, anchor, kappa=None, soc0=None,
             rows.append(-kappa * pref); rhs.append(soc_max - soc0)
             rows.append(kappa * pref); rhs.append(soc0 - soc_min)
     return np.array(rows), np.array(rhs)
+
+
+def unit_rows(a_ub, b_ub):
+    """Rows of A x <= b scaled to unit norm.
+
+    Applied to `horizon_qp_matrices` this puts the state-of-charge rows in
+    power units (bounds on prefix sums of power), whatever kappa is.
+    """
+    a = np.asarray(a_ub, dtype=float)
+    norms = np.linalg.norm(a, axis=1)
+    return a / norms[:, None], np.asarray(b_ub, dtype=float) / norms
+
+
+def min_max_violation(a_ub, b_ub, unit: float = 1e6) -> float:
+    """HiGHS LP: the least t such that some x violates no unit-norm row of
+    A x <= b by more than t. The polytope is nonempty exactly when t <= 0.
+
+    The LP is solved in units of ``unit`` (MW for powers in W).
+    """
+    from scipy.optimize import linprog
+
+    a, b = unit_rows(a_ub, b_ub)
+    n = a.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.hstack([a, -np.ones((a.shape[0], 1))]),
+                  b_ub=b / unit, bounds=[(None, None)] * (n + 1),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[-1]) * unit
+
+
+def device_rows(fleet, h):
+    """Each device's constraints of a coordinator Fleet as unit-norm (A, b),
+    rebuilt from the specs: generators first, then batteries."""
+    out = []
+    for g in fleet.pgms:
+        s = g.spec
+        out.append(unit_rows(*horizon_qp_matrices(
+            h, s.p_min_w, s.p_max_w, s.ramp_limit_w_per_step, g.prev_power_w)))
+    for b in fleet.pcms:
+        s = b.spec
+        kappa = fleet.td_s / (s.capacity_ah * 3600.0 * fleet.bus.v_bus_volt)
+        out.append(unit_rows(*horizon_qp_matrices(
+            h, s.p_min_w, s.p_max_w, s.ramp_limit_w_per_step, b.prev_power_w,
+            kappa=kappa, soc0=b.soc, soc_min=s.soc_min, soc_max=s.soc_max)))
+    return out
+
+
+def min_shortfall_w(fleet, p_f, unit: float = 1e6) -> float:
+    """HiGHS LP: the least worst-step unmet demand max_k (p_f,k - sum_i x_ik)
+    over every allocation that keeps each device within its limits."""
+    from scipy.optimize import linprog
+
+    p_f = np.asarray(p_f, dtype=float)
+    h = p_f.size
+    devices = device_rows(fleet, h)
+    n = len(devices)
+    blocks = np.zeros((sum(a.shape[0] for a, _ in devices), n * h + 1))
+    r = 0
+    for i, (a, _) in enumerate(devices):
+        blocks[r:r + a.shape[0], i * h:(i + 1) * h] = a
+        r += a.shape[0]
+    # sum_i x_ik + s >= p_f,k
+    balance = np.hstack([-np.tile(np.eye(h), n), -np.ones((h, 1))])
+    c = np.zeros(n * h + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.vstack([blocks, balance]),
+                  b_ub=np.concatenate([b for _, b in devices] + [-p_f]) / unit,
+                  bounds=[(None, None)] * (n * h) + [(0.0, None)],
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[-1]) * unit

@@ -149,10 +149,18 @@ class TestVerify:
         assert all("infeasible demand: consistent" in c.note
                    for c in report.cases)
 
-    def test_large_fleet_rejected(self):
-        cfg = short_cfg(pgms=[PgmSpec()] * 4)
-        with pytest.raises(ValueError, match="small instance"):
-            harness.verify(cfg, n_perturbations=1)
+    def test_large_fleet_long_horizon(self):
+        # six generators and six batteries over ten steps: 120 variables
+        # in each monolithic solve
+        cfg = short_cfg(pgms=[PgmSpec()] * 6, pcms=[PcmSpec()] * 6,
+                        initial_soc=[0.3, 0.4, 0.5, 0.6, 0.7, 0.5],
+                        horizon_steps=10,
+                        load=LoadProfileSpec(kind="constant", base_w=220e6))
+        report = harness.verify(cfg, n_perturbations=20)
+        assert report.passed
+        assert len(report.cases) == 21
+        assert not any(c.note for c in report.cases)  # all feasible
+        assert report.max_power_gap_w <= harness.VERIFY_POWER_TOL_W
 
     def test_batteryless_instance(self):
         cfg = short_cfg(

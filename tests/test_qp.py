@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shipems.qp as qpmod
+from shipems.coordinator import Fleet, PcmNodeState, PgmNodeState, coordinate
+from shipems.plant import BusSpec, PcmSpec, PgmSpec
 from shipems.qp import (
     FEASIBLE,
     INFEASIBLE,
@@ -13,7 +15,13 @@ from shipems.qp import (
     feasibility_check,
     solve,
 )
-from oracles import enumerate_qp, horizon_qp_matrices
+from shipems.nodes import WEIGHT_FLOOR
+from oracles import (
+    enumerate_qp,
+    horizon_qp_matrices,
+    min_max_violation,
+    unit_rows,
+)
 
 
 def random_instance(rng, h=3, with_cumsum=False):
@@ -88,13 +96,6 @@ class TestSolveExamples:
             else:
                 assert s.objective == pytest.approx(fo, abs=1e-8)
 
-    def test_warm_start_accepted(self):
-        qp = HorizonQp(h=3, quad_diag=1.0, lin=[1.0, -1.0, 0.5], lower=-1.0,
-                       upper=1.0, ramp_limit=0.5, prev_value=0.0)
-        cold = solve(qp)
-        warm = solve(qp, x0=cold.profile)
-        np.testing.assert_allclose(warm.profile, cold.profile, atol=1e-9)
-
 
 class TestSolveProperties:
     @given(seed=st.integers(0, 10_000))
@@ -147,6 +148,63 @@ class TestSolveProperties:
                 assert s.objective < qp.objective(x)
 
 
+def mw_instance(rng, h=3):
+    """A device QP at MW scale, in watts: weights at WEIGHT_FLOOR or O(1),
+    SoC rows with kappa ~ 1e-11 per W, some SoC limits nearly binding, and
+    some anchors a ramp chain cannot leave."""
+    p_max = rng.uniform(5e6, 40e6)
+    lo = p_max * rng.uniform(-1.0, 0.5)
+    ramp = rng.uniform(1e6, 40e6)
+    prev = rng.uniform(lo - 1.5 * ramp, p_max)
+    weight = WEIGHT_FLOOR if rng.uniform() < 0.5 else rng.uniform(0.3, 3.0)
+    lin = -weight * p_max * rng.uniform(-2.0, 2.0, h)
+    kw, oracle_kw = {}, {}
+    if rng.uniform() < 0.7:
+        kappa = 1.0 / (rng.uniform(2000.0, 20000.0) * 3600.0 * 1000.0)
+        soc0 = 0.1 + 10.0 ** rng.uniform(-5.0, -0.5)
+        kw = dict(cumsum_coeff=kappa, cumsum_init=soc0, cumsum_lower=0.1,
+                  cumsum_upper=0.9)
+        oracle_kw = dict(kappa=kappa, soc0=soc0, soc_min=0.1, soc_max=0.9)
+    qp = HorizonQp(h=h, quad_diag=weight, lin=lin, lower=lo, upper=p_max,
+                   ramp_limit=ramp, prev_value=prev, **kw)
+    a, b = unit_rows(*horizon_qp_matrices(h, lo, p_max, ramp, prev,
+                                          **oracle_kw))
+    return qp, a, b
+
+
+class TestMwScale:
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=80, deadline=None)
+    def test_statuses_are_certified(self, seed):
+        qp, a, b = mw_instance(np.random.default_rng(seed))
+        tol = 1e-8
+        s = solve(qp, tol=tol)
+        # least worst violation of any point, in W (HiGHS, SoC rows in W)
+        t_star = min_max_violation(a, b)
+        scale = float(np.max(np.abs(b)))
+        if s.status == INFEASIBLE:
+            assert t_star > 0.0
+            return
+        if t_star > 1e-6 * scale:
+            pytest.fail(f"{s.status} on an empty polytope (t* = {t_star} W)")
+        if t_star < -1e-6 * scale:
+            assert s.status == OPTIMAL
+        if s.status != OPTIMAL:
+            return
+        x = s.profile
+        assert float(np.max(a @ x - b)) <= tol * max(1.0, np.abs(x).max())
+        # the same optimum as active-set enumeration, run in units of
+        # 1/sqrt(weight) W so that its KKT systems are well scaled
+        unit = 1.0 / np.sqrt(qp.quad_diag[0])
+        y_ref, _ = enumerate_qp(np.ones(qp.h), qp.lin * unit, a, b / unit,
+                                tol=1e-9 * scale / unit)
+        assert y_ref is not None
+        x_ref = y_ref * unit
+        gap = qp.objective(x) - qp.objective(x_ref)
+        curvature = float(qp.quad_diag[0]) * scale * scale
+        assert abs(gap) <= 1e-11 * max(curvature, 1.0), gap
+
+
 class TestStatuses:
     def test_infeasible_chain(self):
         # box [5,6] unreachable from 0 with ramp 1 at h=1
@@ -164,13 +222,23 @@ class TestStatuses:
         assert feasibility_check(qp) == INFEASIBLE
         assert solve(qp).status == INFEASIBLE
 
-    def test_max_iter_without_polish(self, monkeypatch):
-        monkeypatch.setattr(qpmod, "_certified_polish", lambda *a: None)
+    def test_nnls_iteration_cap_is_max_iter(self, monkeypatch):
         qp = HorizonQp(h=3, quad_diag=[1.0, 2.0, 3.0], lin=[5.0, -4.0, 1.0],
                        lower=-1.0, upper=1.0, ramp_limit=0.4, prev_value=0.0)
-        s = solve(qp, tol=1e-14, max_iter=1)
+
+        def capped(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(qpmod, "nnls", capped)
+        s = solve(qp)
         assert s.status == MAX_ITER
-        assert s.iterations == 1
+        assert np.all(np.isfinite(s.profile))
+        # a coordination whose node solves hit the cap still returns
+        fleet = Fleet(bus=BusSpec(), pgms=[PgmNodeState(PgmSpec(), 30e6)],
+                      pcms=[PcmNodeState(PcmSpec(), 0.5, 0.0)])
+        rep = coordinate(fleet, np.full(5, 60e6), max_iter=3)
+        assert not rep.converged
+        assert rep.gen[0].qp_status == MAX_ITER
 
 
 class TestFeasibilityCheck:

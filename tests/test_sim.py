@@ -1,13 +1,22 @@
 """Closed-loop engine tests: load profiles, current tracking, scenario runs."""
 
 import dataclasses
+import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shipems.config import ScenarioConfig, SolverConfig, default_config
+import shipems.sim
+from oracles import min_shortfall_w
+from shipems.config import (
+    ScenarioConfig,
+    SolverConfig,
+    default_config,
+    load_config,
+)
 from shipems.plant import BusSpec, PgmSpec, pgm_current_step
 from shipems.sim import (
     DlcGains,
@@ -16,6 +25,10 @@ from shipems.sim import (
     load_at,
     run_scenario,
 )
+
+
+DEFAULT_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "default.json")
 
 
 def short_cfg(**overrides) -> ScenarioConfig:
@@ -77,6 +90,22 @@ class TestLoadProfiles:
         vec = load_at(np.array(times), spec)
         for t, v in zip(times, vec):
             assert v == load_at(t, spec)
+
+    def test_pulse_edges_on_the_plant_grid(self):
+        # 300 s of the shipped config: 30 pulses of 2 s, sampled at 1 ms
+        cfg = dataclasses.replace(load_config(DEFAULT_JSON), duration_s=300.0)
+        n = int(round(cfg.duration_s / cfg.plant_dt_s))
+        t = np.arange(n) * cfg.plant_dt_s
+        on = load_at(t, cfg.load) > cfg.load.base_w
+        assert np.count_nonzero(on) == 60000
+        log = run_scenario(cfg)
+        spec = cfg.load
+        width = spec.duty_fraction * spec.period_s
+        pulses = math.ceil((cfg.duration_s - spec.start_s) / spec.period_s)
+        on_s = sum(min(width, cfg.duration_s - spec.start_s - k * spec.period_s)
+                   for k in range(pulses))
+        want = (spec.base_w * cfg.duration_s + spec.amplitude_w * on_s) / 3600.0
+        assert log.load_energy_wh == pytest.approx(want, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -199,6 +228,32 @@ class TestRunScenarioSteadyState:
         # past the ramp-down transitions the bus stays balanced
         settled = log.time_s > 2.5
         assert np.abs(log.balance_residual_w[settled]).max() < 5e3
+
+
+class TestSocFloor:
+    def test_demand_above_fleet_near_soc_floor(self, monkeypatch):
+        # 65 MW against a 60 MW fleet with the battery 0.002 above its SoC
+        # floor: every step falls short, by exactly the least shortfall any
+        # allocation within the limits leaves
+        steps = []
+        coordinate = shipems.sim.coordinate
+
+        def recorded(fleet, p_f, **kwargs):
+            rep = coordinate(fleet, p_f, **kwargs)
+            steps.append((fleet, np.array(p_f), rep))
+            return rep
+
+        monkeypatch.setattr(shipems.sim, "coordinate", recorded)
+        cfg = short_cfg(duration_s=30.0, initial_soc=[0.102], log_every=100,
+                        load=LoadProfileSpec(kind="constant", base_w=65e6))
+        log = run_scenario(cfg)
+        assert log.shortfall_events == 30
+        assert log.soc_violations == 0
+        assert len(steps) == 30
+        for k, (fleet, p_f, rep) in enumerate(steps):
+            lp = min_shortfall_w(fleet, p_f)
+            assert log.mpc_shortfall_w[k] == rep.shortfall_w
+            assert abs(rep.shortfall_w - lp) <= 1e-5 * 65e6, (k, lp)
 
 
 class TestRunScenarioBookkeeping:
