@@ -11,6 +11,20 @@ constraint rows are built once per MPC step. `centralized_solve` solves the
 same allocation monolithically (one stacked QP with the balance as an
 equality, solved by the same kernel) and serves as the verification oracle
 for the distributed loop.
+
+When the demand lies beyond what the fleet can deliver, the dual is
+unbounded and the ascent never balances. The loop then stops on a proof
+that no allocation does better than the iterate it returns:
+
+- the fleet's reach envelope (boxes and ramps, no solve) bounds the
+  worst-step deficit and excess of every allocation from below; once that
+  bound exceeds the tolerance, an iterate whose worst-step residual and
+  worst-step deficit attain it ends the step;
+- a step still running at `LP_BOUND_ITERATION` asks a HiGHS LP over every
+  node's rows for the least worst-step residual; once that exceeds the
+  tolerance and the best iterate attains it, the step ends.
+
+A step that no bound proves unbalanceable runs to its iteration budget.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import linprog
 
 from . import qp as qpmod
 from .nodes import (
@@ -33,9 +48,13 @@ from .plant import BusSpec, PcmSpec, PgmSpec
 
 INFEASIBLE = qpmod.INFEASIBLE
 
-# divergence heuristic: residual floor not improving across this window
-# while the price keeps growing means demand exceeds fleet capability
-DIVERGENCE_WINDOW = 50
+# a step that has neither balanced nor reached the fleet's limits by this
+# iteration asks the exact LP for its least worst-step residual
+LP_BOUND_ITERATION = 100
+# a residual attains a lower bound within this fraction of the demand
+BOUND_ATTAINED_RTOL = 1e-7
+# the residual LP is solved in MW
+LP_UNIT_W = 1e6
 
 
 @dataclass
@@ -141,6 +160,47 @@ def _node_problems(fleet: Fleet, h: int):
     return gen, batt
 
 
+def _reach_bounds(qps, p_f: np.ndarray):
+    """Lower bounds on every allocation's worst-step deficit and worst-step
+    excess over the demand.
+
+    A node's step-k power lies below hi_k = min over j <= k of
+    (hi_j + (k-j)*ramp) for its effective box [lo, hi] (held by its
+    kernel), and above lo_k likewise, so every step-k total lies in
+    [sum lo_k, sum hi_k].
+    """
+    steps = np.outer([p.ramp_limit for p in qps], np.arange(p_f.size))
+    hi = np.minimum.accumulate([p.ldp.hi for p in qps] - steps, axis=1) + steps
+    lo = np.maximum.accumulate([p.ldp.lo for p in qps] + steps, axis=1) - steps
+    return (max(0.0, float((p_f - hi.sum(axis=0)).max())),
+            max(0.0, float((lo.sum(axis=0) - p_f).max())))
+
+
+def _stacked_rows(qps):
+    """Every node's constraint rows as one block-diagonal A x <= b over the
+    stacked profiles; SoC rows stay in power units."""
+    rows = [p.constraint_rows() for p in qps]
+    return (scipy.linalg.block_diag(*[a for a, _ in rows]),
+            np.concatenate([b for _, b in rows]))
+
+
+def _min_residual_lp(qps, p_f: np.ndarray) -> float | None:
+    """HiGHS: the least worst-step balance residual t over allocations that
+    keep every node within its rows, min t s.t. |sum_i x_ik - p_f,k| <= t.
+    None when the LP does not solve."""
+    h = p_f.size
+    a, b = _stacked_rows(qps)
+    balance = np.tile(np.eye(h), len(qps))
+    t = np.ones((h, 1))
+    a_ub = np.vstack([np.hstack([a, np.zeros((a.shape[0], 1))]),
+                      np.hstack([balance, -t]), np.hstack([-balance, -t])])
+    c = np.zeros(a_ub.shape[1])
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.concatenate([b, p_f, -p_f]) / LP_UNIT_W,
+                  bounds=(None, None), method="highs")
+    return float(res.x[-1]) * LP_UNIT_W if res.status == 0 else None
+
+
 def _solve_all(fleet: Fleet, lam: np.ndarray, problems):
     gen_qps, batt_qps = problems
     gen = [pgm_solve(lam, g.spec, g.prev_power_w, problem=p)
@@ -167,9 +227,20 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
                lambda_warm: np.ndarray | None = None) -> CoordinationReport:
     """Run dual ascent until the fleet balances the demand profile.
 
-    Returns the best-residual allocation when the iteration budget runs out
-    or when divergence is detected (demand beyond fleet capability); in the
-    latter case ``shortfall_w`` reports the worst per-step deficit. Node
+    Stops converged once the worst-step residual is within ``bal_tol_w``.
+    Stops unconverged only on a proof that the demand cannot be balanced:
+    - the fleet's reach envelope (`_reach_bounds`) bounds every
+      allocation's worst-step residual by L > ``bal_tol_w`` and its
+      worst-step deficit by S, and an iterate attains both: residual at
+      most L, deficit at most max(S, ``bal_tol_w``). That iterate is
+      returned.
+    - From iteration `LP_BOUND_ITERATION` on, the exact least worst-step
+      residual L of `_min_residual_lp` exceeds ``bal_tol_w`` and the best
+      iterate attains it.
+    "Attains" allows `BOUND_ATTAINED_RTOL` of the demand. Otherwise the
+    ascent runs to ``max_iter``, so a step that can be balanced is never cut
+    short, and returns its best-residual iterate. ``shortfall_w`` is the
+    returned iterate's worst per-step deficit (0 when converged). Node
     solves are exact, so the reported allocation is the one computed at the
     reported price.
     """
@@ -185,8 +256,12 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
            else np.asarray(lambda_warm, dtype=float).copy())
     state = DualState(lam)
     problems = _node_problems(fleet, h)
+    qps = problems[0] + problems[1]
+    short_w, over_w = _reach_bounds(qps, p_f)
+    reach_w = max(short_w, over_w)
+    attained_w = BOUND_ATTAINED_RTOL * float(np.max(np.abs(p_f)))
+    least = None  # least worst-step residual, from the LP
     best = None  # (residual, price, gen, batt, total)
-    lam_norms = []
     converged = False
     for _ in range(max_iter):
         gen, batt = _solve_all(fleet, state.lam, problems)
@@ -196,22 +271,23 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         residual = total - p_f
         res_inf = float(np.max(np.abs(residual)))
         state.record(res_inf)
-        lam_norms.append(float(np.max(np.abs(state.lam))))
-        if best is None or res_inf < best[0]:
+        at_reach = (reach_w > bal_tol_w and res_inf <= reach_w + attained_w
+                    and float(np.max(-residual))
+                    <= max(short_w + attained_w, bal_tol_w))
+        if best is None or res_inf < best[0] or at_reach:
             best = (res_inf, state.lam.copy(), gen, batt, total)
         if res_inf <= bal_tol_w:
             converged = True
             break
-        w = DIVERGENCE_WINDOW
-        if state.iteration >= 2 * w:
-            hist = state.balance_residual_history
-            recent = min(hist[-w:])
-            prior = min(hist[-2 * w:-w])
-            growing = lam_norms[-1] > lam_norms[-w] * (1.0 + 1e-9)
-            if recent >= prior * (1.0 - 1e-6) and growing:
-                break
+        if at_reach:
+            break
+        if state.iteration == LP_BOUND_ITERATION:
+            least = _min_residual_lp(qps, p_f)
+        if least is not None and least > bal_tol_w \
+                and best[0] <= least + attained_w:
+            break
         state.lam = dual_update(state.lam, total, p_f, alpha)
-    # the converged iterate is the best one seen
+    # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, total = best
     shortfall = 0.0 if converged else max(0.0, float(np.max(p_f - total)))
     return CoordinationReport(
@@ -256,11 +332,10 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     gen_qps, batt_qps = _node_problems(fleet, h)
     problems = gen_qps + batt_qps
     n = len(problems)
-    rows = [p.constraint_rows() for p in problems]
+    a, b = _stacked_rows(problems)
     balance = np.tile(np.eye(h), n)
-    a = np.vstack([scipy.linalg.block_diag(*[r[0] for r in rows]),
-                   balance, -balance])
-    b = np.concatenate([r[1] for r in rows] + [p_f, -p_f])
+    a = np.vstack([a, balance, -balance])
+    b = np.concatenate([b, p_f, -p_f])
     boxes = [p.effective_box() for p in problems]
     kernel = qpmod.Ldp(np.concatenate([p.quad_diag for p in problems]), a, b,
                        np.concatenate([lo for lo, _ in boxes]),

@@ -145,13 +145,9 @@ def device_rows(fleet, h):
     return out
 
 
-def min_shortfall_w(fleet, p_f, unit: float = 1e6) -> float:
-    """HiGHS LP: the least worst-step unmet demand max_k (p_f,k - sum_i x_ik)
-    over every allocation that keeps each device within its limits."""
-    from scipy.optimize import linprog
-
-    p_f = np.asarray(p_f, dtype=float)
-    h = p_f.size
+def _stacked_device_rows(fleet, h):
+    """Every device's unit-norm rows over the stacked profiles, with one
+    spare column (zero) for the LP's objective variable."""
     devices = device_rows(fleet, h)
     n = len(devices)
     blocks = np.zeros((sum(a.shape[0] for a, _ in devices), n * h + 1))
@@ -159,12 +155,46 @@ def min_shortfall_w(fleet, p_f, unit: float = 1e6) -> float:
     for i, (a, _) in enumerate(devices):
         blocks[r:r + a.shape[0], i * h:(i + 1) * h] = a
         r += a.shape[0]
+    return n, blocks, np.concatenate([b for _, b in devices])
+
+
+def min_shortfall_w(fleet, p_f, unit: float = 1e6) -> float:
+    """HiGHS LP: the least worst-step unmet demand max_k (p_f,k - sum_i x_ik)
+    over every allocation that keeps each device within its limits."""
+    from scipy.optimize import linprog
+
+    p_f = np.asarray(p_f, dtype=float)
+    h = p_f.size
+    n, blocks, rhs = _stacked_device_rows(fleet, h)
     # sum_i x_ik + s >= p_f,k
     balance = np.hstack([-np.tile(np.eye(h), n), -np.ones((h, 1))])
     c = np.zeros(n * h + 1)
     c[-1] = 1.0
     res = linprog(c, A_ub=np.vstack([blocks, balance]),
-                  b_ub=np.concatenate([b for _, b in devices] + [-p_f]) / unit,
+                  b_ub=np.concatenate([rhs, -p_f]) / unit,
+                  bounds=[(None, None)] * (n * h) + [(0.0, None)],
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[-1]) * unit
+
+
+def min_max_residual_w(fleet, p_f, unit: float = 1e6) -> float:
+    """HiGHS LP: the least worst-step balance residual
+    max_k |sum_i x_ik - p_f,k| over every allocation that keeps each device
+    within its limits."""
+    from scipy.optimize import linprog
+
+    p_f = np.asarray(p_f, dtype=float)
+    h = p_f.size
+    n, blocks, rhs = _stacked_device_rows(fleet, h)
+    # -t <= sum_i x_ik - p_f,k <= t
+    total = np.tile(np.eye(h), n)
+    t = -np.ones((h, 1))
+    c = np.zeros(n * h + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.vstack([blocks, np.hstack([total, t]),
+                                     np.hstack([-total, t])]),
+                  b_ub=np.concatenate([rhs, p_f, -p_f]) / unit,
                   bounds=[(None, None)] * (n * h) + [(0.0, None)],
                   method="highs")
     assert res.status == 0, res.message

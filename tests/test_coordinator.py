@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shipems.coordinator import (
+    LP_BOUND_ITERATION,
     CentralizedResult,
     DualState,
     Fleet,
@@ -16,7 +17,8 @@ from shipems.coordinator import (
     dual_update,
 )
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
-from fleets import feasible_demand, random_fleet
+from fleets import feasible_demand, fleet_reach_intervals, random_fleet
+from oracles import min_max_residual_w, min_shortfall_w
 
 BUS = BusSpec()
 
@@ -181,6 +183,43 @@ class TestCoordinateBehavior:
         with pytest.raises(ValueError):
             Fleet(bus=BUS, pgms=[PgmNodeState(wide_gen(), 0.0)], pcms=[],
                   td_s=0.0)
+
+
+class TestExitContract:
+    @given(seed=st.integers(0, 2**32 - 1),
+           demand=st.sampled_from(["inside", "above", "below", "per_step"]),
+           near_floor=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_converged_budget_spent_or_least_residual(self, seed, demand,
+                                                      near_floor):
+        # a call that neither balances nor spends its budget must stop at
+        # the least worst-step residual any allocation within the limits
+        # has; before the LP it stops only at the least shortfall too
+        rng = np.random.default_rng(seed)
+        fleet = random_fleet(rng)
+        h = 5
+        if near_floor:
+            for b in fleet.pcms:
+                b.soc = b.spec.soc_min + rng.uniform(0.0, 0.003)
+        lo, hi = fleet_reach_intervals(fleet, h)
+        if demand == "inside":
+            p_f = feasible_demand(rng, fleet, h)
+        elif demand == "above":
+            p_f = np.full(h, hi.max() + rng.uniform(0.5e6, 10e6))
+        elif demand == "below":
+            p_f = np.full(h, lo.min() - rng.uniform(0.5e6, 10e6))
+        else:
+            p_f = rng.uniform(lo - 5e6, hi + 5e6)
+        max_iter = 200
+        rep = coordinate(fleet, p_f, max_iter=max_iter)
+        if rep.converged or rep.iterations_used == max_iter:
+            return
+        tol = 1e-5 * np.max(np.abs(p_f))
+        assert abs(rep.final_residual_w - min_max_residual_w(fleet, p_f)) <= tol
+        if rep.iterations_used < LP_BOUND_ITERATION:
+            least = min_shortfall_w(fleet, p_f)
+            assert least - tol <= rep.shortfall_w \
+                <= max(least + tol, default_balance_tol_w(p_f))
 
 
 class TestDualState:

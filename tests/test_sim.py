@@ -256,6 +256,31 @@ class TestSocFloor:
             assert abs(rep.shortfall_w - lp) <= 1e-5 * 65e6, (k, lp)
 
 
+class TestSustainedShortfall:
+    def test_steps_end_at_the_least_shortfall(self, monkeypatch):
+        # 65 MW against a 60 MW fleet with the battery far from its SoC
+        # floor: each step ends once its best iterate attains the fleet's
+        # reach bound, long before the 100th dual iteration
+        steps = []
+        coordinate = shipems.sim.coordinate
+
+        def recorded(fleet, p_f, **kwargs):
+            rep = coordinate(fleet, p_f, **kwargs)
+            steps.append((fleet, np.array(p_f)))
+            return rep
+
+        monkeypatch.setattr(shipems.sim, "coordinate", recorded)
+        cfg = short_cfg(duration_s=30.0, initial_soc=[0.6], log_every=100,
+                        load=LoadProfileSpec(kind="constant", base_w=65e6))
+        log = run_scenario(cfg)
+        assert log.shortfall_events == 30
+        assert len(steps) == 30
+        assert log.mpc_iterations.max() < 100
+        for k, (fleet, p_f) in enumerate(steps):
+            lp = min_shortfall_w(fleet, p_f)
+            assert abs(log.mpc_shortfall_w[k] - lp) <= 1e-5 * 65e6, (k, lp)
+
+
 class TestRunScenarioBookkeeping:
     def test_event_counts(self):
         cfg = short_cfg(duration_s=12.0)
