@@ -6,8 +6,9 @@ moves the price along the power-balance violation (dual gradient ascent):
 
     lambda' = lambda + alpha * (sum of device powers - demanded power).
 
-Every node problem is solved exactly by the LDP kernel of `qp`, and its
-constraint rows are built once per MPC step. `centralized_solve` solves the
+Every node problem is solved exactly by the LDP kernel of `qp`. Its
+problem is built once per MPC step, and the kernel's rows once per device
+and run (`qp` keeps them in a memo). `centralized_solve` solves the
 same allocation monolithically (one stacked QP with the balance as an
 equality, solved by the same kernel) and serves as the verification oracle
 for the distributed loop.

@@ -144,21 +144,6 @@ class PcmSpec:
             raise ValueError(f"weight_gamma must be >= 0, got {self.weight_gamma}")
 
 
-@dataclass
-class PlantState:
-    """Continuous-time simulation state, one entry per device.
-
-    ``ah_throughput_as`` is held in ampere-seconds (SI); divide by 3600 for
-    ampere-hours. ``capacity_loss_ah`` is in ampere-hours as reported.
-    """
-
-    time_s: float
-    gen_current_a: list[float]
-    soc: list[float]
-    ah_throughput_as: list[float]
-    capacity_loss_ah: list[float]
-
-
 def pgm_current_step(i_g: float, v_g: float, bus: BusSpec, spec: PgmSpec,
                      dt: float) -> float:
     """Advance the generator current one step under a held source voltage.

@@ -19,13 +19,20 @@ Only h, the last row of E, depends on q: `Ldp` builds the scaled rows once
 per constraint set and reuses them for every price. Rows are scaled to unit
 norm; state-of-charge limits stay in power units (bounds on prefix sums of
 power), never scaled by the tiny per-step SoC coefficient.
+
+The unit rows, the first n rows of E and their scales depend only on the
+Hessian and the row pattern of a horizon problem (h, which bounds are
+finite, whether SoC rows exist), not on the bounds' values, the ramp anchor
+or the state of charge. `HorizonQp.ldp` takes them from a bounded memo, so
+a receding-horizon run builds them once per device and each MPC step only
+computes its right-hand side.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import nnls
@@ -34,6 +41,32 @@ OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
 FEASIBLE = "feasible"
+
+# (Hessian, row pattern) pairs whose `LdpRows` are kept; a fleet needs one
+# per device, and criterion 1's 40 cross-check fleets about 140
+LDP_ROWS_MEMO_SIZE = 256
+
+
+class LdpRows:
+    """The part of an LDP fixed by its rows ``a`` and Hessian diagonal ``d``:
+    unit-norm rows, the scaling w = d^(-1/2), the row scales rho and the
+    first n rows of E. Read-only, so that LDPs may share it."""
+
+    def __init__(self, d, a):
+        self.norms = np.linalg.norm(a, axis=1)
+        self.d = np.array(d, dtype=float)
+        self.a = a / self.norms[:, None]
+        self.w = 1.0 / np.sqrt(self.d)
+        g = self.a * self.w  # the rows in z, where x = x_u + w*z
+        self.rho = np.linalg.norm(g, axis=1)
+        n = self.d.size
+        self.e = np.zeros((n + 1, self.a.shape[0]))
+        self.e[:n] = -(g / self.rho[:, None]).T
+        self.unit = np.zeros(n + 1)
+        self.unit[n] = 1.0
+        for arr in (self.norms, self.d, self.a, self.w, self.rho, self.e,
+                    self.unit):
+            arr.flags.writeable = False
 
 
 class Ldp:
@@ -44,19 +77,22 @@ class Ldp:
     """
 
     def __init__(self, d, a, b, lo, hi):
-        norms = np.linalg.norm(a, axis=1)
-        self.d = np.asarray(d, dtype=float)
-        self.a = a / norms[:, None]
-        self.b = b / norms
+        self._bind(LdpRows(d, a), b, lo, hi)
+
+    @classmethod
+    def on_rows(cls, rows: LdpRows, b, lo, hi) -> "Ldp":
+        """The LDP over prebuilt rows with right-hand side ``b``, in the
+        units of the rows ``rows`` was built from."""
+        ldp = cls.__new__(cls)
+        ldp._bind(rows, b, lo, hi)
+        return ldp
+
+    def _bind(self, rows: LdpRows, b, lo, hi):
+        self.d, self.a, self.w, self.rho = rows.d, rows.a, rows.w, rows.rho
+        self.unit = rows.unit
+        self.b = b / rows.norms
         self.lo, self.hi = lo, hi
-        self.w = 1.0 / np.sqrt(self.d)
-        g = self.a * self.w  # the rows in z, where x = x_u + w*z
-        self.rho = np.linalg.norm(g, axis=1)
-        n = self.d.size
-        self.e = np.empty((n + 1, self.b.size))
-        self.e[:n] = -(g / self.rho[:, None]).T
-        self.unit = np.zeros(n + 1)
-        self.unit[n] = 1.0
+        self.e = rows.e.copy()  # its last row is rewritten by every solve
         bounds = np.abs(np.concatenate([lo, hi]))
         self.x_scale = max(1.0, float(np.max(bounds[np.isfinite(bounds)],
                                              initial=0.0)))
@@ -208,31 +244,55 @@ class HorizonQp:
             v = max(v, float(np.max(plo - s)), float(np.max(s - phi)))
         return max(v, 0.0)
 
+    def _rhs(self, lo, hi):
+        """Right-hand sides of every row of `_row_matrix`, infinite ones
+        included."""
+        ramp = np.full(self.h - 1, self.ramp_limit)
+        rhs = [hi, -lo, ramp, ramp]
+        plo, phi = self.prefix_bounds()
+        if plo is not None:
+            rhs += [phi, -plo]
+        return np.concatenate(rhs)
+
     def constraint_rows(self):
         """All inequalities as (A, b), A x <= b: box (anchor folded), ramp,
         and prefix-sum rows in power units; rows with an infinite bound are
         dropped."""
-        h = self.h
-        eye = np.eye(h)
-        diff = eye[1:] - eye[:-1]
-        lo, hi = self.effective_box()
-        rows = [eye, -eye, diff, -diff]
-        rhs = [hi, -lo, np.full(h - 1, self.ramp_limit),
-               np.full(h - 1, self.ramp_limit)]
-        plo, phi = self.prefix_bounds()
-        if plo is not None:
-            prefix = np.tril(np.ones((h, h)))
-            rows += [prefix, -prefix]
-            rhs += [phi, -plo]
-        a, b = np.vstack(rows), np.concatenate(rhs)
+        b = self._rhs(*self.effective_box())
         keep = np.isfinite(b)
-        return a[keep], b[keep]
+        return _row_matrix(self.h, self.cumsum_coeff != 0.0)[keep], b[keep]
 
     @cached_property
     def ldp(self) -> Ldp:
-        """The LDP form of this constraint set and Hessian, built once."""
-        return Ldp(self.quad_diag, *self.constraint_rows(),
-                   *self.effective_box())
+        """The LDP form of this constraint set and Hessian, built once; its
+        rows come from the memo of `_ldp_rows`."""
+        lo, hi = self.effective_box()
+        b = self._rhs(lo, hi)
+        keep = np.isfinite(b)
+        rows = _ldp_rows(self.quad_diag.tobytes(), self.h,
+                         self.cumsum_coeff != 0.0, keep.tobytes())
+        return Ldp.on_rows(rows, b[keep], lo, hi)
+
+
+def _row_matrix(h: int, prefix: bool) -> np.ndarray:
+    """Every row of a horizon problem, as `HorizonQp._rhs` orders them: box
+    upper and lower, ramp up and down, then (with ``prefix``) the upper and
+    lower prefix-sum rows."""
+    eye = np.eye(h)
+    diff = eye[1:] - eye[:-1]
+    rows = [eye, -eye, diff, -diff]
+    if prefix:
+        tri = np.tril(np.ones((h, h)))
+        rows += [tri, -tri]
+    return np.vstack(rows)
+
+
+@lru_cache(maxsize=LDP_ROWS_MEMO_SIZE)
+def _ldp_rows(quad_diag: bytes, h: int, prefix: bool, keep: bytes) -> LdpRows:
+    """`LdpRows` of a horizon problem with Hessian diagonal ``quad_diag``
+    whose rows of `_row_matrix` are the ones flagged in ``keep``."""
+    keep = np.frombuffer(keep, dtype=bool)
+    return LdpRows(np.frombuffer(quad_diag), _row_matrix(h, prefix)[keep])
 
 
 @dataclass

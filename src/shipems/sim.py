@@ -381,7 +381,9 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
             max_iter=cfg.solver.max_iter,
             lambda_warm=lam_warm,
         )
-        lam_warm = rep.lambda_final.copy()
+        # receding-horizon warm start: the price shifted one step, its last
+        # entry held
+        lam_warm = np.append(rep.lambda_final[1:], rep.lambda_final[-1])
         mpc_t.append(t)
         mpc_it.append(rep.iterations_used)
         mpc_res.append(rep.final_residual_w)

@@ -15,7 +15,8 @@ from shipems.qp import (
     feasibility_check,
     solve,
 )
-from shipems.nodes import WEIGHT_FLOOR
+from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pgm_qp
+from fleets import random_fleet
 from oracles import (
     enumerate_qp,
     horizon_qp_matrices,
@@ -312,3 +313,86 @@ class TestValidation:
         s = solve(qp)
         # unconstrained min at 1.0, ramp allows [0.2, 0.8]
         assert s.profile[0] == pytest.approx(0.8, abs=1e-9)
+
+
+def assert_same_solve(got, want):
+    x, status, iters, viol = got
+    x_ref, status_ref, iters_ref, viol_ref = want
+    assert (status, iters, viol) == (status_ref, iters_ref, viol_ref)
+    if x_ref is None:
+        assert x is None
+    else:
+        assert x.tobytes() == x_ref.tobytes()
+
+
+class TestRowsMemo:
+    """`HorizonQp.ldp` takes its rows from a memo keyed on the Hessian and
+    the row pattern; it must solve exactly as a kernel built afresh."""
+
+    @given(h=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           lower_inf=st.booleans(), upper_inf=st.booleans(),
+           with_soc=st.booleans(),
+           weight=st.one_of(st.just(WEIGHT_FLOOR),
+                            st.floats(WEIGHT_FLOOR, 10.0)))
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_fresh_kernel(self, h, seed, lower_inf,
+                                           upper_inf, with_soc, weight):
+        rng = np.random.default_rng(seed)
+        p_max = rng.uniform(1e6, 4e7)
+        lower = -np.inf if lower_inf else -rng.uniform(0.0, 1.0) * p_max
+        upper = np.inf if upper_inf else p_max
+        kw = {}
+        if with_soc:
+            kw = dict(cumsum_coeff=1.0 / (rng.uniform(2e3, 2e4) * 3.6e6),
+                      cumsum_init=rng.uniform(0.1, 0.9), cumsum_lower=0.1,
+                      cumsum_upper=0.9)
+        ramp = rng.uniform(0.05, 1.0) * p_max
+
+        def problem():
+            return HorizonQp(h=h, quad_diag=weight,
+                             lin=weight * p_max * rng.uniform(-2.0, 2.0, h),
+                             lower=lower, upper=upper, ramp_limit=ramp,
+                             prev_value=rng.uniform(-1.0, 1.0) * p_max, **kw)
+
+        # the rows were memoized by an earlier problem at another state
+        earlier, qp = problem(), problem()
+        assert qp.ldp.a is earlier.ldp.a
+        fresh = qpmod.Ldp(qp.quad_diag, *qp.constraint_rows(),
+                          *qp.effective_box())
+        for tol in (1e-8, 1e-6):
+            assert_same_solve(qp.ldp.solve(qp.lin, tol),
+                              fresh.solve(qp.lin, tol))
+
+    def test_interleaved_solves_on_shared_rows(self):
+        # two batteries at different states share one row structure; each
+        # kernel writes only its own copy of E
+        def battery(prev, soc):
+            return HorizonQp(h=5, quad_diag=1.0, lin=0.0, lower=-2e7,
+                             upper=2e7, ramp_limit=2e7, prev_value=prev,
+                             cumsum_coeff=2.8e-11, cumsum_init=soc,
+                             cumsum_lower=0.1, cumsum_upper=0.9)
+
+        a, b = battery(5e6, 0.6), battery(-3e6, 0.1000001)
+        assert a.ldp.a is b.ldp.a and a.ldp.e is not b.ldp.e
+        rng = np.random.default_rng(5)
+        prices = [rng.uniform(-4e7, 4e7, 5) for _ in range(6)]
+        want = [qpmod.Ldp(p.quad_diag, *p.constraint_rows(),
+                          *p.effective_box()).solve(q, 1e-8)
+                for q in prices for p in (a, b)]
+        got = [p.ldp.solve(q, 1e-8) for q in prices for p in (a, b)]
+        for g, w in zip(got, want):
+            assert_same_solve(g, w)
+
+    def test_memo_stays_bounded(self):
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            fleet = random_fleet(rng)
+            for g in fleet.pgms:
+                pgm_qp(np.zeros(5), g.spec, g.prev_power_w).ldp
+            for b in fleet.pcms:
+                pcm_qp(np.zeros(5), b.spec, fleet.bus, b.soc,
+                       b.prev_power_w, fleet.td_s).ldp
+        info = qpmod._ldp_rows.cache_info()
+        assert info.maxsize == qpmod.LDP_ROWS_MEMO_SIZE
+        assert info.currsize <= qpmod.LDP_ROWS_MEMO_SIZE
+        assert info.misses > qpmod.LDP_ROWS_MEMO_SIZE  # entries were evicted

@@ -281,6 +281,32 @@ class TestSustainedShortfall:
             assert abs(log.mpc_shortfall_w[k] - lp) <= 1e-5 * 65e6, (k, lp)
 
 
+class TestWarmStart:
+    def test_each_step_starts_from_the_shifted_price(self, monkeypatch):
+        calls = []
+        coordinate = shipems.sim.coordinate
+
+        def recorded(fleet, p_f, lambda_warm=None, **kwargs):
+            rep = coordinate(fleet, p_f, lambda_warm=lambda_warm, **kwargs)
+            calls.append((lambda_warm, rep.lambda_final.copy()))
+            return rep
+
+        monkeypatch.setattr(shipems.sim, "coordinate", recorded)
+        run_scenario(short_cfg(duration_s=20.0, log_every=100))
+        assert len(calls) == 20
+        assert calls[0][0] is None
+        for (_, prev), (warm, _) in zip(calls, calls[1:]):
+            shifted = np.append(prev[1:], prev[-1])
+            assert warm.tobytes() == shifted.tobytes()
+
+    def test_default_run_dual_iterations(self):
+        # 1785 dual iterations over the 300 steps with the price reused
+        # unshifted, 1092 shifted
+        log = run_scenario(short_cfg(duration_s=300.0, log_every=1000))
+        assert log.mpc_converged.all()
+        assert int(log.mpc_iterations.sum()) <= 1200
+
+
 class TestRunScenarioBookkeeping:
     def test_event_counts(self):
         cfg = short_cfg(duration_s=12.0)
