@@ -15,7 +15,7 @@ from .coordinator import (
     centralized_solve,
     coordinate,
 )
-from .nodes import NodeResult, pcm_solve, pgm_solve
+from .nodes import NodeResult, pcm_qp, pcm_solve, pgm_qp, pgm_solve
 from .plant import BusSpec, DegradationParams, PcmSpec, PgmSpec
 from .qp import HorizonQp, QpSolution, feasibility_check, solve
 from .sim import DlcGains, LoadProfileSpec, SimLog, load_at, run_scenario
@@ -45,7 +45,9 @@ __all__ = [
     "feasibility_check",
     "load_at",
     "load_config",
+    "pcm_qp",
     "pcm_solve",
+    "pgm_qp",
     "pgm_solve",
     "run_scenario",
     "solve",

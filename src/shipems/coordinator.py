@@ -154,9 +154,8 @@ def default_balance_tol_w(p_f: np.ndarray) -> float:
 def _node_problems(fleet: Fleet, h: int):
     """Every node's horizon QP at the fleet's state, built once per MPC
     step; across dual iterations only the price changes."""
-    zero = np.zeros(h)
-    gen = [pgm_qp(zero, g.spec, g.prev_power_w) for g in fleet.pgms]
-    batt = [pcm_qp(zero, b.spec, fleet.bus, b.soc, b.prev_power_w, fleet.td_s)
+    gen = [pgm_qp(g.spec, g.prev_power_w, h) for g in fleet.pgms]
+    batt = [pcm_qp(b.spec, fleet.bus, b.soc, b.prev_power_w, fleet.td_s, h)
             for b in fleet.pcms]
     return gen, batt
 
@@ -204,22 +203,11 @@ def _min_residual_lp(qps, p_f: np.ndarray) -> float | None:
 
 def _solve_all(fleet: Fleet, lam: np.ndarray, problems):
     gen_qps, batt_qps = problems
-    gen = [pgm_solve(lam, g.spec, g.prev_power_w, problem=p)
-           for g, p in zip(fleet.pgms, gen_qps)]
-    batt = [pcm_solve(lam, b.spec, fleet.bus, b.soc, b.prev_power_w,
-                      fleet.td_s, problem=p)
-            for b, p in zip(fleet.pcms, batt_qps)]
-    for r, state in zip(gen, fleet.pgms):
+    gen = [pgm_solve(p, lam, g.spec) for g, p in zip(fleet.pgms, gen_qps)]
+    batt = [pcm_solve(p, lam, b.spec) for b, p in zip(fleet.pcms, batt_qps)]
+    for r, state in zip(gen + batt, fleet.pgms + fleet.pcms):
         if r.qp_status == INFEASIBLE:
-            raise RuntimeError(
-                f"generator node infeasible from prev_power={state.prev_power_w}"
-            )
-    for r, state in zip(batt, fleet.pcms):
-        if r.qp_status == INFEASIBLE:
-            raise RuntimeError(
-                f"battery node infeasible from prev_power={state.prev_power_w}, "
-                f"soc={state.soc}"
-            )
+            raise RuntimeError(f"node problem infeasible at {state}")
     return gen, batt
 
 
@@ -338,16 +326,17 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     a = np.vstack([a, balance, -balance])
     b = np.concatenate([b, p_f, -p_f])
     boxes = [p.effective_box() for p in problems]
-    kernel = qpmod.Ldp(np.concatenate([p.quad_diag for p in problems]), a, b,
-                       np.concatenate([lo for lo, _ in boxes]),
+    rows = qpmod.LdpRows(np.concatenate([p.quad_diag for p in problems]), a)
+    kernel = qpmod.Ldp(rows, b, np.concatenate([lo for lo, _ in boxes]),
                        np.concatenate([hi for _, hi in boxes]))
-    x, status, _, _ = kernel.solve(np.concatenate([p.lin for p in problems]),
-                                   tol)
+    n_g = len(gen_qps)
+    targets = [g.spec.rated_power_w for g in fleet.pgms] + [0.0] * (n - n_g)
+    # generators pull toward their rated point, batteries toward zero
+    lin = np.concatenate([-p.quad_diag * t for p, t in zip(problems, targets)])
+    x, status, _, _ = kernel.solve(lin, tol)
     if status == INFEASIBLE:
         return CentralizedResult([], [], np.inf, np.inf, INFEASIBLE)
     profiles = list(x.reshape(n, h))
-    n_g = len(gen_qps)
-    targets = [g.spec.rated_power_w for g in fleet.pgms] + [0.0] * (n - n_g)
     dev = [x_i - t for x_i, t in zip(profiles, targets)]
     return CentralizedResult(
         gen_profiles=profiles[:n_g],

@@ -50,14 +50,12 @@ def soc_coeff(spec: PcmSpec, bus: BusSpec, td_s: float) -> float:
     return td_s / (spec.capacity_ah * AH_TO_AS * bus.v_bus_volt)
 
 
-def pgm_qp(lam: np.ndarray, spec: PgmSpec, prev_power_w: float) -> qpmod.HorizonQp:
-    """Generator horizon QP: (beta/2)||p - rated||^2 + lam'p over box∩ramp."""
-    lam = np.asarray(lam, dtype=float)
-    beta = max(spec.weight_beta, WEIGHT_FLOOR)
+def pgm_qp(spec: PgmSpec, prev_power_w: float, h: int) -> qpmod.HorizonQp:
+    """Generator horizon QP at one state: (beta/2)||p - rated||^2 over
+    box∩ramp; `pgm_solve` adds the price term."""
     return qpmod.HorizonQp(
-        h=lam.size,
-        quad_diag=beta,
-        lin=lam - beta * spec.rated_power_w,
+        h=h,
+        quad_diag=max(spec.weight_beta, WEIGHT_FLOOR),
         lower=spec.p_min_w,
         upper=spec.p_max_w,
         ramp_limit=spec.ramp_limit_w_per_step,
@@ -65,19 +63,17 @@ def pgm_qp(lam: np.ndarray, spec: PgmSpec, prev_power_w: float) -> qpmod.Horizon
     )
 
 
-def pcm_qp(lam: np.ndarray, spec: PcmSpec, bus: BusSpec, soc0: float,
-           prev_power_w: float, td_s: float) -> qpmod.HorizonQp:
-    """Battery horizon QP: (gamma/2)||p||^2 + lam'p over box∩ramp∩SoC."""
-    lam = np.asarray(lam, dtype=float)
+def pcm_qp(spec: PcmSpec, bus: BusSpec, soc0: float, prev_power_w: float,
+           td_s: float, h: int) -> qpmod.HorizonQp:
+    """Battery horizon QP at one state: (gamma/2)||p||^2 over
+    box∩ramp∩SoC; `pcm_solve` adds the price term."""
     if not (spec.soc_min <= soc0 <= spec.soc_max):
         raise ValueError(
             f"soc0={soc0} outside [{spec.soc_min}, {spec.soc_max}]"
         )
-    gamma = max(spec.weight_gamma, WEIGHT_FLOOR)
     return qpmod.HorizonQp(
-        h=lam.size,
-        quad_diag=gamma,
-        lin=lam,
+        h=h,
+        quad_diag=max(spec.weight_gamma, WEIGHT_FLOOR),
         lower=spec.p_min_w,
         upper=spec.p_max_w,
         ramp_limit=spec.ramp_limit_w_per_step,
@@ -89,45 +85,27 @@ def pcm_qp(lam: np.ndarray, spec: PcmSpec, bus: BusSpec, soc0: float,
     )
 
 
-def pgm_solve(lam: np.ndarray, spec: PgmSpec, prev_power_w: float,
-              tol: float = 1e-8, max_iter: int = 100_000,
-              problem: qpmod.HorizonQp | None = None) -> NodeResult:
-    """Solve the generator node problem for a given price profile.
-
-    ``problem`` is this node's `pgm_qp` at the same state, from an earlier
-    call; only its price is replaced, so its constraint rows are reused.
-    """
-    if problem is None:
-        problem = pgm_qp(lam, spec, prev_power_w)
-    else:
-        problem = problem.with_lin(
-            lam - problem.quad_diag * spec.rated_power_w)
-    sol = qpmod.solve(problem, tol=tol, max_iter=max_iter)
+def pgm_solve(problem: qpmod.HorizonQp, lam: np.ndarray, spec: PgmSpec,
+              tol: float = 1e-8, max_iter: int = 100_000) -> NodeResult:
+    """Solve the generator's `pgm_qp` at the price profile ``lam``."""
+    sol = qpmod.solve(problem, lam - problem.quad_diag * spec.rated_power_w,
+                      tol=tol, max_iter=max_iter)
     beta = max(spec.weight_beta, WEIGHT_FLOOR)
     dev = sol.profile - spec.rated_power_w
     local = 0.5 * beta * float(dev @ dev)
     return NodeResult(sol.profile, local, sol.status, sol.iterations)
 
 
-def pcm_solve(lam: np.ndarray, spec: PcmSpec, bus: BusSpec, soc0: float,
-              prev_power_w: float, td_s: float,
-              tol: float = 1e-8, max_iter: int = 100_000,
-              problem: qpmod.HorizonQp | None = None) -> NodeResult:
-    """Solve the battery node problem; returns the eliminated-state SoC path.
-
-    ``problem`` is this node's `pcm_qp` at the same state, as in
-    `pgm_solve`.
-    """
-    if problem is None:
-        problem = pcm_qp(lam, spec, bus, soc0, prev_power_w, td_s)
-    else:
-        problem = problem.with_lin(lam)
-    sol = qpmod.solve(problem, tol=tol, max_iter=max_iter)
+def pcm_solve(problem: qpmod.HorizonQp, lam: np.ndarray, spec: PcmSpec,
+              tol: float = 1e-8, max_iter: int = 100_000) -> NodeResult:
+    """Solve the battery's `pcm_qp` at the price profile ``lam``; returns
+    the eliminated-state SoC path."""
+    sol = qpmod.solve(problem, lam, tol=tol, max_iter=max_iter)
     gamma = max(spec.weight_gamma, WEIGHT_FLOOR)
     local = 0.5 * gamma * float(sol.profile @ sol.profile)
     kappa = problem.cumsum_coeff
     soc = np.empty(sol.profile.size + 1)
-    soc[0] = soc0
+    soc[0] = problem.cumsum_init
     for k in range(sol.profile.size):
         soc[k + 1] = soc[k] - kappa * sol.profile[k]
     return NodeResult(sol.profile, local, sol.status, sol.iterations,

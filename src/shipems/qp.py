@@ -30,7 +30,6 @@ computes its right-hand side.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -45,6 +44,7 @@ FEASIBLE = "feasible"
 # (Hessian, row pattern) pairs whose `LdpRows` are kept; a fleet needs one
 # per device, and criterion 1's 40 cross-check fleets about 140
 LDP_ROWS_MEMO_SIZE = 256
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 class LdpRows:
@@ -72,22 +72,13 @@ class LdpRows:
 class Ldp:
     """min 0.5 x'diag(d)x + q'x s.t. a x <= b over a fixed polytope, any q.
 
-    ``lo``/``hi`` bound every point of the polytope componentwise (entries
-    may be infinite); an infeasibility certificate is checked over that box.
+    ``rows`` holds ``a`` and ``d``; ``b`` is in the units of the rows it was
+    built from. ``lo``/``hi`` bound every point of the polytope componentwise
+    (entries may be infinite); an infeasibility certificate is checked over
+    that box.
     """
 
-    def __init__(self, d, a, b, lo, hi):
-        self._bind(LdpRows(d, a), b, lo, hi)
-
-    @classmethod
-    def on_rows(cls, rows: LdpRows, b, lo, hi) -> "Ldp":
-        """The LDP over prebuilt rows with right-hand side ``b``, in the
-        units of the rows ``rows`` was built from."""
-        ldp = cls.__new__(cls)
-        ldp._bind(rows, b, lo, hi)
-        return ldp
-
-    def _bind(self, rows: LdpRows, b, lo, hi):
+    def __init__(self, rows: LdpRows, b, lo, hi):
         self.d, self.a, self.w, self.rho = rows.d, rows.a, rows.w, rows.rho
         self.unit = rows.unit
         self.b = b / rows.norms
@@ -116,6 +107,8 @@ class Ldp:
             return xu, OPTIMAL, 0, 0.0
         h = slack / self.rho
         s = float(h.max())  # scaled so the LDP solution has ||z|| >= 1
+        if -float(h.min()) > s * FLOAT_MAX:  # h/s overflows: x_u misses
+            return xu, OPTIMAL, 0, self.violation(xu)  # by a subnormal
         self.e[-1] = h / s
         try:
             u, _ = nnls(self.e, self.unit, maxiter=max_iter)
@@ -148,10 +141,12 @@ class Ldp:
 
 @dataclass(eq=False)
 class HorizonQp:
-    """One horizon QP instance.
+    """The Hessian and constraint set of one horizon QP at one state; the
+    linear term is an argument of `solve`, so one instance serves every
+    price.
 
-    ``lower``/``upper``/``quad_diag``/``lin`` accept scalars and are
-    broadcast to length ``h``. ``cumsum_coeff`` = 0 disables the
+    ``lower``/``upper``/``quad_diag`` accept scalars and are broadcast to
+    length ``h``. ``cumsum_coeff`` = 0 disables the
     cumulative-sum constraints; otherwise they read
     cumsum_lower <= cumsum_init - cumsum_coeff * sum_{j<=k} x_j <= cumsum_upper
     for every k.
@@ -159,7 +154,6 @@ class HorizonQp:
 
     h: int
     quad_diag: np.ndarray
-    lin: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     ramp_limit: float
@@ -173,7 +167,7 @@ class HorizonQp:
         if not (isinstance(self.h, (int, np.integer)) and self.h >= 1):
             raise ValueError(f"h must be a positive integer, got {self.h}")
         self.h = int(self.h)
-        for name in ("quad_diag", "lin", "lower", "upper"):
+        for name in ("quad_diag", "lower", "upper"):
             arr = np.broadcast_to(
                 np.asarray(getattr(self, name), dtype=float), (self.h,)
             ).copy()
@@ -185,8 +179,6 @@ class HorizonQp:
             raise ValueError("quad_diag must be strictly positive componentwise")
         if not np.all(np.isfinite(self.quad_diag)):
             raise ValueError("quad_diag must be finite")
-        if not np.all(np.isfinite(self.lin)):
-            raise ValueError("lin must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("lower must be <= upper componentwise")
         if not self.ramp_limit > 0.0:
@@ -199,13 +191,6 @@ class HorizonQp:
                     "require cumsum_lower <= cumsum_init <= cumsum_upper, got "
                     f"{self.cumsum_lower}, {self.cumsum_init}, {self.cumsum_upper}"
                 )
-
-    def with_lin(self, lin) -> "HorizonQp":
-        """The same problem with another linear term; shares `ldp`."""
-        self.ldp  # built before the copy so that both hold it
-        other = copy.copy(self)
-        other.lin = np.asarray(lin, dtype=float)
-        return other
 
     def effective_box(self):
         """Box bounds with the k=0 ramp anchor folded into the first step."""
@@ -226,9 +211,11 @@ class HorizonQp:
         lo, hi = (a, b) if c > 0.0 else (b, a)
         return np.full(self.h, lo), np.full(self.h, hi)
 
-    def objective(self, x: np.ndarray) -> float:
+    def objective(self, x: np.ndarray, lin: np.ndarray) -> float:
+        """0.5 x'Dx + lin'x for a linear term ``lin`` of length h."""
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ (self.quad_diag * x)) + float(self.lin @ x)
+        lin = np.asarray(lin, dtype=float)
+        return 0.5 * float(x @ (self.quad_diag * x)) + float(lin @ x)
 
     def violation(self, x: np.ndarray) -> float:
         """Largest constraint violation of x (0 when feasible)."""
@@ -271,7 +258,7 @@ class HorizonQp:
         keep = np.isfinite(b)
         rows = _ldp_rows(self.quad_diag.tobytes(), self.h,
                          self.cumsum_coeff != 0.0, keep.tobytes())
-        return Ldp.on_rows(rows, b[keep], lo, hi)
+        return Ldp(rows, b[keep], lo, hi)
 
 
 def _row_matrix(h: int, prefix: bool) -> np.ndarray:
@@ -309,13 +296,14 @@ def feasibility_check(qp: HorizonQp) -> str:
     """Decide emptiness of the constraint polytope: FEASIBLE once a feasible
     point is found, INFEASIBLE on a verified certificate, MAX_ITER if
     neither came out of the solve."""
-    status = solve(qp).status
+    status = solve(qp, 0.0).status
     return FEASIBLE if status == OPTIMAL else status
 
 
-def solve(qp: HorizonQp, tol: float = 1e-8,
+def solve(qp: HorizonQp, lin, tol: float = 1e-8,
           max_iter: int = 100_000) -> QpSolution:
-    """Minimize the QP exactly; see the module docstring for the method.
+    """Minimize 0.5 x'Dx + lin'x over the constraint set of ``qp`` exactly;
+    see the module docstring for the method. ``lin`` may be a scalar.
 
     ``status`` is "infeasible" when the polytope is certified empty
     (profile all zeros, objective inf), "max_iter" when `nnls` hit
@@ -325,8 +313,13 @@ def solve(qp: HorizonQp, tol: float = 1e-8,
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    x, status, iters, viol = qp.ldp.solve(qp.lin, tol, max_iter)
+    lin = np.asarray(lin, dtype=float)
+    if lin.ndim == 0:
+        lin = np.full(qp.h, lin)
+    if not np.isfinite(lin).all():
+        raise ValueError("lin must be finite")
+    x, status, iters, viol = qp.ldp.solve(lin, tol, max_iter)
     if status == INFEASIBLE:
         return QpSolution(np.zeros(qp.h), np.inf, iters, viol, INFEASIBLE)
-    return QpSolution(x, qp.objective(x), iters, viol, status,
+    return QpSolution(x, qp.objective(x, lin), iters, viol, status,
                       0.0 if status == OPTIMAL else np.nan)

@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coordinator import Fleet, PcmNodeState, PgmNodeState, coordinate
-from .plant import AH_TO_AS, PgmSpec
+from .nodes import soc_coeff
+from .plant import AH_TO_AS, BusSpec, PcmSpec, PgmSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
@@ -38,6 +39,8 @@ except ImportError:  # pragma: no cover - exercised only without numba
 LOAD_KINDS = ("constant", "step", "ramp", "pulse_train")
 # resolution of pulse edges, as a share of the period
 PHASE_EPS = 1e-9
+# a state of charge further than this outside its limits is a violation
+SOC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,7 @@ class SimLog:
     applied_time_s: np.ndarray
     applied_gen_w: np.ndarray
     applied_batt_w: np.ndarray
-    # violation counters over applied setpoints (see run_scenario)
+    # violation counters over applied setpoints and measured SoC (README)
     box_violations: int
     ramp_violations: int
     soc_violations: int
@@ -286,12 +289,23 @@ def _check_tol(bound: float) -> float:
     return 1e-8 * max(1.0, abs(bound))
 
 
+def _can_rest(spec: PcmSpec, bus: BusSpec, soc0: float, prev_power_w: float,
+              td_s: float, h: int) -> bool:
+    """Whether ramping toward zero power as fast as allowed keeps the
+    battery within its SoC limits; its node problem is empty otherwise."""
+    k = np.arange(1, h + 1)
+    path = np.sign(prev_power_w) * np.maximum(
+        abs(prev_power_w) - k * spec.ramp_limit_w_per_step, 0.0)
+    soc = soc0 - soc_coeff(spec, bus, td_s) * np.cumsum(path)
+    return bool(np.all((soc >= spec.soc_min) & (soc <= spec.soc_max)))
+
+
 def run_scenario(cfg: "ScenarioConfig") -> SimLog:
     """Run the closed loop described by cfg and return the full log.
 
     Raises RuntimeError with diagnostics if any state goes non-finite.
     Balance shortfalls (demand beyond fleet capability) are logged per MPC
-    step, never raised.
+    step, never raised; so are SoC and ramp violations (see the README).
     """
     cfg.validate()
     dt = cfg.plant_dt_s
@@ -359,21 +373,34 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
     pending = []
 
     def snapshot_and_solve(step):
-        nonlocal lam_warm, shortfall_events
+        nonlocal lam_warm, shortfall_events, soc_v
         t = step * dt
         if cfg.solver.load_preview:
             times = t + cfg.comm_delay_s + td * np.arange(h)
             p_f = load_at(times, cfg.load)
         else:
             p_f = np.full(h, load_at(t, cfg.load))
+        pcms = []
+        for spec, s, pref in zip(cfg.pcms, soc, pref_b):
+            # a plan in flight during the delay, or rounding, can carry the
+            # plant past a SoC limit; plan from the nearest limit instead
+            s = min(max(float(s), spec.soc_min), spec.soc_max)
+            # a battery that cannot come to rest within its SoC limits has
+            # no plan from its setpoint; plan it from rest, and the jump
+            # counts as a ramp violation when applied
+            pref = float(pref) if _can_rest(spec, cfg.bus, s, pref, td, h) \
+                else 0.0
+            pcms.append(PcmNodeState(spec, s, pref))
         fleet = Fleet(
             bus=cfg.bus,
             pgms=[PgmNodeState(spec, float(pref))
                   for spec, pref in zip(cfg.pgms, pref_g)],
-            pcms=[PcmNodeState(spec, float(s), float(pref))
-                  for spec, s, pref in zip(cfg.pcms, soc, pref_b)],
+            pcms=pcms,
             td_s=td,
         )
+        if any(not spec.soc_min - SOC_TOL <= s <= spec.soc_max + SOC_TOL
+               for spec, s in zip(cfg.pcms, soc)):
+            soc_v += 1
         rep = coordinate(
             fleet, p_f,
             alpha=cfg.solver.alpha,
@@ -396,8 +423,8 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
         batt_refs = np.array([r.profile[0] for r in rep.batt])
         # feasibility of each battery plan against its own SoC model
         plan_soc_ok = all(
-            bool(np.all(r.soc_trajectory >= spec.soc_min - 1e-9)
-                 and np.all(r.soc_trajectory <= spec.soc_max + 1e-9))
+            bool(np.all(r.soc_trajectory >= spec.soc_min - SOC_TOL)
+                 and np.all(r.soc_trajectory <= spec.soc_max + SOC_TOL))
             for r, spec in zip(rep.batt, cfg.pcms)
         )
         return gen_refs, batt_refs, plan_soc_ok

@@ -111,9 +111,9 @@ class TestAcceptance:
             rng = np.random.default_rng(77)
             worst_obj, worst_feas = 0.0, 0.0
             for k in range(500):
-                qp, a, b = random_instance(rng, with_cumsum=(k % 2 == 1))
-                sol = solve(qp)
-                x_ref, obj_ref = enumerate_qp(qp.quad_diag, qp.lin, a, b)
+                qp, q, a, b = random_instance(rng, with_cumsum=(k % 2 == 1))
+                sol = solve(qp, q)
+                x_ref, obj_ref = enumerate_qp(qp.quad_diag, q, a, b)
                 if x_ref is None:
                     assert sol.status != OPTIMAL
                     continue

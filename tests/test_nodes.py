@@ -18,7 +18,7 @@ BATT = PcmSpec(p_min_w=-1e9, p_max_w=1e9, ramp_limit_w_per_step=1e9,
 
 class TestPgmSolve:
     def test_zero_price_tracks_rated(self):
-        r = pgm_solve(np.zeros(5), GEN, prev_power_w=6.0)
+        r = pgm_solve(pgm_qp(GEN, 6.0, 5), np.zeros(5), GEN)
         np.testing.assert_allclose(r.profile, 6.0, rtol=1e-12)
         assert r.local_objective == pytest.approx(0.0, abs=1e-18)
         assert r.qp_status == "optimal"
@@ -28,61 +28,61 @@ class TestPgmSolve:
     def test_unconstrained_stationarity(self, lam):
         # beta*(p - rated) + lambda = 0  =>  p_k = rated - lambda_k/beta
         lam = np.array(lam)
-        r = pgm_solve(lam, GEN, prev_power_w=6.0)
+        r = pgm_solve(pgm_qp(GEN, 6.0, lam.size), lam, GEN)
         np.testing.assert_allclose(r.profile, 6.0 - lam, atol=1e-8)
 
     def test_stationary_point_clipped_by_box(self):
         spec = PgmSpec(rated_power_w=6.0, p_min_w=0.0, p_max_w=7.0,
                        ramp_limit_w_per_step=1e9, weight_beta=1.0)
-        r = pgm_solve(-2.0 * np.ones(4), spec, prev_power_w=6.0)
+        r = pgm_solve(pgm_qp(spec, 6.0, 4), -2.0 * np.ones(4), spec)
         # stationary point 8 clipped to the box top
         np.testing.assert_allclose(r.profile, 7.0, atol=1e-9)
 
     def test_ramp_anchor_respected(self):
         spec = PgmSpec(rated_power_w=6.0, p_min_w=0.0, p_max_w=40.0,
                        ramp_limit_w_per_step=1.0, weight_beta=1.0)
-        r = pgm_solve(np.zeros(3), spec, prev_power_w=0.0)
+        r = pgm_solve(pgm_qp(spec, 0.0, 3), np.zeros(3), spec)
         assert abs(r.profile[0] - 0.0) <= 1.0 + 1e-9
         assert np.all(np.abs(np.diff(r.profile)) <= 1.0 + 1e-9)
 
     def test_infeasible_anchor_propagates(self):
         spec = PgmSpec(rated_power_w=6.0, p_min_w=5.0, p_max_w=6.0,
                        ramp_limit_w_per_step=1.0, weight_beta=1.0)
-        r = pgm_solve(np.zeros(3), spec, prev_power_w=0.0)
+        r = pgm_solve(pgm_qp(spec, 0.0, 3), np.zeros(3), spec)
         assert r.qp_status == "infeasible"
 
     def test_zero_weight_gets_floor(self):
-        problem = pgm_qp(np.zeros(3), PgmSpec(weight_beta=0.0), 36e6)
+        problem = pgm_qp(PgmSpec(weight_beta=0.0), 36e6, 3)
         assert np.all(problem.quad_diag == WEIGHT_FLOOR)
 
 
 class TestPcmSolve:
     def test_rests_when_unpriced(self):
-        r = pcm_solve(np.zeros(5), BATT, BUS, soc0=0.5, prev_power_w=0.0,
-                      td_s=1.0)
+        r = pcm_solve(pcm_qp(BATT, BUS, soc0=0.5, prev_power_w=0.0,
+                             td_s=1.0, h=5), np.zeros(5), BATT)
         np.testing.assert_allclose(r.profile, 0.0, atol=1e-9)
         assert r.qp_status == "optimal"
 
     def test_unconstrained_stationarity_charges(self):
         # gamma*p + lambda = 0 with lambda = gamma*ones -> p = -ones
-        r = pcm_solve(np.ones(4), BATT, BUS, soc0=0.5, prev_power_w=0.0,
-                      td_s=1.0)
+        r = pcm_solve(pcm_qp(BATT, BUS, soc0=0.5, prev_power_w=0.0,
+                             td_s=1.0, h=4), np.ones(4), BATT)
         np.testing.assert_allclose(r.profile, -1.0, atol=1e-8)
 
     def test_soc_floor_blocks_net_discharge(self):
         spec = PcmSpec(p_min_w=-5e6, p_max_w=5e6, ramp_limit_w_per_step=1e7,
                        capacity_ah=100.0, soc_min=0.4, soc_max=0.9)
         # discharge is priced attractive, but soc0 sits on the floor
-        r = pcm_solve(-np.ones(5), spec, BUS, soc0=0.4, prev_power_w=0.0,
-                      td_s=1.0)
+        r = pcm_solve(pcm_qp(spec, BUS, soc0=0.4, prev_power_w=0.0,
+                             td_s=1.0, h=5), -np.ones(5), spec)
         # soc0 == soc_min means every prefix sum of discharge power <= 0
         prefix = np.cumsum(r.profile)
         assert np.all(prefix <= 1e-3)
         assert np.all(r.soc_trajectory >= 0.4 - 1e-9)
 
     def test_soc_trajectory_identity(self):
-        r = pcm_solve(np.array([1.0, -2.0, 0.5]), BATT, BUS, soc0=0.6,
-                      prev_power_w=0.0, td_s=1.0)
+        r = pcm_solve(pcm_qp(BATT, BUS, soc0=0.6, prev_power_w=0.0,
+                             td_s=1.0, h=3), np.array([1.0, -2.0, 0.5]), BATT)
         kappa = soc_coeff(BATT, BUS, 1.0)
         traj = r.soc_trajectory
         assert traj[0] == 0.6
@@ -93,12 +93,10 @@ class TestPcmSolve:
 
     def test_rejects_soc_outside_limits(self):
         with pytest.raises(ValueError):
-            pcm_solve(np.zeros(3), BATT, BUS, soc0=0.05, prev_power_w=0.0,
-                      td_s=1.0)
+            pcm_qp(BATT, BUS, soc0=0.05, prev_power_w=0.0, td_s=1.0, h=3)
 
     def test_zero_weight_gets_floor(self):
-        problem = pcm_qp(np.zeros(3), PcmSpec(weight_gamma=0.0), BUS, 0.5,
-                         0.0, 1.0)
+        problem = pcm_qp(PcmSpec(weight_gamma=0.0), BUS, 0.5, 0.0, 1.0, 3)
         assert np.all(problem.quad_diag == WEIGHT_FLOOR)
 
 
@@ -127,7 +125,7 @@ class TestOptimalityProperties:
         lam = rng.uniform(-3, 3, 4)
         spec = PgmSpec(rated_power_w=2.0, p_min_w=0.0, p_max_w=4.0,
                        ramp_limit_w_per_step=1.5, weight_beta=1.0)
-        r = pgm_solve(lam, spec, prev_power_w=2.0)
+        r = pgm_solve(pgm_qp(spec, 2.0, 4), lam, spec)
         total = r.local_objective + float(lam @ r.profile)
         a, b = horizon_qp_matrices(4, 0.0, 4.0, 1.5, 2.0)
         cand = rng.uniform(0.0, 4.0, size=(400, 4))
@@ -146,7 +144,7 @@ class TestOptimalityProperties:
                        soc_min=0.2, soc_max=0.8)
         bus = BusSpec(v_bus_volt=1.0)
         td = 360.0  # kappa = 0.1 per unit power
-        r = pcm_solve(lam, spec, bus, soc0=0.5, prev_power_w=0.0, td_s=td)
+        r = pcm_solve(pcm_qp(spec, bus, 0.5, 0.0, td, 4), lam, spec)
         kappa = soc_coeff(spec, bus, td)
         total = r.local_objective + float(lam @ r.profile)
         a, b = horizon_qp_matrices(4, -3.0, 3.0, 2.0, 0.0, kappa=kappa,
@@ -166,8 +164,8 @@ class TestOptimalityProperties:
                      ramp_limit_w_per_step=1.5, weight_beta=1.0)
         s2 = PgmSpec(rated_power_w=2.0, p_min_w=0.0, p_max_w=4.0,
                      ramp_limit_w_per_step=1.5, weight_beta=c)
-        r1 = pgm_solve(lam, s1, prev_power_w=2.0)
-        r2 = pgm_solve(c * lam, s2, prev_power_w=2.0)
+        r1 = pgm_solve(pgm_qp(s1, 2.0, 4), lam, s1)
+        r2 = pgm_solve(pgm_qp(s2, 2.0, 4), c * lam, s2)
         np.testing.assert_allclose(r1.profile, r2.profile, atol=1e-7)
 
     def test_profiles_stay_in_constraint_sets(self):
@@ -177,8 +175,9 @@ class TestOptimalityProperties:
             spec = PcmSpec(p_min_w=-2.0, p_max_w=2.0, ramp_limit_w_per_step=1.0,
                            capacity_ah=1.0, soc_min=0.2, soc_max=0.8)
             bus = BusSpec(v_bus_volt=1.0)
-            r = pcm_solve(lam, spec, bus, soc0=rng.uniform(0.25, 0.75),
-                          prev_power_w=rng.uniform(-1, 1), td_s=360.0)
+            problem = pcm_qp(spec, bus, soc0=rng.uniform(0.25, 0.75),
+                             prev_power_w=rng.uniform(-1, 1), td_s=360.0, h=5)
+            r = pcm_solve(problem, lam, spec)
             assert r.qp_status == "optimal"
             assert np.all(r.profile >= -2.0 - 1e-8)
             assert np.all(r.profile <= 2.0 + 1e-8)

@@ -40,25 +40,25 @@ def random_instance(rng, h=3, with_cumsum=False):
         kw = dict(cumsum_coeff=kappa, cumsum_init=soc0,
                   cumsum_lower=0.1, cumsum_upper=0.9)
         oracle_kw = dict(kappa=kappa, soc0=soc0, soc_min=0.1, soc_max=0.9)
-    qp = HorizonQp(h=h, quad_diag=d, lin=q, lower=lo, upper=hi,
+    qp = HorizonQp(h=h, quad_diag=d, lower=lo, upper=hi,
                    ramp_limit=ramp, prev_value=prev, **kw)
     a, b = horizon_qp_matrices(h, lo, hi, ramp, prev, **oracle_kw)
-    return qp, a, b
+    return qp, q, a, b
 
 
 class TestSolveExamples:
     def test_unconstrained_returns_tracking_point(self):
         # d = w*ones, q = -w*target*ones with infinite bounds
-        qp = HorizonQp(h=5, quad_diag=2.0, lin=-2.0 * 6.0, lower=-np.inf,
+        qp = HorizonQp(h=5, quad_diag=2.0, lower=-np.inf,
                        upper=np.inf, ramp_limit=1e12, prev_value=6.0)
-        s = solve(qp)
+        s = solve(qp, -2.0 * 6.0)
         assert s.status == OPTIMAL
         np.testing.assert_allclose(s.profile, 6.0, rtol=1e-12)
 
     def test_projection_onto_box_corner(self):
-        qp = HorizonQp(h=2, quad_diag=1.0, lin=0.0, lower=1.0, upper=2.0,
+        qp = HorizonQp(h=2, quad_diag=1.0, lower=1.0, upper=2.0,
                        ramp_limit=10.0, prev_value=1.0)
-        s = solve(qp)
+        s = solve(qp, 0.0)
         assert s.status == OPTIMAL
         np.testing.assert_allclose(s.profile, [1.0, 1.0], atol=1e-10)
 
@@ -66,9 +66,9 @@ class TestSolveExamples:
     def test_matches_enumeration_oracle(self, with_cumsum):
         rng = np.random.default_rng(7 if with_cumsum else 3)
         for _ in range(60):
-            qp, a, b = random_instance(rng, with_cumsum=with_cumsum)
-            xo, fo = enumerate_qp(qp.quad_diag, qp.lin, a, b)
-            s = solve(qp)
+            qp, q, a, b = random_instance(rng, with_cumsum=with_cumsum)
+            xo, fo = enumerate_qp(qp.quad_diag, q, a, b)
+            s = solve(qp, q)
             if xo is None:
                 assert s.status == INFEASIBLE
                 continue
@@ -80,8 +80,8 @@ class TestSolveExamples:
         # negative coefficient flips the prefix-sum slab orientation
         rng = np.random.default_rng(11)
         for _ in range(20):
-            qp, _, _ = random_instance(rng)
-            qp2 = HorizonQp(h=3, quad_diag=qp.quad_diag, lin=qp.lin,
+            qp, q, _, _ = random_instance(rng)
+            qp2 = HorizonQp(h=3, quad_diag=qp.quad_diag,
                             lower=qp.lower, upper=qp.upper,
                             ramp_limit=qp.ramp_limit, prev_value=qp.prev_value,
                             cumsum_coeff=-0.2, cumsum_init=0.5,
@@ -90,8 +90,8 @@ class TestSolveExamples:
                                        qp.ramp_limit, qp.prev_value,
                                        kappa=-0.2, soc0=0.5,
                                        soc_min=0.1, soc_max=0.9)
-            xo, fo = enumerate_qp(qp2.quad_diag, qp2.lin, a, b)
-            s = solve(qp2)
+            xo, fo = enumerate_qp(qp2.quad_diag, q, a, b)
+            s = solve(qp2, q)
             if xo is None:
                 assert s.status == INFEASIBLE
             else:
@@ -103,8 +103,8 @@ class TestSolveProperties:
     @settings(max_examples=60, deadline=None)
     def test_returned_profile_feasible(self, seed):
         rng = np.random.default_rng(seed)
-        qp, _, _ = random_instance(rng, with_cumsum=bool(seed % 2))
-        s = solve(qp)
+        qp, q, _, _ = random_instance(rng, with_cumsum=bool(seed % 2))
+        s = solve(qp, q)
         if s.status == INFEASIBLE:
             return
         scale = max(1.0, float(np.abs(s.profile).max()))
@@ -114,11 +114,11 @@ class TestSolveProperties:
     @settings(max_examples=60, deadline=None)
     def test_uniform_cost_scaling_preserves_argmin(self, seed, c):
         rng = np.random.default_rng(seed)
-        qp, _, _ = random_instance(rng)
-        scaled = HorizonQp(h=qp.h, quad_diag=c * qp.quad_diag, lin=c * qp.lin,
+        qp, q, _, _ = random_instance(rng)
+        scaled = HorizonQp(h=qp.h, quad_diag=c * qp.quad_diag,
                            lower=qp.lower, upper=qp.upper,
                            ramp_limit=qp.ramp_limit, prev_value=qp.prev_value)
-        s1, s2 = solve(qp), solve(scaled)
+        s1, s2 = solve(qp, q), solve(scaled, c * q)
         if INFEASIBLE in (s1.status, s2.status):
             assert s1.status == s2.status
             return
@@ -127,26 +127,26 @@ class TestSolveProperties:
     def test_beats_rejection_sampling(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
-            qp, a, b = random_instance(rng, with_cumsum=bool(trial % 2))
-            s = solve(qp)
+            qp, q, a, b = random_instance(rng, with_cumsum=bool(trial % 2))
+            s = solve(qp, q)
             if s.status != OPTIMAL:
                 continue
             lo, hi = qp.effective_box()
             pts = rng.uniform(lo, hi, size=(1000, qp.h))
             ok = np.all(a @ pts.T <= b[:, None], axis=0)
             for x in pts[ok]:
-                assert s.objective <= qp.objective(x) + 1e-9
+                assert s.objective <= qp.objective(x, q) + 1e-9
 
     def test_strictly_better_than_samples_when_interior(self):
-        qp = HorizonQp(h=3, quad_diag=1.0, lin=-0.5, lower=0.0, upper=1.0,
+        qp = HorizonQp(h=3, quad_diag=1.0, lower=0.0, upper=1.0,
                        ramp_limit=1.0, prev_value=0.5)
-        s = solve(qp)
+        s = solve(qp, -0.5)
         np.testing.assert_allclose(s.profile, 0.5, atol=1e-10)
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.0, 1.0, size=(1000, 3))
         for x in pts:
             if np.abs(x - s.profile).max() > 1e-3:
-                assert s.objective < qp.objective(x)
+                assert s.objective < qp.objective(x, np.full(3, -0.5))
 
 
 def mw_instance(rng, h=3):
@@ -166,20 +166,20 @@ def mw_instance(rng, h=3):
         kw = dict(cumsum_coeff=kappa, cumsum_init=soc0, cumsum_lower=0.1,
                   cumsum_upper=0.9)
         oracle_kw = dict(kappa=kappa, soc0=soc0, soc_min=0.1, soc_max=0.9)
-    qp = HorizonQp(h=h, quad_diag=weight, lin=lin, lower=lo, upper=p_max,
+    qp = HorizonQp(h=h, quad_diag=weight, lower=lo, upper=p_max,
                    ramp_limit=ramp, prev_value=prev, **kw)
     a, b = unit_rows(*horizon_qp_matrices(h, lo, p_max, ramp, prev,
                                           **oracle_kw))
-    return qp, a, b
+    return qp, lin, a, b
 
 
 class TestMwScale:
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
     def test_statuses_are_certified(self, seed):
-        qp, a, b = mw_instance(np.random.default_rng(seed))
+        qp, lin, a, b = mw_instance(np.random.default_rng(seed))
         tol = 1e-8
-        s = solve(qp, tol=tol)
+        s = solve(qp, lin, tol=tol)
         # least worst violation of any point, in W (HiGHS, SoC rows in W)
         t_star = min_max_violation(a, b)
         scale = float(np.max(np.abs(b)))
@@ -197,11 +197,11 @@ class TestMwScale:
         # the same optimum as active-set enumeration, run in units of
         # 1/sqrt(weight) W so that its KKT systems are well scaled
         unit = 1.0 / np.sqrt(qp.quad_diag[0])
-        y_ref, _ = enumerate_qp(np.ones(qp.h), qp.lin * unit, a, b / unit,
+        y_ref, _ = enumerate_qp(np.ones(qp.h), lin * unit, a, b / unit,
                                 tol=1e-9 * scale / unit)
         assert y_ref is not None
         x_ref = y_ref * unit
-        gap = qp.objective(x) - qp.objective(x_ref)
+        gap = qp.objective(x, lin) - qp.objective(x_ref, lin)
         curvature = float(qp.quad_diag[0]) * scale * scale
         assert abs(gap) <= 1e-11 * max(curvature, 1.0), gap
 
@@ -209,29 +209,40 @@ class TestMwScale:
 class TestStatuses:
     def test_infeasible_chain(self):
         # box [5,6] unreachable from 0 with ramp 1 at h=1
-        qp = HorizonQp(h=1, quad_diag=1.0, lin=0.0, lower=5.0, upper=6.0,
+        qp = HorizonQp(h=1, quad_diag=1.0, lower=5.0, upper=6.0,
                        ramp_limit=1.0, prev_value=0.0)
-        s = solve(qp)
+        s = solve(qp, 0.0)
         assert s.status == INFEASIBLE
         assert s.objective == np.inf
 
     def test_infeasible_cumsum_vs_box(self):
         # box forces sum(x) = 5 but the cumsum slab caps it at 4
-        qp = HorizonQp(h=5, quad_diag=1.0, lin=0.0, lower=1.0, upper=1.0,
+        qp = HorizonQp(h=5, quad_diag=1.0, lower=1.0, upper=1.0,
                        ramp_limit=10.0, prev_value=1.0, cumsum_coeff=0.1,
                        cumsum_init=0.5, cumsum_lower=0.1, cumsum_upper=0.9)
         assert feasibility_check(qp) == INFEASIBLE
-        assert solve(qp).status == INFEASIBLE
+        assert solve(qp, 0.0).status == INFEASIBLE
+
+    def test_subnormal_violation_of_the_unconstrained_point(self):
+        # x_u = 0 misses the lower bound by a subnormal while the upper row
+        # has 5e6 of slack: scaling the LDP by the largest violation would
+        # overflow, and x_u is the answer to any tolerance
+        qp = HorizonQp(h=1, quad_diag=1.0, lower=2.5e-317, upper=5e6,
+                       ramp_limit=5e6, prev_value=2.5e-317)
+        s = solve(qp, 0.0)
+        assert s.status == OPTIMAL
+        assert s.profile[0] == 0.0
+        assert s.primal_residual <= 1e-300
 
     def test_nnls_iteration_cap_is_max_iter(self, monkeypatch):
-        qp = HorizonQp(h=3, quad_diag=[1.0, 2.0, 3.0], lin=[5.0, -4.0, 1.0],
+        qp = HorizonQp(h=3, quad_diag=[1.0, 2.0, 3.0],
                        lower=-1.0, upper=1.0, ramp_limit=0.4, prev_value=0.0)
 
         def capped(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
 
         monkeypatch.setattr(qpmod, "nnls", capped)
-        s = solve(qp)
+        s = solve(qp, [5.0, -4.0, 1.0])
         assert s.status == MAX_ITER
         assert np.all(np.isfinite(s.profile))
         # a coordination whose node solves hit the cap still returns
@@ -244,27 +255,27 @@ class TestStatuses:
 
 class TestFeasibilityCheck:
     def test_plain_box(self):
-        qp = HorizonQp(h=4, quad_diag=1.0, lin=0.0, lower=0.0, upper=1.0,
+        qp = HorizonQp(h=4, quad_diag=1.0, lower=0.0, upper=1.0,
                        ramp_limit=10.0, prev_value=0.5)
         assert feasibility_check(qp) == FEASIBLE
 
     def test_unreachable_box(self):
-        qp = HorizonQp(h=1, quad_diag=1.0, lin=0.0, lower=5.0, upper=6.0,
+        qp = HorizonQp(h=1, quad_diag=1.0, lower=5.0, upper=6.0,
                        ramp_limit=1.0, prev_value=0.0)
         assert feasibility_check(qp) == INFEASIBLE
 
     def test_chain_needs_multiple_steps(self):
         # prev=0, ramp 1: step k reaches at most k+1, so lower=3 at h=3 is
         # reachable only at the last step
-        qp = HorizonQp(h=3, quad_diag=1.0, lin=0.0, lower=[0.0, 0.0, 3.0],
+        qp = HorizonQp(h=3, quad_diag=1.0, lower=[0.0, 0.0, 3.0],
                        upper=3.0, ramp_limit=1.0, prev_value=0.0)
         assert feasibility_check(qp) == FEASIBLE
-        qp = HorizonQp(h=3, quad_diag=1.0, lin=0.0, lower=[0.0, 0.0, 3.5],
+        qp = HorizonQp(h=3, quad_diag=1.0, lower=[0.0, 0.0, 3.5],
                        upper=4.0, ramp_limit=1.0, prev_value=0.0)
         assert feasibility_check(qp) == INFEASIBLE
 
     def test_cumsum_feasible_interior(self):
-        qp = HorizonQp(h=5, quad_diag=1.0, lin=0.0, lower=-1.0, upper=1.0,
+        qp = HorizonQp(h=5, quad_diag=1.0, lower=-1.0, upper=1.0,
                        ramp_limit=2.0, prev_value=0.0, cumsum_coeff=0.01,
                        cumsum_init=0.5, cumsum_lower=0.1, cumsum_upper=0.9)
         assert feasibility_check(qp) == FEASIBLE
@@ -273,8 +284,8 @@ class TestFeasibilityCheck:
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_oracle_existence(self, seed):
         rng = np.random.default_rng(seed)
-        qp, a, b = random_instance(rng, with_cumsum=True)
-        xo, _ = enumerate_qp(qp.quad_diag, qp.lin, a, b)
+        qp, q, a, b = random_instance(rng, with_cumsum=True)
+        xo, _ = enumerate_qp(qp.quad_diag, q, a, b)
         verdict = feasibility_check(qp)
         assert verdict == (FEASIBLE if xo is not None else INFEASIBLE)
 
@@ -282,37 +293,43 @@ class TestFeasibilityCheck:
 class TestValidation:
     def test_rejects_nonpositive_quad(self):
         with pytest.raises(ValueError):
-            HorizonQp(h=2, quad_diag=0.0, lin=0.0, lower=0.0, upper=1.0,
+            HorizonQp(h=2, quad_diag=0.0, lower=0.0, upper=1.0,
                       ramp_limit=1.0, prev_value=0.0)
 
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
-            HorizonQp(h=2, quad_diag=1.0, lin=0.0, lower=2.0, upper=1.0,
+            HorizonQp(h=2, quad_diag=1.0, lower=2.0, upper=1.0,
                       ramp_limit=1.0, prev_value=0.0)
 
     def test_rejects_cumsum_init_outside_bounds(self):
         with pytest.raises(ValueError):
-            HorizonQp(h=2, quad_diag=1.0, lin=0.0, lower=0.0, upper=1.0,
+            HorizonQp(h=2, quad_diag=1.0, lower=0.0, upper=1.0,
                       ramp_limit=1.0, prev_value=0.0, cumsum_coeff=0.1,
                       cumsum_init=0.95, cumsum_lower=0.1, cumsum_upper=0.9)
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
-            HorizonQp(h=0, quad_diag=1.0, lin=0.0, lower=0.0, upper=1.0,
+            HorizonQp(h=0, quad_diag=1.0, lower=0.0, upper=1.0,
                       ramp_limit=1.0, prev_value=0.0)
 
     def test_rejects_bad_tol(self):
-        qp = HorizonQp(h=1, quad_diag=1.0, lin=0.0, lower=0.0, upper=1.0,
+        qp = HorizonQp(h=1, quad_diag=1.0, lower=0.0, upper=1.0,
                        ramp_limit=1.0, prev_value=0.0)
         with pytest.raises(ValueError):
-            solve(qp, tol=0.0)
+            solve(qp, 0.0, tol=0.0)
 
     def test_h_one_minimal_problem(self):
-        qp = HorizonQp(h=1, quad_diag=2.0, lin=-2.0, lower=0.0, upper=10.0,
+        qp = HorizonQp(h=1, quad_diag=2.0, lower=0.0, upper=10.0,
                        ramp_limit=0.3, prev_value=0.5)
-        s = solve(qp)
+        s = solve(qp, -2.0)
         # unconstrained min at 1.0, ramp allows [0.2, 0.8]
         assert s.profile[0] == pytest.approx(0.8, abs=1e-9)
+
+
+def fresh_ldp(qp):
+    """The kernel of ``qp`` built without the rows memo."""
+    a, b = qp.constraint_rows()
+    return qpmod.Ldp(qpmod.LdpRows(qp.quad_diag, a), b, *qp.effective_box())
 
 
 def assert_same_solve(got, want):
@@ -349,25 +366,25 @@ class TestRowsMemo:
         ramp = rng.uniform(0.05, 1.0) * p_max
 
         def problem():
+            lin = weight * p_max * rng.uniform(-2.0, 2.0, h)
             return HorizonQp(h=h, quad_diag=weight,
-                             lin=weight * p_max * rng.uniform(-2.0, 2.0, h),
                              lower=lower, upper=upper, ramp_limit=ramp,
-                             prev_value=rng.uniform(-1.0, 1.0) * p_max, **kw)
+                             prev_value=rng.uniform(-1.0, 1.0) * p_max,
+                             **kw), lin
 
         # the rows were memoized by an earlier problem at another state
-        earlier, qp = problem(), problem()
+        (earlier, _), (qp, lin) = problem(), problem()
         assert qp.ldp.a is earlier.ldp.a
-        fresh = qpmod.Ldp(qp.quad_diag, *qp.constraint_rows(),
-                          *qp.effective_box())
+        fresh = fresh_ldp(qp)
         for tol in (1e-8, 1e-6):
-            assert_same_solve(qp.ldp.solve(qp.lin, tol),
-                              fresh.solve(qp.lin, tol))
+            assert_same_solve(qp.ldp.solve(lin, tol),
+                              fresh.solve(lin, tol))
 
     def test_interleaved_solves_on_shared_rows(self):
         # two batteries at different states share one row structure; each
         # kernel writes only its own copy of E
         def battery(prev, soc):
-            return HorizonQp(h=5, quad_diag=1.0, lin=0.0, lower=-2e7,
+            return HorizonQp(h=5, quad_diag=1.0, lower=-2e7,
                              upper=2e7, ramp_limit=2e7, prev_value=prev,
                              cumsum_coeff=2.8e-11, cumsum_init=soc,
                              cumsum_lower=0.1, cumsum_upper=0.9)
@@ -376,8 +393,7 @@ class TestRowsMemo:
         assert a.ldp.a is b.ldp.a and a.ldp.e is not b.ldp.e
         rng = np.random.default_rng(5)
         prices = [rng.uniform(-4e7, 4e7, 5) for _ in range(6)]
-        want = [qpmod.Ldp(p.quad_diag, *p.constraint_rows(),
-                          *p.effective_box()).solve(q, 1e-8)
+        want = [fresh_ldp(p).solve(q, 1e-8)
                 for q in prices for p in (a, b)]
         got = [p.ldp.solve(q, 1e-8) for q in prices for p in (a, b)]
         for g, w in zip(got, want):
@@ -388,10 +404,10 @@ class TestRowsMemo:
         for _ in range(300):
             fleet = random_fleet(rng)
             for g in fleet.pgms:
-                pgm_qp(np.zeros(5), g.spec, g.prev_power_w).ldp
+                pgm_qp(g.spec, g.prev_power_w, 5).ldp
             for b in fleet.pcms:
-                pcm_qp(np.zeros(5), b.spec, fleet.bus, b.soc,
-                       b.prev_power_w, fleet.td_s).ldp
+                pcm_qp(b.spec, fleet.bus, b.soc, b.prev_power_w,
+                       fleet.td_s, 5).ldp
         info = qpmod._ldp_rows.cache_info()
         assert info.maxsize == qpmod.LDP_ROWS_MEMO_SIZE
         assert info.currsize <= qpmod.LDP_ROWS_MEMO_SIZE

@@ -17,7 +17,7 @@ from shipems.config import (
     default_config,
     load_config,
 )
-from shipems.plant import BusSpec, PgmSpec, pgm_current_step
+from shipems.plant import BusSpec, PcmSpec, PgmSpec, pgm_current_step
 from shipems.sim import (
     DlcGains,
     LoadProfileSpec,
@@ -254,6 +254,103 @@ class TestSocFloor:
             lp = min_shortfall_w(fleet, p_f)
             assert log.mpc_shortfall_w[k] == rep.shortfall_w
             assert abs(rep.shortfall_w - lp) <= 1e-5 * 65e6, (k, lp)
+
+
+class TestSocLimits:
+    def test_plan_in_flight_past_the_soc_ceiling(self, monkeypatch):
+        # the battery charges 0.5e-3 below its ceiling; the plan applied
+        # during the 1 s delay carries the plant past it, and the next
+        # step must plan from the ceiling and count the step
+        socs = []
+        coordinate = shipems.sim.coordinate
+
+        def recorded(fleet, p_f, **kwargs):
+            socs.append([b.soc for b in fleet.pcms])
+            return coordinate(fleet, p_f, **kwargs)
+
+        monkeypatch.setattr(shipems.sim, "coordinate", recorded)
+        cfg = dataclasses.replace(
+            default_config(), duration_s=30.0, initial_soc=[0.8995],
+            load=LoadProfileSpec(kind="constant", base_w=20e6))
+        log = run_scenario(cfg)
+        assert len(log.mpc_time_s) == 30
+        assert log.soc_violations >= 1
+        planned = np.array(socs)
+        assert np.all(planned >= cfg.pcms[0].soc_min)
+        assert np.all(planned <= cfg.pcms[0].soc_max)
+
+    def test_battery_that_cannot_come_to_rest(self):
+        # with a one-step horizon each plan drains the battery to its floor
+        # at a power its ramp cannot shed in one step, so the next step has
+        # no plan from its setpoint: it plans from rest, and the jump from
+        # 9 MW counts as a ramp violation
+        cfg = dataclasses.replace(
+            default_config(), duration_s=10.0, horizon_steps=1,
+            comm_delay_s=0.0, initial_soc=[0.3],
+            pcms=[PcmSpec(capacity_ah=100.0, p_min_w=-10e6, p_max_w=10e6,
+                          ramp_limit_w_per_step=3e6, soc_min=0.24)],
+            load=LoadProfileSpec(kind="constant", base_w=50e6))
+        log = run_scenario(cfg)
+        assert len(log.mpc_time_s) == 10
+        assert log.ramp_violations == 1
+        assert log.soc_violations == 0
+        assert np.all(log.soc[:, 0] >= 0.24 - 1e-9)
+
+
+@st.composite
+def closed_loop_configs(draw):
+    """Small random fleets, loads and delays at a coarse plant step; the
+    config may be invalid. The dual iteration budget is drawn too, so that
+    steps which spend all of it stay cheap."""
+    u = lambda lo, hi: draw(st.floats(lo, hi))  # noqa: E731
+    weight = st.one_of(st.just(0.0), st.floats(0.1, 10.0))
+    pgms = []
+    for _ in range(draw(st.integers(1, 2))):
+        p_max = u(5e6, 40e6)
+        p_min = p_max * u(0.0, 0.5)
+        pgms.append(PgmSpec(
+            rated_power_w=u(p_min, p_max),
+            p_min_w=p_min, p_max_w=p_max,
+            ramp_limit_w_per_step=(p_max - p_min) * u(0.05, 1.0),
+            weight_beta=draw(weight)))
+    pcms, soc0 = [], []
+    for _ in range(draw(st.integers(0, 2))):
+        p_max = u(1e6, 20e6)
+        p_min = -p_max * u(0.2, 1.0)
+        soc_min, soc_max = u(0.05, 0.3), u(0.7, 0.95)
+        pcms.append(PcmSpec(
+            capacity_ah=u(20.0, 500.0), p_min_w=p_min, p_max_w=p_max,
+            ramp_limit_w_per_step=(p_max - p_min) * u(0.05, 1.0),
+            soc_min=soc_min, soc_max=soc_max, weight_gamma=draw(weight)))
+        soc0.append(draw(st.one_of(st.just(soc_min), st.just(soc_max),
+                                   st.floats(soc_min, soc_max))))
+    load = LoadProfileSpec(
+        kind=draw(st.sampled_from(shipems.sim.LOAD_KINDS)),
+        base_w=u(0.0, 80e6), amplitude_w=u(-20e6, 40e6),
+        period_s=u(1.0, 8.0), duty_fraction=u(0.1, 0.9),
+        start_s=u(0.0, 5.0), slope_w_per_s=u(-5e6, 5e6))
+    return ScenarioConfig(
+        pgms=pgms, pcms=pcms, initial_soc=soc0, load=load,
+        horizon_steps=draw(st.integers(1, 5)), plant_dt_s=0.01,
+        comm_delay_s=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        duration_s=float(draw(st.integers(10, 20))), log_every=100,
+        solver=SolverConfig(max_iter=draw(st.integers(1, 150)),
+                            load_preview=draw(st.booleans())))
+
+
+class TestClosedLoopProperty:
+    @given(cfg=closed_loop_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_valid_configs_run_to_completion(self, cfg):
+        try:
+            cfg.validate()
+        except ValueError:
+            return
+        log = run_scenario(cfg)
+        steps = int(round(cfg.duration_s / cfg.mpc_period_s))
+        assert len(log.mpc_time_s) == steps
+        assert len(log.mpc_converged) == len(log.mpc_shortfall_w) == steps
+        assert log.shortfall_events == int(np.sum(~log.mpc_converged))
 
 
 class TestSustainedShortfall:
