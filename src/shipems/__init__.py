@@ -16,9 +16,9 @@ from .coordinator import (
     coordinate,
 )
 from .nodes import NodeResult, pcm_qp, pcm_solve, pgm_qp, pgm_solve
-from .plant import BusSpec, DegradationParams, PcmSpec, PgmSpec
+from .plant import BusSpec, DegradationParams, DlcGains, PcmSpec, PgmSpec
 from .qp import HorizonQp, QpSolution, feasibility_check, solve
-from .sim import DlcGains, LoadProfileSpec, SimLog, load_at, run_scenario
+from .sim import LoadProfileSpec, SimLog, load_at, run_scenario
 
 __version__ = "0.1.0"
 

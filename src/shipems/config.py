@@ -10,8 +10,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 
-from .plant import BusSpec, DegradationParams, PcmSpec, PgmSpec
-from .sim import DlcGains, LoadProfileSpec
+from .plant import BusSpec, DegradationParams, DlcGains, PcmSpec, PgmSpec
+from .sim import LoadProfileSpec
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ computes its right-hand side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -167,23 +168,30 @@ class HorizonQp:
         if not (isinstance(self.h, (int, np.integer)) and self.h >= 1):
             raise ValueError(f"h must be a positive integer, got {self.h}")
         self.h = int(self.h)
-        for name in ("quad_diag", "lower", "upper"):
-            arr = np.broadcast_to(
-                np.asarray(getattr(self, name), dtype=float), (self.h,)
-            ).copy()
-            setattr(self, name, arr)
+        d, lo, hi = self.quad_diag, self.lower, self.upper
+        # the node builders pass scalars: checked once, then expanded
+        scalar = all(isinstance(v, float) for v in (d, lo, hi))
+        if scalar:
+            positive, finite, crossed = d > 0.0, math.isfinite(d), lo > hi
+        else:
+            d, lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (self.h,))
+                         for v in (d, lo, hi))
+            positive, finite = np.all(d > 0.0), np.all(np.isfinite(d))
+            crossed = np.any(lo > hi)
+        if not positive:
+            raise ValueError("quad_diag must be strictly positive componentwise")
+        if not finite:
+            raise ValueError("quad_diag must be finite")
+        if crossed:
+            raise ValueError("lower must be <= upper componentwise")
+        self.quad_diag, self.lower, self.upper = (
+            (np.full(self.h, v) if scalar else v.copy()) for v in (d, lo, hi))
         self.ramp_limit = float(self.ramp_limit)
         self.prev_value = float(self.prev_value)
         self.cumsum_coeff = float(self.cumsum_coeff)
-        if not np.all(self.quad_diag > 0.0):
-            raise ValueError("quad_diag must be strictly positive componentwise")
-        if not np.all(np.isfinite(self.quad_diag)):
-            raise ValueError("quad_diag must be finite")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower must be <= upper componentwise")
         if not self.ramp_limit > 0.0:
             raise ValueError(f"ramp_limit must be > 0, got {self.ramp_limit}")
-        if not np.isfinite(self.prev_value):
+        if not math.isfinite(self.prev_value):
             raise ValueError("prev_value must be finite")
         if self.cumsum_coeff != 0.0:
             if not (self.cumsum_lower <= self.cumsum_init <= self.cumsum_upper):

@@ -30,6 +30,12 @@ def enumerate_qp(quad_diag, lin, a_ub, b_ub, tol: float = 1e-9):
     and returns the feasible candidate with the lowest objective. Only
     usable for small n and modest constraint counts. Returns (x, obj) or
     (None, None) when no candidate subset yields a feasible point.
+
+    The KKT systems of one subset size are solved in one stacked call;
+    singular ones (rows of the subset linearly dependent) by least squares.
+    Subsets holding both sides of one bound (rows a and -a) are skipped:
+    their systems are singular, and the optimum is always the KKT point of
+    a subset whose rows are linearly independent.
     """
     d = np.asarray(quad_diag, dtype=float)
     q = np.asarray(lin, dtype=float)
@@ -37,32 +43,41 @@ def enumerate_qp(quad_diag, lin, a_ub, b_ub, tol: float = 1e-9):
     b = np.asarray(b_ub, dtype=float)
     n = d.size
     m = a.shape[0]
+    opposite = np.all(a[:, None, :] == -a[None, :, :], axis=2)
 
     def objective(x):
         return 0.5 * float(x @ (d * x)) + float(q @ x)
 
     best_x, best_obj = None, np.inf
     for k in range(0, n + 1):
-        for subset in itertools.combinations(range(m), k):
-            idx = list(subset)
-            # KKT: diag(d) x + A_S' mu = -q ; A_S x = b_S
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = np.diag(d)
-            if k:
-                kkt[:n, n:] = a[idx].T
-                kkt[n:, :n] = a[idx]
-            rhs = np.concatenate([-q, b[idx]])
-            try:
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            except np.linalg.LinAlgError:
-                continue
-            x = sol[:n]
-            if not np.all(np.isfinite(x)):
-                continue
-            if np.all(a @ x <= b + tol):
-                obj = objective(x)
-                if obj < best_obj - 1e-15:
-                    best_obj, best_x = obj, x.copy()
+        combos = list(itertools.combinations(range(m), k))
+        idx = np.array(combos, dtype=int).reshape(len(combos), k)
+        idx = idx[~opposite[idx[:, :, None], idx[:, None, :]].any(axis=(1, 2))]
+        count = idx.shape[0]
+        if not count:
+            continue
+        a_s = a[idx]  # (subsets, k, n)
+        # KKT: diag(d) x + A_S' mu = -q ; A_S x = b_S
+        kkt = np.zeros((count, n + k, n + k))
+        kkt[:, :n, :n] = np.diag(d)
+        kkt[:, :n, n:] = a_s.transpose(0, 2, 1)
+        kkt[:, n:, :n] = a_s
+        rhs = np.concatenate([np.broadcast_to(-q, (count, n)), b[idx]], axis=1)
+        regular = (np.linalg.matrix_rank(a_s) == k) if k \
+            else np.ones(count, dtype=bool)
+        sol = np.empty_like(rhs)
+        if regular.any():
+            sol[regular] = np.linalg.solve(kkt[regular],
+                                           rhs[regular][..., None])[..., 0]
+        for r in np.flatnonzero(~regular):
+            sol[r], *_ = np.linalg.lstsq(kkt[r], rhs[r], rcond=None)
+        x_all = sol[:, :n]
+        ok = np.all(np.isfinite(x_all), axis=1)
+        ok[ok] = np.all(x_all[ok] @ a.T <= b + tol, axis=1)
+        for x in x_all[ok]:
+            obj = objective(x)
+            if obj < best_obj - 1e-15:
+                best_obj, best_x = obj, x.copy()
     if best_x is None:
         return None, None
     return best_x, best_obj

@@ -25,13 +25,12 @@ from shipems.plant import (
     BusSpec,
     PcmSpec,
     PgmSpec,
-    capacity_loss,
+    Plant,
     capacity_percent,
     loss_percent,
-    pgm_current_step,
 )
 from shipems.qp import OPTIMAL, solve
-from shipems.sim import DlcGains, LoadProfileSpec, dlc_pgm_step, run_scenario
+from shipems.sim import DlcGains, LoadProfileSpec, run_scenario
 from test_qp import random_instance
 from oracles import enumerate_qp
 
@@ -181,9 +180,19 @@ class TestAcceptance:
                 / short.final_throughput_ah[0]
             assert thr_ratio > 1.5  # battery actually ran longer
             assert ql_ratio == pytest.approx(thr_ratio, rel=1e-10)
-            deg = default_config().pcms[0].degradation
-            assert capacity_loss(2 * 123.4, deg) \
-                == pytest.approx(2 * capacity_loss(123.4, deg), rel=1e-12)
+
+            def capacity_loss(ah):
+                # ah amperes for one hour-long plant step: ah Ah through
+                # the default battery at its configured C-rate
+                cfg = default_config()
+                plant = Plant(cfg.bus, cfg.pgms, cfg.pcms, cfg.dlc, 3600.0,
+                              cfg.initial_soc, 1, constant_c_rate=True)
+                plant.pref_b[0] = ah * cfg.bus.v_bus_volt
+                plant.advance(1, 0, np.zeros(1))
+                return plant.ql_ah[0]
+
+            assert capacity_loss(2 * 123.4) \
+                == pytest.approx(2 * capacity_loss(123.4), rel=1e-12)
 
             q = default_config().pcms[0].capacity_ah
             ql = float(long.final_capacity_loss_ah[0])
@@ -195,13 +204,14 @@ class TestAcceptance:
             bus, spec, gains = BusSpec(), PgmSpec(), DlcGains()
             gains.assert_stable_for(spec)
             dt, i0, i_ref = 1e-3, 36000.0, 38000.0
-            i, z = i0, spec.resistance_ohm * i0 / gains.ki
-            traj = []
-            for _ in range(500):
-                v_g, z = dlc_pgm_step(i_ref, i, z, gains, dt, bus.v_bus_volt)
-                i = pgm_current_step(i, v_g, bus, spec, dt)
-                traj.append(i)
-            err = np.abs(np.array(traj) - i_ref)
+            plant = Plant(bus, [spec], [], gains, dt, [], 500)
+            plant.ig[0] = i0
+            plant.integ[0] = spec.resistance_ohm * i0 / gains.ki
+            plant.pref_g[0] = i_ref * bus.v_bus_volt
+            plant.advance(500, 0, np.zeros(500))
+            # the current after each step; the log samples step starts
+            traj = np.append(plant.log_ig[1:, 0], plant.ig[0])
+            err = np.abs(traj - i_ref)
             outside = np.nonzero(err > 0.02 * abs(i_ref - i0))[0]
             settle_s = (outside[-1] + 2) * dt if outside.size else dt
             assert settle_s <= 0.2, f"settled in {settle_s:.3f}s"

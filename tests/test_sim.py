@@ -17,14 +17,8 @@ from shipems.config import (
     default_config,
     load_config,
 )
-from shipems.plant import BusSpec, PcmSpec, PgmSpec, pgm_current_step
-from shipems.sim import (
-    DlcGains,
-    LoadProfileSpec,
-    dlc_pgm_step,
-    load_at,
-    run_scenario,
-)
+from shipems.plant import BusSpec, PcmSpec, PgmSpec, Plant
+from shipems.sim import DlcGains, LoadProfileSpec, load_at, run_scenario
 
 
 DEFAULT_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -139,38 +133,52 @@ class TestDlcGains:
         with pytest.raises(ValueError):
             DlcGains(integrator_limit=0.0)
 
+    @staticmethod
+    def _generator(gains, i0, i_ref, dt=1e-3, n=1, integ=0.0):
+        """A default generator at current i0 and integrator state integ,
+        tracking i_ref for n plant steps; returns the plant."""
+        bus = BusSpec()
+        plant = Plant(bus, [PgmSpec()], [], gains, dt, [], n)
+        plant.ig[0], plant.integ[0] = i0, integ
+        plant.pref_g[0] = i_ref * bus.v_bus_volt
+        plant.advance(n, 0, np.zeros(n))
+        return plant
+
     def test_tracked_zero_state_commands_bus_voltage(self):
-        v_g, integ = dlc_pgm_step(0.0, 0.0, 0.0, DlcGains(), 1e-3, 1000.0)
-        assert v_g == 1000.0
-        assert integ == 0.0
+        # v_g = v_bus drives no current, so the zero state stays put
+        plant = self._generator(DlcGains(), 0.0, 0.0)
+        assert plant.ig[0] == 0.0
+        assert plant.integ[0] == 0.0
 
     def test_proportional_only_voltage(self):
         gains = DlcGains(kp=0.5, ki=0.0)
         e = 120.0
-        v_g, _ = dlc_pgm_step(150.0, 30.0, 0.0, gains, 1e-3, 1000.0)
-        assert v_g == 1000.0 - gains.kp * e
+        plant = self._generator(gains, 30.0, 150.0)
+        spec = PgmSpec()
+        # v_g = 1000 - kp*e, held over the exact RL step
+        dv = gains.kp * e
+        decay = math.exp(-spec.resistance_ohm * 1e-3 / spec.inductance_henry)
+        assert plant.ig[0] \
+            == 30.0 * decay + (dv / spec.resistance_ohm) * (1.0 - decay)
 
     def test_integrator_accumulates_and_clamps(self):
         gains = DlcGains(kp=0.0, ki=1.0, integrator_limit=5.0)
-        _, z = dlc_pgm_step(10.0, 0.0, 0.0, gains, 0.5, 1000.0)
+        z = self._generator(gains, 0.0, 10.0, dt=0.5).integ[0]
         assert z == 5.0  # raw update 10*0.5 exceeds the clamp
-        _, z = dlc_pgm_step(-10.0, 0.0, 0.0, gains, 0.1, 1000.0)
+        z = self._generator(gains, 0.0, -10.0, dt=0.1).integ[0]
         assert z == -1.0
 
     def test_bad_dt_rejected(self):
+        # a zero plant step never reaches the tracker
         with pytest.raises(ValueError):
-            dlc_pgm_step(0.0, 0.0, 0.0, DlcGains(), 0.0, 1000.0)
+            dataclasses.replace(default_config(), plant_dt_s=0.0).validate()
 
     def _track_step(self, gains, i0, i_ref, dt=1e-3, t_end=0.5):
-        bus, spec = BusSpec(), PgmSpec()
-        i = i0
-        z = spec.resistance_ohm * i0 / gains.ki
-        out = []
-        for k in range(int(round(t_end / dt))):
-            v_g, z = dlc_pgm_step(i_ref, i, z, gains, dt, bus.v_bus_volt)
-            i = pgm_current_step(i, v_g, bus, spec, dt)
-            out.append(i)
-        return np.array(out)
+        n = int(round(t_end / dt))
+        plant = self._generator(gains, i0, i_ref, dt, n,
+                                integ=PgmSpec().resistance_ohm * i0 / gains.ki)
+        # the log holds the current at each step start: after 0..n-1 steps
+        return np.append(plant.log_ig[1:, 0], plant.ig[0])
 
     def test_step_settles_within_two_percent_by_200ms(self):
         gains = DlcGains()
