@@ -235,14 +235,25 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if alpha is not None and not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
+    if bal_tol_w is not None and not bal_tol_w > 0.0:
+        raise ValueError(f"bal_tol_w must be > 0, got {bal_tol_w}")
     p_f = np.asarray(p_f, dtype=float)
+    if p_f.ndim != 1 or not p_f.size or not np.isfinite(p_f).all():
+        raise ValueError("p_f must be a finite, non-empty 1-D profile")
     h = p_f.size
+    if lambda_warm is None:
+        lam = np.zeros(h)
+    else:
+        lam = np.array(lambda_warm, dtype=float)
+        if lam.shape != (h,) or not np.isfinite(lam).all():
+            raise ValueError(f"lambda_warm must be finite and of p_f's "
+                             f"length {h}, got shape {lam.shape}")
     if alpha is None:
         alpha = default_alpha(fleet)
     if bal_tol_w is None:
         bal_tol_w = default_balance_tol_w(p_f)
-    lam = (np.zeros(h) if lambda_warm is None
-           else np.asarray(lambda_warm, dtype=float).copy())
     state = DualState(lam)
     problems = _node_problems(fleet, h)
     qps = problems[0] + problems[1]

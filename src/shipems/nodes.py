@@ -22,21 +22,45 @@ from .plant import AH_TO_AS, BusSpec, PcmSpec, PgmSpec
 WEIGHT_FLOOR = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeResult:
     """Outcome of one device-level horizon solve.
 
+    A dual iteration needs only the profile; the report-only values are
+    evaluated when read, from the profile and the node's scalars: the
+    floored ``weight``, the ``target`` its cost pulls toward (rated power,
+    0 for batteries) and, for batteries, the SoC coefficient ``kappa`` and
+    the measured ``soc0``.
+
     ``local_objective`` is the device's private cost (price term excluded),
     evaluated with the same floored weight the solver minimized.
-    ``soc_trajectory`` (batteries only) has length h+1 with entry 0 equal to
-    the measured state of charge.
+    ``soc_trajectory`` (batteries only, None for generators) has length
+    h+1 with entry 0 equal to the measured state of charge.
     """
 
     profile: np.ndarray
-    local_objective: float
     qp_status: str
     iterations: int
-    soc_trajectory: np.ndarray | None = None
+    weight: float
+    target: float
+    kappa: float | None = None
+    soc0: float | None = None
+
+    @property
+    def local_objective(self) -> float:
+        dev = self.profile - self.target
+        return 0.5 * self.weight * float(dev @ dev)
+
+    @property
+    def soc_trajectory(self) -> np.ndarray | None:
+        if self.kappa is None:
+            return None
+        p = self.profile
+        soc = np.empty(p.size + 1)
+        soc[0] = self.soc0
+        for k in range(p.size):
+            soc[k + 1] = soc[k] - self.kappa * p[k]
+        return soc
 
 
 def soc_coeff(spec: PcmSpec, bus: BusSpec, td_s: float) -> float:
@@ -90,23 +114,15 @@ def pgm_solve(problem: qpmod.HorizonQp, lam: np.ndarray, spec: PgmSpec,
     """Solve the generator's `pgm_qp` at the price profile ``lam``."""
     sol = qpmod.solve(problem, lam - problem.quad_diag * spec.rated_power_w,
                       tol=tol, max_iter=max_iter)
-    beta = max(spec.weight_beta, WEIGHT_FLOOR)
-    dev = sol.profile - spec.rated_power_w
-    local = 0.5 * beta * float(dev @ dev)
-    return NodeResult(sol.profile, local, sol.status, sol.iterations)
+    return NodeResult(sol.profile, sol.status, sol.iterations,
+                      max(spec.weight_beta, WEIGHT_FLOOR), spec.rated_power_w)
 
 
 def pcm_solve(problem: qpmod.HorizonQp, lam: np.ndarray, spec: PcmSpec,
               tol: float = 1e-8, max_iter: int = 100_000) -> NodeResult:
-    """Solve the battery's `pcm_qp` at the price profile ``lam``; returns
-    the eliminated-state SoC path."""
+    """Solve the battery's `pcm_qp` at the price profile ``lam``; the
+    result carries the eliminated-state SoC path."""
     sol = qpmod.solve(problem, lam, tol=tol, max_iter=max_iter)
-    gamma = max(spec.weight_gamma, WEIGHT_FLOOR)
-    local = 0.5 * gamma * float(sol.profile @ sol.profile)
-    kappa = problem.cumsum_coeff
-    soc = np.empty(sol.profile.size + 1)
-    soc[0] = problem.cumsum_init
-    for k in range(sol.profile.size):
-        soc[k + 1] = soc[k] - kappa * sol.profile[k]
-    return NodeResult(sol.profile, local, sol.status, sol.iterations,
-                      soc_trajectory=soc)
+    return NodeResult(sol.profile, sol.status, sol.iterations,
+                      max(spec.weight_gamma, WEIGHT_FLOOR), 0.0,
+                      problem.cumsum_coeff, problem.cumsum_init)

@@ -31,7 +31,7 @@ computes its right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -85,9 +85,6 @@ class Ldp:
         self.b = b / rows.norms
         self.lo, self.hi = lo, hi
         self.e = rows.e.copy()  # its last row is rewritten by every solve
-        bounds = np.abs(np.concatenate([lo, hi]))
-        self.x_scale = max(1.0, float(np.max(bounds[np.isfinite(bounds)],
-                                             initial=0.0)))
 
     def violation(self, x) -> float:
         """Largest violation of a unit-norm row at x (0 when feasible)."""
@@ -131,13 +128,16 @@ class Ldp:
 
     def _certifies_empty(self, y, tol: float) -> bool:
         """Farkas test: y >= 0 weighs the unit rows so that y'(a x - b)
-        exceeds tol*x_scale*sum(y) at every x of the box."""
+        exceeds tol*x_scale*sum(y) at every x of the box, where x_scale is
+        the largest finite box bound (at least 1)."""
         c = self.a.T @ y
         with np.errstate(invalid="ignore"):
             low = np.where(c > 0.0, c * self.lo, np.where(c < 0.0, c * self.hi,
                                                          0.0))
-        return float(np.sum(low) - self.b @ y) \
-            > tol * self.x_scale * float(np.sum(y))
+        bounds = np.abs(np.concatenate([self.lo, self.hi]))
+        x_scale = max(1.0, float(np.max(bounds[np.isfinite(bounds)],
+                                        initial=0.0)))
+        return float(np.sum(low) - self.b @ y) > tol * x_scale * float(np.sum(y))
 
 
 @dataclass(eq=False)
@@ -290,14 +290,26 @@ def _ldp_rows(quad_diag: bytes, h: int, prefix: bool, keep: bytes) -> LdpRows:
     return LdpRows(np.frombuffer(quad_diag), _row_matrix(h, prefix)[keep])
 
 
-@dataclass
+@dataclass(slots=True)
 class QpSolution:
+    """One solve's point and status. ``objective`` is evaluated when read,
+    from ``problem`` and the linear term ``lin`` it was solved with (inf
+    when infeasible), so a caller that needs only the point does not pay
+    for it. ``lin`` is held, not copied."""
+
     profile: np.ndarray
-    objective: float
     iterations: int  # 0 for the unconstrained shortcut, 1 for an LDP solve
     primal_residual: float  # max constraint violation of profile
     status: str
-    fixed_point_residual: float = field(default=np.nan)
+    fixed_point_residual: float
+    problem: HorizonQp
+    lin: np.ndarray
+
+    @property
+    def objective(self) -> float:
+        if self.status == INFEASIBLE:
+            return np.inf
+        return self.problem.objective(self.profile, self.lin)
 
 
 def feasibility_check(qp: HorizonQp) -> str:
@@ -328,6 +340,7 @@ def solve(qp: HorizonQp, lin, tol: float = 1e-8,
         raise ValueError("lin must be finite")
     x, status, iters, viol = qp.ldp.solve(lin, tol, max_iter)
     if status == INFEASIBLE:
-        return QpSolution(np.zeros(qp.h), np.inf, iters, viol, INFEASIBLE)
-    return QpSolution(x, qp.objective(x, lin), iters, viol, status,
-                      0.0 if status == OPTIMAL else np.nan)
+        return QpSolution(np.zeros(qp.h), iters, viol, INFEASIBLE, np.nan,
+                          qp, lin)
+    return QpSolution(x, iters, viol, status,
+                      0.0 if status == OPTIMAL else np.nan, qp, lin)

@@ -31,11 +31,12 @@ def enumerate_qp(quad_diag, lin, a_ub, b_ub, tol: float = 1e-9):
     usable for small n and modest constraint counts. Returns (x, obj) or
     (None, None) when no candidate subset yields a feasible point.
 
-    The KKT systems of one subset size are solved in one stacked call;
-    singular ones (rows of the subset linearly dependent) by least squares.
-    Subsets holding both sides of one bound (rows a and -a) are skipped:
-    their systems are singular, and the optimum is always the KKT point of
-    a subset whose rows are linearly independent.
+    The KKT systems of one subset size are solved in one stacked call.
+    Subsets whose rows are linearly dependent are skipped: the optimum of a
+    strictly convex QP is always the KKT point of a subset whose rows are
+    linearly independent. Subsets holding both sides of one bound (rows a
+    and -a) are the commonest such case and are dropped first, before any
+    rank is computed.
     """
     d = np.asarray(quad_diag, dtype=float)
     q = np.asarray(lin, dtype=float)
@@ -53,6 +54,8 @@ def enumerate_qp(quad_diag, lin, a_ub, b_ub, tol: float = 1e-9):
         combos = list(itertools.combinations(range(m), k))
         idx = np.array(combos, dtype=int).reshape(len(combos), k)
         idx = idx[~opposite[idx[:, :, None], idx[:, None, :]].any(axis=(1, 2))]
+        if k and len(idx):
+            idx = idx[np.linalg.matrix_rank(a[idx]) == k]
         count = idx.shape[0]
         if not count:
             continue
@@ -63,15 +66,7 @@ def enumerate_qp(quad_diag, lin, a_ub, b_ub, tol: float = 1e-9):
         kkt[:, :n, n:] = a_s.transpose(0, 2, 1)
         kkt[:, n:, :n] = a_s
         rhs = np.concatenate([np.broadcast_to(-q, (count, n)), b[idx]], axis=1)
-        regular = (np.linalg.matrix_rank(a_s) == k) if k \
-            else np.ones(count, dtype=bool)
-        sol = np.empty_like(rhs)
-        if regular.any():
-            sol[regular] = np.linalg.solve(kkt[regular],
-                                           rhs[regular][..., None])[..., 0]
-        for r in np.flatnonzero(~regular):
-            sol[r], *_ = np.linalg.lstsq(kkt[r], rhs[r], rcond=None)
-        x_all = sol[:, :n]
+        x_all = np.linalg.solve(kkt, rhs[..., None])[:, :n, 0]
         ok = np.all(np.isfinite(x_all), axis=1)
         ok[ok] = np.all(x_all[ok] @ a.T <= b + tol, axis=1)
         for x in x_all[ok]:

@@ -16,6 +16,8 @@ from shipems.coordinator import (
     default_balance_tol_w,
     dual_update,
 )
+from shipems import qp as qpmod
+from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pcm_solve, pgm_qp, pgm_solve
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
 from fleets import feasible_demand, fleet_reach_intervals, random_fleet
 from oracles import min_max_residual_w, min_shortfall_w
@@ -177,6 +179,37 @@ class TestCoordinateBehavior:
         with pytest.raises(RuntimeError):
             coordinate(fleet, np.full(5, 30e6))
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"alpha": -1.0}, "alpha"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": np.nan}, "alpha"),
+        ({"alpha": np.inf}, "alpha"),
+        ({"bal_tol_w": -1.0}, "bal_tol_w"),
+        ({"bal_tol_w": 0.0}, "bal_tol_w"),
+        ({"bal_tol_w": np.nan}, "bal_tol_w"),
+        ({"lambda_warm": np.zeros(4)}, "lambda_warm"),
+        ({"lambda_warm": np.array([0.0, np.nan, 0.0, 0.0, 0.0])},
+         "lambda_warm"),
+        ({"lambda_warm": np.full(5, np.inf)}, "lambda_warm"),
+    ])
+    def test_rejects_bad_arguments_at_entry(self, kwargs, name):
+        # the first iterate of this fleet balances, so an argument that is
+        # only used from the second iteration on must still be rejected
+        fleet = two_node_fleet(rated=0.0)
+        assert coordinate(fleet, np.zeros(5)).iterations_used == 1
+        with pytest.raises(ValueError, match=name):
+            coordinate(fleet, np.zeros(5), **kwargs)
+
+    @pytest.mark.parametrize("p_f", [
+        np.array([10e6, np.nan, 10e6, 10e6, 10e6]),
+        np.array([10e6, 10e6, np.inf, 10e6, 10e6]),
+        np.zeros(0),
+        np.zeros((2, 5)),
+    ])
+    def test_rejects_bad_demand_at_entry(self, p_f):
+        with pytest.raises(ValueError, match="p_f"):
+            coordinate(two_node_fleet(), p_f)
+
     def test_fleet_validation(self):
         with pytest.raises(ValueError):
             Fleet(bus=BUS, pgms=[], pcms=[])
@@ -220,6 +253,84 @@ class TestExitContract:
             least = min_shortfall_w(fleet, p_f)
             assert least - tol <= rep.shortfall_w \
                 <= max(least + tol, default_balance_tol_w(p_f))
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def fresh_node_problems(fleet, h):
+    gen = [pgm_qp(g.spec, g.prev_power_w, h) for g in fleet.pgms]
+    batt = [pcm_qp(b.spec, fleet.bus, b.soc, b.prev_power_w, fleet.td_s, h)
+            for b in fleet.pcms]
+    return gen, batt
+
+
+def report_at_feasible_demand(seed):
+    rng = np.random.default_rng(seed)
+    fleet = random_fleet(rng)
+    p_f = feasible_demand(rng, fleet, 5)
+    return fleet, coordinate(fleet, p_f)
+
+
+class TestReportContract:
+    """The report's node results hold values that are evaluated when read;
+    they must be what a solve at the reported price gives."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_nodes_are_fresh_solves_at_the_final_price(self, seed):
+        fleet, rep = report_at_feasible_demand(seed)
+        lam = rep.lambda_final
+        gen_qps, batt_qps = fresh_node_problems(fleet, lam.size)
+        fresh = [pgm_solve(p, lam, g.spec)
+                 for p, g in zip(gen_qps, fleet.pgms)]
+        fresh += [pcm_solve(p, lam, b.spec)
+                  for p, b in zip(batt_qps, fleet.pcms)]
+        for r, f in zip(rep.gen + rep.batt, fresh, strict=True):
+            assert bits(r.profile) == bits(f.profile)
+            assert r.qp_status == f.qp_status
+            assert bits(r.local_objective) == bits(f.local_objective)
+            if f.soc_trajectory is None:
+                assert r.soc_trajectory is None
+            else:
+                assert bits(r.soc_trajectory) == bits(f.soc_trajectory)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_report_values_match_closed_forms(self, seed):
+        fleet, rep = report_at_feasible_demand(seed)
+        for g, r in zip(fleet.pgms, rep.gen, strict=True):
+            w = max(g.spec.weight_beta, WEIGHT_FLOOR)
+            dev = r.profile - g.spec.rated_power_w
+            assert r.local_objective == pytest.approx(
+                0.5 * w * np.sum(dev ** 2), rel=1e-12)
+            assert r.soc_trajectory is None
+        for b, r in zip(fleet.pcms, rep.batt, strict=True):
+            w = max(b.spec.weight_gamma, WEIGHT_FLOOR)
+            assert r.local_objective == pytest.approx(
+                0.5 * w * np.sum(r.profile ** 2), rel=1e-12)
+            # SoC_k = SoC_0 - td/(3600*Q_Ah*v_bus) * sum_{j<k} p_j
+            kappa = fleet.td_s / (b.spec.capacity_ah * 3600.0
+                                  * fleet.bus.v_bus_volt)
+            soc = np.concatenate([[b.soc], b.soc - kappa * np.cumsum(r.profile)])
+            np.testing.assert_allclose(r.soc_trajectory, soc, rtol=0.0,
+                                       atol=1e-12)
+        assert rep.objective() == sum(r.local_objective
+                                      for r in rep.gen + rep.batt)
+
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 1e8))
+    @settings(max_examples=30, deadline=None)
+    def test_solution_objective_is_the_problem_objective(self, seed, spread):
+        fleet, rep = report_at_feasible_demand(seed)
+        rng = np.random.default_rng(seed)
+        gen_qps, batt_qps = fresh_node_problems(fleet, 5)
+        for problem in gen_qps + batt_qps:
+            lin = rep.lambda_final + rng.uniform(-spread, spread, 5)
+            sol = qpmod.solve(problem, lin)
+            assert sol.status != qpmod.INFEASIBLE
+            assert bits(sol.objective) == bits(problem.objective(sol.profile,
+                                                                 lin))
 
 
 class TestDualState:
