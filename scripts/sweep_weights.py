@@ -10,7 +10,7 @@ import os
 import sys
 
 from shipems.config import load_config
-from shipems.harness import SUMMARY_HEADER, sweep
+from shipems.harness import SUMMARY_HEADER, summary_line, sweep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRID = [float(v) for v in range(11)]
@@ -28,9 +28,7 @@ def main() -> int:
         print(f"{name}: {len(rows)} cells")
         print("  " + ",".join(SUMMARY_HEADER))
         for r in rows:
-            print(f"  {r.beta},{r.gamma},{r.battery_energy_wh:.2f},"
-                  f"{r.generator_energy_wh:.2f},{r.capacity_loss_percent:.8f},"
-                  f"{r.shortfall_events},{r.status}")
+            print("  " + summary_line(r))
     return 0
 
 

@@ -82,11 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = harness.sweep(cfg, betas, gammas, out_dir=args.out)
         print(",".join(harness.SUMMARY_HEADER))
         for r in rows:
-            print(f"{r.beta},{r.gamma},{r.battery_energy_wh},"
-                  f"{r.generator_energy_wh},{r.battery_discharge_wh},"
-                  f"{r.battery_charge_wh},{r.capacity_loss_percent},"
-                  f"{r.capacity_remaining_percent},{r.shortfall_events},"
-                  f"{r.status}")
+            print(harness.summary_line(r))
         failed = [r for r in rows if r.status != "ok"]
         if failed:
             print(f"{len(failed)} cell(s) failed", file=sys.stderr)

@@ -30,7 +30,7 @@ A step that no bound proves unbalanceable runs to its iteration budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -92,19 +92,6 @@ class Fleet:
         w = [max(g.spec.weight_beta, WEIGHT_FLOOR) for g in self.pgms]
         w += [max(b.spec.weight_gamma, WEIGHT_FLOOR) for b in self.pcms]
         return w
-
-
-@dataclass
-class DualState:
-    """Price iterate of the ascent loop."""
-
-    lam: np.ndarray
-    iteration: int = 0
-    balance_residual_history: list[float] = field(default_factory=list)
-
-    def record(self, residual_inf: float):
-        self.iteration += 1
-        self.balance_residual_history.append(residual_inf)
 
 
 @dataclass
@@ -254,7 +241,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         alpha = default_alpha(fleet)
     if bal_tol_w is None:
         bal_tol_w = default_balance_tol_w(p_f)
-    state = DualState(lam)
+    history = []  # worst-step residual of every iterate
     problems = _node_problems(fleet, h)
     qps = problems[0] + problems[1]
     short_w, over_w = _reach_bounds(qps, p_f)
@@ -264,29 +251,29 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     best = None  # (residual, price, gen, batt, total)
     converged = False
     for _ in range(max_iter):
-        gen, batt = _solve_all(fleet, state.lam, problems)
+        gen, batt = _solve_all(fleet, lam, problems)
         total = np.zeros(h)
         for r in gen + batt:
             total += r.profile
         residual = total - p_f
         res_inf = float(np.max(np.abs(residual)))
-        state.record(res_inf)
+        history.append(res_inf)
         at_reach = (reach_w > bal_tol_w and res_inf <= reach_w + attained_w
                     and float(np.max(-residual))
                     <= max(short_w + attained_w, bal_tol_w))
         if best is None or res_inf < best[0] or at_reach:
-            best = (res_inf, state.lam.copy(), gen, batt, total)
+            best = (res_inf, lam, gen, batt, total)
         if res_inf <= bal_tol_w:
             converged = True
             break
         if at_reach:
             break
-        if state.iteration == LP_BOUND_ITERATION:
+        if len(history) == LP_BOUND_ITERATION:
             least = _min_residual_lp(qps, p_f)
         if least is not None and least > bal_tol_w \
                 and best[0] <= least + attained_w:
             break
-        state.lam = dual_update(state.lam, total, p_f, alpha)
+        lam = dual_update(lam, total, p_f, alpha)
     # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, total = best
     shortfall = 0.0 if converged else max(0.0, float(np.max(p_f - total)))
@@ -295,10 +282,10 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         batt=batt,
         lambda_final=lam_final,
         converged=converged,
-        iterations_used=state.iteration,
+        iterations_used=len(history),
         final_residual_w=final_res,
         shortfall_w=shortfall,
-        residual_history=state.balance_residual_history,
+        residual_history=history,
     )
 
 

@@ -38,11 +38,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _csv_line(values) -> str:
+    return ",".join(_fmt(v) for v in values)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(_csv_line(row) + "\n")
 
 
 def write_timeseries_csv(log: SimLog, path: str) -> None:
@@ -98,11 +102,8 @@ class SweepResultRow:
     status: str = "ok"
 
 
-SUMMARY_HEADER = [
-    "beta", "gamma", "battery_energy_wh", "generator_energy_wh",
-    "battery_discharge_wh", "battery_charge_wh", "capacity_loss_percent",
-    "capacity_remaining_percent", "shortfall_events", "status",
-]
+# summary.csv has one column per field, in field order
+SUMMARY_HEADER = [f.name for f in dataclasses.fields(SweepResultRow)]
 
 
 def summarize(cfg: ScenarioConfig, log: SimLog) -> SweepResultRow:
@@ -128,14 +129,13 @@ def summarize(cfg: ScenarioConfig, log: SimLog) -> SweepResultRow:
     )
 
 
+def summary_line(row: SweepResultRow) -> str:
+    """The summary.csv line of one sweep cell, without its newline."""
+    return _csv_line(dataclasses.astuple(row))
+
+
 def write_summary_csv(rows: list[SweepResultRow], path: str) -> None:
-    _write_csv(
-        path, SUMMARY_HEADER,
-        ([r.beta, r.gamma, r.battery_energy_wh, r.generator_energy_wh,
-          r.battery_discharge_wh, r.battery_charge_wh,
-          r.capacity_loss_percent, r.capacity_remaining_percent,
-          r.shortfall_events, r.status] for r in rows),
-    )
+    _write_csv(path, SUMMARY_HEADER, map(dataclasses.astuple, rows))
 
 
 def run_to_artifacts(cfg: ScenarioConfig, out_dir: str) -> SimLog:

@@ -109,20 +109,19 @@ def pcm_qp(spec: PcmSpec, bus: BusSpec, soc0: float, prev_power_w: float,
     )
 
 
-def pgm_solve(problem: qpmod.HorizonQp, lam: np.ndarray, spec: PgmSpec,
-              tol: float = 1e-8, max_iter: int = 100_000) -> NodeResult:
+def pgm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
+              spec: PgmSpec) -> NodeResult:
     """Solve the generator's `pgm_qp` at the price profile ``lam``."""
-    sol = qpmod.solve(problem, lam - problem.quad_diag * spec.rated_power_w,
-                      tol=tol, max_iter=max_iter)
+    sol = qpmod.solve(problem, lam - problem.quad_diag * spec.rated_power_w)
     return NodeResult(sol.profile, sol.status, sol.iterations,
                       max(spec.weight_beta, WEIGHT_FLOOR), spec.rated_power_w)
 
 
-def pcm_solve(problem: qpmod.HorizonQp, lam: np.ndarray, spec: PcmSpec,
-              tol: float = 1e-8, max_iter: int = 100_000) -> NodeResult:
+def pcm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
+              spec: PcmSpec) -> NodeResult:
     """Solve the battery's `pcm_qp` at the price profile ``lam``; the
     result carries the eliminated-state SoC path."""
-    sol = qpmod.solve(problem, lam, tol=tol, max_iter=max_iter)
+    sol = qpmod.solve(problem, lam)
     return NodeResult(sol.profile, sol.status, sol.iterations,
                       max(spec.weight_gamma, WEIGHT_FLOOR), 0.0,
                       problem.cumsum_coeff, problem.cumsum_init)

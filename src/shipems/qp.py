@@ -45,6 +45,8 @@ FEASIBLE = "feasible"
 # (Hessian, row pattern) pairs whose `LdpRows` are kept; a fleet needs one
 # per device, and criterion 1's 40 cross-check fleets about 140
 LDP_ROWS_MEMO_SIZE = 256
+# iteration cap of one `nnls` call; a solve that hits it is MAX_ITER
+NNLS_MAX_ITER = 100_000
 FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -90,7 +92,7 @@ class Ldp:
         """Largest violation of a unit-norm row at x (0 when feasible)."""
         return float((self.a @ x - self.b).max(initial=0.0))
 
-    def solve(self, q, tol: float, max_iter: int = 100_000):
+    def solve(self, q, tol: float):
         """Returns (x, status, iterations, violation); x is None when
         infeasible.
 
@@ -109,10 +111,10 @@ class Ldp:
             return xu, OPTIMAL, 0, self.violation(xu)  # by a subnormal
         self.e[-1] = h / s
         try:
-            u, _ = nnls(self.e, self.unit, maxiter=max_iter)
+            u, _ = nnls(self.e, self.unit, maxiter=NNLS_MAX_ITER)
         except RuntimeError:  # iteration cap
             x = np.clip(xu, self.lo, self.hi)
-            return x, MAX_ITER, max_iter, self.violation(x)
+            return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
         r = self.e @ u - self.unit
         if r[-1] < 0.0:
             x = xu - (s / r[-1]) * self.w * r[:-1]
@@ -320,14 +322,13 @@ def feasibility_check(qp: HorizonQp) -> str:
     return FEASIBLE if status == OPTIMAL else status
 
 
-def solve(qp: HorizonQp, lin, tol: float = 1e-8,
-          max_iter: int = 100_000) -> QpSolution:
+def solve(qp: HorizonQp, lin, tol: float = 1e-8) -> QpSolution:
     """Minimize 0.5 x'Dx + lin'x over the constraint set of ``qp`` exactly;
     see the module docstring for the method. ``lin`` may be a scalar.
 
     ``status`` is "infeasible" when the polytope is certified empty
     (profile all zeros, objective inf), "max_iter" when `nnls` hit
-    ``max_iter`` or its point could not be verified (the best point is
+    `NNLS_MAX_ITER` or its point could not be verified (the best point is
     returned), "optimal" otherwise. ``tol`` is the accepted constraint
     violation relative to max(1, ||x||inf).
     """
@@ -338,7 +339,7 @@ def solve(qp: HorizonQp, lin, tol: float = 1e-8,
         lin = np.full(qp.h, lin)
     if not np.isfinite(lin).all():
         raise ValueError("lin must be finite")
-    x, status, iters, viol = qp.ldp.solve(lin, tol, max_iter)
+    x, status, iters, viol = qp.ldp.solve(lin, tol)
     if status == INFEASIBLE:
         return QpSolution(np.zeros(qp.h), iters, viol, INFEASIBLE, np.nan,
                           qp, lin)

@@ -92,8 +92,8 @@ class SimLog:
 
     Time-series arrays are thinned by cfg.log_every and sample state at the
     step start; energy totals and violation counters accumulate at full
-    plant resolution. Applied-setpoint records and MPC diagnostics have one
-    row per event regardless of thinning.
+    plant resolution. MPC diagnostics have one row per MPC step and
+    applied-setpoint records one per applied plan, regardless of thinning.
     """
 
     time_s: np.ndarray
@@ -168,6 +168,14 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
                   n_total, cfg.log_every, cfg.constant_c_rate)
     pref_g, pref_b, soc = plant.pref_g, plant.pref_b, plant.soc
 
+    def advance(start, stop):
+        """Run the plant from step start to step stop; returns stop."""
+        if stop > start:
+            plant.advance(stop - start, start,
+                          load_at((start + np.arange(stop - start)) * dt,
+                                  cfg.load))
+        return stop
+
     # MPC bookkeeping
     mpc_t, mpc_it, mpc_res, mpc_lam0 = [], [], [], []
     mpc_conv, mpc_short = [], []
@@ -175,11 +183,13 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
     box_v = ramp_v = soc_v = 0
     shortfall_events = 0
     lam_warm = None
-    # plans awaiting application: (apply_step, gen_refs, batt_refs, plan_meta)
-    pending = []
-
-    def snapshot_and_solve(step):
-        nonlocal lam_warm, shortfall_events, soc_v
+    cur = 0
+    # one iteration per MPC period: measure and coordinate at step, apply
+    # the first-step setpoints delay_steps later. The delay never exceeds
+    # the period, so a plan lands no later than the next measurement, and
+    # at a delay of one period it is applied first.
+    for step in range(0, n_total, period_steps):
+        cur = advance(cur, step)
         t = step * dt
         if cfg.solver.load_preview:
             times = t + cfg.comm_delay_s + td * np.arange(h)
@@ -225,66 +235,31 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
         mpc_short.append(rep.shortfall_w)
         if not rep.converged:
             shortfall_events += 1
+
+        if step + delay_steps >= n_total:
+            continue  # the plan would land after the end
+        cur = advance(cur, step + delay_steps)
         gen_refs = np.array([r.profile[0] for r in rep.gen])
         batt_refs = np.array([r.profile[0] for r in rep.batt])
+        for specs, refs, prev in ((cfg.pgms, gen_refs, pref_g),
+                                  (cfg.pcms, batt_refs, pref_b)):
+            for spec, ref, p in zip(specs, refs, prev):
+                tol = _check_tol(spec.p_max_w)
+                if not spec.p_min_w - tol <= ref <= spec.p_max_w + tol:
+                    box_v += 1
+                if abs(ref - p) > spec.ramp_limit_w_per_step + tol:
+                    ramp_v += 1
         # feasibility of each battery plan against its own SoC model
-        plan_soc_ok = all(
-            bool(np.all(r.soc_trajectory >= spec.soc_min - SOC_TOL)
-                 and np.all(r.soc_trajectory <= spec.soc_max + SOC_TOL))
-            for r, spec in zip(rep.batt, cfg.pcms)
-        )
-        return gen_refs, batt_refs, plan_soc_ok
-
-    def apply_plan(step, gen_refs, batt_refs, plan_soc_ok):
-        nonlocal box_v, ramp_v, soc_v
-        for i, spec in enumerate(cfg.pgms):
-            tol = _check_tol(spec.p_max_w)
-            if not (spec.p_min_w - tol <= gen_refs[i] <= spec.p_max_w + tol):
-                box_v += 1
-            if abs(gen_refs[i] - pref_g[i]) > spec.ramp_limit_w_per_step + tol:
-                ramp_v += 1
-        for j, spec in enumerate(cfg.pcms):
-            tol = _check_tol(spec.p_max_w)
-            if not (spec.p_min_w - tol <= batt_refs[j] <= spec.p_max_w + tol):
-                box_v += 1
-            if abs(batt_refs[j] - pref_b[j]) > spec.ramp_limit_w_per_step + tol:
-                ramp_v += 1
-        if not plan_soc_ok:
+        if not all(np.all(r.soc_trajectory >= spec.soc_min - SOC_TOL)
+                   and np.all(r.soc_trajectory <= spec.soc_max + SOC_TOL)
+                   for r, spec in zip(rep.batt, cfg.pcms)):
             soc_v += 1
         pref_g[:] = gen_refs
         pref_b[:] = batt_refs
-        app_t.append(step * dt)
-        app_g.append(gen_refs.copy())
-        app_b.append(batt_refs.copy())
-
-    # event-driven main loop; the last event ends the run
-    events = {n_total: []}
-    for s in range(0, n_total, period_steps):
-        events.setdefault(s, []).append("measure")
-        a = s + delay_steps
-        if a < n_total:
-            events.setdefault(a, []).insert(0, "apply")  # apply before measure
-    cur = 0
-    for s in sorted(events):
-        if s > cur:
-            plant.advance(s - cur, cur, load_at((cur + np.arange(s - cur)) * dt,
-                                                cfg.load))
-            cur = s
-        for action in events[s]:
-            if action == "apply":
-                due = [p for p in pending if p[0] == s]
-                pending = [p for p in pending if p[0] != s]
-                for _, gr, br, ok in due:
-                    apply_plan(s, gr, br, ok)
-            else:
-                gr, br, ok = snapshot_and_solve(s)
-                a = s + delay_steps
-                if a >= n_total:
-                    continue
-                if delay_steps == 0:
-                    apply_plan(s, gr, br, ok)
-                else:
-                    pending.append((a, gr, br, ok))
+        app_t.append(cur * dt)
+        app_g.append(gen_refs)
+        app_b.append(batt_refs)
+    advance(cur, n_total)
 
     return SimLog(
         time_s=plant.log_t,
@@ -304,10 +279,8 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
         mpc_converged=np.array(mpc_conv, dtype=bool),
         mpc_shortfall_w=np.array(mpc_short),
         applied_time_s=np.array(app_t),
-        applied_gen_w=(np.array(app_g) if app_g
-                       else np.zeros((0, n_g))),
-        applied_batt_w=(np.array(app_b) if app_b
-                        else np.zeros((0, n_b))),
+        applied_gen_w=np.reshape(app_g, (len(app_g), n_g)),
+        applied_batt_w=np.reshape(app_b, (len(app_b), n_b)),
         box_violations=box_v,
         ramp_violations=ramp_v,
         soc_violations=soc_v,

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from shipems.coordinator import (
     LP_BOUND_ITERATION,
     CentralizedResult,
-    DualState,
     Fleet,
     PcmNodeState,
     PgmNodeState,
@@ -331,14 +330,6 @@ class TestReportContract:
             assert sol.status != qpmod.INFEASIBLE
             assert bits(sol.objective) == bits(problem.objective(sol.profile,
                                                                  lin))
-
-
-class TestDualState:
-    def test_record_keeps_invariant(self):
-        state = DualState(np.zeros(3))
-        for k in range(5):
-            state.record(float(k))
-            assert state.iteration == len(state.balance_residual_history)
 
 
 class TestCentralizedSolve:

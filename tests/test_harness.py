@@ -240,6 +240,18 @@ class TestCli:
         assert len(rows) == 2
         assert "beta,gamma" in capsys.readouterr().out
 
+    def test_sweep_stdout_rows_are_the_summary_lines(self, tmp_path, capsys):
+        # the failed cell's status is an error message, quoted in the CSV
+        cfg_path = write_cfg(tmp_path, short_cfg(duration_s=6.0))
+        out = tmp_path / "sw"
+        code = main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--beta", "1", "--gamma", "0.5,-1"])
+        assert code == 1
+        with open(out / "summary.csv", "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert capsys.readouterr().out.splitlines() == lines
+        assert len(lines) == 3
+
     def test_sweep_bad_list_exits_2(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, short_cfg())
         code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path),

@@ -421,6 +421,39 @@ class TestRunScenarioBookkeeping:
         assert log.time_s.shape[0] == 12000
         assert np.all(np.diff(log.mpc_time_s) == cfg.mpc_period_s)
 
+    @pytest.mark.parametrize("delay_s", [0.0, 0.3, 1.0])
+    def test_plans_land_one_delay_after_their_measurement(self, delay_s,
+                                                           monkeypatch):
+        # 12.5 s is not a whole number of 1 s periods: 13 measurements, and
+        # only the plans that land before the end are applied
+        steps = []
+        coordinate = shipems.sim.coordinate
+
+        def recorded(fleet, p_f, **kwargs):
+            rep = coordinate(fleet, p_f, **kwargs)
+            steps.append((fleet, rep))
+            return rep
+
+        monkeypatch.setattr(shipems.sim, "coordinate", recorded)
+        cfg = short_cfg(duration_s=12.5, comm_delay_s=delay_s, log_every=500)
+        log = run_scenario(cfg)
+        assert len(steps) == len(log.mpc_time_s) == 13
+        landed = log.mpc_time_s + delay_s < cfg.duration_s
+        n_applied = int(landed.sum())
+        assert n_applied == (12 if delay_s == cfg.mpc_period_s else 13)
+        np.testing.assert_allclose(log.applied_time_s,
+                                   log.mpc_time_s[landed] + delay_s,
+                                   rtol=0.0, atol=1e-9)
+        for k in range(n_applied):
+            assert log.applied_gen_w[k, 0] == steps[k][1].gen[0].profile[0]
+            assert log.applied_batt_w[k, 0] == steps[k][1].batt[0].profile[0]
+        # each measurement sees the previous plan in force; at a delay of
+        # one period the plan lands on the next measurement's step and
+        # must be applied before it
+        for k in range(min(n_applied, len(steps) - 1)):
+            assert steps[k + 1][0].pgms[0].prev_power_w \
+                == log.applied_gen_w[k, 0]
+
     def test_log_thinning_keeps_events_full_rate(self):
         cfg = short_cfg(duration_s=12.0, log_every=250)
         log = run_scenario(cfg)
