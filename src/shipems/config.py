@@ -8,10 +8,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .plant import BusSpec, DegradationParams, DlcGains, PcmSpec, PgmSpec
 from .sim import LoadProfileSpec
+
+
+def _check_types(obj) -> None:
+    """Reject a value of another type in a field annotated int or bool;
+    bool is a subclass of int, but true is no count."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(value, bool)
+                                or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,6 +37,7 @@ class SolverConfig:
     load_preview: bool = False
 
     def __post_init__(self):
+        _check_types(self)
         if self.alpha is not None and not self.alpha > 0.0:
             raise ValueError(f"alpha must be > 0 when given, got {self.alpha}")
         if self.bal_tol_w is not None and not self.bal_tol_w > 0.0:
@@ -55,6 +69,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self):
+        _check_types(self)
         if self.horizon_steps < 1:
             raise ValueError(
                 f"horizon_steps must be >= 1, got {self.horizon_steps}"

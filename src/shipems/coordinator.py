@@ -38,8 +38,8 @@ from scipy.optimize import linprog
 
 from . import qp as qpmod
 from .nodes import (
-    WEIGHT_FLOOR,
     NodeResult,
+    floored_weight,
     pcm_qp,
     pcm_solve,
     pgm_qp,
@@ -89,9 +89,7 @@ class Fleet:
             raise ValueError(f"td_s must be > 0, got {self.td_s}")
 
     def weights(self) -> list[float]:
-        w = [max(g.spec.weight_beta, WEIGHT_FLOOR) for g in self.pgms]
-        w += [max(b.spec.weight_gamma, WEIGHT_FLOOR) for b in self.pcms]
-        return w
+        return [floored_weight(d.spec) for d in self.pgms + self.pcms]
 
 
 @dataclass

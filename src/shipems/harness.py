@@ -54,36 +54,26 @@ def write_timeseries_csv(log: SimLog, path: str) -> None:
     n_g = log.gen_power_w.shape[1]
     n_b = log.batt_power_w.shape[1]
     header = ["t_s"]
+    columns = [log.time_s]
     for i in range(n_g):
         header += [f"p_g{i}_w", f"i_g{i}_a"]
+        columns += [log.gen_power_w[:, i], log.gen_current_a[:, i]]
     for j in range(n_b):
         header += [f"p_b{j}_w", f"i_b{j}_a", f"soc{j}", f"q_loss{j}_ah"]
+        columns += [log.batt_power_w[:, j], log.batt_current_a[:, j],
+                    log.soc[:, j], log.capacity_loss_ah[:, j]]
     header += ["p_load_w", "residual_w"]
-
-    def rows():
-        for k in range(log.time_s.shape[0]):
-            row = [log.time_s[k]]
-            for i in range(n_g):
-                row += [log.gen_power_w[k, i], log.gen_current_a[k, i]]
-            for j in range(n_b):
-                row += [log.batt_power_w[k, j], log.batt_current_a[k, j],
-                        log.soc[k, j], log.capacity_loss_ah[k, j]]
-            row += [log.load_w[k], log.balance_residual_w[k]]
-            yield row
-
-    _write_csv(path, header, rows())
+    columns += [log.load_w, log.balance_residual_w]
+    _write_csv(path, header, np.column_stack(columns).tolist())
 
 
 def write_mpc_diag_csv(log: SimLog, path: str) -> None:
     """One line per MPC solve: iterations, residual, first price component."""
     header = ["t_s", "iterations", "residual_w", "lambda0",
               "converged", "shortfall_w"]
-    rows = (
-        [log.mpc_time_s[k], log.mpc_iterations[k], log.mpc_residual_w[k],
-         log.mpc_lambda0[k], log.mpc_converged[k], log.mpc_shortfall_w[k]]
-        for k in range(log.mpc_time_s.shape[0])
-    )
-    _write_csv(path, header, rows)
+    _write_csv(path, header, zip(
+        log.mpc_time_s, log.mpc_iterations, log.mpc_residual_w,
+        log.mpc_lambda0, log.mpc_converged, log.mpc_shortfall_w))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,12 @@ class NodeResult:
         return soc
 
 
+def floored_weight(spec: PgmSpec | PcmSpec) -> float:
+    """Beta of a generator or gamma of a battery, floored at WEIGHT_FLOOR."""
+    w = spec.weight_beta if isinstance(spec, PgmSpec) else spec.weight_gamma
+    return max(w, WEIGHT_FLOOR)
+
+
 def soc_coeff(spec: PcmSpec, bus: BusSpec, td_s: float) -> float:
     """Per-step SoC sensitivity to power: SoC_{k+1} = SoC_k - coeff*p_k.
 
@@ -79,7 +85,7 @@ def pgm_qp(spec: PgmSpec, prev_power_w: float, h: int) -> qpmod.HorizonQp:
     box∩ramp; `pgm_solve` adds the price term."""
     return qpmod.HorizonQp(
         h=h,
-        quad_diag=max(spec.weight_beta, WEIGHT_FLOOR),
+        quad_diag=floored_weight(spec),
         lower=spec.p_min_w,
         upper=spec.p_max_w,
         ramp_limit=spec.ramp_limit_w_per_step,
@@ -97,7 +103,7 @@ def pcm_qp(spec: PcmSpec, bus: BusSpec, soc0: float, prev_power_w: float,
         )
     return qpmod.HorizonQp(
         h=h,
-        quad_diag=max(spec.weight_gamma, WEIGHT_FLOOR),
+        quad_diag=floored_weight(spec),
         lower=spec.p_min_w,
         upper=spec.p_max_w,
         ramp_limit=spec.ramp_limit_w_per_step,
@@ -114,7 +120,7 @@ def pgm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
     """Solve the generator's `pgm_qp` at the price profile ``lam``."""
     sol = qpmod.solve(problem, lam - problem.quad_diag * spec.rated_power_w)
     return NodeResult(sol.profile, sol.status, sol.iterations,
-                      max(spec.weight_beta, WEIGHT_FLOOR), spec.rated_power_w)
+                      floored_weight(spec), spec.rated_power_w)
 
 
 def pcm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
@@ -123,5 +129,5 @@ def pcm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
     result carries the eliminated-state SoC path."""
     sol = qpmod.solve(problem, lam)
     return NodeResult(sol.profile, sol.status, sol.iterations,
-                      max(spec.weight_gamma, WEIGHT_FLOOR), 0.0,
+                      floored_weight(spec), 0.0,
                       problem.cumsum_coeff, problem.cumsum_init)

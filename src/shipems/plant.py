@@ -214,10 +214,12 @@ class Plant:
     factor(C-rate) * |i_b|*dt of Ah-throughput, at the configured C-rate
     when ``constant_c_rate`` and at |i_b|/Q otherwise.
 
-    The state (``ig``, ``integ``, ``soc``, ``thr_as``, ``ql_ah``), the
-    energy accumulators and the thinned log are numpy arrays with one entry
-    per device, which `advance` updates in place. Generators start at the
-    held equilibrium of their rated power, batteries at rest.
+    The state (``ig``, ``integ``, ``soc``, ``thr_as``, ``ql_ah``) and the
+    energy accumulators are numpy arrays with one entry per device, which
+    `advance` updates in place. The thinned log holds the state and the
+    held inputs; ``log_pg``, ``log_ib`` and ``log_res`` are computed from
+    it when read. Generators start at the held equilibrium of their rated
+    power, batteries at rest.
     """
 
     def __init__(self, bus: BusSpec, pgms, pcms, gains: DlcGains, dt: float,
@@ -226,28 +228,25 @@ class Plant:
         n_g, n_b = len(pgms), len(pcms)
         self.dt = dt
         self.vbus = bus.v_bus_volt
+        self.gains = gains
+        self.pcms = list(pcms)
         self.log_every = log_every
         self.constant_c_rate = constant_c_rate
 
-        # generator parameters and state
-        self.pref_g = np.array([g.rated_power_w for g in pgms])
+        # generator state; the decay of the exact RL step is fixed
+        self.pref_g = np.array([g.rated_power_w for g in pgms], dtype=float)
         self.ig = self.pref_g / self.vbus
         self.rg = np.array([g.resistance_ohm for g in pgms])
-        self.lg = np.array([g.inductance_henry for g in pgms])
-        self.kp = np.full(n_g, gains.kp)
-        self.ki = np.full(n_g, gains.ki)
-        self.int_lim = np.full(n_g, gains.integrator_limit)
-        self.integ = np.where(self.ki > 0.0, self.rg * self.ig
-                              / np.maximum(self.ki, 1e-300), 0.0)
+        self.decay = [math.exp(-g.resistance_ohm * dt / g.inductance_henry)
+                      for g in pgms]
+        self.integ = (self.rg * self.ig / gains.ki if gains.ki > 0.0
+                      else np.zeros(n_g))
 
-        # battery parameters and state
+        # battery state
         self.pref_b = np.zeros(n_b)
         self.soc = np.array(soc0, dtype=float)
         self.thr_as = np.zeros(n_b)
         self.ql_ah = np.zeros(n_b)
-        self.qah = np.array([b.capacity_ah for b in pcms])
-        self.degradation = [b.degradation for b in pcms]
-        self.factor_const = np.array([d.factor() for d in self.degradation])
 
         # full-resolution accumulators (J)
         self.gen_e_j = np.zeros(n_g)
@@ -259,85 +258,92 @@ class Plant:
 
         # the log, one row per log_every plant steps
         rows = (n_steps + log_every - 1) // log_every
-        self.log_t = np.zeros(rows)
-        self.log_pg = np.zeros((rows, n_g))
+        self.log_t = np.arange(rows) * log_every * dt
         self.log_ig = np.zeros((rows, n_g))
         self.log_pb = np.zeros((rows, n_b))
-        self.log_ib = np.zeros((rows, n_b))
         self.log_soc = np.zeros((rows, n_b))
         self.log_thr = np.zeros((rows, n_b))
         self.log_ql = np.zeros((rows, n_b))
         self.log_pl = np.zeros(rows)
-        self.log_res = np.zeros(rows)
+
+    @property
+    def log_pg(self):
+        """Generator power v_bus*i_g at each logged step start."""
+        return self.vbus * self.log_ig
+
+    @property
+    def log_ib(self):
+        """Battery current p_b/v_bus at each logged step."""
+        return self.log_pb / self.vbus
+
+    @property
+    def log_res(self):
+        """sum(p_g) + sum(p_b) - p_l of each logged step, added left to
+        right from -p_l as the steps add it."""
+        terms = np.column_stack((-self.log_pl, self.log_pg, self.log_pb))
+        # the last running sum, copied so that it holds no other column
+        return terms.cumsum(axis=1)[:, -1].copy()
 
     def advance(self, n: int, step0: int, p_l):
         """Advance every device n plant steps from global step step0; p_l
         holds the demand (W) of each of those steps.
 
         A log row is written for every global step divisible by log_every,
-        sampling the state at the step start; the balance residual logged is
-        sum(p_g) + sum(p_b) - p_l. Raises RuntimeError if a state goes
-        non-finite.
+        sampling the state at the step start. Raises RuntimeError if a
+        state goes non-finite.
         """
-        dt, vbus, log_every = self.dt, self.vbus, self.log_every
-        ig, integ, rg, lg = self.ig, self.integ, self.rg, self.lg
-        kp, ki, int_lim, pref_g = self.kp, self.ki, self.int_lim, self.pref_g
-        soc, thr_as, ql_ah, qah = self.soc, self.thr_as, self.ql_ah, self.qah
-        pref_b, degradation = self.pref_b, self.degradation
-        factor_const, const_cr = self.factor_const, self.constant_c_rate
-        gen_e_j, bat_dis_j = self.gen_e_j, self.bat_dis_j
-        bat_chg_j, bat_abs_j = self.bat_chg_j, self.bat_abs_j
+        dt, vbus, every = self.dt, self.vbus, self.log_every
+        kp, ki = self.gains.kp, self.gains.ki
+        lim = self.gains.integrator_limit
+        ig, integ, rg = self.ig, self.integ, self.rg
+        soc, thr_as, ql_ah = self.soc, self.thr_as, self.ql_ah
+        gen_e_j, bat_abs_j = self.gen_e_j, self.bat_abs_j
         load_e_j, clamp_count = self.load_e_j, self.clamp_count
-        log_t, log_pg, log_ig = self.log_t, self.log_pg, self.log_ig
-        log_pb, log_ib, log_soc = self.log_pb, self.log_ib, self.log_soc
-        log_thr, log_ql = self.log_thr, self.log_ql
-        log_pl, log_res = self.log_pl, self.log_res
-        n_g = ig.shape[0]
-        n_b = soc.shape[0]
+        # the setpoints are held over the window, and so is all that
+        # follows from them: the current reference of each generator; the
+        # current, energy account and per-step increments of each battery
+        gens = [(i, p_ref / vbus, d, 1.0 - d)
+                for i, (p_ref, d) in enumerate(zip(self.pref_g, self.decay))]
+        batts = []
+        for j, (p_b, spec) in enumerate(zip(self.pref_b, self.pcms)):
+            i_b = p_b / vbus
+            f = spec.degradation.factor(
+                None if self.constant_c_rate else abs(i_b) / spec.capacity_ah)
+            batts.append((j, self.bat_dis_j if p_b >= 0.0 else self.bat_chg_j,
+                          abs(p_b) * dt, (dt / 3600.0) * i_b / spec.capacity_ah,
+                          abs(i_b) * dt, f * abs(i_b) * dt / 3600.0))
+        # the window logs rows row..stop-1, which sample the global steps
+        # row*every, ...: the window's steps k_log, k_log + every, ...
+        row = -(-step0 // every)
+        stop = -(-(step0 + n) // every)
+        k_log = row * every - step0
+        self.log_pb[row:stop] = self.pref_b
+        self.log_pl[row:stop] = p_l[k_log:n:every]
         for k in range(n):
-            gstep = step0 + k
-            p_l_k = p_l[k]
-            do_log = (gstep % log_every) == 0
-            row = gstep // log_every
-            if do_log:
-                log_t[row] = gstep * dt
-                log_pl[row] = p_l_k
-            res = -p_l_k
+            if k == k_log:
+                self.log_ig[row] = ig
+                self.log_soc[row] = soc
+                self.log_thr[row] = thr_as / 3600.0
+                self.log_ql[row] = ql_ah
+                row += 1
+                k_log += every
             # generators: PI voltage command, exact RL step over dt
-            for i in range(n_g):
-                p_g = vbus * ig[i]
-                res += p_g
-                gen_e_j[i] += p_g * dt
-                if do_log:
-                    log_pg[row, i] = p_g
-                    log_ig[row, i] = ig[i]
-                e = pref_g[i] / vbus - ig[i]
+            for i, i_ref, decay, rise in gens:
+                x = ig[i]
+                gen_e_j[i] += vbus * x * dt
+                e = i_ref - x
                 z = integ[i] + e * dt
-                if z > int_lim[i]:
-                    z = int_lim[i]
-                elif z < -int_lim[i]:
-                    z = -int_lim[i]
+                if z > lim:
+                    z = lim
+                elif z < -lim:
+                    z = -lim
                 integ[i] = z
-                dv = kp[i] * e + ki[i] * z
-                decay = math.exp(-rg[i] * dt / lg[i])
-                ig[i] = ig[i] * decay + (dv / rg[i]) * (1.0 - decay)
-            # batteries: static algebra, coulomb counting, capacity fade
-            for j in range(n_b):
-                p_b = pref_b[j]
-                i_b = p_b / vbus
-                res += p_b
-                if p_b >= 0.0:
-                    bat_dis_j[j] += p_b * dt
-                else:
-                    bat_chg_j[j] -= p_b * dt
-                bat_abs_j[j] += abs(p_b) * dt
-                if do_log:
-                    log_pb[row, j] = p_b
-                    log_ib[row, j] = i_b
-                    log_soc[row, j] = soc[j]
-                    log_thr[row, j] = thr_as[j] / 3600.0
-                    log_ql[row, j] = ql_ah[j]
-                raw = soc[j] - (dt / 3600.0) * i_b / qah[j]
+                ig[i] = x * decay + ((kp * e + ki * z) / rg[i]) * rise
+            # batteries: energy accounts, coulomb counting, capacity fade
+            for j, account, e_j, d_soc, d_thr, d_ql in batts:
+                account[j] += e_j
+                bat_abs_j[j] += e_j
+                raw = soc[j] - d_soc
                 if raw < 0.0:
                     soc[j] = 0.0
                     clamp_count += 1
@@ -346,18 +352,9 @@ class Plant:
                     clamp_count += 1
                 else:
                     soc[j] = raw
-                abs_ib = abs(i_b)
-                thr_as[j] += abs_ib * dt
-                if const_cr:
-                    f = factor_const[j]
-                else:
-                    f = degradation[j].factor(abs_ib / qah[j])
-                ql_ah[j] += f * abs_ib * dt / 3600.0
-            load_e_j += p_l_k * dt
-            if do_log:
-                log_res[row] = res
+                thr_as[j] += d_thr
+                ql_ah[j] += d_ql
+            load_e_j += p_l[k] * dt
         self.load_e_j, self.clamp_count = load_e_j, clamp_count
-        if not (np.all(np.isfinite(ig)) and np.all(np.isfinite(integ))
-                and np.all(np.isfinite(soc))):
-            raise RuntimeError(
-                f"non-finite plant state at t={(step0 + n) * dt}")
+        if not all(np.isfinite(a).all() for a in (ig, integ, soc)):
+            raise RuntimeError(f"non-finite plant state at t={(step0 + n) * dt}")

@@ -176,19 +176,18 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
                                   cfg.load))
         return stop
 
-    # MPC bookkeeping
-    mpc_t, mpc_it, mpc_res, mpc_lam0 = [], [], [], []
-    mpc_conv, mpc_short = [], []
+    # MPC bookkeeping: one report per MPC step, one record per applied plan
+    reports = []
     app_t, app_g, app_b = [], [], []
     box_v = ramp_v = soc_v = 0
-    shortfall_events = 0
     lam_warm = None
     cur = 0
     # one iteration per MPC period: measure and coordinate at step, apply
     # the first-step setpoints delay_steps later. The delay never exceeds
     # the period, so a plan lands no later than the next measurement, and
     # at a delay of one period it is applied first.
-    for step in range(0, n_total, period_steps):
+    mpc_steps = range(0, n_total, period_steps)
+    for step in mpc_steps:
         cur = advance(cur, step)
         t = step * dt
         if cfg.solver.load_preview:
@@ -227,14 +226,7 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
         # receding-horizon warm start: the price shifted one step, its last
         # entry held
         lam_warm = np.append(rep.lambda_final[1:], rep.lambda_final[-1])
-        mpc_t.append(t)
-        mpc_it.append(rep.iterations_used)
-        mpc_res.append(rep.final_residual_w)
-        mpc_lam0.append(float(rep.lambda_final[0]))
-        mpc_conv.append(rep.converged)
-        mpc_short.append(rep.shortfall_w)
-        if not rep.converged:
-            shortfall_events += 1
+        reports.append(rep)
 
         if step + delay_steps >= n_total:
             continue  # the plan would land after the end
@@ -272,12 +264,13 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
         capacity_loss_ah=plant.log_ql,
         load_w=plant.log_pl,
         balance_residual_w=plant.log_res,
-        mpc_time_s=np.array(mpc_t),
-        mpc_iterations=np.array(mpc_it, dtype=int),
-        mpc_residual_w=np.array(mpc_res),
-        mpc_lambda0=np.array(mpc_lam0),
-        mpc_converged=np.array(mpc_conv, dtype=bool),
-        mpc_shortfall_w=np.array(mpc_short),
+        mpc_time_s=np.array(mpc_steps) * dt,
+        mpc_iterations=np.array([r.iterations_used for r in reports],
+                                dtype=int),
+        mpc_residual_w=np.array([r.final_residual_w for r in reports]),
+        mpc_lambda0=np.array([float(r.lambda_final[0]) for r in reports]),
+        mpc_converged=np.array([r.converged for r in reports], dtype=bool),
+        mpc_shortfall_w=np.array([r.shortfall_w for r in reports]),
         applied_time_s=np.array(app_t),
         applied_gen_w=np.reshape(app_g, (len(app_g), n_g)),
         applied_batt_w=np.reshape(app_b, (len(app_b), n_b)),
@@ -285,7 +278,7 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
         ramp_violations=ramp_v,
         soc_violations=soc_v,
         soc_clamp_events=plant.clamp_count,
-        shortfall_events=shortfall_events,
+        shortfall_events=sum(not r.converged for r in reports),
         gen_energy_wh=plant.gen_e_j / 3600.0,
         batt_discharge_wh=plant.bat_dis_j / 3600.0,
         batt_charge_wh=plant.bat_chg_j / 3600.0,

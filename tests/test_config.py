@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from shipems.config import (
@@ -119,6 +120,35 @@ class TestValidation:
             SolverConfig(bal_tol_w=-1.0)
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=0)
+
+    @pytest.mark.parametrize("path, value", [
+        ("horizon_steps", 2.5),
+        ("horizon_steps", True),
+        ("log_every", 2.5),
+        ("seed", "x"),
+        ("seed", 1.0),
+        ("solver.max_iter", 2.5),
+        ("solver.load_preview", "false"),
+        ("constant_c_rate", "no"),
+        ("constant_c_rate", 0),
+    ])
+    def test_mistyped_values_rejected_at_load(self, path, value):
+        # a count that is not an integer, or a flag that is not a bool,
+        # names its field instead of failing later or reading as truthy
+        d = default_config().to_json_dict()
+        *parents, key = path.split(".")
+        node = d
+        for p in parents:
+            node = node[p]
+        node[key] = value
+        with pytest.raises(ValueError, match=key):
+            from_json_dict(d)
+
+    def test_numpy_integers_accepted(self):
+        cfg = dataclasses.replace(
+            default_config(), horizon_steps=np.int64(3), log_every=np.int32(7),
+            seed=np.uint8(1), solver=SolverConfig(max_iter=np.int64(50)))
+        cfg.validate()
 
     def test_default_config_is_valid(self):
         default_config().validate()

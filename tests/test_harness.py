@@ -230,6 +230,15 @@ class TestCli:
         assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "horizon_steps" in capsys.readouterr().err
 
+    def test_mistyped_config_exits_2(self, tmp_path, capsys):
+        d = default_config().to_json_dict()
+        d["log_every"] = 2.5
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "log_every" in err
+
     def test_sweep_csv_and_exit(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, short_cfg(duration_s=6.0))
         out = tmp_path / "sw"

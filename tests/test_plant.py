@@ -283,6 +283,42 @@ class TestClosedForms:
                                    factor * plant.log_thr[1:, 0], rtol=1e-12)
 
 
+class TestWindowBoundaries:
+    """Held setpoints advanced in one call or in two give the same plant."""
+
+    STATE = ("ig", "integ", "soc", "thr_as", "ql_ah", "gen_e_j", "bat_dis_j",
+             "bat_chg_j", "bat_abs_j", "load_e_j", "clamp_count")
+    LOG = ("log_t", "log_pg", "log_ig", "log_pb", "log_ib", "log_soc",
+           "log_thr", "log_ql", "log_pl", "log_res")
+
+    @staticmethod
+    def plant(n, constant_c_rate):
+        pgms = [PgmSpec(), PgmSpec(rated_power_w=5e6, resistance_ohm=0.03)]
+        # the first battery discharges 10 C from 1e-4 above empty, so it
+        # reaches the SoC clamp within the first call and stays there
+        pcms = [PcmSpec(capacity_ah=100.0), PcmSpec(),
+                PcmSpec(capacity_ah=500.0)]
+        plant = Plant(BUS, pgms, pcms, DlcGains(), 1e-3, [1e-4, 0.5, 0.7], n,
+                      log_every=7, constant_c_rate=constant_c_rate)
+        plant.pref_g[:] = [30e6, 2e6]
+        plant.pref_b[:] = [1e6, -3e6, 0.5e6]
+        return plant
+
+    @pytest.mark.parametrize("constant_c_rate", [True, False])
+    def test_split_window_is_bitwise_one_window(self, constant_c_rate):
+        n, split = 200, 45  # 45 is no multiple of log_every
+        p_l = np.linspace(20e6, 45e6, n)
+        one = self.plant(n, constant_c_rate)
+        one.advance(n, 0, p_l)
+        two = self.plant(n, constant_c_rate)
+        two.advance(split, 0, p_l[:split])
+        two.advance(n - split, split, p_l[split:])
+        assert 0 < one.clamp_count < n
+        for name in self.STATE + self.LOG:
+            a, b = np.asarray(getattr(one, name)), np.asarray(getattr(two, name))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 class TestSpecValidation:
     def test_pgm_bounds(self):
         with pytest.raises(ValueError):

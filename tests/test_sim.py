@@ -15,6 +15,7 @@ from shipems.config import (
     ScenarioConfig,
     SolverConfig,
     default_config,
+    from_json_dict,
     load_config,
 )
 from shipems.plant import BusSpec, PcmSpec, PgmSpec, Plant
@@ -226,6 +227,18 @@ class TestRunScenarioSteadyState:
         first = log.time_s < cfg.comm_delay_s
         assert np.allclose(log.gen_power_w[first, 0], 36e6, rtol=1e-9)
         assert np.all(log.batt_power_w[first, 0] == 0.0)
+
+    def test_integer_rated_power_runs_as_float(self):
+        # a JSON integer must not make the setpoints an integer array,
+        # which would truncate every applied plan to whole watts
+        d = short_cfg(duration_s=5.0).to_json_dict()
+        d["pgms"][0]["rated_power_w"] = 36_000_000
+        as_int = run_scenario(from_json_dict(d))
+        d["pgms"][0]["rated_power_w"] = 36_000_000.0
+        as_float = run_scenario(from_json_dict(d))
+        assert as_int.gen_power_w.tobytes() == as_float.gen_power_w.tobytes()
+        assert as_int.gen_energy_wh.tobytes() \
+            == as_float.gen_energy_wh.tobytes()
 
     def test_zero_comm_delay_applies_immediately(self):
         cfg = short_cfg(comm_delay_s=0.0,
