@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -118,6 +119,23 @@ class ScenarioConfig:
                     f"initial_soc[{j}]={s} outside "
                     f"[{spec.soc_min}, {spec.soc_max}]"
                 )
+        if not self.constant_c_rate:
+            for j, spec in enumerate(self.pcms):
+                # the plant evaluates the fade factor at |i_b|/Q, which its
+                # box bounds by this C-rate
+                c_max = max(-spec.p_min_w, spec.p_max_w) \
+                    / (self.bus.v_bus_volt * spec.capacity_ah)
+                try:
+                    f = spec.degradation.factor(c_max)
+                except OverflowError:
+                    f = math.inf
+                if not math.isfinite(f):
+                    raise ValueError(
+                        f"pcms[{j}]: degradation factor overflows at the "
+                        f"battery's largest C-rate, {c_max:.6g} C; lower "
+                        f"its power limits, raise capacity_ah or set "
+                        f"constant_c_rate"
+                    )
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         for g in self.pgms:

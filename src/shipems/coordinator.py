@@ -244,7 +244,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     qps = problems[0] + problems[1]
     short_w, over_w = _reach_bounds(qps, p_f)
     reach_w = max(short_w, over_w)
-    attained_w = BOUND_ATTAINED_RTOL * float(np.max(np.abs(p_f)))
+    attained_w = BOUND_ATTAINED_RTOL * float(abs(p_f).max())
     least = None  # least worst-step residual, from the LP
     best = None  # (residual, price, gen, batt, total)
     converged = False
@@ -254,10 +254,10 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         for r in gen + batt:
             total += r.profile
         residual = total - p_f
-        res_inf = float(np.max(np.abs(residual)))
+        res_inf = float(abs(residual).max())
         history.append(res_inf)
         at_reach = (reach_w > bal_tol_w and res_inf <= reach_w + attained_w
-                    and float(np.max(-residual))
+                    and -float(residual.min())
                     <= max(short_w + attained_w, bal_tol_w))
         if best is None or res_inf < best[0] or at_reach:
             best = (res_inf, lam, gen, batt, total)
@@ -271,10 +271,11 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         if least is not None and least > bal_tol_w \
                 and best[0] <= least + attained_w:
             break
-        lam = dual_update(lam, total, p_f, alpha)
+        # `dual_update`; alpha > 0 by the entry check or `default_alpha`
+        lam = lam + alpha * residual
     # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, total = best
-    shortfall = 0.0 if converged else max(0.0, float(np.max(p_f - total)))
+    shortfall = 0.0 if converged else max(0.0, float((p_f - total).max()))
     return CoordinationReport(
         gen=gen,
         batt=batt,

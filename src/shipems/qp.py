@@ -26,6 +26,18 @@ finite, whether SoC rows exist), not on the bounds' values, the ramp anchor
 or the state of charge. `HorizonQp.ldp` takes them from a bounded memo, so
 a receding-horizon run builds them once per device and each MPC step only
 computes its right-hand side.
+
+Successive prices of a dual ascent mostly leave a node's active set S
+unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
+the unconstrained minimizer: multipliers mu = K_S r and x = x_u - P_S r,
+with K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S. These maps depend
+only on the rows and S, so `LdpRows` keeps them in a bounded memo shared
+by every LDP over those rows. A solve first tries the active set of the
+last certified solve, as an online active-set method would (Ferreau, Bock
+& Diehl, 2008), and calls `nnls` only when a KKT certificate with margins
+rejects it. A solve through `nnls` returns the point of that certificate
+too when its active set passes, so an answer depends only on the problem
+and the price, not on what was solved before.
 """
 
 from __future__ import annotations
@@ -48,28 +60,66 @@ LDP_ROWS_MEMO_SIZE = 256
 # iteration cap of one `nnls` call; a solve that hits it is MAX_ITER
 NNLS_MAX_ITER = 100_000
 FLOAT_MAX = float(np.finfo(float).max)
+# active-set solution maps one `LdpRows` keeps; a device visits a few
+ACTIVE_MAP_MEMO_SIZE = 32
+# an active set whose KKT matrix a_S D^-1 a_S' is conditioned worse than
+# this gets no map; its solves take the `nnls` point
+ACTIVE_MAP_COND_MAX = 1e8
 
 
 class LdpRows:
     """The part of an LDP fixed by its rows ``a`` and Hessian diagonal ``d``:
     unit-norm rows, the scaling w = d^(-1/2), the row scales rho and the
-    first n rows of E. Read-only, so that LDPs may share it."""
+    first n rows of E. Those arrays are read-only, so that LDPs may share
+    them. Two things change as LDPs over these rows solve, and neither
+    changes an answer: a bounded memo of active-set solution maps
+    (`active_map`) and ``hint``, the map of the last certified solve, which
+    seeds each new `Ldp`."""
 
     def __init__(self, d, a):
         self.norms = np.linalg.norm(a, axis=1)
         self.d = np.array(d, dtype=float)
+        self.neg_d = -self.d
         self.a = a / self.norms[:, None]
         self.w = 1.0 / np.sqrt(self.d)
         g = self.a * self.w  # the rows in z, where x = x_u + w*z
         self.rho = np.linalg.norm(g, axis=1)
+        self.rho_max = float(self.rho.max(initial=0.0))
         n = self.d.size
         self.e = np.zeros((n + 1, self.a.shape[0]))
         self.e[:n] = -(g / self.rho[:, None]).T
         self.unit = np.zeros(n + 1)
         self.unit[n] = 1.0
-        for arr in (self.norms, self.d, self.a, self.w, self.rho, self.e,
-                    self.unit):
+        for arr in (self.norms, self.d, self.neg_d, self.a, self.w, self.rho,
+                    self.e, self.unit):
             arr.flags.writeable = False
+        self.maps = {}  # active-row mask bytes -> map or None
+        self.hint = None
+
+    def active_map(self, active):
+        """The affine solution map of the active row set flagged in
+        ``active``: (S, the other rows, [K_S; P_S]) with
+        K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S, so that
+        mu = K_S r and x = x_u - P_S r for the slack r = a_S x_u - b_S.
+        None when S is empty or its KKT matrix is singular or conditioned
+        worse than `ACTIVE_MAP_COND_MAX`."""
+        key = active.tobytes()
+        if key in self.maps:
+            return self.maps[key]
+        amap = None
+        rows = np.flatnonzero(active)
+        if rows.size:
+            a_s = self.a[rows]
+            ad = a_s / self.d  # a_S D^-1
+            eig, vec = np.linalg.eigh(ad @ a_s.T)
+            if eig[0] > eig[-1] / ACTIVE_MAP_COND_MAX:
+                k = (vec / eig) @ vec.T
+                amap = (rows, np.flatnonzero(~active),
+                        np.vstack([k, ad.T @ k]))
+        if len(self.maps) >= ACTIVE_MAP_MEMO_SIZE:
+            del self.maps[next(iter(self.maps))]  # the oldest
+        self.maps[key] = amap
+        return amap
 
 
 class Ldp:
@@ -82,11 +132,14 @@ class Ldp:
     """
 
     def __init__(self, rows: LdpRows, b, lo, hi):
+        self.rows = rows
         self.d, self.a, self.w, self.rho = rows.d, rows.a, rows.w, rows.rho
-        self.unit = rows.unit
+        self.rho_max = rows.rho_max
+        self.neg_d, self.unit = rows.neg_d, rows.unit
         self.b = b / rows.norms
         self.lo, self.hi = lo, hi
         self.e = rows.e.copy()  # its last row is rewritten by every solve
+        self.last = rows.hint  # the map of the last certified solve
 
     def violation(self, x) -> float:
         """Largest violation of a unit-norm row at x (0 when feasible)."""
@@ -100,15 +153,30 @@ class Ldp:
         infeasibility only when the certificate shows that every point of
         the box violates some row by more than tol*max(1, ||box||inf).
         Anything else is MAX_ITER with the candidate point.
+
+        Before `nnls`, the active set of the last certified solve is tried
+        (`_certified`); a solve whose `nnls` active set passes the same
+        certificate returns that map's point, so the answer does not depend
+        on which path found it.
         """
-        xu = -q / self.d
+        xu = q / self.neg_d
         slack = self.a @ xu - self.b  # > 0 on the rows x_u violates
-        if slack.max(initial=0.0) <= 0.0:
+        top = slack.max(initial=0.0)
+        if top <= 0.0:
             return xu, OPTIMAL, 0, 0.0
+        # top > max(rho) makes s > 1 below, where the overflow guard
+        # cannot fire
+        if self.last is not None and top > self.rho_max:
+            hit = self._certified(self.last, xu, slack, tol)
+            if hit is not None:
+                self.rows.hint = self.last
+                return hit[0], OPTIMAL, 1, hit[1]
         h = slack / self.rho
         s = float(h.max())  # scaled so the LDP solution has ||z|| >= 1
-        if -float(h.min()) > s * FLOAT_MAX:  # h/s overflows: x_u misses
-            return xu, OPTIMAL, 0, self.violation(xu)  # by a subnormal
+        # h/s overflows when x_u misses by a subnormal; never for s > 1,
+        # where s * FLOAT_MAX is inf
+        if s <= 1.0 and -float(h.min()) > s * FLOAT_MAX:
+            return xu, OPTIMAL, 0, self.violation(xu)
         self.e[-1] = h / s
         try:
             u, _ = nnls(self.e, self.unit, maxiter=NNLS_MAX_ITER)
@@ -117,9 +185,15 @@ class Ldp:
             return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
         r = self.e @ u - self.unit
         if r[-1] < 0.0:
+            amap = self.rows.active_map(u > 0.0)
+            hit = None if amap is None else self._certified(amap, xu, slack,
+                                                            tol)
+            if hit is not None:
+                self.last = self.rows.hint = amap
+                return hit[0], OPTIMAL, 1, hit[1]
             x = xu - (s / r[-1]) * self.w * r[:-1]
             viol = self.violation(x)
-            if viol <= tol * max(1.0, float(np.abs(x).max())):
+            if viol <= tol * max(1.0, float(abs(x).max())):
                 return x, OPTIMAL, 1, viol
         else:
             x = np.clip(xu, self.lo, self.hi)
@@ -127,6 +201,31 @@ class Ldp:
         if self._certifies_empty(u / self.rho, tol):
             return None, INFEASIBLE, 1, np.inf
         return x, MAX_ITER, 1, viol
+
+    def _certified(self, amap, xu, slack, tol: float):
+        """(x, violation) of the active set S of ``amap`` when a KKT
+        certificate with margins proves x optimal, else None. With
+        t = tol*max(1, ||x||inf): every row of S holds as an equality to t,
+        every other row holds with slack beyond t, and every multiplier
+        exceeds tol times the largest. Then S is the active set of the
+        unique minimizer, well clear of any other set; a point with rows
+        active to within t, whose active set is degenerate, fails for every
+        S and is left to `nnls`."""
+        rows, off, kp = amap
+        y = kp @ slack[rows]  # mu, then P_S r
+        mu = y[:rows.size]
+        if not mu.min() > tol * mu.max():
+            return None
+        x = xu - y[rows.size:]
+        v = self.a @ x - self.b
+        t = tol * max(1.0, float(abs(x).max()))
+        if off.size and not v[off].max() < -t:
+            return None
+        v_s = v[rows]
+        top = float(v_s.max())
+        if not (-t <= float(v_s.min()) and top <= t):
+            return None
+        return x, max(top, 0.0)  # the rows outside S hold
 
     def _certifies_empty(self, y, tol: float) -> bool:
         """Farkas test: y >= 0 weighs the unit rows so that y'(a x - b)

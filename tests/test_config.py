@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from shipems.cli import main
 from shipems.config import (
     ScenarioConfig,
     SolverConfig,
@@ -15,7 +16,7 @@ from shipems.config import (
     load_config,
 )
 from shipems.plant import PcmSpec, PgmSpec
-from shipems.sim import DlcGains, LoadProfileSpec
+from shipems.sim import DlcGains, LoadProfileSpec, run_scenario
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -149,6 +150,32 @@ class TestValidation:
             default_config(), horizon_steps=np.int64(3), log_every=np.int32(7),
             seed=np.uint8(1), solver=SolverConfig(max_iter=np.int64(50)))
         cfg.validate()
+
+    @pytest.mark.parametrize("kw", [
+        dict(duration_s=10.0),
+        dict(duration_s=10.0, mpc_period_s=0.1, comm_delay_s=0.1),
+    ])
+    def test_fade_factor_overflow_rejected_by_battery(self, kw):
+        # a 0.1 Ah battery at its 20 MW limit runs at 200000 C, where the
+        # fade factor overflows: once a run reported a loss of 5e148 Ah,
+        # and with a 0.1 s period the plant raised OverflowError mid-run
+        cfg = dataclasses.replace(
+            default_config(), pcms=[PcmSpec(), PcmSpec(capacity_ah=0.1)],
+            initial_soc=[0.6, 0.6], **kw)
+        with pytest.raises(ValueError, match=r"pcms\[1\].*C-rate"):
+            run_scenario(cfg)
+        # the factor is evaluated at the configured C-rate instead
+        dataclasses.replace(cfg, constant_c_rate=True).validate()
+
+    def test_fade_factor_overflow_is_a_cli_config_error(self, tmp_path,
+                                                        capsys):
+        d = default_config().to_json_dict()
+        d["pcms"][0]["capacity_ah"] = 0.1
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "pcms[0]" in err
 
     def test_default_config_is_valid(self):
         default_config().validate()

@@ -342,36 +342,46 @@ def assert_same_solve(got, want):
         assert x.tobytes() == x_ref.tobytes()
 
 
+# one horizon row pattern: boxes with infinite sides, SoC rows, weights at
+# the floor
+row_patterns = dict(
+    h=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+    lower_inf=st.booleans(), upper_inf=st.booleans(), with_soc=st.booleans(),
+    weight=st.one_of(st.just(WEIGHT_FLOOR), st.floats(WEIGHT_FLOOR, 10.0)))
+
+
+def pattern_problems(h, seed, lower_inf, upper_inf, with_soc, weight):
+    """The random generator of a row pattern and a function that draws a
+    (problem, linear term) pair of that pattern at a random state."""
+    rng = np.random.default_rng(seed)
+    p_max = rng.uniform(1e6, 4e7)
+    lower = -np.inf if lower_inf else -rng.uniform(0.0, 1.0) * p_max
+    upper = np.inf if upper_inf else p_max
+    kw = {}
+    if with_soc:
+        kw = dict(cumsum_coeff=1.0 / (rng.uniform(2e3, 2e4) * 3.6e6),
+                  cumsum_init=rng.uniform(0.1, 0.9), cumsum_lower=0.1,
+                  cumsum_upper=0.9)
+    ramp = rng.uniform(0.05, 1.0) * p_max
+
+    def problem():
+        lin = weight * p_max * rng.uniform(-2.0, 2.0, h)
+        return HorizonQp(h=h, quad_diag=weight,
+                         lower=lower, upper=upper, ramp_limit=ramp,
+                         prev_value=rng.uniform(-1.0, 1.0) * p_max,
+                         **kw), lin
+
+    return rng, problem
+
+
 class TestRowsMemo:
     """`HorizonQp.ldp` takes its rows from a memo keyed on the Hessian and
     the row pattern; it must solve exactly as a kernel built afresh."""
 
-    @given(h=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
-           lower_inf=st.booleans(), upper_inf=st.booleans(),
-           with_soc=st.booleans(),
-           weight=st.one_of(st.just(WEIGHT_FLOOR),
-                            st.floats(WEIGHT_FLOOR, 10.0)))
+    @given(**row_patterns)
     @settings(max_examples=120, deadline=None)
-    def test_bitwise_equal_to_fresh_kernel(self, h, seed, lower_inf,
-                                           upper_inf, with_soc, weight):
-        rng = np.random.default_rng(seed)
-        p_max = rng.uniform(1e6, 4e7)
-        lower = -np.inf if lower_inf else -rng.uniform(0.0, 1.0) * p_max
-        upper = np.inf if upper_inf else p_max
-        kw = {}
-        if with_soc:
-            kw = dict(cumsum_coeff=1.0 / (rng.uniform(2e3, 2e4) * 3.6e6),
-                      cumsum_init=rng.uniform(0.1, 0.9), cumsum_lower=0.1,
-                      cumsum_upper=0.9)
-        ramp = rng.uniform(0.05, 1.0) * p_max
-
-        def problem():
-            lin = weight * p_max * rng.uniform(-2.0, 2.0, h)
-            return HorizonQp(h=h, quad_diag=weight,
-                             lower=lower, upper=upper, ramp_limit=ramp,
-                             prev_value=rng.uniform(-1.0, 1.0) * p_max,
-                             **kw), lin
-
+    def test_bitwise_equal_to_fresh_kernel(self, **pattern):
+        _, problem = pattern_problems(**pattern)
         # the rows were memoized by an earlier problem at another state
         (earlier, _), (qp, lin) = problem(), problem()
         assert qp.ldp.a is earlier.ldp.a
@@ -412,3 +422,77 @@ class TestRowsMemo:
         assert info.maxsize == qpmod.LDP_ROWS_MEMO_SIZE
         assert info.currsize <= qpmod.LDP_ROWS_MEMO_SIZE
         assert info.misses > qpmod.LDP_ROWS_MEMO_SIZE  # entries were evicted
+
+
+def counted_nnls(monkeypatch):
+    """Counts the kernel's `nnls` calls from here on."""
+    calls = []
+    nnls = qpmod.nnls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nnls(*args, **kwargs)
+
+    monkeypatch.setattr(qpmod, "nnls", counted)
+    return calls
+
+
+class TestActiveSetContinuation:
+    """`Ldp.solve` first tries the active set of its last certified solve;
+    an answer must not depend on whether that shortcut was taken."""
+
+    @given(**row_patterns, steps=st.integers(2, 30),
+           jump=st.floats(0.0, 1.0))
+    @settings(max_examples=120, deadline=None)
+    def test_price_walk_equals_cold_solves(self, steps, jump, **pattern):
+        rng, problem = pattern_problems(**pattern)
+        qp, lin = problem()
+        warm = qp.ldp
+        scale = float(np.abs(lin).max())
+        for _ in range(steps):
+            for tol in (1e-8, 1e-6):
+                assert_same_solve(warm.solve(lin, tol),
+                                  fresh_ldp(qp).solve(lin, tol))
+            # small moves keep the active set, a jump changes it
+            size = 1.0 if rng.uniform() < jump else 1e-3
+            lin = lin + size * scale * rng.uniform(-1.0, 1.0, qp.h)
+
+    def test_walk_in_one_region_calls_nnls_once(self, monkeypatch):
+        qp = HorizonQp(h=3, quad_diag=1.0, lower=-1.0, upper=1.0,
+                       ramp_limit=10.0, prev_value=0.0)
+        ldp = fresh_ldp(qp)
+        calls = counted_nnls(monkeypatch)
+        # x_u = (2 + t, -0.5, 0.3): only the upper bound of step 0 binds
+        for t in np.linspace(0.0, 1.0, 8):
+            x, status, iters, _ = ldp.solve(np.array([-2.0 - t, 0.5, -0.3]),
+                                            1e-8)
+            assert status == OPTIMAL and iters == 1
+            np.testing.assert_allclose(x, [1.0, -0.5, 0.3], atol=1e-12)
+        assert len(calls) == 1
+        # a jump to x_u = (-2, -3, 0.3) binds two lower bounds instead
+        for t in np.linspace(0.0, 1.0, 8):
+            x, status, _, _ = ldp.solve(np.array([2.0, 3.0 + t, -0.3]), 1e-8)
+            np.testing.assert_allclose(x, [-1.0, -1.0, 0.3], atol=1e-12)
+        assert len(calls) == 2
+        # a new kernel over the same rows starts from their last active set
+        _, b = qp.constraint_rows()
+        other = qpmod.Ldp(ldp.rows, b, *qp.effective_box())
+        other.solve(np.array([2.5, 3.5, 0.1]), 1e-8)
+        assert len(calls) == 2
+
+    def test_active_map_memo_stays_bounded(self, monkeypatch):
+        # box-only problems at h = 8 have 3^8 active sets
+        qp = HorizonQp(h=8, quad_diag=1.0, lower=-1.0, upper=1.0,
+                       ramp_limit=10.0, prev_value=0.0)
+        ldp = fresh_ldp(qp)
+        rng = np.random.default_rng(4)
+        seen = set()
+        for _ in range(200):
+            lin = rng.uniform(-3.0, 3.0, qp.h)
+            x, status, _, _ = ldp.solve(lin, 1e-8)
+            np.testing.assert_allclose(x, np.clip(-lin, -1.0, 1.0),
+                                       atol=1e-12)
+            # +1 / -1 where the upper / lower bound binds
+            seen.add(tuple(np.sign(-lin) * (np.abs(lin) > 1.0)))
+            assert len(ldp.rows.maps) <= qpmod.ACTIVE_MAP_MEMO_SIZE
+        assert len(seen) > qpmod.ACTIVE_MAP_MEMO_SIZE  # maps were evicted
