@@ -121,19 +121,22 @@ class ScenarioConfig:
                 )
         if not self.constant_c_rate:
             for j, spec in enumerate(self.pcms):
-                # the plant evaluates the fade factor at |i_b|/Q, which its
-                # box bounds by this C-rate
+                # each plant step adds factor(c) * c * Q * dt / 3600 Ah of
+                # fade at the C-rate c = |i_b|/Q, which the box bounds by
+                # c_max; the run's loss, in percent of Q as the summary
+                # reports it, must stay finite
                 c_max = max(-spec.p_min_w, spec.p_max_w) \
                     / (self.bus.v_bus_volt * spec.capacity_ah)
                 try:
-                    f = spec.degradation.factor(c_max)
+                    worst = (100.0 * spec.degradation.factor(c_max) * c_max
+                             * self.duration_s / 3600.0)
                 except OverflowError:
-                    f = math.inf
-                if not math.isfinite(f):
+                    worst = math.inf
+                if not math.isfinite(worst):
                     raise ValueError(
-                        f"pcms[{j}]: degradation factor overflows at the "
-                        f"battery's largest C-rate, {c_max:.6g} C; lower "
-                        f"its power limits, raise capacity_ah or set "
+                        f"pcms[{j}]: capacity fade over the run overflows "
+                        f"at the battery's largest C-rate, {c_max:.6g} C; "
+                        f"lower its power limits, raise capacity_ah or set "
                         f"constant_c_rate"
                     )
         if self.log_every < 1:

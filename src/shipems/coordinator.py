@@ -271,8 +271,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         if least is not None and least > bal_tol_w \
                 and best[0] <= least + attained_w:
             break
-        # `dual_update`; alpha > 0 by the entry check or `default_alpha`
-        lam = lam + alpha * residual
+        lam = dual_update(lam, total, p_f, alpha)
     # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, total = best
     shortfall = 0.0 if converged else max(0.0, float((p_f - total).max()))

@@ -356,5 +356,6 @@ class Plant:
                 ql_ah[j] += d_ql
             load_e_j += p_l[k] * dt
         self.load_e_j, self.clamp_count = load_e_j, clamp_count
-        if not all(np.isfinite(a).all() for a in (ig, integ, soc)):
+        if not all(np.isfinite(a).all()
+                   for a in (ig, integ, soc, thr_as, ql_ah)):
             raise RuntimeError(f"non-finite plant state at t={(step0 + n) * dt}")

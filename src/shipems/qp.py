@@ -30,14 +30,16 @@ computes its right-hand side.
 Successive prices of a dual ascent mostly leave a node's active set S
 unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
 the unconstrained minimizer: multipliers mu = K_S r and x = x_u - P_S r,
-with K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S. These maps depend
-only on the rows and S, so `LdpRows` keeps them in a bounded memo shared
-by every LDP over those rows. A solve first tries the active set of the
-last certified solve, as an online active-set method would (Ferreau, Bock
-& Diehl, 2008), and calls `nnls` only when a KKT certificate with margins
-rejects it. A solve through `nnls` returns the point of that certificate
-too when its active set passes, so an answer depends only on the problem
-and the price, not on what was solved before.
+with K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S. The map depends
+only on the rows and S, so `LdpRows` keeps the map of the last certified
+solve over those rows, across prices and MPC steps. A solve first tries
+that active set, as an online active-set method would (Ferreau, Bock &
+Diehl, 2008), and calls `nnls` only when a KKT certificate with margins
+rejects it. A solve through `nnls` builds the map of its active set,
+unless a row outside that set is active at its point, where the map
+could not pass; when the map passes, the solve returns the map's point,
+so an answer depends only on the problem and the price, not on what was
+solved before.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ LDP_ROWS_MEMO_SIZE = 256
 # iteration cap of one `nnls` call; a solve that hits it is MAX_ITER
 NNLS_MAX_ITER = 100_000
 FLOAT_MAX = float(np.finfo(float).max)
-# active-set solution maps one `LdpRows` keeps; a device visits a few
-ACTIVE_MAP_MEMO_SIZE = 32
 # an active set whose KKT matrix a_S D^-1 a_S' is conditioned worse than
 # this gets no map; its solves take the `nnls` point
 ACTIVE_MAP_COND_MAX = 1e8
@@ -71,10 +71,10 @@ class LdpRows:
     """The part of an LDP fixed by its rows ``a`` and Hessian diagonal ``d``:
     unit-norm rows, the scaling w = d^(-1/2), the row scales rho and the
     first n rows of E. Those arrays are read-only, so that LDPs may share
-    them. Two things change as LDPs over these rows solve, and neither
-    changes an answer: a bounded memo of active-set solution maps
-    (`active_map`) and ``hint``, the map of the last certified solve, which
-    seeds each new `Ldp`."""
+    them. ``hint`` is the active-set map (`active_map`) of the last certified
+    solve over these rows, which the next solve tries first; it changes no
+    answer. Devices that share rows but not an active set take turns
+    replacing it, and their solves go to `nnls`."""
 
     def __init__(self, d, a):
         self.norms = np.linalg.norm(a, axis=1)
@@ -93,7 +93,6 @@ class LdpRows:
         for arr in (self.norms, self.d, self.neg_d, self.a, self.w, self.rho,
                     self.e, self.unit):
             arr.flags.writeable = False
-        self.maps = {}  # active-row mask bytes -> map or None
         self.hint = None
 
     def active_map(self, active):
@@ -103,23 +102,16 @@ class LdpRows:
         mu = K_S r and x = x_u - P_S r for the slack r = a_S x_u - b_S.
         None when S is empty or its KKT matrix is singular or conditioned
         worse than `ACTIVE_MAP_COND_MAX`."""
-        key = active.tobytes()
-        if key in self.maps:
-            return self.maps[key]
-        amap = None
         rows = np.flatnonzero(active)
-        if rows.size:
-            a_s = self.a[rows]
-            ad = a_s / self.d  # a_S D^-1
-            eig, vec = np.linalg.eigh(ad @ a_s.T)
-            if eig[0] > eig[-1] / ACTIVE_MAP_COND_MAX:
-                k = (vec / eig) @ vec.T
-                amap = (rows, np.flatnonzero(~active),
-                        np.vstack([k, ad.T @ k]))
-        if len(self.maps) >= ACTIVE_MAP_MEMO_SIZE:
-            del self.maps[next(iter(self.maps))]  # the oldest
-        self.maps[key] = amap
-        return amap
+        if not rows.size:
+            return None
+        a_s = self.a[rows]
+        ad = a_s / self.d  # a_S D^-1
+        eig, vec = np.linalg.eigh(ad @ a_s.T)
+        if not eig[0] > eig[-1] / ACTIVE_MAP_COND_MAX:
+            return None
+        k = (vec / eig) @ vec.T
+        return rows, np.flatnonzero(~active), np.vstack([k, ad.T @ k])
 
 
 class Ldp:
@@ -139,7 +131,6 @@ class Ldp:
         self.b = b / rows.norms
         self.lo, self.hi = lo, hi
         self.e = rows.e.copy()  # its last row is rewritten by every solve
-        self.last = rows.hint  # the map of the last certified solve
 
     def violation(self, x) -> float:
         """Largest violation of a unit-norm row at x (0 when feasible)."""
@@ -154,10 +145,10 @@ class Ldp:
         the box violates some row by more than tol*max(1, ||box||inf).
         Anything else is MAX_ITER with the candidate point.
 
-        Before `nnls`, the active set of the last certified solve is tried
-        (`_certified`); a solve whose `nnls` active set passes the same
-        certificate returns that map's point, so the answer does not depend
-        on which path found it.
+        Before `nnls`, the active set of the rows' last certified solve is
+        tried (`_certified`); a solve whose `nnls` active set passes the
+        same certificate returns that map's point, so the answer does not
+        depend on which path found it.
         """
         xu = q / self.neg_d
         slack = self.a @ xu - self.b  # > 0 on the rows x_u violates
@@ -166,10 +157,9 @@ class Ldp:
             return xu, OPTIMAL, 0, 0.0
         # top > max(rho) makes s > 1 below, where the overflow guard
         # cannot fire
-        if self.last is not None and top > self.rho_max:
-            hit = self._certified(self.last, xu, slack, tol)
+        if self.rows.hint is not None and top > self.rho_max:
+            hit = self._certified(self.rows.hint, xu, slack, tol)
             if hit is not None:
-                self.rows.hint = self.last
                 return hit[0], OPTIMAL, 1, hit[1]
         h = slack / self.rho
         s = float(h.max())  # scaled so the LDP solution has ||z|| >= 1
@@ -185,15 +175,23 @@ class Ldp:
             return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
         r = self.e @ u - self.unit
         if r[-1] < 0.0:
-            amap = self.rows.active_map(u > 0.0)
-            hit = None if amap is None else self._certified(amap, xu, slack,
-                                                            tol)
-            if hit is not None:
-                self.last = self.rows.hint = amap
-                return hit[0], OPTIMAL, 1, hit[1]
             x = xu - (s / r[-1]) * self.w * r[:-1]
-            viol = self.violation(x)
-            if viol <= tol * max(1.0, float(abs(x).max())):
+            v = self.a @ x - self.b
+            t = tol * max(1.0, float(abs(x).max()))
+            active = u > 0.0
+            # a row outside the passive set within t/2 of active at x is
+            # not slack beyond t at the map's point (x up to rounding), so
+            # the map would fail its certificate: build none. The fleet
+            # oracle's twin balance rows always take this exit.
+            if not (v[~active] > -0.5 * t).any():
+                amap = self.rows.active_map(active)
+                hit = None if amap is None else self._certified(amap, xu,
+                                                                slack, tol)
+                if hit is not None:
+                    self.rows.hint = amap
+                    return hit[0], OPTIMAL, 1, hit[1]
+            viol = float(v.max(initial=0.0))
+            if viol <= t:
                 return x, OPTIMAL, 1, viol
         else:
             x = np.clip(xu, self.lo, self.hi)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -166,6 +167,16 @@ class TestValidation:
             run_scenario(cfg)
         # the factor is evaluated at the configured C-rate instead
         dataclasses.replace(cfg, constant_c_rate=True).validate()
+
+    def test_fade_account_overflow_rejected(self):
+        # at 5900 C the factor itself is finite (1.8e307), but 100 s at
+        # that rate would report a loss beyond the largest float
+        pcm = PcmSpec(capacity_ah=0.1, p_min_w=-590e3, p_max_w=590e3)
+        assert math.isfinite(pcm.degradation.factor(5900.0))
+        cfg = dataclasses.replace(default_config(), duration_s=100.0,
+                                  pcms=[pcm])
+        with pytest.raises(ValueError, match=r"pcms\[0\].*5900 C"):
+            cfg.validate()
 
     def test_fade_factor_overflow_is_a_cli_config_error(self, tmp_path,
                                                         capsys):

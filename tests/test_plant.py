@@ -182,6 +182,13 @@ class TestDegradation:
                         dt=3600.0, constant_c_rate=True)
         assert plant.ql_ah[0] == pytest.approx(123.456, rel=1e-12)
 
+    def test_overflowing_fade_is_a_plant_error(self):
+        # an hour at 5900 C adds more fade than the largest float
+        pcm = PcmSpec(capacity_ah=0.1, p_min_w=-590e3, p_max_w=590e3)
+        with np.errstate(over="ignore"), \
+                pytest.raises(RuntimeError, match="non-finite"):
+            battery(590e3, pcm=pcm, dt=3600.0)
+
     def test_default_factor_frozen(self):
         # zeta1*exp((-zeta2 + T*c_rate)/(R*T)) at the default parameters
         assert DegradationParams().factor() == pytest.approx(

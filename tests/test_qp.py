@@ -480,19 +480,21 @@ class TestActiveSetContinuation:
         other.solve(np.array([2.5, 3.5, 0.1]), 1e-8)
         assert len(calls) == 2
 
-    def test_active_map_memo_stays_bounded(self, monkeypatch):
-        # box-only problems at h = 8 have 3^8 active sets
-        qp = HorizonQp(h=8, quad_diag=1.0, lower=-1.0, upper=1.0,
-                       ramp_limit=10.0, prev_value=0.0)
-        ldp = fresh_ldp(qp)
-        rng = np.random.default_rng(4)
-        seen = set()
-        for _ in range(200):
-            lin = rng.uniform(-3.0, 3.0, qp.h)
-            x, status, _, _ = ldp.solve(lin, 1e-8)
-            np.testing.assert_allclose(x, np.clip(-lin, -1.0, 1.0),
-                                       atol=1e-12)
-            # +1 / -1 where the upper / lower bound binds
-            seen.add(tuple(np.sign(-lin) * (np.abs(lin) > 1.0)))
-            assert len(ldp.rows.maps) <= qpmod.ACTIVE_MAP_MEMO_SIZE
-        assert len(seen) > qpmod.ACTIVE_MAP_MEMO_SIZE  # maps were evicted
+    def test_equality_rows_build_no_map(self, monkeypatch):
+        # x1 + x2 = 1 written as two rows, as the fleet oracle writes
+        # balance: the twin of the active row is active too, so no map can
+        # pass the certificate and none is built
+        a = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        rows = qpmod.LdpRows(np.ones(2), a)
+        ldp = qpmod.Ldp(rows, np.array([1.0, -1.0]), np.full(2, -np.inf),
+                        np.full(2, np.inf))
+
+        def no_map(self, active):
+            raise AssertionError("built an active-set map")
+
+        monkeypatch.setattr(qpmod.LdpRows, "active_map", no_map)
+        # x_u = (2, 3) projects onto (0, 1)
+        x, status, iters, _ = ldp.solve(np.array([-2.0, -3.0]), 1e-8)
+        assert (status, iters) == (OPTIMAL, 1)
+        np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
+        assert rows.hint is None
