@@ -35,11 +35,13 @@ only on the rows and S, so `LdpRows` keeps the map of the last certified
 solve over those rows, across prices and MPC steps. A solve first tries
 that active set, as an online active-set method would (Ferreau, Bock &
 Diehl, 2008), and calls `nnls` only when a KKT certificate with margins
-rejects it. A solve through `nnls` builds the map of its active set,
+rejects it. A solve through `nnls` takes the map of its active set,
 unless a row outside that set is active at its point, where the map
 could not pass; when the map passes, the solve returns the map's point,
 so an answer depends only on the problem and the price, not on what was
-solved before.
+solved before. `LdpRows` keeps the maps it has built in a small memo,
+so an active set met again (the two levels of a pulsed load, the first
+steps of every run) costs a lookup, not a new factorization.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ FLOAT_MAX = float(np.finfo(float).max)
 # an active set whose KKT matrix a_S D^-1 a_S' is conditioned worse than
 # this gets no map; its solves take the `nnls` point
 ACTIVE_MAP_COND_MAX = 1e8
+# active-set maps kept per `LdpRows`, oldest dropped first
+ACTIVE_MAP_MEMO_SIZE = 16
 
 
 class LdpRows:
@@ -72,9 +76,11 @@ class LdpRows:
     unit-norm rows, the scaling w = d^(-1/2), the row scales rho and the
     first n rows of E. Those arrays are read-only, so that LDPs may share
     them. ``hint`` is the active-set map (`active_map`) of the last certified
-    solve over these rows, which the next solve tries first; it changes no
-    answer. Devices that share rows but not an active set take turns
-    replacing it, and their solves go to `nnls`."""
+    solve over these rows, which the next solve tries first; ``maps`` keeps
+    the maps built so far, so that an active set seen again costs no new
+    factorization. Neither changes an answer. Devices that share rows but
+    not an active set take turns replacing the hint, and their solves go
+    to `nnls`."""
 
     def __init__(self, d, a):
         self.norms = np.linalg.norm(a, axis=1)
@@ -94,6 +100,7 @@ class LdpRows:
                     self.e, self.unit):
             arr.flags.writeable = False
         self.hint = None
+        self.maps = {}  # active-row flags (bytes) -> map, oldest first
 
     def active_map(self, active):
         """The affine solution map of the active row set flagged in
@@ -101,7 +108,16 @@ class LdpRows:
         K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S, so that
         mu = K_S r and x = x_u - P_S r for the slack r = a_S x_u - b_S.
         None when S is empty or its KKT matrix is singular or conditioned
-        worse than `ACTIVE_MAP_COND_MAX`."""
+        worse than `ACTIVE_MAP_COND_MAX`. Built once per S while S stays
+        among the last `ACTIVE_MAP_MEMO_SIZE` sets built."""
+        key = active.tobytes()
+        if key not in self.maps:
+            if len(self.maps) >= ACTIVE_MAP_MEMO_SIZE:
+                del self.maps[next(iter(self.maps))]
+            self.maps[key] = self._factor(active)
+        return self.maps[key]
+
+    def _factor(self, active):
         rows = np.flatnonzero(active)
         if not rows.size:
             return None

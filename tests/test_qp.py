@@ -498,3 +498,35 @@ class TestActiveSetContinuation:
         assert (status, iters) == (OPTIMAL, 1)
         np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
         assert rows.hint is None
+
+    def test_each_active_set_is_factored_once(self, monkeypatch):
+        # prices alternating between two regions move the hint back and
+        # forth; each region's map is factored once and then reused
+        qp = HorizonQp(h=3, quad_diag=1.0, lower=-1.0, upper=1.0,
+                       ramp_limit=10.0, prev_value=0.0)
+        ldp = fresh_ldp(qp)
+        factored = []
+        eigh = np.linalg.eigh
+
+        def counted(m):
+            factored.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        calls = counted_nnls(monkeypatch)
+        for _ in range(5):
+            # x_u = (2, -0.5, 0.3), then (-2, -3, 0.3): one upper bound,
+            # then two lower bounds bind
+            ldp.solve(np.array([-2.0, 0.5, -0.3]), 1e-8)
+            ldp.solve(np.array([2.0, 3.0, -0.3]), 1e-8)
+        assert factored == [(1, 1), (2, 2)]
+        assert len(calls) == 10  # the hint is always the other region's
+
+    def test_map_memo_stays_bounded(self):
+        qp = HorizonQp(h=8, quad_diag=1.0, lower=-1.0, upper=1.0,
+                       ramp_limit=0.5, prev_value=0.0)
+        ldp = fresh_ldp(qp)
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            ldp.solve(rng.uniform(-3.0, 3.0, qp.h), 1e-8)
+        assert len(ldp.rows.maps) == qpmod.ACTIVE_MAP_MEMO_SIZE
