@@ -1,7 +1,11 @@
 """Scenario configuration: typed dataclasses with strict JSON round-trip.
 
-Unknown JSON keys are rejected with the offending field named, so config
-files fail loudly instead of silently ignoring typos.
+The loader reads each field by its annotation: a dataclass field is built
+from a JSON object, a ``list[X]`` field element by element, and a scalar
+must be of its field's kind. A number must be finite, and true or false is
+no number. Unknown keys and mistyped values are rejected by their path
+(``pgms[0].weight_beta``, ``pcms[0].degradation.c_rate``), so config
+files fail loudly at load instead of mid-run.
 """
 
 from __future__ import annotations
@@ -10,22 +14,12 @@ import dataclasses
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+import sys
+import typing
+from dataclasses import dataclass, field
 
-from .plant import BusSpec, DegradationParams, DlcGains, PcmSpec, PgmSpec
+from .plant import BusSpec, DlcGains, PcmSpec, PgmSpec
 from .sim import LoadProfileSpec
-
-
-def _check_types(obj) -> None:
-    """Reject a value of another type in a field annotated int or bool;
-    bool is a subclass of int, but true is no count."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type == "int" and (isinstance(value, bool)
-                                or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if f.type == "bool" and not isinstance(value, bool):
-            raise ValueError(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,6 @@ class SolverConfig:
     load_preview: bool = False
 
     def __post_init__(self):
-        _check_types(self)
         if self.alpha is not None and not self.alpha > 0.0:
             raise ValueError(f"alpha must be > 0 when given, got {self.alpha}")
         if self.bal_tol_w is not None and not self.bal_tol_w > 0.0:
@@ -70,7 +63,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self):
-        _check_types(self)
+        # every value, nested ones too, must pass the checks that the
+        # loader makes on this config's JSON form
+        _build(ScenarioConfig, self.to_json_dict(), "")
         if self.horizon_steps < 1:
             raise ValueError(
                 f"horizon_steps must be >= 1, got {self.horizon_steps}"
@@ -127,11 +122,8 @@ class ScenarioConfig:
                 # reports it, must stay finite
                 c_max = max(-spec.p_min_w, spec.p_max_w) \
                     / (self.bus.v_bus_volt * spec.capacity_ah)
-                try:
-                    worst = (100.0 * spec.degradation.factor(c_max) * c_max
-                             * self.duration_s / 3600.0)
-                except OverflowError:
-                    worst = math.inf
+                worst = (100.0 * spec.degradation.factor(c_max) * c_max
+                         * self.duration_s / 3600.0)
                 if not math.isfinite(worst):
                     raise ValueError(
                         f"pcms[{j}]: capacity fade over the run overflows "
@@ -152,52 +144,62 @@ class ScenarioConfig:
         return json.dumps(self.to_json_dict(), **kwargs)
 
 
-_FLAT_TYPES = {
-    "bus": BusSpec,
-    "load": LoadProfileSpec,
-    "solver": SolverConfig,
-    "dlc": DlcGains,
-}
+def _check_value(kind, value, path: str) -> None:
+    """Reject a scalar that is not of its field's kind: bool is a subclass
+    of int, but true is no count and no number, and a number is finite."""
+    if value is None and type(None) in typing.get_args(kind):
+        return
+    if kind is bool:
+        ok, want = isinstance(value, bool), "true or false"
+    elif kind is str:
+        ok, want = isinstance(value, str), "a string"
+    elif kind is int:
+        ok, want = (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool)), "an integer"
+    else:
+        ok, want = (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool)
+                    and abs(value) <= sys.float_info.max), "a finite number"
+    if not ok:
+        raise ValueError(f"{path} must be {want}, got {value!r}")
 
 
-def _build(cls, d: dict, path: str):
-    """Construct dataclass cls from d, rejecting unknown keys."""
+def _read(kind, value, path: str):
+    """The value of a field of the given kind from its JSON form."""
+    if dataclasses.is_dataclass(kind):
+        return _build(kind, value, path)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ValueError(
+                f"{path} must be a list, got {type(value).__name__}")
+        (item,) = typing.get_args(kind)
+        return [_read(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    _check_value(kind, value, path)
+    return value
+
+
+def _build(cls, d, path: str):
+    """Construct dataclass cls from the JSON object d found at path,
+    rejecting unknown keys; an error names the path."""
     if not isinstance(d, dict):
-        raise ValueError(f"{path} must be an object, got {type(d).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    for key in d:
-        if key not in known:
-            raise ValueError(f"unknown key {path}.{key}")
+        raise ValueError(
+            f"{path or 'config root'} must be an object, got "
+            f"{type(d).__name__}")
+    kinds = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in d.items():
-        if cls is PcmSpec and key == "degradation":
-            value = _build(DegradationParams, value, f"{path}.{key}")
-        kwargs[key] = value
-    return cls(**kwargs)
+        at = f"{path}.{key}" if path else key
+        if key not in kinds:
+            raise ValueError(f"unknown key {at}")
+        kwargs[key] = _read(kinds[key], value, at)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path or 'config'}: {exc}") from exc
 
 
 def from_json_dict(d: dict) -> ScenarioConfig:
-    if not isinstance(d, dict):
-        raise ValueError(f"config root must be an object, got {type(d).__name__}")
-    known = {f.name for f in fields(ScenarioConfig)}
-    for key in d:
-        if key not in known:
-            raise ValueError(f"unknown key {key}")
-    kwargs: dict = {}
-    for key, value in d.items():
-        if key in _FLAT_TYPES:
-            kwargs[key] = _build(_FLAT_TYPES[key], value, key)
-        elif key == "pgms":
-            kwargs[key] = [_build(PgmSpec, v, f"pgms[{i}]")
-                           for i, v in enumerate(value)]
-        elif key == "pcms":
-            kwargs[key] = [_build(PcmSpec, v, f"pcms[{i}]")
-                           for i, v in enumerate(value)]
-        elif key == "initial_soc":
-            kwargs[key] = [float(v) for v in value]
-        else:
-            kwargs[key] = value
-    cfg = ScenarioConfig(**kwargs)
+    cfg = _build(ScenarioConfig, d, "")
     cfg.validate()
     return cfg
 

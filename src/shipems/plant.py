@@ -1,13 +1,13 @@
 """Physical component models of the DC shipboard microgrid.
 
 Generators (PGMs) are current-controlled voltage sources behind a series
-RL impedance under a PI current tracker; batteries (PCMs) are static
-algebraic sources with an open circuit voltage and series resistance, and
-lose capacity with Ah-throughput; the single load draws its demanded
-power. The bus voltage is assumed regulated to a constant. `Plant` is the
-one implementation of these dynamics that the closed loop runs. All
-quantities are SI internally (W, V, A, s); ampere-hour values are
-converted at the boundaries (1 Ah = 3600 A*s).
+RL impedance under a PI current tracker; batteries (PCMs) are the static
+map i_b = p_b/v_bus from commanded power to current, with no terminal
+voltage or resistance, and lose capacity with Ah-throughput; the single
+load draws its demanded power. The bus voltage is assumed regulated to a
+constant. `Plant` is the one implementation of these dynamics that the
+closed loop runs. All quantities are SI internally (W, V, A, s);
+ampere-hour values are converted at the boundaries (1 Ah = 3600 A*s).
 """
 
 from __future__ import annotations
@@ -22,18 +22,14 @@ AH_TO_AS = 3600.0  # ampere-hours to ampere-seconds
 
 @dataclass(frozen=True)
 class BusSpec:
-    """DC bus held at a regulated constant voltage, with a resistive load."""
+    """DC bus held at a regulated constant voltage; every device current
+    is its power over that voltage."""
 
     v_bus_volt: float = 1000.0
-    load_resistance_ohm: float = 0.01
 
     def __post_init__(self):
         if not self.v_bus_volt > 0.0:
             raise ValueError(f"v_bus_volt must be > 0, got {self.v_bus_volt}")
-        if not self.load_resistance_ohm > 0.0:
-            raise ValueError(
-                f"load_resistance_ohm must be > 0, got {self.load_resistance_ohm}"
-            )
 
 
 @dataclass(frozen=True)
@@ -62,10 +58,15 @@ class DegradationParams:
             raise ValueError(f"degradation factor is not finite/positive: {f}")
 
     def factor(self, c_rate: float | None = None) -> float:
-        """Dimensionless multiplier on Ah-throughput giving capacity loss."""
+        """Dimensionless multiplier on Ah-throughput giving capacity loss;
+        inf where it exceeds the largest float."""
         cr = self.c_rate if c_rate is None else c_rate
         rt = self.gas_constant * self.temperature_k
-        return self.zeta1 * math.exp((-self.zeta2 + self.temperature_k * cr) / rt)
+        try:
+            return self.zeta1 * math.exp(
+                (-self.zeta2 + self.temperature_k * cr) / rt)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,12 @@ class PgmSpec:
 class PcmSpec:
     """Static parameters of one battery module.
 
-    Sign convention: power and current are positive while discharging.
-    ``p_min_w`` <= 0 is the charge limit, ``p_max_w`` >= 0 the discharge
-    limit.
+    The battery draws the current i_b = p_b/v_bus of its commanded power
+    p_b; it has no terminal voltage or resistance. Sign convention: power
+    and current are positive while discharging. ``p_min_w`` <= 0 is the
+    charge limit, ``p_max_w`` >= 0 the discharge limit.
     """
 
-    resistance_ohm: float = 0.01
-    v_oc_volt: float = 950.0
     capacity_ah: float = 10_000.0  # 10 MWh at a 1000 V bus
     p_min_w: float = -20e6
     p_max_w: float = 20e6
@@ -126,10 +126,6 @@ class PcmSpec:
     degradation: DegradationParams = field(default_factory=DegradationParams)
 
     def __post_init__(self):
-        if not self.resistance_ohm > 0.0:
-            raise ValueError(f"resistance_ohm must be > 0, got {self.resistance_ohm}")
-        if not self.v_oc_volt > 0.0:
-            raise ValueError(f"v_oc_volt must be > 0, got {self.v_oc_volt}")
         if not self.capacity_ah > 0.0:
             raise ValueError(f"capacity_ah must be > 0, got {self.capacity_ah}")
         if not (self.p_min_w <= 0.0 <= self.p_max_w):
@@ -208,11 +204,11 @@ class Plant:
     Generators: a PI tracker on the current error commands the source
     voltage, v_g = v_bus - (kp*e + ki*integral(e)) with the integral clamped
     for anti-windup, and the RL stage l*di/dt = -r*i + (v_bus - v_g) takes
-    its exact step over dt under that held voltage. Batteries: the static
-    terminal model gives i_b = p_b/v_bus exactly; SoC is coulomb counted and
-    clamped to [0, 1] (each clamp counted); capacity fade adds
-    factor(C-rate) * |i_b|*dt of Ah-throughput, at the configured C-rate
-    when ``constant_c_rate`` and at |i_b|/Q otherwise.
+    its exact step over dt under that held voltage. Batteries: the current
+    is i_b = p_b/v_bus; SoC is coulomb counted and clamped to [0, 1] (each
+    clamp counted); capacity fade adds factor(C-rate) * |i_b|*dt of
+    Ah-throughput, at the configured C-rate when ``constant_c_rate`` and at
+    |i_b|/Q otherwise.
 
     The state (``ig``, ``integ``, ``soc``, ``thr_as``, ``ql_ah``) and the
     energy accumulators are numpy arrays with one entry per device, which

@@ -19,7 +19,6 @@ import numpy as np
 from .coordinator import Fleet, PcmNodeState, PgmNodeState, coordinate
 from .nodes import soc_coeff
 from .plant import AH_TO_AS, BusSpec, PcmSpec, Plant
-from .plant import DlcGains  # noqa: F401  (re-exported as shipems.sim.DlcGains)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig

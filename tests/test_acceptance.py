@@ -23,6 +23,7 @@ from shipems.coordinator import (
 )
 from shipems.plant import (
     BusSpec,
+    DlcGains,
     PcmSpec,
     PgmSpec,
     Plant,
@@ -30,7 +31,7 @@ from shipems.plant import (
     loss_percent,
 )
 from shipems.qp import OPTIMAL, solve
-from shipems.sim import DlcGains, LoadProfileSpec, run_scenario
+from shipems.sim import LoadProfileSpec, run_scenario
 from test_qp import random_instance
 from oracles import enumerate_qp
 

@@ -4,9 +4,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from shipems.cli import main
 from shipems.config import (
@@ -16,10 +18,32 @@ from shipems.config import (
     from_json_dict,
     load_config,
 )
-from shipems.plant import PcmSpec, PgmSpec
-from shipems.sim import DlcGains, LoadProfileSpec, run_scenario
+from shipems.plant import DlcGains, PcmSpec, PgmSpec
+from shipems.sim import LoadProfileSpec, run_scenario
+from test_sim import closed_loop_configs
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def set_at(d, path, value):
+    """Set the value at a config path such as ``pcms[0].degradation.c_rate``."""
+    *parents, last = [int(k) if k.isdigit() else k
+                      for k in re.findall(r"\w+", path)]
+    for k in parents:
+        d = d[k]
+    d[last] = value
+
+
+def assert_config_error(d, text, tmp_path, capsys):
+    """The config d fails to load with text in the message, and `shipems
+    run` reports it as a config error with exit code 2."""
+    with pytest.raises(ValueError, match=re.escape(text)):
+        from_json_dict(d)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and text in err
 
 
 class TestRoundTrip:
@@ -58,6 +82,15 @@ class TestRoundTrip:
         p.write_text(default_config().to_json(), encoding="utf-8")
         assert load_config(str(p)) == default_config()
 
+    @given(cfg=closed_loop_configs())
+    @settings(max_examples=50, deadline=None)
+    def test_drawn_configs_round_trip_through_text(self, cfg):
+        try:
+            cfg.validate()
+        except ValueError:
+            return
+        assert from_json_dict(json.loads(cfg.to_json())) == cfg
+
 
 class TestStrictParsing:
     def test_unknown_root_key_named(self):
@@ -82,6 +115,18 @@ class TestStrictParsing:
         with pytest.raises(ValueError, match="object"):
             from_json_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("path", [
+        "bus.load_resistance_ohm",
+        "pcms[0].v_oc_volt",
+        "pcms[0].resistance_ohm",
+    ])
+    def test_removed_electrical_keys_are_unknown(self, path, tmp_path,
+                                                 capsys):
+        # the battery current is p_b/v_bus, so these reached no output
+        d = default_config().to_json_dict()
+        set_at(d, path, 0.01)
+        assert_config_error(d, f"unknown key {path}", tmp_path, capsys)
+
     def test_partial_config_fills_defaults(self):
         cfg = from_json_dict({"duration_s": 10.0})
         assert cfg.duration_s == 10.0
@@ -104,6 +149,9 @@ class TestValidation:
         self.check("log_every", log_every=0)
         self.check("initial_soc", initial_soc=[0.6, 0.6])
         self.check("initial_soc", initial_soc=[0.05])
+        self.check("comm_delay_s", comm_delay_s=True)
+        self.check(r"pgms\[0\]\.weight_beta",
+                   pgms=[PgmSpec(weight_beta=math.nan)])
 
     def test_periods_must_align_with_plant_step(self):
         self.check("mpc_period_s", mpc_period_s=1.0005, comm_delay_s=0.5)
@@ -133,18 +181,28 @@ class TestValidation:
         ("solver.load_preview", "false"),
         ("constant_c_rate", "no"),
         ("constant_c_rate", 0),
+        # a number must be finite: these once validated and then failed
+        # mid-run or raised an unnamed error
+        ("pgms[0].weight_beta", math.nan),
+        ("load.base_w", math.nan),
+        ("duration_s", math.inf),
+        pytest.param("duration_s", 10 ** 400, id="duration_s-10**400"),
+        ("dlc.kp", math.nan),
+        # true is no number: these once ran as a 1 s delay and a weight 1
+        ("comm_delay_s", True),
+        ("pcms[0].weight_gamma", True),
+        ("initial_soc[0]", True),
+        ("pgms", 5),
+        ("pgms", {"a": {}}),
+        ("bus.v_bus_volt", "1000"),
     ])
-    def test_mistyped_values_rejected_at_load(self, path, value):
-        # a count that is not an integer, or a flag that is not a bool,
-        # names its field instead of failing later or reading as truthy
+    def test_mistyped_values_rejected_at_load(self, path, value, tmp_path,
+                                              capsys):
+        # a value not of its field's kind names its path instead of failing
+        # later or reading as truthy
         d = default_config().to_json_dict()
-        *parents, key = path.split(".")
-        node = d
-        for p in parents:
-            node = node[p]
-        node[key] = value
-        with pytest.raises(ValueError, match=key):
-            from_json_dict(d)
+        set_at(d, path, value)
+        assert_config_error(d, path, tmp_path, capsys)
 
     def test_numpy_integers_accepted(self):
         cfg = dataclasses.replace(
@@ -182,11 +240,14 @@ class TestValidation:
                                                         capsys):
         d = default_config().to_json_dict()
         d["pcms"][0]["capacity_ah"] = 0.1
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(d), encoding="utf-8")
-        assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "pcms[0]" in err
+        assert_config_error(d, "pcms[0]", tmp_path, capsys)
+
+    def test_degradation_factor_overflow_is_a_config_error(self, tmp_path,
+                                                           capsys):
+        # exp of the fade exponent at 1e10 C once raised OverflowError
+        d = default_config().to_json_dict()
+        d["pcms"][0]["degradation"]["c_rate"] = 1e10
+        assert_config_error(d, "pcms[0].degradation", tmp_path, capsys)
 
     def test_default_config_is_valid(self):
         default_config().validate()

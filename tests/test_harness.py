@@ -71,25 +71,6 @@ class TestArtifacts:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_inert_electrical_parameters(self, tmp_path):
-        # the battery current is p_b/v_bus, so neither the battery's
-        # open-circuit voltage and resistance nor the bus load resistance
-        # reaches any output
-        cfg = short_cfg()
-        other = dataclasses.replace(
-            cfg,
-            bus=dataclasses.replace(cfg.bus, load_resistance_ohm=7.0),
-            pcms=[dataclasses.replace(b, v_oc_volt=500.0, resistance_ohm=0.3)
-                  for b in cfg.pcms])
-        a = harness.run_to_artifacts(cfg, str(tmp_path / "a"))
-        b = harness.run_to_artifacts(other, str(tmp_path / "b"))
-        for f in dataclasses.fields(a):
-            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), \
-                f.name
-        for name in ("timeseries.csv", "mpc_diag.csv", "summary.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
-
     def test_summary_matches_log_recomputation(self, tmp_path):
         cfg = short_cfg()
         log = run_scenario(cfg)

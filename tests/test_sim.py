@@ -18,8 +18,8 @@ from shipems.config import (
     from_json_dict,
     load_config,
 )
-from shipems.plant import BusSpec, PcmSpec, PgmSpec, Plant
-from shipems.sim import DlcGains, LoadProfileSpec, load_at, run_scenario
+from shipems.plant import BusSpec, DlcGains, PcmSpec, PgmSpec, Plant
+from shipems.sim import LoadProfileSpec, load_at, run_scenario
 
 
 DEFAULT_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
