@@ -18,7 +18,8 @@ import sys
 import typing
 from dataclasses import dataclass, field
 
-from .plant import BusSpec, DlcGains, PcmSpec, PgmSpec
+from .plant import (LOG_VALUES_MAX, BusSpec, DlcGains, PcmSpec, PgmSpec,
+                    log_values)
 from .sim import LoadProfileSpec
 
 
@@ -82,6 +83,19 @@ class ScenarioConfig:
                 f"duration_s ({self.duration_s}) must exceed mpc_period_s "
                 f"({self.mpc_period_s})"
             )
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
+        # the plant log is allocated whole when the run starts
+        steps = self.duration_s / self.plant_dt_s
+        if not (math.isfinite(steps)
+                and log_values(round(steps), self.log_every, len(self.pgms),
+                               len(self.pcms)) <= LOG_VALUES_MAX):
+            raise ValueError(
+                f"duration_s ({self.duration_s}) at log_every "
+                f"({self.log_every}) makes a plant log of more than "
+                f"{LOG_VALUES_MAX} values: shorten duration_s or raise "
+                f"log_every"
+            )
         if self.comm_delay_s < 0.0:
             raise ValueError(
                 f"comm_delay_s must be >= 0, got {self.comm_delay_s}"
@@ -131,8 +145,6 @@ class ScenarioConfig:
                         f"lower its power limits, raise capacity_ah or set "
                         f"constant_c_rate"
                     )
-        if self.log_every < 1:
-            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         for g in self.pgms:
             self.dlc.assert_stable_for(g)
 

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 AH_TO_AS = 3600.0  # ampere-hours to ampere-seconds
+# values (rows x columns) the plant log of a run may hold, 400 MB of
+# floats; config validation rejects a run whose log would hold more
+LOG_VALUES_MAX = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,13 @@ class DlcGains:
                 f"unstable for r={spec.resistance_ohm}, "
                 f"l={spec.inductance_henry} (roots {roots})"
             )
+
+
+def log_values(n_steps: int, log_every: int, n_g: int, n_b: int) -> int:
+    """Values the log of `Plant` holds over n_steps plant steps: a row per
+    log_every steps of time, load, each generator's current, and each
+    battery's power, SoC, throughput and capacity loss."""
+    return -(-n_steps // log_every) * (2 + n_g + 4 * n_b)
 
 
 class Plant:

@@ -32,21 +32,26 @@ unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
 the unconstrained minimizer: multipliers mu = K_S r and x = x_u - P_S r,
 with K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S. The map depends
 only on the rows and S, so `LdpRows` keeps the map of the last certified
-solve over those rows, across prices and MPC steps. A solve first tries
-that active set, as an online active-set method would (Ferreau, Bock &
-Diehl, 2008), and calls `nnls` only when a KKT certificate with margins
-rejects it. A solve through `nnls` takes the map of its active set,
-unless a row outside that set is active at its point, where the map
-could not pass; when the map passes, the solve returns the map's point,
-so an answer depends only on the problem and the price, not on what was
-solved before. `LdpRows` keeps the maps it has built in a small memo,
-so an active set met again (the two levels of a pulsed load, the first
-steps of every run) costs a lookup, not a new factorization.
+solve over those rows, across prices and MPC steps, and a memo of the maps
+built or certified lately. A solve tries that map first, then the memo's
+others, most recent first, as an online active-set method re-uses known
+active sets (Ferreau, Bock & Diehl, 2008), and calls `nnls` only when a
+KKT certificate with margins rejects them all. The certificate takes as S
+every row active within a margin t at the map's point; a row of S may be
+weakly active, with a zero multiplier, as when a generator ramps at its
+limit onto a box bound. A solve through `nnls` takes the map of its
+passive set and the rows within t/2 of active at its point, and returns
+the map's point when the map passes. At most one set passes for a
+problem, so an answer depends only on the problem and the price, not on
+what was solved before. An active set met again (the two levels of a
+pulsed load, the first steps of every run) costs a lookup, not a new
+factorization. `EXITS` counts how the solves ended.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -67,8 +72,14 @@ FLOAT_MAX = float(np.finfo(float).max)
 # an active set whose KKT matrix a_S D^-1 a_S' is conditioned worse than
 # this gets no map; its solves take the `nnls` point
 ACTIVE_MAP_COND_MAX = 1e8
-# active-set maps kept per `LdpRows`, oldest dropped first
+# active-set maps kept per `LdpRows`; the one least recently built or
+# certified is dropped first
 ACTIVE_MAP_MEMO_SIZE = 16
+# unit rows whose dot product is below this are a row and its negation
+TWIN_DOT = -1.0 + 1e-9
+# `Ldp.solve` exits over the process: "shortcut" (x_u is the answer),
+# "hint", "memo", "nnls", "max_iter" and "infeasible"
+EXITS = Counter()
 
 
 class LdpRows:
@@ -77,10 +88,11 @@ class LdpRows:
     first n rows of E. Those arrays are read-only, so that LDPs may share
     them. ``hint`` is the active-set map (`active_map`) of the last certified
     solve over these rows, which the next solve tries first; ``maps`` keeps
-    the maps built so far, so that an active set seen again costs no new
-    factorization. Neither changes an answer. Devices that share rows but
-    not an active set take turns replacing the hint, and their solves go
-    to `nnls`."""
+    the maps built or certified lately, which it tries next, so that an
+    active set seen again costs neither `nnls` nor a new factorization.
+    Neither changes an answer. Devices that share rows but not an active
+    set take turns replacing the hint and find each other's maps in the
+    memo."""
 
     def __init__(self, d, a):
         self.norms = np.linalg.norm(a, axis=1)
@@ -100,22 +112,29 @@ class LdpRows:
                     self.e, self.unit):
             arr.flags.writeable = False
         self.hint = None
-        self.maps = {}  # active-row flags (bytes) -> map, oldest first
+        # active-row flags (bytes) -> map, least recently built or
+        # certified first
+        self.maps = {}
 
-    def active_map(self, active):
+    def active_map(self, key, active):
         """The affine solution map of the active row set flagged in
-        ``active``: (S, the other rows, [K_S; P_S]) with
+        ``active`` (whose bytes are ``key``): (S, the other rows,
+        [K_S; P_S], the diagonal of K_S as floats) with
         K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S, so that
         mu = K_S r and x = x_u - P_S r for the slack r = a_S x_u - b_S.
         None when S is empty or its KKT matrix is singular or conditioned
         worse than `ACTIVE_MAP_COND_MAX`. Built once per S while S stays
-        among the last `ACTIVE_MAP_MEMO_SIZE` sets built."""
-        key = active.tobytes()
+        among the last `ACTIVE_MAP_MEMO_SIZE` sets built or certified."""
         if key not in self.maps:
             if len(self.maps) >= ACTIVE_MAP_MEMO_SIZE:
                 del self.maps[next(iter(self.maps))]
             self.maps[key] = self._factor(active)
         return self.maps[key]
+
+    def promote(self, key):
+        """Make the memo's map under ``key``, which has just certified a
+        solve, the hint and the memo's most recent entry."""
+        self.hint = self.maps[key] = self.maps.pop(key)
 
     def _factor(self, active):
         rows = np.flatnonzero(active)
@@ -127,7 +146,8 @@ class LdpRows:
         if not eig[0] > eig[-1] / ACTIVE_MAP_COND_MAX:
             return None
         k = (vec / eig) @ vec.T
-        return rows, np.flatnonzero(~active), np.vstack([k, ad.T @ k])
+        return (rows, np.flatnonzero(~active), np.vstack([k, ad.T @ k]),
+                k.diagonal().tolist())
 
 
 class Ldp:
@@ -162,31 +182,35 @@ class Ldp:
         Anything else is MAX_ITER with the candidate point.
 
         Before `nnls`, the active set of the rows' last certified solve is
-        tried (`_certified`); a solve whose `nnls` active set passes the
+        tried (`_certified`), then the other maps of their memo, most
+        recent first; a solve whose `nnls` point has a set that passes the
         same certificate returns that map's point, so the answer does not
-        depend on which path found it.
+        depend on which path found it. Each exit is counted in `EXITS`.
         """
         xu = q / self.neg_d
         slack = self.a @ xu - self.b  # > 0 on the rows x_u violates
         top = slack.max(initial=0.0)
         if top <= 0.0:
+            EXITS["shortcut"] += 1
             return xu, OPTIMAL, 0, 0.0
         # top > max(rho) makes s > 1 below, where the overflow guard
         # cannot fire
-        if self.rows.hint is not None and top > self.rho_max:
-            hit = self._certified(self.rows.hint, xu, slack, tol)
+        if top > self.rho_max:
+            hit = self._continued(xu, slack, tol)
             if hit is not None:
-                return hit[0], OPTIMAL, 1, hit[1]
+                return hit
         h = slack / self.rho
         s = float(h.max())  # scaled so the LDP solution has ||z|| >= 1
         # h/s overflows when x_u misses by a subnormal; never for s > 1,
         # where s * FLOAT_MAX is inf
         if s <= 1.0 and -float(h.min()) > s * FLOAT_MAX:
+            EXITS["shortcut"] += 1
             return xu, OPTIMAL, 0, self.violation(xu)
         self.e[-1] = h / s
         try:
             u, _ = nnls(self.e, self.unit, maxiter=NNLS_MAX_ITER)
         except RuntimeError:  # iteration cap
+            EXITS[MAX_ITER] += 1
             x = np.clip(xu, self.lo, self.hi)
             return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
         r = self.e @ u - self.unit
@@ -194,50 +218,95 @@ class Ldp:
             x = xu - (s / r[-1]) * self.w * r[:-1]
             v = self.a @ x - self.b
             t = tol * max(1.0, float(abs(x).max()))
-            active = u > 0.0
-            # a row outside the passive set within t/2 of active at x is
-            # not slack beyond t at the map's point (x up to rounding), so
-            # the map would fail its certificate: build none. The fleet
-            # oracle's twin balance rows always take this exit.
-            if not (v[~active] > -0.5 * t).any():
-                amap = self.rows.active_map(active)
+            # the passive set and the rows within t/2 of active at x: the
+            # set that passes the certificate, if any does
+            near = (u > 0.0) | (v > -0.5 * t)
+            a_s = self.a[near]
+            # a row and its negation (an equality written as two rows, as
+            # the fleet oracle writes balance) make K_S singular: no map
+            if (a_s @ a_s.T).min(initial=0.0) > TWIN_DOT:
+                key = near.tobytes()
+                amap = self.rows.active_map(key, near)
                 hit = None if amap is None else self._certified(amap, xu,
                                                                 slack, tol)
                 if hit is not None:
-                    self.rows.hint = amap
+                    self.rows.promote(key)
+                    EXITS["nnls"] += 1
                     return hit[0], OPTIMAL, 1, hit[1]
             viol = float(v.max(initial=0.0))
             if viol <= t:
+                EXITS["nnls"] += 1
                 return x, OPTIMAL, 1, viol
         else:
             x = np.clip(xu, self.lo, self.hi)
             viol = self.violation(x)
         if self._certifies_empty(u / self.rho, tol):
+            EXITS[INFEASIBLE] += 1
             return None, INFEASIBLE, 1, np.inf
+        EXITS[MAX_ITER] += 1
         return x, MAX_ITER, 1, viol
+
+    def _continued(self, xu, slack, tol: float):
+        """The solve's return when the rows' hint or another map of their
+        memo, most recent first, passes `_certified`, else None. A memo map
+        that passes becomes the hint."""
+        rows = self.rows
+        hint = rows.hint
+        if hint is not None:
+            hit = self._certified(hint, xu, slack, tol)
+            if hit is not None:
+                EXITS["hint"] += 1
+                return hit[0], OPTIMAL, 1, hit[1]
+        for key, amap in reversed(rows.maps.items()):
+            if amap is not None and amap is not hint:
+                hit = self._certified(amap, xu, slack, tol)
+                if hit is not None:
+                    break
+        else:
+            return None
+        rows.promote(key)
+        EXITS["memo"] += 1
+        return hit[0], OPTIMAL, 1, hit[1]
 
     def _certified(self, amap, xu, slack, tol: float):
         """(x, violation) of the active set S of ``amap`` when a KKT
         certificate with margins proves x optimal, else None. With
-        t = tol*max(1, ||x||inf): every row of S holds as an equality to t,
-        every other row holds with slack beyond t, and every multiplier
-        exceeds tol times the largest. Then S is the active set of the
-        unique minimizer, well clear of any other set; a point with rows
-        active to within t, whose active set is degenerate, fails for every
-        S and is left to `nnls`."""
-        rows, off, kp = amap
+        t = tol*max(1, ||x||inf): S is every row active within t at x (the
+        rows of S hold as equalities to t, every other row holds with
+        slack beyond t), and every multiplier is at least -tol times the
+        largest. A row of S with a negative multiplier must moreover be
+        within t/2 of active at the point of S without it, where its slack
+        is mu_i/[K_S]_ii; otherwise a row whose slack at the optimum lies
+        just beyond t could be forced active by a second set that passes
+        too. So a weakly active row (active, with a zero multiplier, as
+        when a generator ramps at its limit onto a box bound) certifies,
+        and at most one S passes for a problem.
+
+        The reductions run on Python floats; a NaN anywhere rejects, as it
+        does in numpy's, whose min and max propagate it."""
+        rows, off, kp, k_diag = amap
         y = kp @ slack[rows]  # mu, then P_S r
-        mu = y[:rows.size]
-        if not mu.min() > tol * mu.max():
+        mu = y[:rows.size].tolist()
+        mu_min = min(mu)
+        if not mu_min >= -tol * max(mu):
             return None
         x = xu - y[rows.size:]
+        xl = x.tolist()
+        t = tol * max(1.0, max(xl), -min(xl))
         v = self.a @ x - self.b
-        t = tol * max(1.0, float(abs(x).max()))
-        if off.size and not v[off].max() < -t:
+        v_off = v[off].tolist()
+        if v_off and not max(v_off) < -t:
             return None
-        v_s = v[rows]
-        top = float(v_s.max())
-        if not (-t <= float(v_s.min()) and top <= t):
+        v_s = v[rows].tolist()
+        top = max(v_s)
+        if not (-t <= min(v_s) and top <= t):
+            return None
+        if mu_min < 0.0 and not all(m >= -0.5 * t * k
+                                    for m, k in zip(mu, k_diag)):
+            return None
+        total = sum(mu) + sum(xl) + sum(v_off) + sum(v_s)
+        # a NaN sum also comes from +inf and -inf without any NaN
+        if total != total and any(map(math.isnan, mu + xl + v_off + v_s)):
             return None
         return x, max(top, 0.0)  # the rows outside S hold
 

@@ -196,9 +196,13 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
             p_f = np.full(h, load_at(t, cfg.load))
         pcms = []
         for spec, s, pref in zip(cfg.pcms, soc, pref_b):
-            # a plan in flight during the delay, or rounding, can carry the
-            # plant past a SoC limit; plan from the nearest limit instead
-            s = min(max(float(s), spec.soc_min), spec.soc_max)
+            # the setpoint in force holds until the plan applies, and SoC
+            # is linear in it (i_b = p_b/v_bus): plan from the SoC at
+            # application time, and from the nearest limit where rounding
+            # carries it past one
+            s = float(s - cfg.comm_delay_s * pref / (
+                AH_TO_AS * cfg.bus.v_bus_volt * spec.capacity_ah))
+            s = min(max(s, spec.soc_min), spec.soc_max)
             # a battery that cannot come to rest within its SoC limits has
             # no plan from its setpoint; plan it from rest, and the jump
             # counts as a ramp violation when applied

@@ -18,7 +18,7 @@ from shipems.config import (
     from_json_dict,
     load_config,
 )
-from shipems.plant import DlcGains, PcmSpec, PgmSpec
+from shipems.plant import LOG_VALUES_MAX, DlcGains, PcmSpec, PgmSpec
 from shipems.sim import LoadProfileSpec, run_scenario
 from test_sim import closed_loop_configs
 
@@ -248,6 +248,25 @@ class TestValidation:
         d = default_config().to_json_dict()
         d["pcms"][0]["degradation"]["c_rate"] = 1e10
         assert_config_error(d, "pcms[0].degradation", tmp_path, capsys)
+
+    # the default log has 2 + 1 + 4 columns and a row per 100 plant steps
+    # of 1 ms; 1e300 s once failed in np.arange inside Plant, exit code 1
+    @pytest.mark.parametrize("duration_s, log_every", [
+        (1e300, 100), ((LOG_VALUES_MAX // 7 + 1) * 100 * 1e-3, 100),
+        (1e305, 1),  # more values than the largest float
+    ], ids=["1e300", "one-row-over", "1e305-every-step"])
+    def test_plant_log_size_is_bounded(self, duration_s, log_every,
+                                       tmp_path, capsys):
+        d = default_config().to_json_dict()
+        d["duration_s"], d["log_every"] = duration_s, log_every
+        assert_config_error(
+            d, f"duration_s ({duration_s}) at log_every ({log_every})",
+            tmp_path, capsys)
+
+    def test_plant_log_at_its_bound_is_valid(self):
+        dataclasses.replace(default_config(),
+                            duration_s=LOG_VALUES_MAX // 7 * 100 * 1e-3
+                            ).validate()
 
     def test_default_config_is_valid(self):
         default_config().validate()

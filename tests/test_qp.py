@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shipems.qp as qpmod
+from shipems.config import default_config
 from shipems.coordinator import Fleet, PcmNodeState, PgmNodeState, coordinate
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
 from shipems.qp import (
@@ -16,6 +19,7 @@ from shipems.qp import (
     solve,
 )
 from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pgm_qp
+from shipems.sim import run_scenario
 from fleets import random_fleet
 from oracles import (
     enumerate_qp,
@@ -520,7 +524,10 @@ class TestActiveSetContinuation:
             ldp.solve(np.array([-2.0, 0.5, -0.3]), 1e-8)
             ldp.solve(np.array([2.0, 3.0, -0.3]), 1e-8)
         assert factored == [(1, 1), (2, 2)]
-        assert len(calls) == 10  # the hint is always the other region's
+        # x_u misses the first region by 1 = max(rho), where a solve goes
+        # straight to `nnls`; the second region's solves after the first
+        # take its map from the memo
+        assert len(calls) == 6
 
     def test_map_memo_stays_bounded(self):
         qp = HorizonQp(h=8, quad_diag=1.0, lower=-1.0, upper=1.0,
@@ -530,3 +537,164 @@ class TestActiveSetContinuation:
         for _ in range(200):
             ldp.solve(rng.uniform(-3.0, 3.0, qp.h), 1e-8)
         assert len(ldp.rows.maps) == qpmod.ACTIVE_MAP_MEMO_SIZE
+
+
+def solve_exit(ldp, lin, tol):
+    """`ldp.solve(lin, tol)` and the exit it counted in `qp.EXITS`."""
+    before = qpmod.EXITS.copy()
+    out = ldp.solve(lin, tol)
+    (exit_,) = (qpmod.EXITS - before).keys()
+    return out, exit_
+
+
+class TestWeaklyActiveRows:
+    """A row active at the optimum with a zero multiplier certifies, on the
+    hint, the memo and the `nnls` path alike."""
+
+    @given(h=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           weight=st.floats(1e-6, 10.0), ulps=st.integers(-4, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_ramp_at_its_limit_for_two_steps(self, h, seed, weight, ulps):
+        rng = np.random.default_rng(seed)
+        p_max = rng.uniform(1e6, 4e7)
+        ramp = rng.uniform(0.05, 0.3) * p_max
+        prev = rng.uniform(0.7, 1.0) * p_max
+        qp = HorizonQp(h=h, quad_diag=weight,
+                       lower=rng.uniform(0.0, 0.05) * p_max, upper=p_max,
+                       ramp_limit=ramp, prev_value=prev)
+        # step 0 wants below its ramp anchor prev - ramp; from step 1 on,
+        # x_u sits on (or within rounding of) the row ramping down from
+        # step 0 to step 1, which is then active with a zero multiplier
+        below = prev - ramp - rng.uniform(0.1, 0.5) * ramp
+        on_row = prev - 2.0 * ramp
+        for _ in range(abs(ulps)):
+            on_row = np.nextafter(on_row, ulps * np.inf)
+        weak = -weight * np.array([below] + [on_row] * (h - 1))
+        # only the anchored bound of step 0 binds
+        flat = -weight * np.full(h, below)
+        for tol in (1e-8, 1e-6):
+            cold, exit_ = solve_exit(fresh_ldp(qp), weak, tol)
+            assert exit_ == "nnls" and cold[1] == OPTIMAL
+            warm = fresh_ldp(qp)
+            first, exit_ = solve_exit(warm, weak, tol)
+            assert exit_ == "nnls"
+            again, exit_ = solve_exit(warm, weak, tol)
+            assert exit_ == "hint"
+            solve_exit(warm, flat, tol)  # another set becomes the hint
+            memo, exit_ = solve_exit(warm, weak, tol)
+            assert exit_ == "memo"
+            for got in (first, again, memo):
+                assert_same_solve(got, cold)
+
+    def test_row_just_beyond_the_margin_is_not_forced(self):
+        # x_u = (5, 1 - 1.5e-8) misses x0 <= 1 and clears x1 <= 1 by
+        # 1.5 t: the set {x0 <= 1} certifies. The hint {x0 <= 1, x1 <= 1}
+        # left by x_u = (5, 2) has multipliers (4, -1.5e-8), within
+        # -tol times the largest, but would force x1 by more than t/2
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        b = np.array([1.0, 1.0, 10.0, 10.0])
+
+        def kernel():
+            return qpmod.Ldp(qpmod.LdpRows(np.ones(2), a), b,
+                             np.full(2, -10.0), np.full(2, 1.0))
+
+        warm = kernel()
+        _, exit_ = solve_exit(warm, np.array([-5.0, -2.0]), 1e-8)
+        assert exit_ == "nnls" and warm.rows.hint[0].size == 2
+        q = np.array([-5.0, -1.0 + 1.5e-8])
+        got = warm.solve(q, 1e-8)
+        assert got[0][1] < 1.0
+        assert_same_solve(got, kernel().solve(q, 1e-8))
+
+
+def numpy_certified(ldp, amap, xu, slack, tol):
+    """`Ldp._certified` with numpy's reductions, which propagate NaN."""
+    rows, off, kp, k_diag = amap
+    y = kp @ slack[rows]
+    mu = y[:rows.size]
+    if not mu.min() >= -tol * mu.max():
+        return None
+    x = xu - y[rows.size:]
+    t = tol * max(1.0, float(np.abs(x).max()))
+    v = ldp.a @ x - ldp.b
+    if off.size and not v[off].max() < -t:
+        return None
+    top = float(v[rows].max())
+    if not (-t <= v[rows].min() and top <= t):
+        return None
+    if not np.all(mu >= -0.5 * t * np.array(k_diag)):
+        return None
+    return x, max(top, 0.0)
+
+
+class TestCertificateReductions:
+    @given(**row_patterns, where=st.lists(st.tuples(
+        st.booleans(), st.integers(0, 200),
+        st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308])),
+        max_size=3), tol=st.sampled_from([1e-8, 1e-4, 1e-2, 0.3]))
+    @settings(max_examples=200, deadline=None)
+    def test_python_floats_decide_as_numpy(self, where, tol, **pattern):
+        # the map of a certified solve, tried at a nearby price and a
+        # tolerance that may be coarse, with non-finite or huge values put
+        # into x_u or the slack
+        rng, problem = pattern_problems(**pattern)
+        qp, lin = problem()
+        ldp = fresh_ldp(qp)
+        ldp.solve(lin, 1e-8)
+        amap = ldp.rows.hint
+        if amap is None:
+            return
+        lin = lin * rng.uniform(0.9, 1.1, qp.h)
+        xu = lin / ldp.neg_d
+        slack = ldp.a @ xu - ldp.b
+        for in_slack, i, value in where:
+            target = slack if in_slack else xu
+            target[i % target.size] = value
+        with np.errstate(all="ignore"):
+            got = ldp._certified(amap, xu, slack, tol)
+            want = numpy_certified(ldp, amap, xu, slack, tol)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+
+
+    def test_a_nan_after_the_first_multiplier_rejects(self):
+        # numpy's min and max propagate a NaN; Python's skip one that is
+        # not first, which must not let the map pass
+        rows = qpmod.LdpRows(np.ones(2), np.vstack([np.eye(2), -np.eye(2)]))
+        ldp = qpmod.Ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]),
+                        np.full(2, -10.0), np.full(2, 1.0))
+        # S is both upper bounds: K_S = I, here with a NaN below its
+        # diagonal, and P_S = I
+        kp = np.array([[1.0, 0.0], [np.nan, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        amap = (np.array([0, 1]), np.array([2, 3]), kp, [1.0, 1.0])
+        xu = np.array([2.0, 2.0])
+        slack = ldp.a @ xu - ldp.b
+        assert numpy_certified(ldp, amap, xu, slack, 1e-8) is None
+        assert ldp._certified(amap, xu, slack, 1e-8) is None
+        kp[1, 0] = 0.0
+        x, _ = ldp._certified(amap, xu, slack, 1e-8)
+        np.testing.assert_array_equal(x, [1.0, 1.0])
+
+
+class TestExitCounters:
+    def test_default_run_keeps_nnls_off_the_dual_iteration(self,
+                                                           monkeypatch):
+        # the 300 s default run takes 823 LDP solves; before weakly active
+        # rows certified and the memo was tried, 272 of them called `nnls`
+        solves = []
+        solve = qpmod.Ldp.solve
+
+        def counted(self, q, tol):
+            solves.append(1)
+            return solve(self, q, tol)
+
+        monkeypatch.setattr(qpmod.Ldp, "solve", counted)
+        qpmod.EXITS.clear()
+        run_scenario(dataclasses.replace(default_config(), duration_s=300.0))
+        assert set(qpmod.EXITS) <= {"shortcut", "hint", "memo", "nnls",
+                                    MAX_ITER, INFEASIBLE}
+        assert sum(qpmod.EXITS.values()) == len(solves)
+        assert qpmod.EXITS["nnls"] <= 40
