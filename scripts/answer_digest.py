@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of the package's answers, to compare two versions.
+
+Digests:
+- the three CSVs of the default config run for 300 s;
+- every `SimLog` field of that run, and its dual iterations and
+  `qp.EXITS` counts;
+- criterion 1's 200 random fleets, as `coordinate` and
+  `centralized_solve` answer them, and the `qp.EXITS` counts of both.
+
+Two versions that print the same lines give bitwise the same answers on
+these runs. The digests may differ between platforms (BLAS, libm), so
+compare outputs taken on one machine.
+
+    python scripts/answer_digest.py > digests.txt
+"""
+
+import dataclasses
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from shipems import harness, qp
+from shipems.config import default_config
+from shipems.coordinator import centralized_solve, coordinate
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+from fleets import feasible_demand, random_fleet  # noqa: E402
+
+DURATION_S = 300.0
+FLEETS = 200
+
+
+def digest(*values) -> str:
+    """sha256 of arrays (dtype, shape and bytes) and other values (repr)."""
+    h = hashlib.sha256()
+    for v in values:
+        if isinstance(v, np.ndarray):
+            h.update(f"{v.dtype.str}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        else:
+            h.update(repr(v).encode())
+    return h.hexdigest()
+
+
+def default_run():
+    cfg = dataclasses.replace(default_config(), duration_s=DURATION_S)
+    qp.EXITS.clear()
+    with tempfile.TemporaryDirectory() as out:
+        log = harness.run_to_artifacts(cfg, out)
+        for name in ("timeseries.csv", "mpc_diag.csv", "summary.csv"):
+            with open(os.path.join(out, name), "rb") as fh:
+                print(f"{name} {hashlib.sha256(fh.read()).hexdigest()}")
+    for f in dataclasses.fields(log):
+        print(f"simlog.{f.name} {digest(getattr(log, f.name))}")
+    print(f"dual_iterations {int(log.mpc_iterations.sum())}")
+    print("exits " + " ".join(f"{k}={v}" for k, v in sorted(qp.EXITS.items())))
+
+
+def criterion_1():
+    """The fleets, demands and tolerances of acceptance criterion 1."""
+    rng = np.random.default_rng(2024)
+    h = 5
+    dist, cen = hashlib.sha256(), hashlib.sha256()
+    qp.EXITS.clear()
+    for _ in range(FLEETS):
+        fleet = random_fleet(rng)
+        p_f = feasible_demand(rng, fleet, h)
+        scale = max(float(np.max(np.abs(p_f))), 1.0)
+        c = centralized_solve(fleet, p_f, tol=1e-9)
+        rep = coordinate(fleet, p_f, bal_tol_w=1e-6 * scale, max_iter=5000)
+        dist.update(digest(*[r.profile for r in rep.gen + rep.batt],
+                           rep.lambda_final, rep.iterations_used,
+                           rep.final_residual_w, rep.shortfall_w).encode())
+        cen.update(digest(*c.gen_profiles, *c.batt_profiles, c.objective,
+                          c.status).encode())
+    print(f"criterion1.coordinate {dist.hexdigest()}")
+    print(f"criterion1.centralized_solve {cen.hexdigest()}")
+    print("criterion1.exits "
+          + " ".join(f"{k}={v}" for k, v in sorted(qp.EXITS.items())))
+
+
+if __name__ == "__main__":
+    default_run()
+    criterion_1()

@@ -30,7 +30,9 @@ A step that no bound proves unbalanceable runs to its iteration budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 import scipy.linalg
@@ -152,13 +154,32 @@ def _reach_bounds(qps, p_f: np.ndarray):
     A node's step-k power lies below hi_k = min over j <= k of
     (hi_j + (k-j)*ramp) for its effective box [lo, hi] (held by its
     kernel), and above lo_k likewise, so every step-k total lies in
-    [sum lo_k, sum hi_k].
+    [sum lo_k, sum hi_k]. The running minimum of hi_j - j*ramp, with
+    k*ramp added back, is taken on Python floats, as are the sums over
+    nodes in their order.
     """
-    steps = np.outer([p.ramp_limit for p in qps], np.arange(p_f.size))
-    hi = np.minimum.accumulate([p.ldp.hi for p in qps] - steps, axis=1) + steps
-    lo = np.maximum.accumulate([p.ldp.lo for p in qps] + steps, axis=1) - steps
-    return (max(0.0, float((p_f - hi.sum(axis=0)).max())),
-            max(0.0, float((lo.sum(axis=0) - p_f).max())))
+    hi_sum = lo_sum = None
+    for p in qps:
+        ramp = p.ramp_limit
+        his, los = [], []
+        for k, (u, l) in enumerate(zip(p.ldp.hi.tolist(), p.ldp.lo.tolist())):
+            s = ramp * k
+            # min and max as numpy's accumulate runs them, NaN included; a
+            # comparison is cheaper than the built-ins
+            if not k or u - s < hi:
+                hi = u - s
+            if not k or l + s > lo:
+                lo = l + s
+            his.append(hi + s)
+            los.append(lo - s)
+        if hi_sum is None:
+            hi_sum, lo_sum = his, los
+        else:
+            hi_sum = list(map(add, hi_sum, his))
+            lo_sum = list(map(add, lo_sum, los))
+    demand = p_f.tolist()
+    return (max(0.0, max(map(sub, demand, hi_sum))),
+            max(0.0, max(map(sub, lo_sum, demand))))
 
 
 def _stacked_rows(qps):
@@ -190,9 +211,10 @@ def _solve_all(fleet: Fleet, lam: np.ndarray, problems):
     gen_qps, batt_qps = problems
     gen = [pgm_solve(p, lam, g.spec) for g, p in zip(fleet.pgms, gen_qps)]
     batt = [pcm_solve(p, lam, b.spec) for b, p in zip(fleet.pcms, batt_qps)]
-    for r, state in zip(gen + batt, fleet.pgms + fleet.pcms):
-        if r.qp_status == INFEASIBLE:
-            raise RuntimeError(f"node problem infeasible at {state}")
+    statuses = [r.qp_status for r in gen + batt]
+    if INFEASIBLE in statuses:
+        state = (fleet.pgms + fleet.pcms)[statuses.index(INFEASIBLE)]
+        raise RuntimeError(f"node problem infeasible at {state}")
     return gen, batt
 
 
@@ -225,14 +247,15 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     if bal_tol_w is not None and not bal_tol_w > 0.0:
         raise ValueError(f"bal_tol_w must be > 0, got {bal_tol_w}")
     p_f = np.asarray(p_f, dtype=float)
-    if p_f.ndim != 1 or not p_f.size or not np.isfinite(p_f).all():
+    demand = p_f.tolist() if p_f.ndim == 1 else []
+    if not demand or not qpmod.all_finite(demand):
         raise ValueError("p_f must be a finite, non-empty 1-D profile")
     h = p_f.size
     if lambda_warm is None:
         lam = np.zeros(h)
     else:
         lam = np.array(lambda_warm, dtype=float)
-        if lam.shape != (h,) or not np.isfinite(lam).all():
+        if lam.shape != (h,) or not qpmod.all_finite(lam.tolist()):
             raise ValueError(f"lambda_warm must be finite and of p_f's "
                              f"length {h}, got shape {lam.shape}")
     if alpha is None:
@@ -242,9 +265,11 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     history = []  # worst-step residual of every iterate
     problems = _node_problems(fleet, h)
     qps = problems[0] + problems[1]
-    short_w, over_w = _reach_bounds(qps, p_f)
-    reach_w = max(short_w, over_w)
-    attained_w = BOUND_ATTAINED_RTOL * float(abs(p_f).max())
+    # the reach envelope, from the first iterate that misses the tolerance
+    # on: a step whose first iterate balances, as most do from the warm
+    # start, never reads it
+    reach_w = None
+    attained_w = BOUND_ATTAINED_RTOL * max(map(abs, demand))
     least = None  # least worst-step residual, from the LP
     best = None  # (residual, price, gen, batt, total)
     converged = False
@@ -253,17 +278,26 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         total = np.zeros(h)
         for r in gen + batt:
             total += r.profile
-        residual = total - p_f
-        res_inf = float(abs(residual).max())
+        residual = (total - p_f).tolist()
+        res_inf = max(map(abs, residual))
+        # numpy's max propagates a NaN, which the built-in skips when not
+        # first
+        if math.isnan(sum(residual)) and any(map(math.isnan, residual)):
+            res_inf = math.nan
         history.append(res_inf)
-        at_reach = (reach_w > bal_tol_w and res_inf <= reach_w + attained_w
-                    and -float(residual.min())
-                    <= max(short_w + attained_w, bal_tol_w))
-        if best is None or res_inf < best[0] or at_reach:
-            best = (res_inf, lam, gen, batt, total)
         if res_inf <= bal_tol_w:
+            # every earlier iterate missed the tolerance: this is the best
+            best = (res_inf, lam, gen, batt, total)
             converged = True
             break
+        if reach_w is None:
+            short_w, over_w = _reach_bounds(qps, p_f)
+            reach_w = max(short_w, over_w)
+        at_reach = (reach_w > bal_tol_w and res_inf <= reach_w + attained_w
+                    and -min(residual) <= max(short_w + attained_w,
+                                              bal_tol_w))
+        if best is None or res_inf < best[0] or at_reach:
+            best = (res_inf, lam, gen, batt, total)
         if at_reach:
             break
         if len(history) == LP_BOUND_ITERATION:

@@ -20,12 +20,19 @@ per constraint set and reuses them for every price. Rows are scaled to unit
 norm; state-of-charge limits stay in power units (bounds on prefix sums of
 power), never scaled by the tiny per-step SoC coefficient.
 
-The unit rows, the first n rows of E and their scales depend only on the
-Hessian and the row pattern of a horizon problem (h, which bounds are
-finite, whether SoC rows exist), not on the bounds' values, the ramp anchor
-or the state of charge. `HorizonQp.ldp` takes them from a bounded memo, so
-a receding-horizon run builds them once per device and each MPC step only
-computes its right-hand side.
+Within a receding-horizon run a device's Hessian, box and ramp limit stay
+fixed; only its ramp anchor (the last setpoint) and its state of charge
+change. What depends on the fixed part alone comes from bounded memos and
+is built once per device:
+- the length-h arrays of a scalar weight and box (`_expanded`), read-only
+  and shared by every step's `HorizonQp`;
+- the unit rows, the first n rows of E and their scales (`_ldp_rows`),
+  which depend only on the Hessian and the row pattern (h, which bounds
+  are finite, whether SoC rows exist).
+An MPC step builds only what the state changes: one right-hand side
+(`HorizonQp._rhs`, filled in place: box, ramp, then the two prefix-sum
+bounds, with the anchor folded into step 0), its finite-row mask, and an
+`Ldp` over the memoized rows.
 
 Successive prices of a dual ascent mostly leave a node's active set S
 unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
@@ -66,6 +73,9 @@ FEASIBLE = "feasible"
 # (Hessian, row pattern) pairs whose `LdpRows` are kept; a fleet needs one
 # per device, and criterion 1's 40 cross-check fleets about 140
 LDP_ROWS_MEMO_SIZE = 256
+# (h, weight, lower, upper) of scalar `HorizonQp`s whose expanded arrays
+# are kept; a fleet needs one per device
+EXPANDED_MEMO_SIZE = 256
 # iteration cap of one `nnls` call; a solve that hits it is MAX_ITER
 NNLS_MAX_ITER = 100_000
 FLOAT_MAX = float(np.finfo(float).max)
@@ -193,9 +203,10 @@ class Ldp:
         if top <= 0.0:
             EXITS["shortcut"] += 1
             return xu, OPTIMAL, 0, 0.0
-        # top > max(rho) makes s > 1 below, where the overflow guard
-        # cannot fire
-        if top > self.rho_max:
+        # top > max(rho) makes s > 1 below, where the overflow exit cannot
+        # fire; otherwise that exit's own test comes first
+        far = top > self.rho_max
+        if far:
             hit = self._continued(xu, slack, tol)
             if hit is not None:
                 return hit
@@ -206,6 +217,10 @@ class Ldp:
         if s <= 1.0 and -float(h.min()) > s * FLOAT_MAX:
             EXITS["shortcut"] += 1
             return xu, OPTIMAL, 0, self.violation(xu)
+        if not far:
+            hit = self._continued(xu, slack, tol)
+            if hit is not None:
+                return hit
         self.e[-1] = h / s
         try:
             u, _ = nnls(self.e, self.unit, maxiter=NNLS_MAX_ITER)
@@ -331,7 +346,8 @@ class HorizonQp:
     price.
 
     ``lower``/``upper``/``quad_diag`` accept scalars and are broadcast to
-    length ``h``. ``cumsum_coeff`` = 0 disables the
+    length ``h``: scalars to read-only arrays that problems with the same
+    values share, arrays to copies. ``cumsum_coeff`` = 0 disables the
     cumulative-sum constraints; otherwise they read
     cumsum_lower <= cumsum_init - cumsum_coeff * sum_{j<=k} x_j <= cumsum_upper
     for every k.
@@ -354,7 +370,8 @@ class HorizonQp:
         self.h = int(self.h)
         d, lo, hi = self.quad_diag, self.lower, self.upper
         # the node builders pass scalars: checked once, then expanded
-        scalar = all(isinstance(v, float) for v in (d, lo, hi))
+        scalar = (isinstance(d, float) and isinstance(lo, float)
+                  and isinstance(hi, float))
         if scalar:
             positive, finite, crossed = d > 0.0, math.isfinite(d), lo > hi
         else:
@@ -368,8 +385,14 @@ class HorizonQp:
             raise ValueError("quad_diag must be finite")
         if crossed:
             raise ValueError("lower must be <= upper componentwise")
-        self.quad_diag, self.lower, self.upper = (
-            (np.full(self.h, v) if scalar else v.copy()) for v in (d, lo, hi))
+        if scalar:
+            # the sign bits keep 0.0 and -0.0 apart, which compare equal
+            self.quad_diag, self.lower, self.upper = _expanded(
+                self.h, d, lo, hi, math.copysign(1.0, lo),
+                math.copysign(1.0, hi))
+        else:
+            self.quad_diag, self.lower, self.upper = (v.copy()
+                                                      for v in (d, lo, hi))
         self.ramp_limit = float(self.ramp_limit)
         self.prev_value = float(self.prev_value)
         self.cumsum_coeff = float(self.cumsum_coeff)
@@ -386,22 +409,18 @@ class HorizonQp:
 
     def effective_box(self):
         """Box bounds with the k=0 ramp anchor folded into the first step."""
-        lo = self.lower.copy()
-        hi = self.upper.copy()
-        lo[0] = max(lo[0], self.prev_value - self.ramp_limit)
-        hi[0] = min(hi[0], self.prev_value + self.ramp_limit)
-        return lo, hi
+        b = self._rhs()
+        return -b[self.h:2 * self.h], b[:self.h]
 
-    def prefix_bounds(self):
-        """Bounds on prefix sums s_k = sum_{j<=k} x_j implied by the cumsum
-        constraints, or (None, None) when disabled."""
+    def _prefix_limits(self):
+        """Bounds (lo, hi) on every prefix sum s_k = sum_{j<=k} x_j implied
+        by the cumsum constraints, or None when they are disabled."""
         c = self.cumsum_coeff
         if c == 0.0:
-            return None, None
+            return None
         a = (self.cumsum_init - self.cumsum_upper) / c
         b = (self.cumsum_init - self.cumsum_lower) / c
-        lo, hi = (a, b) if c > 0.0 else (b, a)
-        return np.full(self.h, lo), np.full(self.h, hi)
+        return (a, b) if c > 0.0 else (b, a)
 
     def objective(self, x: np.ndarray, lin: np.ndarray) -> float:
         """0.5 x'Dx + lin'x for a linear term ``lin`` of length h."""
@@ -417,27 +436,36 @@ class HorizonQp:
         d = np.diff(x)
         if d.size:
             v = max(v, float(np.max(np.abs(d))) - self.ramp_limit)
-        plo, phi = self.prefix_bounds()
-        if plo is not None:
+        limits = self._prefix_limits()
+        if limits is not None:
+            plo, phi = limits
             s = np.cumsum(x)
             v = max(v, float(np.max(plo - s)), float(np.max(s - phi)))
         return max(v, 0.0)
 
-    def _rhs(self, lo, hi):
+    def _rhs(self):
         """Right-hand sides of every row of `_row_matrix`, infinite ones
-        included."""
-        ramp = np.full(self.h - 1, self.ramp_limit)
-        rhs = [hi, -lo, ramp, ramp]
-        plo, phi = self.prefix_bounds()
-        if plo is not None:
-            rhs += [phi, -plo]
-        return np.concatenate(rhs)
+        included, filled in its order: the box with the ramp anchor folded
+        into step 0, the ramp rows, then the prefix-sum bounds. The LDP,
+        the LP rows and the effective box all read it."""
+        h = self.h
+        limits = self._prefix_limits()
+        b = np.empty(4 * h - 2 if limits is None else 6 * h - 2)
+        b[:h] = self.upper
+        np.negative(self.lower, out=b[h:2 * h])
+        b[0] = min(b[0], self.prev_value + self.ramp_limit)
+        b[h] = -max(self.lower[0], self.prev_value - self.ramp_limit)
+        b[2 * h:4 * h - 2] = self.ramp_limit
+        if limits is not None:
+            b[4 * h - 2:5 * h - 2] = limits[1]
+            b[5 * h - 2:] = -limits[0]
+        return b
 
     def constraint_rows(self):
         """All inequalities as (A, b), A x <= b: box (anchor folded), ramp,
         and prefix-sum rows in power units; rows with an infinite bound are
         dropped."""
-        b = self._rhs(*self.effective_box())
+        b = self._rhs()
         keep = np.isfinite(b)
         return _row_matrix(self.h, self.cumsum_coeff != 0.0)[keep], b[keep]
 
@@ -445,12 +473,12 @@ class HorizonQp:
     def ldp(self) -> Ldp:
         """The LDP form of this constraint set and Hessian, built once; its
         rows come from the memo of `_ldp_rows`."""
-        lo, hi = self.effective_box()
-        b = self._rhs(lo, hi)
+        h = self.h
+        b = self._rhs()
         keep = np.isfinite(b)
-        rows = _ldp_rows(self.quad_diag.tobytes(), self.h,
+        rows = _ldp_rows(self.quad_diag.tobytes(), h,
                          self.cumsum_coeff != 0.0, keep.tobytes())
-        return Ldp(rows, b[keep], lo, hi)
+        return Ldp(rows, b[keep], -b[h:2 * h], b[:h])
 
 
 def _row_matrix(h: int, prefix: bool) -> np.ndarray:
@@ -464,6 +492,18 @@ def _row_matrix(h: int, prefix: bool) -> np.ndarray:
         tri = np.tril(np.ones((h, h)))
         rows += [tri, -tri]
     return np.vstack(rows)
+
+
+@lru_cache(maxsize=EXPANDED_MEMO_SIZE)
+def _expanded(h: int, d: float, lo: float, hi: float, lo_sign: float,
+              hi_sign: float):
+    """Read-only length-``h`` arrays of the scalars ``d``, ``lo`` and
+    ``hi``, shared by every `HorizonQp` built from them; the sign bits are
+    part of the key only."""
+    arrays = tuple(np.full(h, v) for v in (d, lo, hi))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=LDP_ROWS_MEMO_SIZE)
@@ -504,6 +544,13 @@ def feasibility_check(qp: HorizonQp) -> str:
     return FEASIBLE if status == OPTIMAL else status
 
 
+def all_finite(values: list) -> bool:
+    """Whether every float in ``values`` is finite. A finite sum has only
+    finite terms; a sum that is not (which an overflow can make) is
+    decided term by term."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def solve(qp: HorizonQp, lin, tol: float = 1e-8) -> QpSolution:
     """Minimize 0.5 x'Dx + lin'x over the constraint set of ``qp`` exactly;
     see the module docstring for the method. ``lin`` may be a scalar.
@@ -519,7 +566,7 @@ def solve(qp: HorizonQp, lin, tol: float = 1e-8) -> QpSolution:
     lin = np.asarray(lin, dtype=float)
     if lin.ndim == 0:
         lin = np.full(qp.h, lin)
-    if not np.isfinite(lin).all():
+    if not all_finite(lin.ravel().tolist()):
         raise ValueError("lin must be finite")
     x, status, iters, viol = qp.ldp.solve(lin, tol)
     if status == INFEASIBLE:

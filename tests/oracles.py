@@ -209,3 +209,37 @@ def min_max_residual_w(fleet, p_f, unit: float = 1e6) -> float:
                   method="highs")
     assert res.status == 0, res.message
     return float(res.x[-1]) * unit
+
+
+def horizon_rhs(h, lower, upper, ramp_limit, prev_value, cumsum_coeff=0.0,
+                cumsum_init=0.0, cumsum_lower=0.0, cumsum_upper=1.0, **_):
+    """A `HorizonQp`'s row bounds built array by array from its arguments:
+    (b, lo, hi) with b every right-hand side in `qp._row_matrix` order
+    (box upper and lower with the ramp anchor folded into step 0, ramp up
+    and down, then the upper and lower prefix-sum bounds), infinite ones
+    included, and [lo, hi] the effective box."""
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (h,)).copy()
+              for v in (lower, upper))
+    lo[0] = max(lo[0], prev_value - ramp_limit)
+    hi[0] = min(hi[0], prev_value + ramp_limit)
+    ramp = np.full(h - 1, ramp_limit)
+    rhs = [hi, -lo, ramp, ramp]
+    c = cumsum_coeff
+    if c != 0.0:
+        a = (cumsum_init - cumsum_upper) / c
+        b = (cumsum_init - cumsum_lower) / c
+        plo, phi = (a, b) if c > 0.0 else (b, a)
+        rhs += [np.full(h, phi), -np.full(h, plo)]
+    return np.concatenate(rhs), lo, hi
+
+
+def reach_bounds(qps, p_f):
+    """Lower bounds (deficit, excess) on every allocation's worst-step
+    imbalance from the nodes' effective boxes and ramps alone, on arrays:
+    a node's step-k power lies within [max_j (lo_j - (k-j) ramp),
+    min_j (hi_j + (k-j) ramp)] over j <= k."""
+    steps = np.outer([p.ramp_limit for p in qps], np.arange(p_f.size))
+    hi = np.minimum.accumulate([p.ldp.hi for p in qps] - steps, axis=1) + steps
+    lo = np.maximum.accumulate([p.ldp.lo for p in qps] + steps, axis=1) - steps
+    return (max(0.0, float((p_f - hi.sum(axis=0)).max())),
+            max(0.0, float((lo.sum(axis=0) - p_f).max())))

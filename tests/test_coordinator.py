@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from shipems.coordinator import (
     LP_BOUND_ITERATION,
+    _node_problems,
+    _reach_bounds,
     CentralizedResult,
     Fleet,
     PcmNodeState,
@@ -19,7 +21,7 @@ from shipems import qp as qpmod
 from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pcm_solve, pgm_qp, pgm_solve
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
 from fleets import feasible_demand, fleet_reach_intervals, random_fleet
-from oracles import min_max_residual_w, min_shortfall_w
+from oracles import min_max_residual_w, min_shortfall_w, reach_bounds
 
 BUS = BusSpec()
 
@@ -384,3 +386,36 @@ class TestCentralizedSolve:
         cen = CentralizedResult([np.ones(3)], [2.0 * np.ones(3)], 0.0, 0.0,
                                 "optimal")
         np.testing.assert_allclose(cen.total_power(), 3.0)
+
+
+class TestReachBounds:
+    """`_reach_bounds` runs on Python floats; it must equal the array form
+    of the same recurrences bitwise."""
+
+    def test_equal_to_the_array_reference(self):
+        rng = np.random.default_rng(13)
+        for i in range(240):
+            fleet = random_fleet(rng)
+            h = 1 + i % 10
+            gen, batt = _node_problems(fleet, h)
+            lo, hi = fleet_reach_intervals(fleet, h)
+            # about at the fleet's limits, so that both bounds are met as
+            # 0 and as positive deficits and excesses
+            for p_f in (np.full(h, rng.uniform(lo.min(), hi.max())
+                                + rng.uniform(-5e6, 5e6)),
+                        rng.uniform(lo - 5e6, hi + 5e6)):
+                got = _reach_bounds(gen + batt, p_f)
+                want = reach_bounds(gen + batt, p_f)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_infinite_ramp_disables_the_bounds_in_both(self):
+        # ramp * 0 is NaN: the array form's NaN (with numpy's warning)
+        # takes every step's bound to 0, and so must the float form
+        gen = PgmSpec(rated_power_w=6e6, p_min_w=0.0, p_max_w=7e6,
+                      ramp_limit_w_per_step=np.inf, weight_beta=1.0)
+        fleet = Fleet(bus=BUS, pgms=[PgmNodeState(gen, 6e6)], pcms=[])
+        gen_qps, _ = _node_problems(fleet, 4)
+        p_f = np.full(4, 9e6)
+        with np.errstate(invalid="ignore"):
+            want = reach_bounds(gen_qps, p_f)
+        assert _reach_bounds(gen_qps, p_f) == want == (0.0, 0.0)

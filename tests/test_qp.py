@@ -24,6 +24,7 @@ from fleets import random_fleet
 from oracles import (
     enumerate_qp,
     horizon_qp_matrices,
+    horizon_rhs,
     min_max_violation,
     unit_rows,
 )
@@ -322,6 +323,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve(qp, 0.0, tol=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_rejects_nonfinite_lin(self, value, where):
+        qp = HorizonQp(h=3, quad_diag=1.0, lower=0.0, upper=1.0,
+                       ramp_limit=1.0, prev_value=0.5)
+        lin = np.zeros(3)
+        lin[where] = value
+        with pytest.raises(ValueError, match="lin must be finite"):
+            solve(qp, lin)
+        with pytest.raises(ValueError, match="lin must be finite"):
+            solve(qp, value)
+
+    def test_accepts_finite_lin_whose_sum_overflows(self):
+        # no finite row: x_u is the answer
+        qp = HorizonQp(h=2, quad_diag=1.0, lower=-np.inf, upper=np.inf,
+                       ramp_limit=np.inf, prev_value=0.0)
+        s = solve(qp, np.array([1e308, 1e308]))
+        assert s.status == OPTIMAL
+        np.testing.assert_array_equal(s.profile, [-1e308, -1e308])
+
     def test_h_one_minimal_problem(self):
         qp = HorizonQp(h=1, quad_diag=2.0, lower=0.0, upper=10.0,
                        ramp_limit=0.3, prev_value=0.5)
@@ -428,6 +449,71 @@ class TestRowsMemo:
         assert info.misses > qpmod.LDP_ROWS_MEMO_SIZE  # entries were evicted
 
 
+class TestRightHandSide:
+    """A step fills one right-hand side over shared expanded arrays; the
+    kernel, the LP rows and the effective box must equal the reference
+    built array by array."""
+
+    @given(h=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           lower=st.sampled_from(["inf", "zero", "negative zero", "finite"]),
+           upper_inf=st.booleans(), soc_sign=st.sampled_from([0.0, 1.0, -1.0]),
+           weight=st.one_of(st.just(WEIGHT_FLOOR),
+                            st.floats(WEIGHT_FLOOR, 10.0)),
+           arrays=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_the_reference(self, h, seed, lower, upper_inf, soc_sign,
+                                    weight, arrays):
+        rng = np.random.default_rng(seed)
+        p_max = rng.uniform(1e6, 4e7)
+        lower = {"inf": -np.inf, "zero": 0.0, "negative zero": -0.0,
+                 "finite": -rng.uniform(0.0, 1.0) * p_max}[lower]
+        upper = np.inf if upper_inf else p_max
+        kw = dict(h=h, quad_diag=weight, lower=lower, upper=upper,
+                  ramp_limit=rng.uniform(0.05, 1.0) * p_max,
+                  prev_value=rng.uniform(-1.0, 1.0) * p_max)
+        if soc_sign:
+            kw.update(cumsum_coeff=soc_sign / (rng.uniform(2e3, 2e4) * 3.6e6),
+                      cumsum_init=rng.uniform(0.1, 0.9), cumsum_lower=0.1,
+                      cumsum_upper=0.9)
+        if arrays:
+            kw.update({k: np.full(h, kw[k])
+                       for k in ("quad_diag", "lower", "upper")})
+        qp = HorizonQp(**kw)
+        b, lo, hi = horizon_rhs(**kw)
+        keep = np.isfinite(b)
+        a_rows, b_rows = qp.constraint_rows()
+        assert a_rows.shape == (keep.sum(), h)
+        pairs = [(qp.quad_diag, np.full(h, weight)),
+                 (qp.lower, np.full(h, lower)), (qp.upper, np.full(h, upper)),
+                 *zip(qp.effective_box(), (lo, hi)),
+                 (qp.ldp.lo, lo), (qp.ldp.hi, hi), (b_rows, b[keep]),
+                 (qp.ldp.b, b[keep] / qp.ldp.rows.norms)]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+
+    def test_expanded_arrays_are_shared_read_only_and_bounded(self):
+        rng = np.random.default_rng(2)
+        g = random_fleet(rng).pgms[0]
+        first = pgm_qp(g.spec, g.prev_power_w, 5)
+        again = pgm_qp(g.spec, 0.5 * g.prev_power_w, 5)
+        for name in ("quad_diag", "lower", "upper"):
+            shared = getattr(first, name)
+            assert shared is getattr(again, name)
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
+        for _ in range(300):
+            fleet = random_fleet(rng)
+            for g in fleet.pgms:
+                pgm_qp(g.spec, g.prev_power_w, 5)
+            for b in fleet.pcms:
+                pcm_qp(b.spec, fleet.bus, b.soc, b.prev_power_w,
+                       fleet.td_s, 5)
+        info = qpmod._expanded.cache_info()
+        assert info.maxsize == qpmod.EXPANDED_MEMO_SIZE
+        assert info.currsize <= qpmod.EXPANDED_MEMO_SIZE
+        assert info.misses > qpmod.EXPANDED_MEMO_SIZE  # entries were evicted
+
+
 def counted_nnls(monkeypatch):
     """Counts the kernel's `nnls` calls from here on."""
     calls = []
@@ -524,10 +610,11 @@ class TestActiveSetContinuation:
             ldp.solve(np.array([-2.0, 0.5, -0.3]), 1e-8)
             ldp.solve(np.array([2.0, 3.0, -0.3]), 1e-8)
         assert factored == [(1, 1), (2, 2)]
-        # x_u misses the first region by 1 = max(rho), where a solve goes
-        # straight to `nnls`; the second region's solves after the first
-        # take its map from the memo
-        assert len(calls) == 6
+        # x_u misses the first region by 1 = max(rho), where the
+        # subnormal-overflow exit is tested first and does not fire: each
+        # region calls `nnls` once, and later solves take its map from the
+        # hint or the memo
+        assert len(calls) == 2
 
     def test_map_memo_stays_bounded(self):
         qp = HorizonQp(h=8, quad_diag=1.0, lower=-1.0, upper=1.0,
