@@ -96,10 +96,9 @@ class PgmSpec:
             raise ValueError(
                 f"inductance_henry must be > 0, got {self.inductance_henry}"
             )
-        if not self.ramp_limit_w_per_step > 0.0:
-            raise ValueError(
-                f"ramp_limit_w_per_step must be > 0, got {self.ramp_limit_w_per_step}"
-            )
+        if not 0.0 < self.ramp_limit_w_per_step < math.inf:
+            raise ValueError("ramp_limit_w_per_step must be > 0 and finite, "
+                             f"got {self.ramp_limit_w_per_step}")
         if not (self.p_min_w <= self.rated_power_w <= self.p_max_w):
             raise ValueError(
                 "require p_min_w <= rated_power_w <= p_max_w, got "
@@ -135,10 +134,9 @@ class PcmSpec:
             raise ValueError(
                 f"require p_min_w <= 0 <= p_max_w, got [{self.p_min_w}, {self.p_max_w}]"
             )
-        if not self.ramp_limit_w_per_step > 0.0:
-            raise ValueError(
-                f"ramp_limit_w_per_step must be > 0, got {self.ramp_limit_w_per_step}"
-            )
+        if not 0.0 < self.ramp_limit_w_per_step < math.inf:
+            raise ValueError("ramp_limit_w_per_step must be > 0 and finite, "
+                             f"got {self.ramp_limit_w_per_step}")
         if not (0.0 <= self.soc_min < self.soc_max <= 1.0):
             raise ValueError(
                 f"require 0 <= soc_min < soc_max <= 1, got [{self.soc_min}, {self.soc_max}]"

@@ -38,21 +38,22 @@ Successive prices of a dual ascent mostly leave a node's active set S
 unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
 the unconstrained minimizer: multipliers mu = K_S r and x = x_u - P_S r,
 with K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S. The map depends
-only on the rows and S, so `LdpRows` keeps the map of the last certified
-solve over those rows, across prices and MPC steps, and a memo of the maps
-built or certified lately. A solve tries that map first, then the memo's
-others, most recent first, as an online active-set method re-uses known
-active sets (Ferreau, Bock & Diehl, 2008), and calls `nnls` only when a
-KKT certificate with margins rejects them all. The certificate takes as S
-every row active within a margin t at the map's point; a row of S may be
-weakly active, with a zero multiplier, as when a generator ramps at its
-limit onto a box bound. A solve through `nnls` takes the map of its
-passive set and the rows within t/2 of active at its point, and returns
-the map's point when the map passes. At most one set passes for a
-problem, so an answer depends only on the problem and the price, not on
-what was solved before. An active set met again (the two levels of a
-pulsed load, the first steps of every run) costs a lookup, not a new
-factorization. `EXITS` counts how the solves ended.
+only on the rows and S, so `LdpRows.maps` keeps, across prices and MPC
+steps, the maps whose sets have proven optimal over those rows, ordered by
+when each last did; it is the kernel's one warm state. A solve tries them
+newest first, as an online active-set method re-uses known active sets
+(Ferreau, Bock & Diehl, 2008), and calls `nnls` only when a KKT
+certificate with margins rejects them all. The certificate takes as S every row active
+within a margin t at the map's point; a row of S may be weakly active,
+with a zero multiplier, as when a generator ramps at its limit onto a box
+bound. A solve through `nnls` factors the map of its passive set and the
+rows within t/2 of active at its point, unless the memo holds that set
+(which has then just failed at this price), and returns the map's point,
+keeping the map, when it passes. At most one set passes for a problem, so
+an answer depends only on the problem and the price, not on what was
+solved before. An active set met again (the two levels of a pulsed load,
+the first steps of every run) costs a lookup, not a new factorization.
+`EXITS` counts how the solves ended.
 """
 
 from __future__ import annotations
@@ -82,13 +83,14 @@ FLOAT_MAX = float(np.finfo(float).max)
 # an active set whose KKT matrix a_S D^-1 a_S' is conditioned worse than
 # this gets no map; its solves take the `nnls` point
 ACTIVE_MAP_COND_MAX = 1e8
-# active-set maps kept per `LdpRows`; the one least recently built or
-# certified is dropped first
+# active-set maps kept per `LdpRows`; the one that certified least
+# recently is dropped first
 ACTIVE_MAP_MEMO_SIZE = 16
 # unit rows whose dot product is below this are a row and its negation
 TWIN_DOT = -1.0 + 1e-9
 # `Ldp.solve` exits over the process: "shortcut" (x_u is the answer),
-# "hint", "memo", "nnls", "max_iter" and "infeasible"
+# "hint" (the newest map of the memo), "memo" (an older one), "nnls",
+# "max_iter" and "infeasible"
 EXITS = Counter()
 
 
@@ -96,13 +98,12 @@ class LdpRows:
     """The part of an LDP fixed by its rows ``a`` and Hessian diagonal ``d``:
     unit-norm rows, the scaling w = d^(-1/2), the row scales rho and the
     first n rows of E. Those arrays are read-only, so that LDPs may share
-    them. ``hint`` is the active-set map (`active_map`) of the last certified
-    solve over these rows, which the next solve tries first; ``maps`` keeps
-    the maps built or certified lately, which it tries next, so that an
-    active set seen again costs neither `nnls` nor a new factorization.
-    Neither changes an answer. Devices that share rows but not an active
-    set take turns replacing the hint and find each other's maps in the
-    memo."""
+    them. ``maps`` is the memo of active-set maps (`active_map`) that have
+    certified a solve over these rows, keyed by their active-row flags and
+    ordered by when each last certified, newest last. A solve tries them
+    newest first, so that an active set seen again costs neither `nnls`
+    nor a new factorization; the memo never changes an answer. Devices
+    that share rows but not an active set find each other's maps in it."""
 
     def __init__(self, d, a):
         self.norms = np.linalg.norm(a, axis=1)
@@ -121,32 +122,23 @@ class LdpRows:
         for arr in (self.norms, self.d, self.neg_d, self.a, self.w, self.rho,
                     self.e, self.unit):
             arr.flags.writeable = False
-        self.hint = None
-        # active-row flags (bytes) -> map, least recently built or
-        # certified first
         self.maps = {}
 
-    def active_map(self, key, active):
+    def keep(self, key, amap):
+        """Make ``amap``, which has just certified a solve, the newest map
+        of the memo under ``key``; a full memo drops its oldest."""
+        maps = self.maps
+        if maps.pop(key, None) is None and len(maps) >= ACTIVE_MAP_MEMO_SIZE:
+            del maps[next(iter(maps))]
+        maps[key] = amap
+
+    def active_map(self, active):
         """The affine solution map of the active row set flagged in
-        ``active`` (whose bytes are ``key``): (S, the other rows,
-        [K_S; P_S], the diagonal of K_S as floats) with
-        K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S, so that
-        mu = K_S r and x = x_u - P_S r for the slack r = a_S x_u - b_S.
+        ``active``: (S, the other rows, [K_S; P_S], the diagonal of K_S as
+        floats) with K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S, so
+        that mu = K_S r and x = x_u - P_S r for the slack r = a_S x_u - b_S.
         None when S is empty or its KKT matrix is singular or conditioned
-        worse than `ACTIVE_MAP_COND_MAX`. Built once per S while S stays
-        among the last `ACTIVE_MAP_MEMO_SIZE` sets built or certified."""
-        if key not in self.maps:
-            if len(self.maps) >= ACTIVE_MAP_MEMO_SIZE:
-                del self.maps[next(iter(self.maps))]
-            self.maps[key] = self._factor(active)
-        return self.maps[key]
-
-    def promote(self, key):
-        """Make the memo's map under ``key``, which has just certified a
-        solve, the hint and the memo's most recent entry."""
-        self.hint = self.maps[key] = self.maps.pop(key)
-
-    def _factor(self, active):
+        worse than `ACTIVE_MAP_COND_MAX`."""
         rows = np.flatnonzero(active)
         if not rows.size:
             return None
@@ -191,11 +183,11 @@ class Ldp:
         the box violates some row by more than tol*max(1, ||box||inf).
         Anything else is MAX_ITER with the candidate point.
 
-        Before `nnls`, the active set of the rows' last certified solve is
-        tried (`_certified`), then the other maps of their memo, most
-        recent first; a solve whose `nnls` point has a set that passes the
-        same certificate returns that map's point, so the answer does not
-        depend on which path found it. Each exit is counted in `EXITS`.
+        Before `nnls`, the maps of the rows' memo are tried newest first
+        (`_continued`); a solve whose `nnls` point has a set that passes
+        the same certificate returns that map's point and keeps the map,
+        so the answer does not depend on which path found it. Each exit is
+        counted in `EXITS`.
         """
         xu = q / self.neg_d
         slack = self.a @ xu - self.b  # > 0 on the rows x_u violates
@@ -236,16 +228,18 @@ class Ldp:
             # the passive set and the rows within t/2 of active at x: the
             # set that passes the certificate, if any does
             near = (u > 0.0) | (v > -0.5 * t)
+            key = near.tobytes()
             a_s = self.a[near]
-            # a row and its negation (an equality written as two rows, as
-            # the fleet oracle writes balance) make K_S singular: no map
-            if (a_s @ a_s.T).min(initial=0.0) > TWIN_DOT:
-                key = near.tobytes()
-                amap = self.rows.active_map(key, near)
+            # a set in the memo has just failed at this price; a row and
+            # its negation (an equality written as two rows, as the fleet
+            # oracle writes balance) make K_S singular: no map
+            if key not in self.rows.maps \
+                    and (a_s @ a_s.T).min(initial=0.0) > TWIN_DOT:
+                amap = self.rows.active_map(near)
                 hit = None if amap is None else self._certified(amap, xu,
                                                                 slack, tol)
                 if hit is not None:
-                    self.rows.promote(key)
+                    self.rows.keep(key, amap)
                     EXITS["nnls"] += 1
                     return hit[0], OPTIMAL, 1, hit[1]
             viol = float(v.max(initial=0.0))
@@ -262,26 +256,18 @@ class Ldp:
         return x, MAX_ITER, 1, viol
 
     def _continued(self, xu, slack, tol: float):
-        """The solve's return when the rows' hint or another map of their
-        memo, most recent first, passes `_certified`, else None. A memo map
-        that passes becomes the hint."""
-        rows = self.rows
-        hint = rows.hint
-        if hint is not None:
-            hit = self._certified(hint, xu, slack, tol)
+        """The solve's return when a map of the rows' memo, tried newest
+        first, passes `_certified`, else None. A pass by the newest map
+        counts as "hint"; an older map that passes counts as "memo" and
+        becomes the newest."""
+        for i, (key, amap) in enumerate(reversed(self.rows.maps.items())):
+            hit = self._certified(amap, xu, slack, tol)
             if hit is not None:
-                EXITS["hint"] += 1
+                if i:
+                    self.rows.keep(key, amap)
+                EXITS["memo" if i else "hint"] += 1
                 return hit[0], OPTIMAL, 1, hit[1]
-        for key, amap in reversed(rows.maps.items()):
-            if amap is not None and amap is not hint:
-                hit = self._certified(amap, xu, slack, tol)
-                if hit is not None:
-                    break
-        else:
-            return None
-        rows.promote(key)
-        EXITS["memo"] += 1
-        return hit[0], OPTIMAL, 1, hit[1]
+        return None
 
     def _certified(self, amap, xu, slack, tol: float):
         """(x, violation) of the active set S of ``amap`` when a KKT
@@ -372,19 +358,21 @@ class HorizonQp:
         # the node builders pass scalars: checked once, then expanded
         scalar = (isinstance(d, float) and isinstance(lo, float)
                   and isinstance(hi, float))
+        # NaN fails every comparison, so each test is written to pass
         if scalar:
-            positive, finite, crossed = d > 0.0, math.isfinite(d), lo > hi
+            positive, finite, ordered = d > 0.0, math.isfinite(d), lo <= hi
         else:
             d, lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (self.h,))
                          for v in (d, lo, hi))
             positive, finite = np.all(d > 0.0), np.all(np.isfinite(d))
-            crossed = np.any(lo > hi)
+            ordered = np.all(lo <= hi)
         if not positive:
             raise ValueError("quad_diag must be strictly positive componentwise")
         if not finite:
             raise ValueError("quad_diag must be finite")
-        if crossed:
-            raise ValueError("lower must be <= upper componentwise")
+        if not ordered:
+            raise ValueError("lower must be <= upper componentwise, "
+                             "neither NaN")
         if scalar:
             # the sign bits keep 0.0 and -0.0 apart, which compare equal
             self.quad_diag, self.lower, self.upper = _expanded(
@@ -400,6 +388,8 @@ class HorizonQp:
             raise ValueError(f"ramp_limit must be > 0, got {self.ramp_limit}")
         if not math.isfinite(self.prev_value):
             raise ValueError("prev_value must be finite")
+        if not math.isfinite(self.cumsum_coeff):
+            raise ValueError("cumsum_coeff must be finite")
         if self.cumsum_coeff != 0.0:
             if not (self.cumsum_lower <= self.cumsum_init <= self.cumsum_upper):
                 raise ValueError(
@@ -412,16 +402,6 @@ class HorizonQp:
         b = self._rhs()
         return -b[self.h:2 * self.h], b[:self.h]
 
-    def _prefix_limits(self):
-        """Bounds (lo, hi) on every prefix sum s_k = sum_{j<=k} x_j implied
-        by the cumsum constraints, or None when they are disabled."""
-        c = self.cumsum_coeff
-        if c == 0.0:
-            return None
-        a = (self.cumsum_init - self.cumsum_upper) / c
-        b = (self.cumsum_init - self.cumsum_lower) / c
-        return (a, b) if c > 0.0 else (b, a)
-
     def objective(self, x: np.ndarray, lin: np.ndarray) -> float:
         """0.5 x'Dx + lin'x for a linear term ``lin`` of length h."""
         x = np.asarray(x, dtype=float)
@@ -429,36 +409,32 @@ class HorizonQp:
         return 0.5 * float(x @ (self.quad_diag * x)) + float(lin @ x)
 
     def violation(self, x: np.ndarray) -> float:
-        """Largest constraint violation of x (0 when feasible)."""
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.effective_box()
-        v = max(float(np.max(lo - x, initial=0.0)), float(np.max(x - hi, initial=0.0)))
-        d = np.diff(x)
-        if d.size:
-            v = max(v, float(np.max(np.abs(d))) - self.ramp_limit)
-        limits = self._prefix_limits()
-        if limits is not None:
-            plo, phi = limits
-            s = np.cumsum(x)
-            v = max(v, float(np.max(plo - s)), float(np.max(s - phi)))
-        return max(v, 0.0)
+        """Largest violation of a row of `constraint_rows` at x (0 when
+        feasible)."""
+        a, b = self.constraint_rows()
+        return float((a @ np.asarray(x, dtype=float) - b).max(initial=0.0))
 
     def _rhs(self):
         """Right-hand sides of every row of `_row_matrix`, infinite ones
         included, filled in its order: the box with the ramp anchor folded
-        into step 0, the ramp rows, then the prefix-sum bounds. The LDP,
-        the LP rows and the effective box all read it."""
-        h = self.h
-        limits = self._prefix_limits()
-        b = np.empty(4 * h - 2 if limits is None else 6 * h - 2)
+        into step 0, the ramp rows, then the bounds that the cumsum
+        constraints put on every prefix sum s_k = sum_{j<=k} x_j, in power
+        units. The LDP, the LP rows, the effective box and `violation` all
+        read it."""
+        h, c = self.h, self.cumsum_coeff
+        b = np.empty(4 * h - 2 if c == 0.0 else 6 * h - 2)
         b[:h] = self.upper
         np.negative(self.lower, out=b[h:2 * h])
         b[0] = min(b[0], self.prev_value + self.ramp_limit)
         b[h] = -max(self.lower[0], self.prev_value - self.ramp_limit)
         b[2 * h:4 * h - 2] = self.ramp_limit
-        if limits is not None:
-            b[4 * h - 2:5 * h - 2] = limits[1]
-            b[5 * h - 2:] = -limits[0]
+        if c != 0.0:
+            # s_k lies between these; which is the upper one depends on
+            # the sign of c
+            ends = ((self.cumsum_init - self.cumsum_upper) / c,
+                    (self.cumsum_init - self.cumsum_lower) / c)
+            b[4 * h - 2:5 * h - 2] = max(ends)
+            b[5 * h - 2:] = -min(ends)
         return b
 
     def constraint_rows(self):
@@ -569,8 +545,7 @@ def solve(qp: HorizonQp, lin, tol: float = 1e-8) -> QpSolution:
     if not all_finite(lin.ravel().tolist()):
         raise ValueError("lin must be finite")
     x, status, iters, viol = qp.ldp.solve(lin, tol)
-    if status == INFEASIBLE:
-        return QpSolution(np.zeros(qp.h), iters, viol, INFEASIBLE, np.nan,
-                          qp, lin)
+    if x is None:  # infeasible
+        x = np.zeros(qp.h)
     return QpSolution(x, iters, viol, status,
                       0.0 if status == OPTIMAL else np.nan, qp, lin)

@@ -334,6 +334,42 @@ class TestReportContract:
                                                                  lin))
 
 
+def criterion_1_fleets(n):
+    """The first ``n`` fleets, demands and balance tolerances of acceptance
+    criterion 1."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for _ in range(n):
+        fleet = random_fleet(rng)
+        p_f = feasible_demand(rng, fleet, 5)
+        out.append((fleet, p_f, 1e-6 * max(float(np.max(np.abs(p_f))), 1.0)))
+    return out
+
+
+class TestPathIndependence:
+    """The kernel's memos of rows and active-set maps must not change an
+    answer, whatever was solved before."""
+
+    def test_fleet_answers_do_not_depend_on_the_memos(self):
+        cases = criterion_1_fleets(40)
+
+        def answers(order):
+            out = {}
+            for i in order:
+                fleet, p_f, tol = cases[i]
+                rep = coordinate(fleet, p_f, bal_tol_w=tol, max_iter=5000)
+                out[i] = ([bits(r.profile) for r in rep.gen + rep.batt],
+                          bits(rep.lambda_final), rep.iterations_used)
+            return out
+
+        cold = {}
+        for i in range(len(cases)):
+            qpmod._ldp_rows.cache_clear()
+            cold.update(answers([i]))
+        answers(reversed(range(len(cases))))  # a warm pass, other order
+        assert answers(range(len(cases))) == cold
+
+
 class TestCentralizedSolve:
     def test_matches_two_node_closed_form(self):
         cen = centralized_solve(two_node_fleet(), np.full(5, 10e6), tol=1e-8)
@@ -408,14 +444,11 @@ class TestReachBounds:
                 want = reach_bounds(gen + batt, p_f)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
 
-    def test_infinite_ramp_disables_the_bounds_in_both(self):
-        # ramp * 0 is NaN: the array form's NaN (with numpy's warning)
-        # takes every step's bound to 0, and so must the float form
-        gen = PgmSpec(rated_power_w=6e6, p_min_w=0.0, p_max_w=7e6,
-                      ramp_limit_w_per_step=np.inf, weight_beta=1.0)
-        fleet = Fleet(bus=BUS, pgms=[PgmNodeState(gen, 6e6)], pcms=[])
-        gen_qps, _ = _node_problems(fleet, 4)
-        p_f = np.full(4, 9e6)
-        with np.errstate(invalid="ignore"):
-            want = reach_bounds(gen_qps, p_f)
-        assert _reach_bounds(gen_qps, p_f) == want == (0.0, 0.0)
+    def test_specs_reject_an_infinite_ramp(self):
+        # ramp * 0 is NaN at step 0, which would take every step's bound
+        # to 0: no device may reach the envelope with an infinite ramp
+        with pytest.raises(ValueError, match="ramp_limit_w_per_step"):
+            PgmSpec(rated_power_w=6e6, p_min_w=0.0, p_max_w=7e6,
+                    ramp_limit_w_per_step=np.inf, weight_beta=1.0)
+        with pytest.raises(ValueError, match="ramp_limit_w_per_step"):
+            PcmSpec(ramp_limit_w_per_step=np.inf)

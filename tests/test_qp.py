@@ -306,6 +306,25 @@ class TestValidation:
             HorizonQp(h=2, quad_diag=1.0, lower=2.0, upper=1.0,
                       ramp_limit=1.0, prev_value=0.0)
 
+    @pytest.mark.parametrize("lower, upper", [
+        (np.nan, 1.0), (0.0, np.nan),
+        (np.array([0.0, np.nan]), 1.0), (0.0, np.array([1.0, np.nan]))])
+    def test_rejects_nan_bounds(self, lower, upper):
+        # a NaN bound compares false both ways; it used to be read as no
+        # bound, and at lin (5, 5) the solve returned (-5, -5), 5 beyond
+        # the ramp from 0
+        with pytest.raises(ValueError, match="lower must be <= upper"):
+            HorizonQp(h=2, quad_diag=1.0, lower=lower, upper=upper,
+                      ramp_limit=1.0, prev_value=0.0)
+
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_cumsum_coeff(self, coeff):
+        # a NaN coefficient used to drop every SoC row
+        with pytest.raises(ValueError, match="cumsum_coeff must be finite"):
+            HorizonQp(h=3, quad_diag=1.0, lower=-5.0, upper=5.0,
+                      ramp_limit=10.0, prev_value=0.0, cumsum_coeff=coeff,
+                      cumsum_init=0.5, cumsum_lower=0.1, cumsum_upper=0.9)
+
     def test_rejects_cumsum_init_outside_bounds(self):
         with pytest.raises(ValueError):
             HorizonQp(h=2, quad_diag=1.0, lower=0.0, upper=1.0,
@@ -587,11 +606,11 @@ class TestActiveSetContinuation:
         x, status, iters, _ = ldp.solve(np.array([-2.0, -3.0]), 1e-8)
         assert (status, iters) == (OPTIMAL, 1)
         np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
-        assert rows.hint is None
+        assert not rows.maps
 
     def test_each_active_set_is_factored_once(self, monkeypatch):
-        # prices alternating between two regions move the hint back and
-        # forth; each region's map is factored once and then reused
+        # prices alternating between two regions take turns as the newest
+        # map; each region's map is factored once and then reused
         qp = HorizonQp(h=3, quad_diag=1.0, lower=-1.0, upper=1.0,
                        ramp_limit=10.0, prev_value=0.0)
         ldp = fresh_ldp(qp)
@@ -613,8 +632,64 @@ class TestActiveSetContinuation:
         # x_u misses the first region by 1 = max(rho), where the
         # subnormal-overflow exit is tested first and does not fire: each
         # region calls `nnls` once, and later solves take its map from the
-        # hint or the memo
+        # memo
         assert len(calls) == 2
+
+    def test_memo_holds_only_maps_that_certified(self, monkeypatch):
+        passed = []
+        certified = qpmod.Ldp._certified
+
+        def recorded(self, amap, xu, slack, tol):
+            hit = certified(self, amap, xu, slack, tol)
+            if hit is not None:
+                passed.append(amap)
+            return hit
+
+        monkeypatch.setattr(qpmod.Ldp, "_certified", recorded)
+        for seed in range(12):
+            rng, problem = pattern_problems(
+                h=1 + seed % 6, seed=seed, lower_inf=seed % 4 == 1,
+                upper_inf=seed % 4 == 2, with_soc=seed % 2 == 1,
+                weight=WEIGHT_FLOOR if seed % 3 else 1.0)
+            qp, lin = problem()
+            ldp = fresh_ldp(qp)
+            scale = float(np.abs(lin).max())
+            for _ in range(30):
+                ldp.solve(lin, 1e-8)
+                assert all(any(m is p for p in passed)
+                           for m in ldp.rows.maps.values())
+                size = 1.0 if rng.uniform() < 0.3 else 1e-3
+                lin = lin + size * scale * rng.uniform(-1.0, 1.0, qp.h)
+
+    def test_a_map_that_fails_at_its_own_nnls_point_is_not_kept(
+            self, monkeypatch):
+        # x_u = (1 + 1e-3, 1 - 4e-9) misses x0 <= 1 and clears x1 <= 1 by
+        # less than t/2 = 5e-9, so the set of the `nnls` point is both
+        # upper bounds; forcing x1 gives it the multiplier -4e-9, below
+        # -tol times the largest (1e-3), so that map does not certify
+        built = []
+        active_map = qpmod.LdpRows.active_map
+
+        def recorded(self, active):
+            built.append(np.flatnonzero(active).tolist())
+            return active_map(self, active)
+
+        monkeypatch.setattr(qpmod.LdpRows, "active_map", recorded)
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        rows = qpmod.LdpRows(np.ones(2), a)
+        ldp = qpmod.Ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]),
+                        np.full(2, -10.0), np.full(2, 1.0))
+        (x, status, _, _), exit_ = solve_exit(
+            ldp, -np.array([1.0 + 1e-3, 1.0 - 4e-9]), 1e-8)
+        assert (status, exit_) == (OPTIMAL, "nnls") and x[1] < 1.0
+        assert built == [[0, 1]] and not rows.maps
+        # at x_u = (2, 2) the same set certifies, through `nnls`, and is
+        # kept from then on
+        _, exit_ = solve_exit(ldp, np.array([-2.0, -2.0]), 1e-8)
+        assert exit_ == "nnls" and built == [[0, 1]] * 2
+        assert [m[0].tolist() for m in rows.maps.values()] == [[0, 1]]
+        _, exit_ = solve_exit(ldp, np.array([-3.0, -3.0]), 1e-8)
+        assert exit_ == "hint"
 
     def test_map_memo_stays_bounded(self):
         qp = HorizonQp(h=8, quad_diag=1.0, lower=-1.0, upper=1.0,
@@ -624,6 +699,11 @@ class TestActiveSetContinuation:
         for _ in range(200):
             ldp.solve(rng.uniform(-3.0, 3.0, qp.h), 1e-8)
         assert len(ldp.rows.maps) == qpmod.ACTIVE_MAP_MEMO_SIZE
+
+
+def newest_map(rows):
+    """The map of the rows' last certified solve, None before any."""
+    return next(reversed(rows.maps.values()), None)
 
 
 def solve_exit(ldp, lin, tol):
@@ -636,7 +716,7 @@ def solve_exit(ldp, lin, tol):
 
 class TestWeaklyActiveRows:
     """A row active at the optimum with a zero multiplier certifies, on the
-    hint, the memo and the `nnls` path alike."""
+    newest map, an older one and the `nnls` path alike."""
 
     @given(h=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
            weight=st.floats(1e-6, 10.0), ulps=st.integers(-4, 4))
@@ -667,7 +747,7 @@ class TestWeaklyActiveRows:
             assert exit_ == "nnls"
             again, exit_ = solve_exit(warm, weak, tol)
             assert exit_ == "hint"
-            solve_exit(warm, flat, tol)  # another set becomes the hint
+            solve_exit(warm, flat, tol)  # another set becomes the newest
             memo, exit_ = solve_exit(warm, weak, tol)
             assert exit_ == "memo"
             for got in (first, again, memo):
@@ -675,9 +755,10 @@ class TestWeaklyActiveRows:
 
     def test_row_just_beyond_the_margin_is_not_forced(self):
         # x_u = (5, 1 - 1.5e-8) misses x0 <= 1 and clears x1 <= 1 by
-        # 1.5 t: the set {x0 <= 1} certifies. The hint {x0 <= 1, x1 <= 1}
-        # left by x_u = (5, 2) has multipliers (4, -1.5e-8), within
-        # -tol times the largest, but would force x1 by more than t/2
+        # 1.5 t: the set {x0 <= 1} certifies. The newest map, of
+        # {x0 <= 1, x1 <= 1}, left by x_u = (5, 2) has multipliers
+        # (4, -1.5e-8), within -tol times the largest, but would force x1
+        # by more than t/2
         a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         b = np.array([1.0, 1.0, 10.0, 10.0])
 
@@ -687,7 +768,7 @@ class TestWeaklyActiveRows:
 
         warm = kernel()
         _, exit_ = solve_exit(warm, np.array([-5.0, -2.0]), 1e-8)
-        assert exit_ == "nnls" and warm.rows.hint[0].size == 2
+        assert exit_ == "nnls" and newest_map(warm.rows)[0].size == 2
         q = np.array([-5.0, -1.0 + 1.5e-8])
         got = warm.solve(q, 1e-8)
         assert got[0][1] < 1.0
@@ -728,7 +809,7 @@ class TestCertificateReductions:
         qp, lin = problem()
         ldp = fresh_ldp(qp)
         ldp.solve(lin, 1e-8)
-        amap = ldp.rows.hint
+        amap = newest_map(ldp.rows)
         if amap is None:
             return
         lin = lin * rng.uniform(0.9, 1.1, qp.h)
