@@ -59,10 +59,24 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "log_every", None) is not None:
             cfg = dataclasses.replace(cfg, log_every=args.log_every)
             cfg.validate()
+        grid = ((_parse_values(args.beta, "--beta"),
+                 _parse_values(args.gamma, "--gamma"))
+                if args.command == "sweep" else None)
     except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        # before any work, so that a bad --out fails at once
+        os.makedirs(args.out, exist_ok=True)
+        return _run(args, cfg, grid)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace, cfg, grid) -> int:
+    """The subcommand's work and output, into the existing ``args.out``;
+    ``grid`` holds a sweep's (betas, gammas)."""
     if args.command == "run":
         log = harness.run_to_artifacts(cfg, args.out)
         print(f"wrote {os.path.join(args.out, 'timeseries.csv')}, "
@@ -73,13 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "sweep":
-        try:
-            betas = _parse_values(args.beta, "--beta")
-            gammas = _parse_values(args.gamma, "--gamma")
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        rows = harness.sweep(cfg, betas, gammas, out_dir=args.out)
+        rows = harness.sweep(cfg, *grid, out_dir=args.out)
         print(",".join(harness.SUMMARY_HEADER))
         for r in rows:
             print(harness.summary_line(r))
@@ -95,7 +103,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     harness.write_verify_csv(
         report, os.path.join(args.out, "verify_report.csv"))
     print(f"cases: {len(report.cases)}")

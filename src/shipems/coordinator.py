@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from operator import add, sub
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linprog
 
 from . import qp as qpmod
@@ -186,8 +185,13 @@ def _stacked_rows(qps):
     """Every node's constraint rows as one block-diagonal A x <= b over the
     stacked profiles; SoC rows stay in power units."""
     rows = [p.constraint_rows() for p in qps]
-    return (scipy.linalg.block_diag(*[a for a, _ in rows]),
-            np.concatenate([b for _, b in rows]))
+    a = np.zeros((sum(r.shape[0] for r, _ in rows),
+                  sum(r.shape[1] for r, _ in rows)))
+    i = j = 0
+    for r, _ in rows:
+        a[i:i + r.shape[0], j:j + r.shape[1]] = r
+        i, j = i + r.shape[0], j + r.shape[1]
+    return a, np.concatenate([b for _, b in rows])
 
 
 def _min_residual_lp(qps, p_f: np.ndarray) -> float | None:
@@ -207,15 +211,24 @@ def _min_residual_lp(qps, p_f: np.ndarray) -> float | None:
     return float(res.x[-1]) * LP_UNIT_W if res.status == 0 else None
 
 
-def _solve_all(fleet: Fleet, lam: np.ndarray, problems):
-    gen_qps, batt_qps = problems
-    gen = [pgm_solve(p, lam, g.spec) for g, p in zip(fleet.pgms, gen_qps)]
-    batt = [pcm_solve(p, lam, b.spec) for b, p in zip(fleet.pcms, batt_qps)]
-    statuses = [r.qp_status for r in gen + batt]
-    if INFEASIBLE in statuses:
-        state = (fleet.pgms + fleet.pcms)[statuses.index(INFEASIBLE)]
-        raise RuntimeError(f"node problem infeasible at {state}")
-    return gen, batt
+def _solve_all(nodes, lam: np.ndarray, h: int):
+    """Every node's solve at the price ``lam``, generators first, and the
+    sum of their profiles. ``nodes`` holds (is a generator, problem, spec,
+    state) per node; `pgm_solve` and `pcm_solve` are looked up by their
+    module names at every call."""
+    gen, batt = [], []
+    total = np.zeros(h)
+    for is_gen, problem, spec, state in nodes:
+        if is_gen:
+            r = pgm_solve(problem, lam, spec)
+            gen.append(r)
+        else:
+            r = pcm_solve(problem, lam, spec)
+            batt.append(r)
+        if r.qp_status == INFEASIBLE:
+            raise RuntimeError(f"node problem infeasible at {state}")
+        total += r.profile
+    return gen, batt, total
 
 
 def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
@@ -263,8 +276,10 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     if bal_tol_w is None:
         bal_tol_w = default_balance_tol_w(p_f)
     history = []  # worst-step residual of every iterate
-    problems = _node_problems(fleet, h)
-    qps = problems[0] + problems[1]
+    gen_qps, batt_qps = _node_problems(fleet, h)
+    qps = gen_qps + batt_qps
+    nodes = [(True, p, g.spec, g) for p, g in zip(gen_qps, fleet.pgms)] \
+        + [(False, p, b.spec, b) for p, b in zip(batt_qps, fleet.pcms)]
     # the reach envelope, from the first iterate that misses the tolerance
     # on: a step whose first iterate balances, as most do from the warm
     # start, never reads it
@@ -274,11 +289,9 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     best = None  # (residual, price, gen, batt, total)
     converged = False
     for _ in range(max_iter):
-        gen, batt = _solve_all(fleet, lam, problems)
-        total = np.zeros(h)
-        for r in gen + batt:
-            total += r.profile
-        residual = (total - p_f).tolist()
+        gen, batt, total = _solve_all(nodes, lam, h)
+        excess = total - p_f
+        residual = excess.tolist()
         res_inf = max(map(abs, residual))
         # numpy's max propagates a NaN, which the built-in skips when not
         # first
@@ -305,7 +318,8 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         if least is not None and least > bal_tol_w \
                 and best[0] <= least + attained_w:
             break
-        lam = dual_update(lam, total, p_f, alpha)
+        # `dual_update`, on the excess already formed
+        lam = lam + alpha * excess
     # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, total = best
     shortfall = 0.0 if converged else max(0.0, float((p_f - total).max()))

@@ -168,11 +168,18 @@ class Ldp:
         self.neg_d, self.unit = rows.neg_d, rows.unit
         self.b = b / rows.norms
         self.lo, self.hi = lo, hi
-        self.e = rows.e.copy()  # its last row is rewritten by every solve
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        """E of the `nnls` call, copied from the rows at the first: its
+        last row is rewritten by every `nnls` solve."""
+        return self.rows.e.copy()
 
     def violation(self, x) -> float:
         """Largest violation of a unit-norm row at x (0 when feasible)."""
-        return float((self.a @ x - self.b).max(initial=0.0))
+        v = self.a.dot(x)
+        v -= self.b
+        return float(np.maximum.reduce(v, initial=0.0))
 
     def solve(self, q, tol: float):
         """Returns (x, status, iterations, violation); x is None when
@@ -190,8 +197,15 @@ class Ldp:
         counted in `EXITS`.
         """
         xu = q / self.neg_d
-        slack = self.a @ xu - self.b  # > 0 on the rows x_u violates
-        top = slack.max(initial=0.0)
+        slack = self.a.dot(xu)
+        slack -= self.b  # > 0 on the rows x_u violates
+        values = slack.tolist()
+        top = max(values, default=0.0)
+        # the built-in max skips a NaN that is not first; numpy's, and so
+        # this one, propagates it (a NaN sum also comes from +inf and -inf)
+        total = sum(values)
+        if total != total and any(map(math.isnan, values)):
+            top = math.nan
         if top <= 0.0:
             EXITS["shortcut"] += 1
             return xu, OPTIMAL, 0, 0.0
@@ -213,17 +227,19 @@ class Ldp:
             hit = self._continued(xu, slack, tol)
             if hit is not None:
                 return hit
-        self.e[-1] = h / s
+        e = self.e
+        e[-1] = h / s
         try:
-            u, _ = nnls(self.e, self.unit, maxiter=NNLS_MAX_ITER)
+            u, _ = nnls(e, self.unit, maxiter=NNLS_MAX_ITER)
         except RuntimeError:  # iteration cap
             EXITS[MAX_ITER] += 1
             x = np.clip(xu, self.lo, self.hi)
             return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
-        r = self.e @ u - self.unit
+        r = e.dot(u) - self.unit
         if r[-1] < 0.0:
             x = xu - (s / r[-1]) * self.w * r[:-1]
-            v = self.a @ x - self.b
+            v = self.a.dot(x)
+            v -= self.b
             t = tol * max(1.0, float(abs(x).max()))
             # the passive set and the rows within t/2 of active at x: the
             # set that passes the certificate, if any does
@@ -286,15 +302,17 @@ class Ldp:
         The reductions run on Python floats; a NaN anywhere rejects, as it
         does in numpy's, whose min and max propagate it."""
         rows, off, kp, k_diag = amap
-        y = kp @ slack[rows]  # mu, then P_S r
-        mu = y[:rows.size].tolist()
+        m = rows.size
+        y = kp.dot(slack[rows])  # mu, then P_S r
+        mu = y.tolist()[:m]
         mu_min = min(mu)
         if not mu_min >= -tol * max(mu):
             return None
-        x = xu - y[rows.size:]
+        x = xu - y[m:]
         xl = x.tolist()
         t = tol * max(1.0, max(xl), -min(xl))
-        v = self.a @ x - self.b
+        v = self.a.dot(x)
+        v -= self.b
         v_off = v[off].tolist()
         if v_off and not max(v_off) < -t:
             return None
@@ -315,21 +333,21 @@ class Ldp:
         """Farkas test: y >= 0 weighs the unit rows so that y'(a x - b)
         exceeds tol*x_scale*sum(y) at every x of the box, where x_scale is
         the largest finite box bound (at least 1)."""
-        c = self.a.T @ y
+        c = self.a.T.dot(y)
         with np.errstate(invalid="ignore"):
             low = np.where(c > 0.0, c * self.lo, np.where(c < 0.0, c * self.hi,
                                                          0.0))
         bounds = np.abs(np.concatenate([self.lo, self.hi]))
         x_scale = max(1.0, float(np.max(bounds[np.isfinite(bounds)],
                                         initial=0.0)))
-        return float(np.sum(low) - self.b @ y) > tol * x_scale * float(np.sum(y))
+        return float(np.sum(low) - self.b.dot(y)) > tol * x_scale * float(np.sum(y))
 
 
 @dataclass(eq=False)
 class HorizonQp:
     """The Hessian and constraint set of one horizon QP at one state; the
     linear term is an argument of `solve`, so one instance serves every
-    price.
+    price. ``ldp`` is the problem's `Ldp`, built with it.
 
     ``lower``/``upper``/``quad_diag`` accept scalars and are broadcast to
     length ``h``: scalars to read-only arrays that problems with the same
@@ -396,6 +414,9 @@ class HorizonQp:
                     "require cumsum_lower <= cumsum_init <= cumsum_upper, got "
                     f"{self.cumsum_lower}, {self.cumsum_init}, {self.cumsum_upper}"
                 )
+        # built with the problem, which an MPC step always solves; a
+        # cached_property would take a lock on its first read
+        self.ldp = self._kernel()
 
     def effective_box(self):
         """Box bounds with the k=0 ramp anchor folded into the first step."""
@@ -445,10 +466,9 @@ class HorizonQp:
         keep = np.isfinite(b)
         return _row_matrix(self.h, self.cumsum_coeff != 0.0)[keep], b[keep]
 
-    @cached_property
-    def ldp(self) -> Ldp:
-        """The LDP form of this constraint set and Hessian, built once; its
-        rows come from the memo of `_ldp_rows`."""
+    def _kernel(self) -> Ldp:
+        """The LDP form of this constraint set and Hessian; its rows come
+        from the memo of `_ldp_rows`."""
         h = self.h
         b = self._rhs()
         keep = np.isfinite(b)

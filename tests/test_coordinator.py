@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from shipems.coordinator import (
     default_balance_tol_w,
     dual_update,
 )
+from shipems import coordinator
 from shipems import qp as qpmod
 from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pcm_solve, pgm_qp, pgm_solve
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
@@ -368,6 +371,49 @@ class TestPathIndependence:
             cold.update(answers([i]))
         answers(reversed(range(len(cases))))  # a warm pass, other order
         assert answers(range(len(cases))) == cold
+
+
+class TestTracerContract:
+    """`perfbench/tracing.py` times the node and QP layers by replacing
+    `coordinator.pgm_solve`, `coordinator.pcm_solve` and `qp.solve` under
+    those names, and its `_qp_info` reads the problem passed to `qp.solve`
+    and the `status`, `iterations` and `fixed_point_residual` of its
+    `QpSolution`. ROADMAP item 9, which folds these layers into one kernel
+    call per node, changes this test together with the tracer."""
+
+    def test_each_node_solve_goes_through_the_module_names(self,
+                                                           monkeypatch):
+        calls, solutions = Counter(), []
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def spied(*args, **kwargs):
+                calls[name] += 1
+                out = fn(*args, **kwargs)
+                if name == "solve":
+                    solutions.append((args, kwargs, out))
+                return out
+
+            monkeypatch.setattr(module, name, spied)
+
+        spy(coordinator, "pgm_solve")
+        spy(coordinator, "pcm_solve")
+        spy(qpmod, "solve")
+        for fleet, p_f, tol in criterion_1_fleets(8):
+            calls.clear()
+            solutions.clear()
+            rep = coordinate(fleet, p_f, bal_tol_w=tol, max_iter=5000)
+            n_g, n_b = len(fleet.pgms), len(fleet.pcms)
+            assert calls["pgm_solve"] == rep.iterations_used * n_g
+            assert calls["pcm_solve"] == rep.iterations_used * n_b
+            assert calls["solve"] == rep.iterations_used * (n_g + n_b)
+            for args, kwargs, sol in solutions:
+                problem = args[0] if args else kwargs["qp"]
+                assert isinstance(problem.cumsum_coeff, float)
+                assert sol.status == qpmod.OPTIMAL
+                assert sol.iterations in (0, 1)
+                assert sol.fixed_point_residual == 0.0
 
 
 class TestCentralizedSolve:

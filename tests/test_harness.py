@@ -256,6 +256,28 @@ class TestCli:
         assert code == 1
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--beta", "1", "--gamma", "1"],
+        ["verify"],
+    ])
+    def test_out_that_is_a_file_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        # exit 2 is an I/O error; 1 would read as a failed verification
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the output directory existed")
+
+        for name in ("run_to_artifacts", "sweep", "verify"):
+            monkeypatch.setattr(harness, name, no_work)
+        cfg_path = write_cfg(tmp_path, short_cfg())
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code = main([command[0], "--config", cfg_path, "--out", str(taken),
+                     *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "I/O error" in err and "Traceback" not in err
+
     def test_verify_passes_on_default(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, short_cfg())
         out = tmp_path / "ver"

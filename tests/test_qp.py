@@ -847,6 +847,61 @@ class TestCertificateReductions:
         np.testing.assert_array_equal(x, [1.0, 1.0])
 
 
+class TestNanInputs:
+    """`qp.solve` rejects a non-finite linear term, but `Ldp.solve` takes
+    one as it comes. A NaN in it, or in a right-hand side, must not reach
+    an exit that returns x_u or a map's point. numpy's reductions
+    propagate a NaN; Python's max and min skip one that is not first, so a
+    reduction moved onto Python floats must check for it."""
+
+    def warm_kernel(self):
+        """A kernel whose memo holds two maps, and linear terms whose x_u
+        is inside the box, above it at step 0 (the older map's set) and
+        below it at steps 0 and 1 (the newest map's)."""
+        qp = HorizonQp(h=5, quad_diag=1.0, lower=-1.0, upper=1.0,
+                       ramp_limit=10.0, prev_value=0.0)
+        ldp = fresh_ldp(qp)
+        inside = -np.array([0.1, 0.5, 0.3, -0.2, 0.1])
+        above = -np.array([2.0, 0.5, 0.3, -0.2, 0.1])
+        below = -np.array([-2.0, -3.0, 0.3, 0.2, 0.1])
+        assert solve_exit(ldp, inside, 1e-8)[1] == "shortcut"
+        for lin in (above, below):
+            assert solve_exit(ldp, lin, 1e-8)[1] == "nnls"
+            assert solve_exit(ldp, lin, 1e-8)[1] == "hint"
+        return qp, ldp, (inside, above, below)
+
+    @staticmethod
+    def exits(ldp, lin):
+        before = qpmod.EXITS.copy()
+        try:
+            ldp.solve(lin, 1e-8)
+        except ValueError:  # `nnls` rejects a NaN
+            pass
+        return set(qpmod.EXITS - before)
+
+    def test_nan_in_the_linear_term(self):
+        # the products with the rows spread the NaN to every row
+        qp, ldp, lins = self.warm_kernel()
+        for i in range(qp.h):
+            for lin in lins:
+                q = lin.copy()
+                q[i] = np.nan
+                exits = self.exits(ldp, q)
+                assert not exits & {"shortcut", "hint", "memo"}, (i, exits)
+
+    def test_nan_in_one_right_hand_side(self):
+        # only that row's slack is NaN, wherever it sits
+        qp, ldp, lins = self.warm_kernel()
+        _, b = qp.constraint_rows()
+        for k in range(b.size):
+            b_nan = b.copy()
+            b_nan[k] = np.nan
+            kernel = qpmod.Ldp(ldp.rows, b_nan, *qp.effective_box())
+            for lin in lins:
+                exits = self.exits(kernel, lin)
+                assert not exits & {"shortcut", "hint", "memo"}, (k, exits)
+
+
 class TestExitCounters:
     def test_default_run_keeps_nnls_off_the_dual_iteration(self,
                                                            monkeypatch):
