@@ -36,12 +36,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-FLEETS = 40
-HORIZON = 5
-CORPUS_SEED = 2024
-BAL_TOL_REL = 1e-7
-MAX_ITER = 5000
-DURATION_S = 300.0
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the benchmark's fleets, tolerances and run length
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import (CORPUS_SEED, CORPUS_SIZE, HORIZON,  # noqa: E402
+                       PULSE_DURATION_S, XC_BAL_TOL_REL, XC_MAX_ITER)
 
 
 def _own(name: str) -> bool:
@@ -99,7 +98,7 @@ def corpus(mods: dict):
     out = []
     with active(mods):
         fleets = mods["fleets"]
-        for _ in range(FLEETS):
+        for _ in range(CORPUS_SIZE):
             fleet = fleets.random_fleet(rng)
             out.append((fleet, fleets.feasible_demand(rng, fleet, HORIZON)))
     return out
@@ -112,14 +111,14 @@ def time_fleets(sides, passes: int):
     times = [[[] for _ in cases] for _ in sides]
     for n in range(passes):
         for k, (_, p_f) in enumerate(cases):
-            tol = BAL_TOL_REL * max(float(np.max(np.abs(p_f))), 1.0)
+            tol = XC_BAL_TOL_REL * max(float(np.max(np.abs(p_f))), 1.0)
             for s in ((0, 1) if (n + k) % 2 == 0 else (1, 0)):
                 mods = sides[s][1]
                 coordinate = mods["shipems.coordinator"].coordinate
                 with active(mods):
                     t0 = time.perf_counter()
                     coordinate(ported[s][k][0], p_f, bal_tol_w=tol,
-                               max_iter=MAX_ITER)
+                               max_iter=XC_MAX_ITER)
                     times[s][k].append(time.perf_counter() - t0)
     return times
 
@@ -143,7 +142,7 @@ def time_default_run(sides, passes: int):
             with active(mods):
                 cfg = dataclasses.replace(
                     mods["shipems.config"].default_config(),
-                    duration_s=DURATION_S)
+                    duration_s=PULSE_DURATION_S)
                 sim.coordinate = timed
                 try:
                     sim.run_scenario(cfg)
@@ -176,9 +175,9 @@ def main(argv=None) -> int:
     if args.passes < 1:
         parser.error("--passes must be >= 1")
     sides = [("parent", load(args.parent)), ("change", load(args.change))]
-    report(f"criterion 1, first {FLEETS} fleets", sides,
+    report(f"criterion 1, first {CORPUS_SIZE} fleets", sides,
            time_fleets(sides, args.passes))
-    report(f"default run, {DURATION_S:g} s", sides,
+    report(f"default run, {PULSE_DURATION_S:g} s", sides,
            time_default_run(sides, args.passes))
     return 0
 

@@ -290,8 +290,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     converged = False
     for _ in range(max_iter):
         gen, batt, total = _solve_all(nodes, lam, h)
-        excess = total - p_f
-        residual = excess.tolist()
+        residual = (total - p_f).tolist()
         res_inf = max(map(abs, residual))
         # numpy's max propagates a NaN, which the built-in skips when not
         # first
@@ -318,8 +317,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         if least is not None and least > bal_tol_w \
                 and best[0] <= least + attained_w:
             break
-        # `dual_update`, on the excess already formed
-        lam = lam + alpha * excess
+        lam = dual_update(lam, total, p_f, alpha)
     # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, total = best
     shortfall = 0.0 if converged else max(0.0, float((p_f - total).max()))

@@ -9,9 +9,7 @@ eliminated into cumulative-sum constraints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,9 +20,6 @@ from .plant import AH_TO_AS, BusSpec, PcmSpec, PgmSpec
 # get this floor injected instead (documented wherever zero weights are
 # accepted, e.g. weight sweeps)
 WEIGHT_FLOOR = 1e-9
-# (h, weight, rated power) of generators whose price offsets are kept; a
-# fleet needs one per generator
-RATED_OFFSET_MEMO_SIZE = 256
 
 
 @dataclass(slots=True)
@@ -120,25 +115,12 @@ def pcm_qp(spec: PcmSpec, bus: BusSpec, soc0: float, prev_power_w: float,
     )
 
 
-@lru_cache(maxsize=RATED_OFFSET_MEMO_SIZE)
-def _rated_offset(h: int, weight: float, rated: float,
-                  rated_sign: float) -> np.ndarray:
-    """The read-only length-``h`` linear offset weight*rated of a
-    generator's cost, the product of `pgm_qp`'s Hessian diagonal and the
-    rated power; the sign bit is part of the key only, so that 0.0 and
-    -0.0 stay apart."""
-    offset = np.full(h, weight) * rated
-    offset.flags.writeable = False
-    return offset
-
-
 def pgm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
               spec: PgmSpec) -> NodeResult:
     """Solve the generator's `pgm_qp` at the price profile ``lam``; the
     problem's Hessian diagonal is ``spec``'s floored weight."""
     weight, rated = floored_weight(spec), spec.rated_power_w
-    offset = _rated_offset(problem.h, weight, rated, math.copysign(1.0, rated))
-    sol = qpmod.solve(problem, lam - offset)
+    sol = qpmod.solve(problem, lam - weight * rated)
     return NodeResult(sol.profile, sol.status, sol.iterations, weight, rated)
 
 

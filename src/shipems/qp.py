@@ -168,12 +168,7 @@ class Ldp:
         self.neg_d, self.unit = rows.neg_d, rows.unit
         self.b = b / rows.norms
         self.lo, self.hi = lo, hi
-
-    @cached_property
-    def e(self) -> np.ndarray:
-        """E of the `nnls` call, copied from the rows at the first: its
-        last row is rewritten by every `nnls` solve."""
-        return self.rows.e.copy()
+        self.e = rows.e.copy()  # its last row is rewritten by every solve
 
     def violation(self, x) -> float:
         """Largest violation of a unit-norm row at x (0 when feasible)."""
@@ -227,15 +222,14 @@ class Ldp:
             hit = self._continued(xu, slack, tol)
             if hit is not None:
                 return hit
-        e = self.e
-        e[-1] = h / s
+        self.e[-1] = h / s
         try:
-            u, _ = nnls(e, self.unit, maxiter=NNLS_MAX_ITER)
+            u, _ = nnls(self.e, self.unit, maxiter=NNLS_MAX_ITER)
         except RuntimeError:  # iteration cap
             EXITS[MAX_ITER] += 1
             x = np.clip(xu, self.lo, self.hi)
             return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
-        r = e.dot(u) - self.unit
+        r = self.e.dot(u) - self.unit
         if r[-1] < 0.0:
             x = xu - (s / r[-1]) * self.w * r[:-1]
             v = self.a.dot(x)
@@ -347,7 +341,7 @@ class Ldp:
 class HorizonQp:
     """The Hessian and constraint set of one horizon QP at one state; the
     linear term is an argument of `solve`, so one instance serves every
-    price. ``ldp`` is the problem's `Ldp`, built with it.
+    price.
 
     ``lower``/``upper``/``quad_diag`` accept scalars and are broadcast to
     length ``h``: scalars to read-only arrays that problems with the same
@@ -414,9 +408,6 @@ class HorizonQp:
                     "require cumsum_lower <= cumsum_init <= cumsum_upper, got "
                     f"{self.cumsum_lower}, {self.cumsum_init}, {self.cumsum_upper}"
                 )
-        # built with the problem, which an MPC step always solves; a
-        # cached_property would take a lock on its first read
-        self.ldp = self._kernel()
 
     def effective_box(self):
         """Box bounds with the k=0 ramp anchor folded into the first step."""
@@ -466,9 +457,10 @@ class HorizonQp:
         keep = np.isfinite(b)
         return _row_matrix(self.h, self.cumsum_coeff != 0.0)[keep], b[keep]
 
-    def _kernel(self) -> Ldp:
-        """The LDP form of this constraint set and Hessian; its rows come
-        from the memo of `_ldp_rows`."""
+    @cached_property
+    def ldp(self) -> Ldp:
+        """The LDP form of this constraint set and Hessian, built once; its
+        rows come from the memo of `_ldp_rows`."""
         h = self.h
         b = self._rhs()
         keep = np.isfinite(b)
