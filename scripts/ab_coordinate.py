@@ -14,8 +14,10 @@ both trees into one process and alternates between them call by call:
   that runs first alternates from pass to pass.
 
 For each side it prints the p50 over fleets (steps) of each fleet's
-(step's) median time over the passes, and the median over fleets (steps)
-of the per-fleet (per-step) ratio change/parent.
+(step's) median time over the passes and the total dual iterations of one
+pass, then the median over fleets (steps) of the per-fleet (per-step)
+ratio change/parent. The iterations tell a change in how often the loop
+runs from a change in what one iteration costs.
 
     python scripts/ab_coordinate.py --parent ../parent --change . --passes 10
 
@@ -105,10 +107,12 @@ def corpus(mods: dict):
 
 
 def time_fleets(sides, passes: int):
-    """Each side's per-fleet call times (s), one list per fleet."""
+    """Each side's per-fleet call times (s), one list per fleet, and its
+    dual iterations over one pass."""
     cases = corpus(sides[1][1])
     ported = [[(port(f, mods), p_f) for f, p_f in cases] for _, mods in sides]
     times = [[[] for _ in cases] for _ in sides]
+    iterations = [0, 0]
     for n in range(passes):
         for k, (_, p_f) in enumerate(cases):
             tol = XC_BAL_TOL_REL * max(float(np.max(np.abs(p_f))), 1.0)
@@ -117,26 +121,29 @@ def time_fleets(sides, passes: int):
                 coordinate = mods["shipems.coordinator"].coordinate
                 with active(mods):
                     t0 = time.perf_counter()
-                    coordinate(ported[s][k][0], p_f, bal_tol_w=tol,
-                               max_iter=XC_MAX_ITER)
+                    rep = coordinate(ported[s][k][0], p_f, bal_tol_w=tol,
+                                     max_iter=XC_MAX_ITER)
                     times[s][k].append(time.perf_counter() - t0)
-    return times
+                if n == 0:
+                    iterations[s] += rep.iterations_used
+    return times, iterations
 
 
 def time_default_run(sides, passes: int):
     """Each side's per-step `coordinate` times (s) over the default run,
-    one list per MPC step."""
-    times = [None, None]
+    one list per MPC step, and its dual iterations over one run."""
+    times, iterations = [None, None], [0, 0]
     for n in range(passes):
         for s in ((0, 1) if n % 2 == 0 else (1, 0)):
             mods = sides[s][1]
             sim = mods["shipems.sim"]
-            coordinate, steps = sim.coordinate, []
+            coordinate, steps, reps = sim.coordinate, [], []
 
             def timed(*args, **kwargs):
                 t0 = time.perf_counter()
                 rep = coordinate(*args, **kwargs)
                 steps.append(time.perf_counter() - t0)
+                reps.append(rep)
                 return rep
 
             with active(mods):
@@ -150,16 +157,19 @@ def time_default_run(sides, passes: int):
                     sim.coordinate = coordinate
             if times[s] is None:
                 times[s] = [[] for _ in steps]
+                iterations[s] = sum(r.iterations_used for r in reps)
             for per, t in zip(times[s], steps):
                 per.append(t)
-    return times
+    return times, iterations
 
 
-def report(label: str, sides, times) -> None:
+def report(label: str, sides, timed) -> None:
+    times, iterations = timed
     medians = [[statistics.median(per) for per in side] for side in times]
     ratios = [c / p for p, c in zip(*medians)]
-    line = ", ".join(f"{name} p50 {statistics.median(m) * 1e3:.4f} ms"
-                     for (name, _), m in zip(sides, medians))
+    line = ", ".join(f"{name} p50 {statistics.median(m) * 1e3:.4f} ms "
+                     f"({n} dual iterations)"
+                     for (name, _), m, n in zip(sides, medians, iterations))
     print(f"{label}: {line}; median ratio change/parent "
           f"{statistics.median(ratios):.4f} over {len(ratios)}")
 

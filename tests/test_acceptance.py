@@ -57,6 +57,7 @@ class TestAcceptance:
             h = 5
             t0 = time.perf_counter()
             worst_power, worst_obj = 0.0, 0.0
+            iterations = 0
             for _ in range(200):
                 fleet = random_fleet(rng)
                 p_f = feasible_demand(rng, fleet, h)
@@ -66,6 +67,7 @@ class TestAcceptance:
                                  max_iter=5000)
                 assert cen.status == OPTIMAL
                 assert rep.converged
+                iterations += rep.iterations_used
                 dist = np.vstack([r.profile for r in rep.gen]
                                  + [r.profile for r in rep.batt])
                 cenp = np.vstack(list(cen.gen_profiles)
@@ -80,6 +82,8 @@ class TestAcceptance:
             elapsed = time.perf_counter() - t0
             assert worst_obj <= 1e-4, f"objective gap {worst_obj}"
             assert worst_power <= 1e-3 * 1e6, f"power gap {worst_power} W"
+            # each call starts at the fleet's envelope price
+            assert iterations <= 400, f"{iterations} dual iterations"
             assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
     def test_criterion_2_analytic_two_node_split(self):
@@ -146,6 +150,7 @@ class TestAcceptance:
             batt_g = np.array([r.battery_energy_wh for r in rows_g])
             fade_g = np.array([r.capacity_loss_percent for r in rows_g])
             assert all(r.status == "ok" for r in rows_g)
+            assert all(r.shortfall_events == 0 for r in rows_g)
             assert np.all(np.diff(batt_g) <= slack * batt_g[0])
             assert np.all(np.diff(fade_g) <= slack * fade_g[0])
             assert t_gamma < 600.0
@@ -156,6 +161,7 @@ class TestAcceptance:
             batt_b = np.array([r.battery_energy_wh for r in rows_b])
             gen_b = np.array([r.generator_energy_wh for r in rows_b])
             assert all(r.status == "ok" for r in rows_b)
+            assert all(r.shortfall_events == 0 for r in rows_b)
             assert np.all(np.diff(batt_b) >= -slack * max(batt_b[-1], 1.0))
             # the complementary reading: with the tracking weight dominant
             # the generator pins to rated above the average demand, so its

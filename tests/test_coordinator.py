@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from shipems.coordinator import (
     LP_BOUND_ITERATION,
+    _envelope,
+    _envelope_price,
     _node_problems,
     _reach_bounds,
     CentralizedResult,
@@ -24,7 +27,8 @@ from shipems import qp as qpmod
 from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pcm_solve, pgm_qp, pgm_solve
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
 from fleets import feasible_demand, fleet_reach_intervals, random_fleet
-from oracles import min_max_residual_w, min_shortfall_w, reach_bounds
+from oracles import (envelope_price, min_max_residual_w, min_shortfall_w,
+                     reach_bounds)
 
 BUS = BusSpec()
 
@@ -146,10 +150,14 @@ class TestCoordinateBehavior:
         np.testing.assert_allclose(rep.total_power(), 10e6, atol=1e3)
 
     def test_monotone_residual_after_burn_in(self):
+        # a constant demand balances at the envelope price; one that steps
+        # within every step's reach often binds a ramp between steps, and
+        # plain ascent goes on from there
         rng = np.random.default_rng(3)
         for _ in range(15):
             fleet = random_fleet(rng)
-            p_f = feasible_demand(rng, fleet, 5)
+            lo, hi = fleet_reach_intervals(fleet, 5)
+            p_f = lo + rng.uniform(0.3, 0.7, 5) * (hi - lo)
             rep = coordinate(fleet, p_f, max_iter=200)
             hist = rep.residual_history[10:]
             for a, b in zip(hist, hist[1:]):
@@ -486,7 +494,8 @@ class TestReachBounds:
             for p_f in (np.full(h, rng.uniform(lo.min(), hi.max())
                                 + rng.uniform(-5e6, 5e6)),
                         rng.uniform(lo - 5e6, hi + 5e6)):
-                got = _reach_bounds(gen + batt, p_f)
+                got = _reach_bounds([_envelope(p) for p in gen + batt],
+                                    p_f.tolist())
                 want = reach_bounds(gen + batt, p_f)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -498,3 +507,61 @@ class TestReachBounds:
                     ramp_limit_w_per_step=np.inf, weight_beta=1.0)
         with pytest.raises(ValueError, match="ramp_limit_w_per_step"):
             PcmSpec(ramp_limit_w_per_step=np.inf)
+
+
+class TestEnvelopePrice:
+    """`_envelope_price` against the bisection oracle, on the envelopes of
+    random fleets, some with floored weights (beta = 0 or gamma = 0) and
+    some with infinite bounds, at demands inside, above and below what the
+    clipped responses can sum to."""
+
+    def test_matches_the_bisection_oracle(self):
+        rng = np.random.default_rng(29)
+        seen = Counter()
+        for i in range(120):
+            fleet = random_fleet(rng)
+            if i % 4 == 1:
+                for g in fleet.pgms:
+                    g.spec = dataclasses.replace(g.spec, weight_beta=0.0)
+            elif i % 4 == 2:
+                for b in fleet.pcms:
+                    b.spec = dataclasses.replace(b.spec, weight_gamma=0.0)
+            h = 1 + i % 6
+            gen, batt = _node_problems(fleet, h)
+            los, his = (np.array(v)
+                        for v in zip(*(_envelope(p) for p in gen + batt)))
+            n = los.shape[0]
+            if i % 4 == 0:
+                his[rng.integers(n)] = np.inf
+            if i % 5 == 0:
+                los[rng.integers(n)] = -np.inf
+            top, bottom = his.sum(axis=0), los.sum(axis=0)
+            # a finite stand-in for an unbounded side
+            ceil = np.where(np.isfinite(top), top,
+                            np.where(np.isfinite(bottom), bottom + 5e7, 3e7))
+            floor = np.where(np.isfinite(bottom), bottom, ceil - 5e7)
+            kind = ("inside", "above", "below")[i % 3]
+            if kind == "inside":
+                p_f = rng.uniform(floor, ceil)
+            elif kind == "above":
+                p_f = ceil + rng.uniform(1e5, 1e7, h)
+            else:
+                p_f = floor - rng.uniform(1e5, 1e7, h)
+            got = _envelope_price(fleet, [(list(lo), list(hi))
+                                          for lo, hi in zip(los, his)],
+                                  p_f.tolist())
+            t, w = fleet.targets(), fleet.weights()
+            want = envelope_price(t, w, los, his, p_f)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+            for k, d in enumerate(p_f):
+                x = np.clip(np.array(t) - got[k] / np.array(w), los[:, k],
+                            his[:, k])
+                inside = bottom[k] <= d <= top[k]
+                seen[kind, bool(inside)] += 1
+                if inside:
+                    assert abs(x.sum() - d) <= 1e-12 * max(abs(d),
+                                                          np.abs(x).max())
+        # every kind of demand, and demands beyond a bounded and an
+        # unbounded side
+        assert set(seen) == {(kind, inside) for kind in ("above", "below")
+                             for inside in (False, True)} | {("inside", True)}
