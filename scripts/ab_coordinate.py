@@ -19,6 +19,20 @@ pass, then the median over fleets (steps) of the per-fleet (per-step)
 ratio change/parent. The iterations tell a change in how often the loop
 runs from a change in what one iteration costs.
 
+The oracle, `centralized_solve`, is timed the same way on the same 40
+fleets at the benchmark's oracle tolerance, and on `harness.verify`:
+
+- warm: after one untimed call per fleet, so that each tree's memos hold
+  what the benchmark's later rounds find there;
+- cold: each tree's memos (`qp._ldp_rows`, `qp._expanded` and, where the
+  tree has it, `coordinator._fleet_rows`) cleared before every call, as
+  for a fleet met once;
+- `verify`: one `harness.verify(default_config())` per side in each pass,
+  the memos cleared before it, as in a fresh process.
+
+For the fleets it prints each side's `qp.EXITS` counts of the last pass
+in place of dual iterations.
+
     python scripts/ab_coordinate.py --parent ../parent --change . --passes 10
 
 Each tree's modules are put back into `sys.modules` while that tree runs:
@@ -42,7 +56,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the benchmark's fleets, tolerances and run length
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import (CORPUS_SEED, CORPUS_SIZE, HORIZON,  # noqa: E402
-                       PULSE_DURATION_S, XC_BAL_TOL_REL, XC_MAX_ITER)
+                       PULSE_DURATION_S, XC_BAL_TOL_REL, XC_MAX_ITER,
+                       XC_ORACLE_TOL)
+
+# the package's memos; a tree that lacks one is cleared of the others
+MEMOS = (("shipems.qp", "_ldp_rows"), ("shipems.qp", "_expanded"),
+         ("shipems.coordinator", "_fleet_rows"))
 
 
 def _own(name: str) -> bool:
@@ -57,7 +76,7 @@ def load(tree: str) -> dict:
     paths = [os.path.join(tree, "src"), os.path.join(tree, "tests")]
     sys.path[:0] = paths
     try:
-        for name in ("shipems", "shipems.sim", "fleets"):
+        for name in ("shipems", "shipems.sim", "shipems.harness", "fleets"):
             importlib.import_module(name)
     finally:
         del sys.path[:len(paths)]
@@ -126,7 +145,61 @@ def time_fleets(sides, passes: int):
                     times[s][k].append(time.perf_counter() - t0)
                 if n == 0:
                     iterations[s] += rep.iterations_used
-    return times, iterations
+    return times, [f"{n} dual iterations" for n in iterations]
+
+
+def clear_memos(mods: dict) -> None:
+    """Empty every memo of `MEMOS` that the tree of ``mods`` has."""
+    for module, name in MEMOS:
+        memo = getattr(mods[module], name, None)
+        if memo is not None:
+            memo.cache_clear()
+
+
+def time_oracle(sides, passes: int, cold: bool):
+    """Each side's per-fleet `centralized_solve` times (s), one list per
+    fleet, and its `qp.EXITS` counts over the last pass, as text."""
+    cases = corpus(sides[1][1])
+    ported = [[(port(f, mods), p_f) for f, p_f in cases] for _, mods in sides]
+    times = [[[] for _ in cases] for _ in sides]
+    exits = [None, None]
+    for n in range(passes + (not cold)):
+        for s in range(2):
+            sides[s][1]["shipems.qp"].EXITS.clear()
+        for k in range(len(cases)):
+            for s in ((0, 1) if (n + k) % 2 == 0 else (1, 0)):
+                mods = sides[s][1]
+                solve = mods["shipems.coordinator"].centralized_solve
+                with active(mods):
+                    if cold:
+                        clear_memos(mods)
+                    t0 = time.perf_counter()
+                    solve(*ported[s][k], tol=XC_ORACLE_TOL)
+                    elapsed = time.perf_counter() - t0
+                if cold or n:  # the warm section's first pass fills memos
+                    times[s][k].append(elapsed)
+        for s in range(2):
+            exits[s] = " ".join(
+                f"{k}={v}"
+                for k, v in sorted(sides[s][1]["shipems.qp"].EXITS.items()))
+    return times, exits
+
+
+def time_verify(sides, passes: int):
+    """Each side's `harness.verify(default_config())` times (s), as the
+    one list of a single item, and the number of its cases, as text."""
+    times, cases = [[[]], [[]]], [None, None]
+    for n in range(passes):
+        for s in ((0, 1) if n % 2 == 0 else (1, 0)):
+            mods = sides[s][1]
+            with active(mods):
+                cfg = mods["shipems.config"].default_config()
+                clear_memos(mods)
+                t0 = time.perf_counter()
+                rep = mods["shipems.harness"].verify(cfg)
+                times[s][0].append(time.perf_counter() - t0)
+            cases[s] = f"{len(rep.cases)} cases"
+    return times, cases
 
 
 def time_default_run(sides, passes: int):
@@ -160,16 +233,16 @@ def time_default_run(sides, passes: int):
                 iterations[s] = sum(r.iterations_used for r in reps)
             for per, t in zip(times[s], steps):
                 per.append(t)
-    return times, iterations
+    return times, [f"{n} dual iterations" for n in iterations]
 
 
 def report(label: str, sides, timed) -> None:
-    times, iterations = timed
+    times, notes = timed
     medians = [[statistics.median(per) for per in side] for side in times]
     ratios = [c / p for p, c in zip(*medians)]
     line = ", ".join(f"{name} p50 {statistics.median(m) * 1e3:.4f} ms "
-                     f"({n} dual iterations)"
-                     for (name, _), m, n in zip(sides, medians, iterations))
+                     f"({note})"
+                     for (name, _), m, note in zip(sides, medians, notes))
     print(f"{label}: {line}; median ratio change/parent "
           f"{statistics.median(ratios):.4f} over {len(ratios)}")
 
@@ -179,8 +252,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="source tree A")
     parser.add_argument("--change", required=True, help="source tree B")
     parser.add_argument("--passes", type=int, default=10,
-                        help="calls per fleet and runs of the default "
-                             "scenario, per tree")
+                        help="calls per fleet, runs of the default "
+                             "scenario and of verify, per tree")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be >= 1")
@@ -189,6 +262,11 @@ def main(argv=None) -> int:
            time_fleets(sides, args.passes))
     report(f"default run, {PULSE_DURATION_S:g} s", sides,
            time_default_run(sides, args.passes))
+    for cold in (False, True):
+        report(f"oracle, first {CORPUS_SIZE} fleets, "
+               + ("cold" if cold else "warm"), sides,
+               time_oracle(sides, args.passes, cold))
+    report("verify, default config", sides, time_verify(sides, args.passes))
     return 0
 
 

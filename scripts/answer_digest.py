@@ -6,7 +6,9 @@ Digests:
 - every `SimLog` field of that run, and its dual iterations and
   `qp.EXITS` counts;
 - criterion 1's 200 random fleets, as `coordinate` and
-  `centralized_solve` answer them, and the `qp.EXITS` counts of both.
+  `centralized_solve` answer them, and the `qp.EXITS` counts of each;
+- `harness.verify(default_config())`: every case's power and objective
+  gap.
 
 Two versions that print the same lines give bitwise the same answers on
 these runs. The digests may differ between platforms (BLAS, libm), so
@@ -20,6 +22,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -66,13 +69,17 @@ def criterion_1():
     rng = np.random.default_rng(2024)
     h = 5
     dist, cen = hashlib.sha256(), hashlib.sha256()
-    qp.EXITS.clear()
+    exits = {"coordinate": Counter(), "centralized_solve": Counter()}
     for _ in range(FLEETS):
         fleet = random_fleet(rng)
         p_f = feasible_demand(rng, fleet, h)
         scale = max(float(np.max(np.abs(p_f))), 1.0)
+        qp.EXITS.clear()
         c = centralized_solve(fleet, p_f, tol=1e-9)
+        exits["centralized_solve"] += qp.EXITS
+        qp.EXITS.clear()
         rep = coordinate(fleet, p_f, bal_tol_w=1e-6 * scale, max_iter=5000)
+        exits["coordinate"] += qp.EXITS
         dist.update(digest(*[r.profile for r in rep.gen + rep.batt],
                            rep.lambda_final, rep.iterations_used,
                            rep.final_residual_w, rep.shortfall_w).encode())
@@ -80,10 +87,18 @@ def criterion_1():
                           c.status).encode())
     print(f"criterion1.coordinate {dist.hexdigest()}")
     print(f"criterion1.centralized_solve {cen.hexdigest()}")
-    print("criterion1.exits "
-          + " ".join(f"{k}={v}" for k, v in sorted(qp.EXITS.items())))
+    for name, counts in exits.items():
+        print(f"criterion1.exits.{name} "
+              + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+
+
+def verify():
+    rep = harness.verify(default_config())
+    print("verify " + digest(*[(c.max_power_gap_w, c.objective_rel_gap)
+                              for c in rep.cases]))
 
 
 if __name__ == "__main__":
     default_run()
     criterion_1()
+    verify()

@@ -19,9 +19,10 @@ comes next, then plain ascent.
 Every node problem is solved exactly by the LDP kernel of `qp`. Its
 problem is built once per MPC step, and the kernel's rows once per device
 and run (`qp` keeps them in a memo). `centralized_solve` solves the
-same allocation monolithically (one stacked QP with the balance as an
-equality, solved by the same kernel) and serves as the verification oracle
-for the distributed loop.
+same allocation monolithically (one stacked QP with the balance as
+equality rows, solved by the same kernel over stacked rows memoized per
+fleet shape) and serves as the verification oracle for the distributed
+loop.
 
 When the demand lies beyond what the fleet can deliver, the dual is
 unbounded and the ascent never balances. The loop then stops on a proof
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import sub
 
 import numpy as np
@@ -261,25 +263,26 @@ def _envelope_price(fleet: Fleet, envelopes,
     return np.array(price)
 
 
-def _stacked_rows(qps):
-    """Every node's constraint rows as one block-diagonal A x <= b over the
-    stacked profiles; SoC rows stay in power units."""
-    rows = [p.constraint_rows() for p in qps]
-    a = np.zeros((sum(r.shape[0] for r, _ in rows),
-                  sum(r.shape[1] for r, _ in rows)))
+def _block_diagonal(blocks) -> np.ndarray:
+    """Every node's rows as one block-diagonal matrix over the stacked
+    profiles."""
+    a = np.zeros((sum(r.shape[0] for r in blocks),
+                  sum(r.shape[1] for r in blocks)))
     i = j = 0
-    for r, _ in rows:
+    for r in blocks:
         a[i:i + r.shape[0], j:j + r.shape[1]] = r
         i, j = i + r.shape[0], j + r.shape[1]
-    return a, np.concatenate([b for _, b in rows])
+    return a
 
 
 def _min_residual_lp(qps, p_f: np.ndarray) -> float | None:
     """HiGHS: the least worst-step balance residual t over allocations that
     keep every node within its rows, min t s.t. |sum_i x_ik - p_f,k| <= t.
-    None when the LP does not solve."""
+    SoC rows stay in power units. None when the LP does not solve."""
     h = p_f.size
-    a, b = _stacked_rows(qps)
+    rows = [p.constraint_rows() for p in qps]
+    a = _block_diagonal([r for r, _ in rows])
+    b = np.concatenate([b for _, b in rows])
     balance = np.tile(np.eye(h), len(qps))
     t = np.ones((h, 1))
     a_ub = np.vstack([np.hstack([a, np.zeros((a.shape[0], 1))]),
@@ -289,6 +292,16 @@ def _min_residual_lp(qps, p_f: np.ndarray) -> float | None:
     res = linprog(c, A_ub=a_ub, b_ub=np.concatenate([b, p_f, -p_f]) / LP_UNIT_W,
                   bounds=(None, None), method="highs")
     return float(res.x[-1]) * LP_UNIT_W if res.status == 0 else None
+
+
+def _demand(p_f):
+    """``p_f`` as a float array and as a list, once it is checked to be a
+    finite, non-empty 1-D profile."""
+    p_f = np.asarray(p_f, dtype=float)
+    demand = p_f.tolist() if p_f.ndim == 1 else []
+    if not demand or not qpmod.all_finite(demand):
+        raise ValueError("p_f must be a finite, non-empty 1-D profile")
+    return p_f, demand
 
 
 def _solve_all(nodes, lam: np.ndarray, h: int):
@@ -344,10 +357,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
     if bal_tol_w is not None and not bal_tol_w > 0.0:
         raise ValueError(f"bal_tol_w must be > 0, got {bal_tol_w}")
-    p_f = np.asarray(p_f, dtype=float)
-    demand = p_f.tolist() if p_f.ndim == 1 else []
-    if not demand or not qpmod.all_finite(demand):
-        raise ValueError("p_f must be a finite, non-empty 1-D profile")
+    p_f, demand = _demand(p_f)
     h = p_f.size
     if lambda_warm is not None:
         lam = np.array(lambda_warm, dtype=float)
@@ -441,6 +451,19 @@ class CentralizedResult:
         return total
 
 
+@lru_cache(maxsize=qpmod.LDP_ROWS_MEMO_SIZE)
+def _fleet_rows(h: int, nodes: tuple) -> qpmod.LdpRows:
+    """`LdpRows` of the stacked fleet problem: each node's rows, as
+    `qp._ldp_rows` builds them from the node's key in ``nodes``, block
+    diagonal over the stacked profiles, then the h balance rows
+    sum_i x_ik = p_f,k and their negations as equalities."""
+    a = _block_diagonal([qpmod._kept_rows(h, prefix, keep)
+                         for _, prefix, keep in nodes])
+    balance = np.tile(np.eye(h), len(nodes))
+    d = np.concatenate([np.frombuffer(d) for d, _, _ in nodes])
+    return qpmod.LdpRows(d, np.vstack([a, balance, -balance]), n_eq=h)
+
+
 def centralized_solve(fleet: Fleet, p_f: np.ndarray,
                       tol: float = 1e-6) -> CentralizedResult:
     """Monolithic allocation with balance as an explicit equality.
@@ -450,20 +473,27 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     problems. ``tol`` is the accepted constraint violation relative to
     max(1, ||x||inf); the status is "infeasible" only on a verified
     certificate that no allocation meets the demand.
+
+    The stacked rows depend only on the fleet's shape (each node's Hessian
+    and row pattern, and h), so they come from the bounded memo of
+    `_fleet_rows`, and with them the active-set maps that certified
+    earlier solves of that shape: a call fills only the right-hand side,
+    the box and the linear term, and a fleet solved again, or at a nearby
+    state, mostly exits through a kept map instead of `nnls`.
     """
-    p_f = np.asarray(p_f, dtype=float)
+    p_f, _ = _demand(p_f)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     h = p_f.size
     gen_qps, batt_qps = _node_problems(fleet, h)
     problems = gen_qps + batt_qps
     n = len(problems)
-    a, b = _stacked_rows(problems)
-    balance = np.tile(np.eye(h), n)
-    a = np.vstack([a, balance, -balance])
-    b = np.concatenate([b, p_f, -p_f])
-    boxes = [p.effective_box() for p in problems]
-    rows = qpmod.LdpRows(np.concatenate([p.quad_diag for p in problems]), a)
-    kernel = qpmod.Ldp(rows, b, np.concatenate([lo for lo, _ in boxes]),
-                       np.concatenate([hi for _, hi in boxes]))
+    parts = [p.ldp_parts() for p in problems]
+    rows = _fleet_rows(h, tuple(key for _, _, _, key in parts))
+    kernel = qpmod.Ldp(
+        rows, np.concatenate([b for _, _, b, _ in parts] + [p_f, -p_f]),
+        np.concatenate([lo for lo, _, _, _ in parts]),
+        np.concatenate([hi for _, hi, _, _ in parts]))
     n_g = len(gen_qps)
     targets = fleet.targets()
     # generators pull toward their rated point, batteries toward zero

@@ -54,6 +54,18 @@ an answer depends only on the problem and the price, not on what was
 solved before. An active set met again (the two levels of a pulsed load,
 the first steps of every run) costs a lookup, not a new factorization.
 `EXITS` counts how the solves ended.
+
+The oracle's fleet problem writes the h balance equalities as trailing
+rows of its `LdpRows` (``n_eq``): h rows, then their negations, which the
+`nnls` reduction needs. Every active set holds the equality rows and none
+of their negations, so K_S stays regular; the certificate holds both
+sides to the margin and leaves the sign of an equality's multiplier free
+(a demand above what the nodes want makes it negative). So the oracle's
+solves certify and keep maps as node solves do, and a fleet of the same
+shape (every case of `verify`, a fleet solved again) is answered from a
+kept map. A balance that depends linearly on active bounds (demand at the
+fleet's maximum) has a singular K_S and keeps no map; its solve returns
+the `nnls` point. Node rows have no equality rows.
 """
 
 from __future__ import annotations
@@ -72,7 +84,9 @@ INFEASIBLE = "infeasible"
 FEASIBLE = "feasible"
 
 # (Hessian, row pattern) pairs whose `LdpRows` are kept; a fleet needs one
-# per device, and criterion 1's 40 cross-check fleets about 140
+# per device, and criterion 1's 40 cross-check fleets about 140. The
+# oracle's memo of stacked fleet rows (`coordinator._fleet_rows`) keeps as
+# many fleet shapes.
 LDP_ROWS_MEMO_SIZE = 256
 # (h, weight, lower, upper) of scalar `HorizonQp`s whose expanded arrays
 # are kept; a fleet needs one per device
@@ -86,7 +100,9 @@ ACTIVE_MAP_COND_MAX = 1e8
 # active-set maps kept per `LdpRows`; the one that certified least
 # recently is dropped first
 ACTIVE_MAP_MEMO_SIZE = 16
-# unit rows whose dot product is below this are a row and its negation
+# unit rows whose dot product is below this are a row and its negation; a
+# set holding both (an equality written as two inequality rows rather than
+# as `LdpRows.n_eq` equality rows) gets no map
 TWIN_DOT = -1.0 + 1e-9
 # `Ldp.solve` exits over the process: "shortcut" (x_u is the answer),
 # "hint" (the newest map of the memo), "memo" (an older one), "nnls",
@@ -103,9 +119,15 @@ class LdpRows:
     ordered by when each last certified, newest last. A solve tries them
     newest first, so that an active set seen again costs neither `nnls`
     nor a new factorization; the memo never changes an answer. Devices
-    that share rows but not an active set find each other's maps in it."""
+    that share rows but not an active set find each other's maps in it.
 
-    def __init__(self, d, a):
+    The last 2 ``n_eq`` rows are equalities, written as ``n_eq`` rows
+    followed by their negations (the fleet's balance); node rows have
+    none. Every active set holds the equality rows and none of their
+    negations, and their multipliers take either sign."""
+
+    def __init__(self, d, a, n_eq: int = 0):
+        self.n_eq = n_eq
         self.norms = np.linalg.norm(a, axis=1)
         self.d = np.array(d, dtype=float)
         self.neg_d = -self.d
@@ -134,9 +156,12 @@ class LdpRows:
 
     def active_map(self, active):
         """The affine solution map of the active row set flagged in
-        ``active``: (S, the other rows, [K_S; P_S], the diagonal of K_S as
-        floats) with K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S, so
-        that mu = K_S r and x = x_u - P_S r for the slack r = a_S x_u - b_S.
+        ``active``, which flags the equality rows and none of their
+        negations: (S, the other rows but those negations, [K_S; P_S], the
+        diagonal of K_S over the inequality rows of S as floats, the rows
+        held to the margin: S and the negations) with
+        K_S = (a_S D^-1 a_S')^-1 and P_S = D^-1 a_S' K_S, so that
+        mu = K_S r and x = x_u - P_S r for the slack r = a_S x_u - b_S.
         None when S is empty or its KKT matrix is singular or conditioned
         worse than `ACTIVE_MAP_COND_MAX`."""
         rows = np.flatnonzero(active)
@@ -148,8 +173,13 @@ class LdpRows:
         if not eig[0] > eig[-1] / ACTIVE_MAP_COND_MAX:
             return None
         k = (vec / eig) @ vec.T
-        return (rows, np.flatnonzero(~active), np.vstack([k, ad.T @ k]),
-                k.diagonal().tolist())
+        # the equality rows are the last of S, their negations the last rows
+        n_eq, n_rows = self.n_eq, active.size - self.n_eq
+        held = rows if not n_eq else np.concatenate(
+            [rows, np.arange(n_rows, active.size)])
+        return (rows, np.flatnonzero(~active[:n_rows]),
+                np.vstack([k, ad.T @ k]),
+                k.diagonal()[:rows.size - n_eq].tolist(), held)
 
 
 class Ldp:
@@ -238,11 +268,15 @@ class Ldp:
             # the passive set and the rows within t/2 of active at x: the
             # set that passes the certificate, if any does
             near = (u > 0.0) | (v > -0.5 * t)
+            n_eq = self.rows.n_eq
+            if n_eq:  # every set holds the equalities, not their negations
+                near[-2 * n_eq:-n_eq] = True
+                near[-n_eq:] = False
             key = near.tobytes()
             a_s = self.a[near]
             # a set in the memo has just failed at this price; a row and
-            # its negation (an equality written as two rows, as the fleet
-            # oracle writes balance) make K_S singular: no map
+            # its negation (an equality written as two inequality rows)
+            # make K_S singular: no map
             if key not in self.rows.maps \
                     and (a_s @ a_s.T).min(initial=0.0) > TWIN_DOT:
                 amap = self.rows.active_map(near)
@@ -283,9 +317,11 @@ class Ldp:
         """(x, violation) of the active set S of ``amap`` when a KKT
         certificate with margins proves x optimal, else None. With
         t = tol*max(1, ||x||inf): S is every row active within t at x (the
-        rows of S hold as equalities to t, every other row holds with
-        slack beyond t), and every multiplier is at least -tol times the
-        largest. A row of S with a negative multiplier must moreover be
+        rows of S and the negations of its equality rows hold as
+        equalities to t, every other row holds with slack beyond t), and
+        every multiplier of an inequality row is at least -tol times the
+        largest; an equality row's multiplier takes either sign. An
+        inequality row of S with a negative multiplier must moreover be
         within t/2 of active at the point of S without it, where its slack
         is mu_i/[K_S]_ii; otherwise a row whose slack at the optimum lies
         just beyond t could be forced active by a second set that passes
@@ -295,10 +331,12 @@ class Ldp:
 
         The reductions run on Python floats; a NaN anywhere rejects, as it
         does in numpy's, whose min and max propagate it."""
-        rows, off, kp, k_diag = amap
+        rows, off, kp, k_diag, held = amap
         m = rows.size
         y = kp.dot(slack[rows])  # mu, then P_S r
-        mu = y.tolist()[:m]
+        # the inequality rows' multipliers (the equality rows come last),
+        # or a zero when S holds none
+        mu = y.tolist()[:len(k_diag)] or [0.0]
         mu_min = min(mu)
         if not mu_min >= -tol * max(mu):
             return None
@@ -310,7 +348,7 @@ class Ldp:
         v_off = v[off].tolist()
         if v_off and not max(v_off) < -t:
             return None
-        v_s = v[rows].tolist()
+        v_s = v[held].tolist()
         top = max(v_s)
         if not (-t <= min(v_s) and top <= t):
             return None
@@ -457,16 +495,24 @@ class HorizonQp:
         keep = np.isfinite(b)
         return _row_matrix(self.h, self.cumsum_coeff != 0.0)[keep], b[keep]
 
+    def ldp_parts(self):
+        """What the LDP of this problem is built from: the effective box
+        (lo, hi), the right-hand sides of the finite rows, and the key of
+        those rows in the memo of `_ldp_rows`: (Hessian diagonal as bytes,
+        whether prefix-sum rows exist, the finite-row flags as bytes)."""
+        h = self.h
+        b = self._rhs()
+        keep = np.isfinite(b)
+        return (-b[h:2 * h], b[:h], b[keep],
+                (self.quad_diag.tobytes(), self.cumsum_coeff != 0.0,
+                 keep.tobytes()))
+
     @cached_property
     def ldp(self) -> Ldp:
         """The LDP form of this constraint set and Hessian, built once; its
         rows come from the memo of `_ldp_rows`."""
-        h = self.h
-        b = self._rhs()
-        keep = np.isfinite(b)
-        rows = _ldp_rows(self.quad_diag.tobytes(), h,
-                         self.cumsum_coeff != 0.0, keep.tobytes())
-        return Ldp(rows, b[keep], -b[h:2 * h], b[:h])
+        lo, hi, b, key = self.ldp_parts()
+        return Ldp(_ldp_rows(self.h, key), b, lo, hi)
 
 
 def _row_matrix(h: int, prefix: bool) -> np.ndarray:
@@ -494,12 +540,18 @@ def _expanded(h: int, d: float, lo: float, hi: float, lo_sign: float,
     return arrays
 
 
+def _kept_rows(h: int, prefix: bool, keep: bytes) -> np.ndarray:
+    """The rows of `_row_matrix` flagged in ``keep``."""
+    return _row_matrix(h, prefix)[np.frombuffer(keep, dtype=bool)]
+
+
 @lru_cache(maxsize=LDP_ROWS_MEMO_SIZE)
-def _ldp_rows(quad_diag: bytes, h: int, prefix: bool, keep: bytes) -> LdpRows:
-    """`LdpRows` of a horizon problem with Hessian diagonal ``quad_diag``
-    whose rows of `_row_matrix` are the ones flagged in ``keep``."""
-    keep = np.frombuffer(keep, dtype=bool)
-    return LdpRows(np.frombuffer(quad_diag), _row_matrix(h, prefix)[keep])
+def _ldp_rows(h: int, key: tuple) -> LdpRows:
+    """`LdpRows` of a horizon problem whose `HorizonQp.ldp_parts` key is
+    ``key``: Hessian diagonal ``quad_diag``, and the rows of `_row_matrix`
+    flagged in ``keep``."""
+    quad_diag, prefix, keep = key
+    return LdpRows(np.frombuffer(quad_diag), _kept_rows(h, prefix, keep))
 
 
 @dataclass(slots=True)

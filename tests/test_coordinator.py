@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -380,6 +381,27 @@ class TestPathIndependence:
         answers(reversed(range(len(cases))))  # a warm pass, other order
         assert answers(range(len(cases))) == cold
 
+    def test_oracle_answers_do_not_depend_on_the_memos(self):
+        cases = criterion_1_fleets(40)
+
+        def answers(order):
+            out = {}
+            for i in order:
+                fleet, p_f, _ = cases[i]
+                cen = centralized_solve(fleet, p_f, tol=1e-9)
+                out[i] = ([bits(p) for p in cen.gen_profiles
+                           + cen.batt_profiles], bits(cen.objective),
+                          cen.status)
+            return out
+
+        cold = {}
+        for i in range(len(cases)):
+            qpmod._ldp_rows.cache_clear()
+            coordinator._fleet_rows.cache_clear()
+            cold.update(answers([i]))
+        assert answers(reversed(range(len(cases)))) == cold  # warm
+        assert answers(range(len(cases))) == cold
+
 
 class TestTracerContract:
     """`perfbench/tracing.py` times the node and QP layers by replacing
@@ -471,6 +493,27 @@ class TestCentralizedSolve:
         cen = centralized_solve(fleet, p_f)
         assert not rep.converged and rep.shortfall_w > 0.0
         assert cen.status == "infeasible"
+
+    @pytest.mark.parametrize("p_f, tol, name", [
+        (np.array([10e6, np.nan, 10e6, 10e6, 10e6]), 1e-6, "p_f"),
+        (np.array([10e6, 10e6, np.inf, 10e6, 10e6]), 1e-6, "p_f"),
+        (np.zeros((2, 5)), 1e-6, "p_f"),
+        (10e6, 1e-6, "p_f"),
+        (np.zeros(0), 1e-6, "p_f"),
+        (np.full(5, 10e6), 0.0, "tol"),
+        (np.full(5, 10e6), np.nan, "tol"),
+    ])
+    def test_rejects_bad_arguments_before_any_solve(self, p_f, tol, name,
+                                                    monkeypatch):
+        # with `coordinate`'s messages, and without a RuntimeWarning first
+        def no_solve(*args):
+            raise AssertionError("reached the kernel")
+
+        monkeypatch.setattr(qpmod.Ldp, "solve", no_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=name):
+                centralized_solve(two_node_fleet(), p_f, tol=tol)
 
     def test_total_power_helper(self):
         cen = CentralizedResult([np.ones(3)], [2.0 * np.ones(3)], 0.0, 0.0,

@@ -149,6 +149,30 @@ class TestVerify:
         assert all("infeasible demand: consistent" in c.note
                    for c in report.cases)
 
+    def test_oracle_calls_after_the_first_reuse_kept_maps(self,
+                                                          monkeypatch):
+        # every case of `verify` has the config's fleet shape, so the
+        # oracle's stacked rows and the active-set maps that certified
+        # earlier cases are kept: 4 of the 100 later calls reach `nnls`
+        from shipems import coordinator, qp
+
+        oracle, exits = harness.centralized_solve, []
+
+        def counted(*args, **kwargs):
+            before = qp.EXITS.copy()
+            out = oracle(*args, **kwargs)
+            exits.append(qp.EXITS - before)
+            return out
+
+        monkeypatch.setattr(harness, "centralized_solve", counted)
+        coordinator._fleet_rows.cache_clear()
+        assert harness.verify(default_config()).passed
+        assert len(exits) == 101
+        assert all(sum(e.values()) == 1 for e in exits)
+        assert exits[0] == {"nnls": 1}
+        reused = sum(e["hint"] + e["memo"] for e in exits[1:])
+        assert reused >= 90, exits
+
     def test_large_fleet_long_horizon(self):
         # six generators and six batteries over ten steps: 120 variables
         # in each monolithic solve

@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import shipems.qp as qpmod
 from shipems.config import default_config
@@ -590,9 +591,9 @@ class TestActiveSetContinuation:
         assert len(calls) == 2
 
     def test_equality_rows_build_no_map(self, monkeypatch):
-        # x1 + x2 = 1 written as two rows, as the fleet oracle writes
-        # balance: the twin of the active row is active too, so no map can
-        # pass the certificate and none is built
+        # x1 + x2 = 1 written as two inequality rows, not as an equality
+        # (`LdpRows.n_eq`): the twin of the active row is active too, so
+        # no map can pass the certificate and none is built
         a = np.array([[1.0, 1.0], [-1.0, -1.0]])
         rows = qpmod.LdpRows(np.ones(2), a)
         ldp = qpmod.Ldp(rows, np.array([1.0, -1.0]), np.full(2, -np.inf),
@@ -775,20 +776,120 @@ class TestWeaklyActiveRows:
         assert_same_solve(got, kernel().solve(q, 1e-8))
 
 
+def stacked_kernel(qps, p_f):
+    """The fleet problem over the node problems ``qps`` with the balance
+    sum_i x_i = ``p_f`` as equality rows, built without any memo, and its
+    rows (A, b) with the balance as two inequality rows each."""
+    blocks = [qp.constraint_rows() for qp in qps]
+    balance = np.tile(np.eye(p_f.size), len(qps))
+    a = np.vstack([block_diag(*[r for r, _ in blocks]), balance, -balance])
+    b = np.concatenate([b for _, b in blocks] + [p_f, -p_f])
+    boxes = [qp.effective_box() for qp in qps]
+    rows = qpmod.LdpRows(np.concatenate([qp.quad_diag for qp in qps]), a,
+                         n_eq=p_f.size)
+    kernel = qpmod.Ldp(rows, b, np.concatenate([lo for lo, _ in boxes]),
+                       np.concatenate([hi for _, hi in boxes]))
+    return kernel, a, b
+
+
+def map_multipliers(ldp, amap, lin):
+    """The multipliers of the active rows of ``amap`` at the linear term
+    ``lin``, equality rows last."""
+    rows, _, kp, _, _ = amap
+    slack = ldp.a @ (lin / ldp.neg_d) - ldp.b
+    return kp[:rows.size] @ slack[rows]
+
+
+class TestEqualityRows:
+    """Balance rows written as equalities (`LdpRows.n_eq`): their
+    multipliers take either sign, and a map holds them and not their
+    negations."""
+
+    @staticmethod
+    def node(d, upper, prev=0.0):
+        return HorizonQp(h=2, quad_diag=d, lower=-1.0, upper=upper,
+                         ramp_limit=10.0, prev_value=prev)
+
+    def test_negative_balance_multiplier_certifies(self):
+        # x_u = (0.8, 0.2) and (0.5, -0.1): node 1 is held at its upper
+        # bound 0.5 at step 0, and both steps' demand lies above what the
+        # nodes want there, so both balance multipliers are negative
+        qps = [self.node(1.0, 0.5), self.node(2.0, 1.0)]
+        d = np.concatenate([qp.quad_diag for qp in qps])
+        lin = -d * np.array([0.8, 0.2, 0.5, -0.1])
+        p_f = np.array([1.1, 0.5])
+        kernel, a, b = stacked_kernel(qps, p_f)
+        (x, status, _, _), exit_ = solve_exit(kernel, lin, 1e-9)
+        assert (status, exit_) == (OPTIMAL, "nnls")
+        amap = newest_map(kernel.rows)
+        assert amap is not None and len(kernel.rows.maps) == 1
+        mu = map_multipliers(kernel, amap, lin)
+        assert len(amap[3]) == 1 and mu[0] > 0.0  # node 1's upper bound
+        assert np.all(mu[-2:] < 0.0)
+        np.testing.assert_allclose(x, [0.5, 0.4667, 0.6, 0.0333],
+                                   atol=1e-4)
+        xo, fo = enumerate_qp(d, lin, a, b)
+        assert 0.5 * x @ (d * x) + lin @ x == pytest.approx(fo, abs=1e-9)
+        got, exit_ = solve_exit(kernel, lin, 1e-9)
+        assert exit_ == "hint"
+        assert got[0].tobytes() == x.tobytes()
+
+    def test_balance_dependent_on_active_bounds_keeps_no_map(self):
+        # demand at the fleet's maximum: every upper bound is active and
+        # the balance rows are their sum, so K_S is singular
+        qps = [self.node(1.0, 1.0), self.node(2.0, 1.0)]
+        d = np.concatenate([qp.quad_diag for qp in qps])
+        lin = -d * 2.0
+        kernel, a, b = stacked_kernel(qps, np.full(2, 2.0))
+        for _ in range(2):
+            (x, status, _, _), exit_ = solve_exit(kernel, lin, 1e-9)
+            assert (status, exit_) == (OPTIMAL, "nnls")
+            np.testing.assert_allclose(x, 1.0, atol=1e-9)
+            assert not kernel.rows.maps
+        xo, _ = enumerate_qp(d, lin, a, b)
+        np.testing.assert_allclose(x, xo, atol=1e-9)
+
+    @given(seed=st.integers(0, 2**32 - 1), soc=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_enumeration(self, seed, soc):
+        # two nodes over two steps, one with SoC rows; the demand is the
+        # sum of a feasible point of each, so the fleet problem is feasible
+        rng = np.random.default_rng(seed)
+        qps = [random_instance(rng, h=2)[0],
+               random_instance(rng, h=2, with_cumsum=soc)[0]]
+        points = [solve(qp, rng.uniform(-2.0, 2.0, 2)) for qp in qps]
+        assume(all(s.status == OPTIMAL for s in points))
+        p_f = sum(s.profile for s in points)
+        d = np.concatenate([qp.quad_diag for qp in qps])
+        kernel, a, b = stacked_kernel(qps, p_f)
+        for _ in range(3):
+            lin = rng.uniform(-3.0, 3.0, 4)
+            first = kernel.solve(lin, 1e-9)
+            x, status, _, viol = first
+            assert status == OPTIMAL
+            assert viol <= 1e-9 * max(1.0, float(np.abs(x).max()))
+            _, fo = enumerate_qp(d, lin, a, b)
+            assert 0.5 * x @ (d * x) + lin @ x == pytest.approx(fo, abs=1e-7)
+            # a kept map gives the answer of a cold kernel, bitwise
+            assert_same_solve(kernel.solve(lin, 1e-9), first)
+            assert_same_solve(stacked_kernel(qps, p_f)[0].solve(lin, 1e-9),
+                              first)
+
+
 def numpy_certified(ldp, amap, xu, slack, tol):
     """`Ldp._certified` with numpy's reductions, which propagate NaN."""
-    rows, off, kp, k_diag = amap
+    rows, off, kp, k_diag, held = amap
     y = kp @ slack[rows]
-    mu = y[:rows.size]
-    if not mu.min() >= -tol * mu.max():
+    mu = y[:len(k_diag)]
+    if mu.size and not mu.min() >= -tol * mu.max():
         return None
     x = xu - y[rows.size:]
     t = tol * max(1.0, float(np.abs(x).max()))
     v = ldp.a @ x - ldp.b
     if off.size and not v[off].max() < -t:
         return None
-    top = float(v[rows].max())
-    if not (-t <= v[rows].min() and top <= t):
+    top = float(v[held].max())
+    if not (-t <= v[held].min() and top <= t):
         return None
     if not np.all(mu >= -0.5 * t * np.array(k_diag)):
         return None
@@ -837,7 +938,8 @@ class TestCertificateReductions:
         # S is both upper bounds: K_S = I, here with a NaN below its
         # diagonal, and P_S = I
         kp = np.array([[1.0, 0.0], [np.nan, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        amap = (np.array([0, 1]), np.array([2, 3]), kp, [1.0, 1.0])
+        amap = (np.array([0, 1]), np.array([2, 3]), kp, [1.0, 1.0],
+                np.array([0, 1]))
         xu = np.array([2.0, 2.0])
         slack = ldp.a @ xu - ldp.b
         assert numpy_certified(ldp, amap, xu, slack, 1e-8) is None
