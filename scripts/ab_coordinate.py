@@ -9,24 +9,27 @@ both trees into one process and alternates between them call by call:
   at `verify`'s tight settings, as `perfbench`'s `fleet_crosscheck` solves
   them. In each pass, every fleet is solved once by each tree, the order
   alternating from fleet to fleet and from pass to pass.
-- the first 300 s of the default run: in each pass, each tree runs the
-  scenario once, timing every `coordinate` call of its loop; the tree
-  that runs first alternates from pass to pass.
+- the first 300 s of the default run: each tree runs the scenario once,
+  untimed, and the `coordinate` calls of the change tree's run are
+  recorded. Each pass replays every recorded call through both trees,
+  the tree that goes first alternating from call to call and from pass
+  to pass, so that the host's drift between whole runs stays out of the
+  per-step ratios.
 
-For each side it prints the p50 over fleets (steps) of each fleet's
-(step's) median time over the passes and the total dual iterations of one
-pass, then the median over fleets (steps) of the per-fleet (per-step)
-ratio change/parent. The iterations tell a change in how often the loop
-runs from a change in what one iteration costs.
+For each side it prints the p50 and p90 over fleets (steps) of each
+fleet's (step's) median time over the passes and the total dual
+iterations of one pass (for the default run, of the tree's own run), then
+the median over fleets (steps) of the per-fleet (per-step) ratio
+change/parent. The iterations tell a change in how often the loop runs
+from a change in what one iteration costs.
 
 The oracle, `centralized_solve`, is timed the same way on the same 40
 fleets at the benchmark's oracle tolerance, and on `harness.verify`:
 
 - warm: after one untimed call per fleet, so that each tree's memos hold
   what the benchmark's later rounds find there;
-- cold: each tree's memos (`qp._ldp_rows`, `qp._expanded` and, where the
-  tree has it, `coordinator._fleet_rows`) cleared before every call, as
-  for a fleet met once;
+- cold: each tree's memos (those of `MEMOS` that the tree has) cleared
+  before every call, as for a fleet met once;
 - `verify`: one `harness.verify(default_config())` per side in each pass,
   the memos cleared before it, as in a fresh process.
 
@@ -61,6 +64,7 @@ from workloads import (CORPUS_SEED, CORPUS_SIZE, HORIZON,  # noqa: E402
 
 # the package's memos; a tree that lacks one is cleared of the others
 MEMOS = (("shipems.qp", "_ldp_rows"), ("shipems.qp", "_expanded"),
+         ("shipems.qp", "_fixed_part"),
          ("shipems.coordinator", "_fleet_rows"))
 
 
@@ -202,38 +206,51 @@ def time_verify(sides, passes: int):
     return times, cases
 
 
+def record_default_run(mods: dict):
+    """The `coordinate` calls, as (args, kwargs), of the default run's
+    first `PULSE_DURATION_S` in the tree of ``mods``, and its dual
+    iterations."""
+    sim = mods["shipems.sim"]
+    coordinate, calls, reps = sim.coordinate, [], []
+
+    def recorded(*args, **kwargs):
+        rep = coordinate(*args, **kwargs)
+        calls.append((args, kwargs))
+        reps.append(rep)
+        return rep
+
+    with active(mods):
+        cfg = dataclasses.replace(mods["shipems.config"].default_config(),
+                                  duration_s=PULSE_DURATION_S)
+        sim.coordinate = recorded
+        try:
+            sim.run_scenario(cfg)
+        finally:
+            sim.coordinate = coordinate
+    return calls, sum(r.iterations_used for r in reps)
+
+
 def time_default_run(sides, passes: int):
-    """Each side's per-step `coordinate` times (s) over the default run,
-    one list per MPC step, and its dual iterations over one run."""
-    times, iterations = [None, None], [0, 0]
+    """Each side's per-step `coordinate` times (s) over the change tree's
+    default run, one list per MPC step, replayed call by call, and the
+    dual iterations of each tree's own run."""
+    runs = [record_default_run(mods) for _, mods in sides]
+    calls = runs[1][0]
+    ported = [[(tuple(port(a, mods) for a in args), kwargs)
+               for args, kwargs in calls] for _, mods in sides]
+    times = [[[] for _ in calls] for _ in sides]
     for n in range(passes):
-        for s in ((0, 1) if n % 2 == 0 else (1, 0)):
-            mods = sides[s][1]
-            sim = mods["shipems.sim"]
-            coordinate, steps, reps = sim.coordinate, [], []
-
-            def timed(*args, **kwargs):
-                t0 = time.perf_counter()
-                rep = coordinate(*args, **kwargs)
-                steps.append(time.perf_counter() - t0)
-                reps.append(rep)
-                return rep
-
-            with active(mods):
-                cfg = dataclasses.replace(
-                    mods["shipems.config"].default_config(),
-                    duration_s=PULSE_DURATION_S)
-                sim.coordinate = timed
-                try:
-                    sim.run_scenario(cfg)
-                finally:
-                    sim.coordinate = coordinate
-            if times[s] is None:
-                times[s] = [[] for _ in steps]
-                iterations[s] = sum(r.iterations_used for r in reps)
-            for per, t in zip(times[s], steps):
-                per.append(t)
-    return times, [f"{n} dual iterations" for n in iterations]
+        for k in range(len(calls)):
+            for s in ((0, 1) if (n + k) % 2 == 0 else (1, 0)):
+                mods = sides[s][1]
+                coordinate = mods["shipems.coordinator"].coordinate
+                args, kwargs = ported[s][k]
+                with active(mods):
+                    t0 = time.perf_counter()
+                    coordinate(*args, **kwargs)
+                    times[s][k].append(time.perf_counter() - t0)
+    return times, [f"{n} dual iterations in its own run"
+                   for _, n in runs]
 
 
 def report(label: str, sides, timed) -> None:
@@ -241,6 +258,7 @@ def report(label: str, sides, timed) -> None:
     medians = [[statistics.median(per) for per in side] for side in times]
     ratios = [c / p for p, c in zip(*medians)]
     line = ", ".join(f"{name} p50 {statistics.median(m) * 1e3:.4f} ms "
+                     f"p90 {float(np.percentile(m, 90)) * 1e3:.4f} ms "
                      f"({note})"
                      for (name, _), m, note in zip(sides, medians, notes))
     print(f"{label}: {line}; median ratio change/parent "

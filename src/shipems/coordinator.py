@@ -166,16 +166,17 @@ def _node_problems(fleet: Fleet, h: int):
 
 def _envelope(qp):
     """A node's reach envelope: per step k, the bounds lo_k <= power <=
-    hi_k that its effective box [lo, hi] (held by its kernel) and its ramp
-    put on its step-k power, hi_k = min over j <= k of (hi_j + (k-j)*ramp)
-    and lo_k likewise; as two lists (los, his).
+    hi_k that its effective box [lo, hi] (`HorizonQp.effective_bounds`)
+    and its ramp put on its step-k power, hi_k = min over j <= k of
+    (hi_j + (k-j)*ramp) and lo_k likewise; as two lists (los, his).
 
     The running minimum of hi_j - j*ramp, with k*ramp added back, is taken
     on Python floats.
     """
     ramp = qp.ramp_limit
     his, los = [], []
-    for k, (u, l) in enumerate(zip(qp.ldp.hi.tolist(), qp.ldp.lo.tolist())):
+    box_lo, box_hi = qp.effective_bounds()
+    for k, (u, l) in enumerate(zip(box_hi, box_lo)):
         s = ramp * k
         # min and max as numpy's accumulate runs them, NaN included; a
         # comparison is cheaper than the built-ins
@@ -481,23 +482,26 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     the box and the linear term, and a fleet solved again, or at a nearby
     state, mostly exits through a kept map instead of `nnls`.
     """
-    p_f, _ = _demand(p_f)
+    p_f, demand = _demand(p_f)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     h = p_f.size
     gen_qps, batt_qps = _node_problems(fleet, h)
     problems = gen_qps + batt_qps
     n = len(problems)
+    # every node's parts are lists of floats, stacked before one array each
     parts = [p.ldp_parts() for p in problems]
     rows = _fleet_rows(h, tuple(key for _, _, _, key in parts))
-    kernel = qpmod.Ldp(
-        rows, np.concatenate([b for _, _, b, _ in parts] + [p_f, -p_f]),
-        np.concatenate([lo for lo, _, _, _ in parts]),
-        np.concatenate([hi for _, hi, _, _ in parts]))
+    b = [v for _, _, node_b, _ in parts for v in node_b]
+    b += demand
+    b += [-v for v in demand]
+    kernel = qpmod.Ldp(rows, b, [v for lo, _, _, _ in parts for v in lo],
+                       [v for _, hi, _, _ in parts for v in hi])
     n_g = len(gen_qps)
     targets = fleet.targets()
     # generators pull toward their rated point, batteries toward zero
-    lin = np.concatenate([-p.quad_diag * t for p, t in zip(problems, targets)])
+    lin = np.array([-d * t for p, t in zip(problems, targets)
+                    for d in p.quad_diag.tolist()])
     x, status, _, _ = kernel.solve(lin, tol)
     if status == INFEASIBLE:
         return CentralizedResult([], [], np.inf, np.inf, INFEASIBLE)

@@ -23,16 +23,24 @@ power), never scaled by the tiny per-step SoC coefficient.
 Within a receding-horizon run a device's Hessian, box and ramp limit stay
 fixed; only its ramp anchor (the last setpoint) and its state of charge
 change. What depends on the fixed part alone comes from bounded memos and
-is built once per device:
-- the length-h arrays of a scalar weight and box (`_expanded`), read-only
-  and shared by every step's `HorizonQp`;
+is built and checked once per device:
+- its `_FixedPart` (`_fixed_part`, keyed on h, the scalar weight and box,
+  the ramp limit and whether SoC rows exist): the read-only length-h
+  arrays of the weight and box, shared by every step's `HorizonQp`; the
+  box and the right-hand sides of the rows that no state moves (the box
+  after step 0, the ramp rows) as Python floats; and, for each way the
+  rows that the state sets can be finite or not, the kept-row flags and
+  the `_ldp_rows` key;
 - the unit rows, the first n rows of E and their scales (`_ldp_rows`),
   which depend only on the Hessian and the row pattern (h, which bounds
   are finite, whether SoC rows exist).
-An MPC step builds only what the state changes: one right-hand side
-(`HorizonQp._rhs`, filled in place: box, ramp, then the two prefix-sum
-bounds, with the anchor folded into step 0), its finite-row mask, and an
-`Ldp` over the memoized rows.
+An MPC step reads its state into four floats when its `HorizonQp` is
+built: the step-0 bounds with the ramp anchor folded in, and the two
+prefix-sum bounds. `HorizonQp.ldp_parts` lists the finite right-hand
+sides and the effective box from those floats and the fixed part, without
+a numpy call; the `Ldp` makes one array of the right-hand sides. Its box
+becomes arrays, and its copy of E is made, only when its `nnls` path
+first reads them.
 
 Successive prices of a dual ascent mostly leave a node's active set S
 unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
@@ -71,9 +79,11 @@ the `nnls` point. Node rows have no equality rows.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 from scipy.optimize import nnls
@@ -88,9 +98,12 @@ FEASIBLE = "feasible"
 # oracle's memo of stacked fleet rows (`coordinator._fleet_rows`) keeps as
 # many fleet shapes.
 LDP_ROWS_MEMO_SIZE = 256
-# (h, weight, lower, upper) of scalar `HorizonQp`s whose expanded arrays
-# are kept; a fleet needs one per device
-EXPANDED_MEMO_SIZE = 256
+# (h, weight, lower, upper, ramp limit, whether prefix-sum rows exist) of
+# scalar `HorizonQp`s whose `_FixedPart` is kept; a fleet needs one per
+# device
+FIXED_PART_MEMO_SIZE = 256
+# the types of the weight and box that `HorizonQp` takes as scalars
+_SCALAR = (float, int)
 # iteration cap of one `nnls` call; a solve that hits it is MAX_ITER
 NNLS_MAX_ITER = 100_000
 FLOAT_MAX = float(np.finfo(float).max)
@@ -108,6 +121,25 @@ TWIN_DOT = -1.0 + 1e-9
 # "hint" (the newest map of the memo), "memo" (an older one), "nnls",
 # "max_iter" and "infeasible"
 EXITS = Counter()
+
+
+class _once:
+    """A method's value, computed on its first read and then stored on the
+    instance, where later reads find it: `functools.cached_property`
+    without the lock that it takes on Python 3.11, which made the first
+    read of `HorizonQp.ldp` about 2 us dearer (2 CPUs, x86-64)."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class LdpRows:
@@ -188,17 +220,30 @@ class Ldp:
     ``rows`` holds ``a`` and ``d``; ``b`` is in the units of the rows it was
     built from. ``lo``/``hi`` bound every point of the polytope componentwise
     (entries may be infinite); an infeasibility certificate is checked over
-    that box.
+    that box. ``b``, ``lo`` and ``hi`` may be arrays or lists of floats;
+    the box becomes arrays when first read, which only the `nnls` path
+    does.
     """
 
     def __init__(self, rows: LdpRows, b, lo, hi):
         self.rows = rows
-        self.d, self.a, self.w, self.rho = rows.d, rows.a, rows.w, rows.rho
-        self.rho_max = rows.rho_max
-        self.neg_d, self.unit = rows.neg_d, rows.unit
+        self.a, self.neg_d = rows.a, rows.neg_d
         self.b = b / rows.norms
-        self.lo, self.hi = lo, hi
-        self.e = rows.e.copy()  # its last row is rewritten by every solve
+        self._box = lo, hi
+
+    @_once
+    def lo(self) -> np.ndarray:
+        return np.asarray(self._box[0], dtype=float)
+
+    @_once
+    def hi(self) -> np.ndarray:
+        return np.asarray(self._box[1], dtype=float)
+
+    @_once
+    def e(self) -> np.ndarray:
+        """This LDP's own copy of E, made by its first `nnls` solve, which
+        rewrites its last row at every call."""
+        return self.rows.e.copy()
 
     def violation(self, x) -> float:
         """Largest violation of a unit-norm row at x (0 when feasible)."""
@@ -236,12 +281,13 @@ class Ldp:
             return xu, OPTIMAL, 0, 0.0
         # top > max(rho) makes s > 1 below, where the overflow exit cannot
         # fire; otherwise that exit's own test comes first
-        far = top > self.rho_max
+        rows = self.rows
+        far = top > rows.rho_max
         if far:
             hit = self._continued(xu, slack, tol)
             if hit is not None:
                 return hit
-        h = slack / self.rho
+        h = slack / rows.rho
         s = float(h.max())  # scaled so the LDP solution has ||z|| >= 1
         # h/s overflows when x_u misses by a subnormal; never for s > 1,
         # where s * FLOAT_MAX is inf
@@ -252,23 +298,24 @@ class Ldp:
             hit = self._continued(xu, slack, tol)
             if hit is not None:
                 return hit
-        self.e[-1] = h / s
+        e = self.e
+        e[-1] = h / s
         try:
-            u, _ = nnls(self.e, self.unit, maxiter=NNLS_MAX_ITER)
+            u, _ = nnls(e, rows.unit, maxiter=NNLS_MAX_ITER)
         except RuntimeError:  # iteration cap
             EXITS[MAX_ITER] += 1
             x = np.clip(xu, self.lo, self.hi)
             return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
-        r = self.e.dot(u) - self.unit
+        r = e.dot(u) - rows.unit
         if r[-1] < 0.0:
-            x = xu - (s / r[-1]) * self.w * r[:-1]
+            x = xu - (s / r[-1]) * rows.w * r[:-1]
             v = self.a.dot(x)
             v -= self.b
             t = tol * max(1.0, float(abs(x).max()))
             # the passive set and the rows within t/2 of active at x: the
             # set that passes the certificate, if any does
             near = (u > 0.0) | (v > -0.5 * t)
-            n_eq = self.rows.n_eq
+            n_eq = rows.n_eq
             if n_eq:  # every set holds the equalities, not their negations
                 near[-2 * n_eq:-n_eq] = True
                 near[-n_eq:] = False
@@ -277,13 +324,13 @@ class Ldp:
             # a set in the memo has just failed at this price; a row and
             # its negation (an equality written as two inequality rows)
             # make K_S singular: no map
-            if key not in self.rows.maps \
+            if key not in rows.maps \
                     and (a_s @ a_s.T).min(initial=0.0) > TWIN_DOT:
-                amap = self.rows.active_map(near)
+                amap = rows.active_map(near)
                 hit = None if amap is None else self._certified(amap, xu,
                                                                 slack, tol)
                 if hit is not None:
-                    self.rows.keep(key, amap)
+                    rows.keep(key, amap)
                     EXITS["nnls"] += 1
                     return hit[0], OPTIMAL, 1, hit[1]
             viol = float(v.max(initial=0.0))
@@ -293,7 +340,7 @@ class Ldp:
         else:
             x = np.clip(xu, self.lo, self.hi)
             viol = self.violation(x)
-        if self._certifies_empty(u / self.rho, tol):
+        if self._certifies_empty(u / rows.rho, tol):
             EXITS[INFEASIBLE] += 1
             return None, INFEASIBLE, 1, np.inf
         EXITS[MAX_ITER] += 1
@@ -382,11 +429,16 @@ class HorizonQp:
     price.
 
     ``lower``/``upper``/``quad_diag`` accept scalars and are broadcast to
-    length ``h``: scalars to read-only arrays that problems with the same
-    values share, arrays to copies. ``cumsum_coeff`` = 0 disables the
+    read-only length-``h`` arrays: scalars to arrays that problems with the
+    same values share, arrays to copies. ``cumsum_coeff`` = 0 disables the
     cumulative-sum constraints; otherwise they read
     cumsum_lower <= cumsum_init - cumsum_coeff * sum_{j<=k} x_j <= cumsum_upper
     for every k.
+
+    What the state sets (``prev_value``, ``cumsum_init``) is read once, on
+    construction, into Python floats: the step-0 bounds with the ramp
+    anchor folded in and the two prefix-sum bounds. The fields are not to
+    be changed afterwards.
     """
 
     h: int
@@ -403,54 +455,56 @@ class HorizonQp:
     def __post_init__(self):
         if not (isinstance(self.h, (int, np.integer)) and self.h >= 1):
             raise ValueError(f"h must be a positive integer, got {self.h}")
-        self.h = int(self.h)
+        h = self.h = int(self.h)
+        ramp = self.ramp_limit = float(self.ramp_limit)
+        prev = self.prev_value = float(self.prev_value)
+        c = self.cumsum_coeff = float(self.cumsum_coeff)
         d, lo, hi = self.quad_diag, self.lower, self.upper
-        # the node builders pass scalars: checked once, then expanded
-        scalar = (isinstance(d, float) and isinstance(lo, float)
-                  and isinstance(hi, float))
-        # NaN fails every comparison, so each test is written to pass
-        if scalar:
-            positive, finite, ordered = d > 0.0, math.isfinite(d), lo <= hi
-        else:
-            d, lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (self.h,))
-                         for v in (d, lo, hi))
-            positive, finite = np.all(d > 0.0), np.all(np.isfinite(d))
-            ordered = np.all(lo <= hi)
-        if not positive:
-            raise ValueError("quad_diag must be strictly positive componentwise")
-        if not finite:
-            raise ValueError("quad_diag must be finite")
-        if not ordered:
-            raise ValueError("lower must be <= upper componentwise, "
-                             "neither NaN")
-        if scalar:
+        # the node builders pass scalars (ints too, as a config file may
+        # hold them): their fixed part is checked and built once per
+        # device; arrays are checked and copied every time
+        if isinstance(d, _SCALAR) and isinstance(lo, _SCALAR) \
+                and isinstance(hi, _SCALAR):
             # the sign bits keep 0.0 and -0.0 apart, which compare equal
-            self.quad_diag, self.lower, self.upper = _expanded(
-                self.h, d, lo, hi, math.copysign(1.0, lo),
-                math.copysign(1.0, hi))
+            fixed = _fixed_part(h, d, lo, hi, ramp, c != 0.0,
+                                math.copysign(1.0, lo), math.copysign(1.0, hi))
         else:
-            self.quad_diag, self.lower, self.upper = (v.copy()
-                                                      for v in (d, lo, hi))
-        self.ramp_limit = float(self.ramp_limit)
-        self.prev_value = float(self.prev_value)
-        self.cumsum_coeff = float(self.cumsum_coeff)
-        if not self.ramp_limit > 0.0:
-            raise ValueError(f"ramp_limit must be > 0, got {self.ramp_limit}")
-        if not math.isfinite(self.prev_value):
+            d, lo, hi = (np.broadcast_to(np.asarray(v, dtype=float),
+                                         (h,)).tolist() for v in (d, lo, hi))
+            fixed = _FixedPart(h, d, lo, hi, ramp, c != 0.0)
+        self._fixed = fixed
+        self.quad_diag, self.lower, self.upper = (fixed.quad_diag, fixed.lower,
+                                                  fixed.upper)
+        if not math.isfinite(prev):
             raise ValueError("prev_value must be finite")
-        if not math.isfinite(self.cumsum_coeff):
+        if not math.isfinite(c):
             raise ValueError("cumsum_coeff must be finite")
-        if self.cumsum_coeff != 0.0:
+        self._hi0 = min(fixed.upper_list[0], prev + ramp)
+        self._lo0 = max(fixed.lower_list[0], prev - ramp)
+        self._prefix = None
+        if c != 0.0:
             if not (self.cumsum_lower <= self.cumsum_init <= self.cumsum_upper):
                 raise ValueError(
                     "require cumsum_lower <= cumsum_init <= cumsum_upper, got "
                     f"{self.cumsum_lower}, {self.cumsum_init}, {self.cumsum_upper}"
                 )
+            # s_k lies between these; which is the upper one depends on
+            # the sign of c
+            ends = ((self.cumsum_init - self.cumsum_upper) / c,
+                    (self.cumsum_init - self.cumsum_lower) / c)
+            self._prefix = (max(ends), -min(ends))
+
+    def effective_bounds(self):
+        """Box bounds with the k=0 ramp anchor folded into the first step,
+        as two lists of floats (lo, hi)."""
+        lo, hi = self._fixed.lower_list.copy(), self._fixed.upper_list.copy()
+        lo[0], hi[0] = self._lo0, self._hi0
+        return lo, hi
 
     def effective_box(self):
-        """Box bounds with the k=0 ramp anchor folded into the first step."""
-        b = self._rhs()
-        return -b[self.h:2 * self.h], b[:self.h]
+        """`effective_bounds` as two arrays."""
+        lo, hi = self.effective_bounds()
+        return np.array(lo), np.array(hi)
 
     def objective(self, x: np.ndarray, lin: np.ndarray) -> float:
         """0.5 x'Dx + lin'x for a linear term ``lin`` of length h."""
@@ -464,50 +518,39 @@ class HorizonQp:
         a, b = self.constraint_rows()
         return float((a @ np.asarray(x, dtype=float) - b).max(initial=0.0))
 
-    def _rhs(self):
-        """Right-hand sides of every row of `_row_matrix`, infinite ones
-        included, filled in its order: the box with the ramp anchor folded
-        into step 0, the ramp rows, then the bounds that the cumsum
-        constraints put on every prefix sum s_k = sum_{j<=k} x_j, in power
-        units. The LDP, the LP rows, the effective box and `violation` all
-        read it."""
-        h, c = self.h, self.cumsum_coeff
-        b = np.empty(4 * h - 2 if c == 0.0 else 6 * h - 2)
-        b[:h] = self.upper
-        np.negative(self.lower, out=b[h:2 * h])
-        b[0] = min(b[0], self.prev_value + self.ramp_limit)
-        b[h] = -max(self.lower[0], self.prev_value - self.ramp_limit)
-        b[2 * h:4 * h - 2] = self.ramp_limit
-        if c != 0.0:
-            # s_k lies between these; which is the upper one depends on
-            # the sign of c
-            ends = ((self.cumsum_init - self.cumsum_upper) / c,
-                    (self.cumsum_init - self.cumsum_lower) / c)
-            b[4 * h - 2:5 * h - 2] = max(ends)
-            b[5 * h - 2:] = -min(ends)
-        return b
-
     def constraint_rows(self):
         """All inequalities as (A, b), A x <= b: box (anchor folded), ramp,
         and prefix-sum rows in power units; rows with an infinite bound are
         dropped."""
-        b = self._rhs()
-        keep = np.isfinite(b)
-        return _row_matrix(self.h, self.cumsum_coeff != 0.0)[keep], b[keep]
+        _, _, b, (_, prefix, keep) = self.ldp_parts()
+        return _kept_rows(self.h, prefix, keep), np.array(b, dtype=float)
 
     def ldp_parts(self):
-        """What the LDP of this problem is built from: the effective box
-        (lo, hi), the right-hand sides of the finite rows, and the key of
-        those rows in the memo of `_ldp_rows`: (Hessian diagonal as bytes,
-        whether prefix-sum rows exist, the finite-row flags as bytes)."""
-        h = self.h
-        b = self._rhs()
-        keep = np.isfinite(b)
-        return (-b[h:2 * h], b[:h], b[keep],
-                (self.quad_diag.tobytes(), self.cumsum_coeff != 0.0,
-                 keep.tobytes()))
+        """What the LDP of this problem is built from, as Python floats:
+        the effective box (lo, hi) as two lists, the right-hand sides of
+        the finite rows as a list, and the key of those rows in the memo of
+        `_ldp_rows`: (Hessian diagonal as bytes, whether prefix-sum rows
+        exist, the finite-row flags as bytes).
 
-    @cached_property
+        The right-hand sides come in `_row_matrix`'s order: the box with
+        the ramp anchor folded into step 0, the ramp rows, then the bounds
+        that the cumsum constraints put on every prefix sum
+        s_k = sum_{j<=k} x_j, in power units. All but the two step-0 rows
+        and the prefix-sum bounds are the device's, from its `_FixedPart`,
+        and so are the finite-row flags and the key, given which of the
+        rows that the state sets are finite."""
+        fixed = self._fixed
+        rhs = [self._hi0, *fixed.upper_tail, -self._lo0, *fixed.rest]
+        flags = (math.isfinite(self._hi0), math.isfinite(self._lo0))
+        if self._prefix is not None:
+            upper, neg_lower = self._prefix
+            rhs += [upper] * self.h + [neg_lower] * self.h
+            flags += (math.isfinite(upper), math.isfinite(neg_lower))
+        keep, key = fixed.pattern(flags)
+        lo, hi = self.effective_bounds()
+        return lo, hi, list(compress(rhs, keep)), key
+
+    @_once
     def ldp(self) -> Ldp:
         """The LDP form of this constraint set and Hessian, built once; its
         rows come from the memo of `_ldp_rows`."""
@@ -515,10 +558,64 @@ class HorizonQp:
         return Ldp(_ldp_rows(self.h, key), b, lo, hi)
 
 
+class _FixedPart:
+    """What the horizon problems of one device share across its states: h,
+    the Hessian diagonal and the box as read-only arrays and as lists of
+    floats, the right-hand sides of the rows that no state changes (the box
+    after step 0 and the ramp rows) with their finiteness, and whether
+    prefix-sum rows exist.
+
+    `pattern` maps the finiteness of the rows a state sets to the kept-row
+    flags and the `_ldp_rows` key, in a memo of at most 16 entries.
+    Construction takes ``d``, ``lo`` and ``hi`` as length-``h`` lists of
+    floats and runs every check on them."""
+
+    def __init__(self, h: int, d: list, lo: list, hi: list, ramp: float,
+                 prefix: bool):
+        # NaN fails every comparison, so each test is written to pass
+        if not all(v > 0.0 for v in d):
+            raise ValueError(
+                "quad_diag must be strictly positive componentwise")
+        if not all(map(math.isfinite, d)):
+            raise ValueError("quad_diag must be finite")
+        if not all(map(operator.le, lo, hi)):
+            raise ValueError("lower must be <= upper componentwise, "
+                             "neither NaN")
+        if not ramp > 0.0:
+            raise ValueError(f"ramp_limit must be > 0, got {ramp}")
+        self.h, self.prefix = h, prefix
+        self.quad_diag, self.lower, self.upper = arrays = (
+            np.array(d), np.array(lo), np.array(hi))
+        for arr in arrays:
+            arr.flags.writeable = False
+        self.lower_list, self.upper_list = lo, hi
+        self.upper_tail = hi[1:]
+        # the rows after the step-0 lower row, through the ramp rows
+        self.rest = [-v for v in lo[1:]] + [ramp] * (2 * h - 2)
+        self._finite = (list(map(math.isfinite, self.upper_tail)),
+                        list(map(math.isfinite, self.rest)))
+        self._d_bytes = self.quad_diag.tobytes()
+        self._patterns = {}
+
+    def pattern(self, flags: tuple):
+        """(kept-row flags as a list, `_ldp_rows` key) of a problem whose
+        step-0 upper and lower rows and, with prefix-sum rows, upper and
+        lower prefix-sum bounds are finite as ``flags`` says."""
+        hit = self._patterns.get(flags)
+        if hit is None:
+            upper, rest = self._finite
+            keep = [flags[0], *upper, flags[1], *rest]
+            if self.prefix:
+                keep += [flags[2]] * self.h + [flags[3]] * self.h
+            hit = self._patterns[flags] = (
+                keep, (self._d_bytes, self.prefix, bytes(keep)))
+        return hit
+
+
 def _row_matrix(h: int, prefix: bool) -> np.ndarray:
-    """Every row of a horizon problem, as `HorizonQp._rhs` orders them: box
-    upper and lower, ramp up and down, then (with ``prefix``) the upper and
-    lower prefix-sum rows."""
+    """Every row of a horizon problem, as `HorizonQp.ldp_parts` orders
+    their right-hand sides: box upper and lower, ramp up and down, then
+    (with ``prefix``) the upper and lower prefix-sum rows."""
     eye = np.eye(h)
     diff = eye[1:] - eye[:-1]
     rows = [eye, -eye, diff, -diff]
@@ -528,16 +625,14 @@ def _row_matrix(h: int, prefix: bool) -> np.ndarray:
     return np.vstack(rows)
 
 
-@lru_cache(maxsize=EXPANDED_MEMO_SIZE)
-def _expanded(h: int, d: float, lo: float, hi: float, lo_sign: float,
-              hi_sign: float):
-    """Read-only length-``h`` arrays of the scalars ``d``, ``lo`` and
-    ``hi``, shared by every `HorizonQp` built from them; the sign bits are
-    part of the key only."""
-    arrays = tuple(np.full(h, v) for v in (d, lo, hi))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+@lru_cache(maxsize=FIXED_PART_MEMO_SIZE)
+def _fixed_part(h: int, d: float, lo: float, hi: float, ramp: float,
+                prefix: bool, lo_sign: float, hi_sign: float) -> _FixedPart:
+    """The `_FixedPart` of the scalars ``d``, ``lo`` and ``hi``, shared by
+    every `HorizonQp` built from them; the sign bits are part of the key
+    only."""
+    return _FixedPart(h, [float(d)] * h, [float(lo)] * h, [float(hi)] * h,
+                      ramp, prefix)
 
 
 def _kept_rows(h: int, prefix: bool, keep: bytes) -> np.ndarray:

@@ -16,7 +16,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coordinator import Fleet, PcmNodeState, PgmNodeState, coordinate
+from .coordinator import (
+    Fleet,
+    PcmNodeState,
+    PgmNodeState,
+    coordinate,
+    default_balance_tol_w,
+)
 from .nodes import soc_coeff
 from .plant import AH_TO_AS, BusSpec, PcmSpec, Plant
 
@@ -148,6 +154,26 @@ def _can_rest(spec: PcmSpec, bus: BusSpec, soc0: float, prev_power_w: float,
     return bool(np.all((soc >= spec.soc_min) & (soc <= spec.soc_max)))
 
 
+def _warm_price(prev, p_f: np.ndarray, bal_tol_w: float | None):
+    """The receding-horizon warm start of a step after the report
+    ``prev``: its price shifted one step, the last entry held. None (start
+    cold, at the envelope price) unless ``prev`` converged and its plan's
+    total, shifted the same way, is within the step's balance tolerance of
+    the demand ``p_f`` (``bal_tol_w``, or `default_balance_tol_w`). A plan
+    that misses the new demand, as at a demand change, marks a warm price
+    whose first iterate misses it too, and `coordinate` would go on from
+    the envelope price after that iterate."""
+    if prev is None or not prev.converged:
+        return None
+    if bal_tol_w is None:
+        bal_tol_w = default_balance_tol_w(p_f)
+    total = prev.total_power()
+    if float(np.max(np.abs(np.append(total[1:], total[-1]) - p_f))) \
+            > bal_tol_w:
+        return None
+    return np.append(prev.lambda_final[1:], prev.lambda_final[-1])
+
+
 def run_scenario(cfg: "ScenarioConfig") -> SimLog:
     """Run the closed loop described by cfg and return the full log.
 
@@ -179,7 +205,6 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
     reports = []
     app_t, app_g, app_b = [], [], []
     box_v = ramp_v = soc_v = 0
-    lam_warm = None
     cur = 0
     # one iteration per MPC period: measure and coordinate at step, apply
     # the first-step setpoints delay_steps later. The delay never exceeds
@@ -224,11 +249,9 @@ def run_scenario(cfg: "ScenarioConfig") -> SimLog:
             alpha=cfg.solver.alpha,
             bal_tol_w=cfg.solver.bal_tol_w,
             max_iter=cfg.solver.max_iter,
-            lambda_warm=lam_warm,
+            lambda_warm=_warm_price(reports[-1] if reports else None, p_f,
+                                    cfg.solver.bal_tol_w),
         )
-        # receding-horizon warm start: the price shifted one step, its last
-        # entry held
-        lam_warm = np.append(rep.lambda_final[1:], rep.lambda_final[-1])
         reports.append(rep)
 
         if step + delay_steps >= n_total:

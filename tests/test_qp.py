@@ -470,31 +470,39 @@ class TestRowsMemo:
 
 
 class TestRightHandSide:
-    """A step fills one right-hand side over shared expanded arrays; the
-    kernel, the LP rows and the effective box must equal the reference
-    built array by array."""
+    """A step builds its right-hand side, effective box and rows key from
+    Python floats over the device's shared fixed part; the kernel, the LP
+    rows, the effective box and the key must equal the reference built
+    array by array."""
 
     @given(h=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
            lower=st.sampled_from(["inf", "zero", "negative zero", "finite"]),
-           upper_inf=st.booleans(), soc_sign=st.sampled_from([0.0, 1.0, -1.0]),
+           upper_inf=st.booleans(), ramp_inf=st.booleans(),
+           soc_sign=st.sampled_from([0.0, 1.0, -1.0]),
+           soc_lower_inf=st.booleans(), soc_upper_inf=st.booleans(),
            weight=st.one_of(st.just(WEIGHT_FLOOR),
                             st.floats(WEIGHT_FLOOR, 10.0)),
            arrays=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_equal_to_the_reference(self, h, seed, lower, upper_inf, soc_sign,
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_the_reference(self, h, seed, lower, upper_inf, ramp_inf,
+                                    soc_sign, soc_lower_inf, soc_upper_inf,
                                     weight, arrays):
         rng = np.random.default_rng(seed)
         p_max = rng.uniform(1e6, 4e7)
         lower = {"inf": -np.inf, "zero": 0.0, "negative zero": -0.0,
                  "finite": -rng.uniform(0.0, 1.0) * p_max}[lower]
         upper = np.inf if upper_inf else p_max
+        # with an infinite ramp, a step-0 row is infinite where its box
+        # side is
         kw = dict(h=h, quad_diag=weight, lower=lower, upper=upper,
-                  ramp_limit=rng.uniform(0.05, 1.0) * p_max,
+                  ramp_limit=np.inf if ramp_inf
+                  else rng.uniform(0.05, 1.0) * p_max,
                   prev_value=rng.uniform(-1.0, 1.0) * p_max)
         if soc_sign:
             kw.update(cumsum_coeff=soc_sign / (rng.uniform(2e3, 2e4) * 3.6e6),
-                      cumsum_init=rng.uniform(0.1, 0.9), cumsum_lower=0.1,
-                      cumsum_upper=0.9)
+                      cumsum_init=rng.uniform(0.1, 0.9),
+                      cumsum_lower=-np.inf if soc_lower_inf else 0.1,
+                      cumsum_upper=np.inf if soc_upper_inf else 0.9)
         if arrays:
             kw.update({k: np.full(h, kw[k])
                        for k in ("quad_diag", "lower", "upper")})
@@ -510,6 +518,12 @@ class TestRightHandSide:
                  (qp.ldp.b, b[keep] / qp.ldp.rows.norms)]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
+        # the kept-row flags and the rows key come from the fixed part's
+        # memo, not from the right-hand side
+        key = qp.ldp_parts()[3]
+        assert key == (np.full(h, weight).tobytes(), bool(soc_sign),
+                       keep.tobytes())
+        assert qp.ldp.rows is qpmod._ldp_rows(h, key)
 
     def test_expanded_arrays_are_shared_read_only_and_bounded(self):
         rng = np.random.default_rng(2)
@@ -528,10 +542,10 @@ class TestRightHandSide:
             for b in fleet.pcms:
                 pcm_qp(b.spec, fleet.bus, b.soc, b.prev_power_w,
                        fleet.td_s, 5)
-        info = qpmod._expanded.cache_info()
-        assert info.maxsize == qpmod.EXPANDED_MEMO_SIZE
-        assert info.currsize <= qpmod.EXPANDED_MEMO_SIZE
-        assert info.misses > qpmod.EXPANDED_MEMO_SIZE  # entries were evicted
+        info = qpmod._fixed_part.cache_info()
+        assert info.maxsize == qpmod.FIXED_PART_MEMO_SIZE
+        assert info.currsize <= qpmod.FIXED_PART_MEMO_SIZE
+        assert info.misses > qpmod.FIXED_PART_MEMO_SIZE  # entries were evicted
 
 
 def counted_nnls(monkeypatch):
