@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -21,6 +22,10 @@ def _parse_values(text: str, flag: str) -> list[float]:
         raise ValueError(f"{flag} expects a comma list of numbers: {exc}")
     if not values:
         raise ValueError(f"{flag} list must be nonempty")
+    # a weight the config loader rejects; a negative one fails its own cell
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{flag} values must be finite numbers, got {bad[0]}")
     return values
 
 

@@ -69,6 +69,13 @@ LP_BOUND_ITERATION = 100
 BOUND_ATTAINED_RTOL = 1e-7
 # the residual LP is solved in MW
 LP_UNIT_W = 1e6
+# a step's all-free price is taken when it clears the extreme breakpoints
+# by this fraction of its scale: the sum of the targets, twice the finite
+# upper bounds and the demand, over sum(1/w), plus the price and the
+# breakpoints. That exceeds the rounding of the sweep's sums, about
+# (2n + 5) * 2**-53 of the same scale for n nodes, for any fleet of fewer
+# than a million nodes.
+ENVELOPE_EXIT_RTOL = 1e-9
 
 
 @dataclass
@@ -170,22 +177,21 @@ def _envelope(qp):
     and its ramp put on its step-k power, hi_k = min over j <= k of
     (hi_j + (k-j)*ramp) and lo_k likewise; as two lists (los, his).
 
-    The running minimum of hi_j - j*ramp, with k*ramp added back, is taken
-    on Python floats.
+    That is the running minimum of hi_j - j*ramp with k*ramp added back.
+    Over j >= 1 it is the device's, from its fixed part's `reach`; a step
+    compares it with its own step-0 bound, into which the ramp anchor is
+    folded. On Python floats, bitwise equal to the running minimum taken
+    step by step (and to numpy's accumulate, NaN included: an infinite
+    ramp makes every bound NaN); lo_k likewise, with the maximum.
     """
-    ramp = qp.ramp_limit
-    his, los = [], []
-    box_lo, box_hi = qp.effective_bounds()
-    for k, (u, l) in enumerate(zip(box_hi, box_lo)):
-        s = ramp * k
-        # min and max as numpy's accumulate runs them, NaN included; a
-        # comparison is cheaper than the built-ins
-        if not k or u - s < hi:
-            hi = u - s
-        if not k or l + s > lo:
-            lo = l + s
-        his.append(hi + s)
-        los.append(lo - s)
+    s, reach_hi, reach_lo = qp._fixed.reach
+    hi, lo = qp._hi0 - s, qp._lo0 + s
+    # a comparison is cheaper than the built-ins, and on a tie keeps the
+    # earlier value as the running extreme does
+    his = [hi + s]
+    his += [(v if v < hi else hi) + s_k for v, s_k in reach_hi]
+    los = [lo - s]
+    los += [(v if v > lo else lo) - s_k for v, s_k in reach_lo]
     return los, his
 
 
@@ -203,65 +209,118 @@ def _reach_bounds(envelopes, demand: list[float]):
             max(0.0, max(map(sub, lo_sum, demand))))
 
 
-def _envelope_price(fleet: Fleet, envelopes,
+def _envelope_price(targets: list, weights: list, envelopes,
                     demand: list[float]) -> np.ndarray:
     """The price profile at which the nodes' unconstrained responses,
     clipped to their ``envelopes`` (one per node, generators first), meet
     the demand: per step k, the lambda_k with
-    sum_i clip(t_i - lambda_k/w_i, lo_ik, hi_ik) = p_f,k for the fleet's
-    targets t_i and floored weights w_i. This is the lambda-iteration of
-    economic dispatch with unit limits, solved exactly.
+    sum_i clip(t_i - lambda_k/w_i, lo_ik, hi_ik) = p_f,k for the nodes'
+    ``targets`` t_i and floored ``weights`` w_i. This is the
+    lambda-iteration of economic dispatch with unit limits, solved
+    exactly.
 
     The sum is piecewise linear and nonincreasing in lambda, with
-    breakpoints w_i(t_i - hi_ik) and w_i(t_i - lo_ik). A sweep up the
-    breakpoints finds the segment that holds the demand; there every node
-    is at a bound or free, and lambda follows from the free ones, summed
-    afresh so that no rounding of the sweep remains. Past the outermost
-    breakpoint the segment goes on while some node is unbounded on that
-    side; otherwise the price stops at the breakpoint. On Python floats.
+    breakpoints w_i(t_i - hi_ik) and w_i(t_i - lo_ik). Most steps meet the
+    demand with every node free: the all-free price
+    (sum_i t_i - p_f,k) / sum_i 1/w_i then lies above every upper
+    breakpoint of the step and below every lower one, and the sweep of
+    `_swept_price` would stop on that segment and return it. A step takes
+    the all-free price when it clears, by `ENVELOPE_EXIT_RTOL` of its
+    scale, the extreme breakpoints of step 0 (at step 0) or those over
+    steps 1 to h-1 (at a later step); its sums are the sweep's, in the
+    nodes' order, so the price is the sweep's bit for bit. Every other
+    step runs the sweep. On Python floats.
     """
-    targets, weights = fleet.targets(), fleet.weights()
+    free = slope = size = 0.0
+    # extreme upper and lower breakpoints at step 0, and over steps >= 1;
+    # rounding is monotone, so these are the breakpoints of the extreme
+    # bounds
+    upper0 = upper = -math.inf
+    lower0 = lower = math.inf
+    for t, w, (los, his) in zip(targets, weights, envelopes):
+        # the sums of the sweep's free branch
+        free += t
+        slope += 1.0 / w
+        u, v = w * (t - his[0]), w * (t - los[0])
+        if u > upper0:
+            upper0 = u
+        if v < lower0:
+            lower0 = v
+        hi_min, hi_max = min(his), max(his)
+        size += abs(t) + 2.0 * (abs(hi_min) + abs(hi_max))
+        if len(his) > 1:
+            u, v = w * (t - min(his[1:])), w * (t - max(los[1:]))
+            if u > upper:
+                upper = u
+            if v < lower:
+                lower = v
+        if u != u or v != v:  # a NaN bound: every step takes the sweep
+            size = math.nan
+    # the rounding of the sweep's sums, in price units: its level adds the
+    # targets and the finite upper bounds, its slope weighs the
+    # breakpoints it passes; the demand and the price add theirs per step
+    base = size / slope if slope else math.nan
     price = []
     for k, d in enumerate(demand):
-        nodes = [(t, w, los[k], his[k])
-                 for t, w, (los, his) in zip(targets, weights, envelopes)]
-        # below every breakpoint each node is at its upper bound, or free
-        # when it has none; on each segment the sum is level - lam * slope,
-        # and each breakpoint moves one node to or from the free ones
-        level = slope = 0.0
-        points = []
-        for t, w, lo, hi in nodes:
-            if hi < math.inf:
-                level += hi
-                points.append((w * (t - hi), t - hi, 1.0 / w))
-            else:
-                level += t
-                slope += 1.0 / w
-            if lo > -math.inf:
-                points.append((w * (t - lo), lo - t, -1.0 / w))
-        points.sort()
-        a, b = -math.inf, math.inf
-        for point, step, change in points:
-            if level - point * slope <= d:
-                b = point
-                break
-            a = point
-            level += step
-            slope += change
-        held = free = slope = 0.0
-        for t, w, lo, hi in nodes:
-            if w * (t - hi) >= b:
-                held += hi
-            elif w * (t - lo) <= a:
-                held += lo
-            else:
-                free += t
-                slope += 1.0 / w
-        if slope:
-            price.append((held + free - d) / slope)
-        else:
-            price.append(b if a == -math.inf else a)
+        if base < math.inf:
+            u, v = (upper, lower) if k else (upper0, lower0)
+            lam = (free - d) / slope
+            margin = ENVELOPE_EXIT_RTOL * (
+                base + abs(d) / slope + abs(lam)
+                + (abs(u) if u > -math.inf else 0.0)
+                + (abs(v) if v < math.inf else 0.0))
+            if lam - u > margin and v - lam > margin:
+                price.append(lam)
+                continue
+        price.append(_swept_price(
+            [(t, w, los[k], his[k])
+             for t, w, (los, his) in zip(targets, weights, envelopes)], d))
     return np.array(price)
+
+
+def _swept_price(nodes, d: float) -> float:
+    """The step price of `_envelope_price` at demand ``d`` for ``nodes``,
+    (t, w, lo, hi) per node: a sweep up the breakpoints finds the segment
+    that holds the demand; there every node is at a bound or free, and
+    lambda follows from the free ones, summed afresh so that no rounding
+    of the sweep remains. Past the outermost breakpoint the segment goes
+    on while some node is unbounded on that side; otherwise the price
+    stops at the breakpoint."""
+    # below every breakpoint each node is at its upper bound, or free
+    # when it has none; on each segment the sum is level - lam * slope,
+    # and each breakpoint moves one node to or from the free ones
+    level = slope = 0.0
+    points = []
+    for t, w, lo, hi in nodes:
+        if hi < math.inf:
+            level += hi
+            points.append((w * (t - hi), t - hi, 1.0 / w))
+        else:
+            level += t
+            slope += 1.0 / w
+        if lo > -math.inf:
+            points.append((w * (t - lo), lo - t, -1.0 / w))
+    points.sort()
+    a, b = -math.inf, math.inf
+    for point, step, change in points:
+        if level - point * slope <= d:
+            b = point
+            break
+        a = point
+        level += step
+        slope += change
+    held = free = slope = 0.0
+    for t, w, lo, hi in nodes:
+        if w * (t - hi) >= b:
+            held += hi
+        elif w * (t - lo) <= a:
+            held += lo
+        else:
+            free += t
+            slope += 1.0 / w
+    if slope:
+        return (held + free - d) / slope
+    return b if a == -math.inf else a
 
 
 def _block_diagonal(blocks) -> np.ndarray:
@@ -365,8 +424,6 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         if lam.shape != (h,) or not qpmod.all_finite(lam.tolist()):
             raise ValueError(f"lambda_warm must be finite and of p_f's "
                              f"length {h}, got shape {lam.shape}")
-    if alpha is None:
-        alpha = default_alpha(fleet)
     if bal_tol_w is None:
         bal_tol_w = default_balance_tol_w(p_f)
     history = []  # worst-step residual of every iterate
@@ -374,13 +431,14 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     qps = gen_qps + batt_qps
     nodes = [(True, p, g.spec, g) for p, g in zip(gen_qps, fleet.pgms)] \
         + [(False, p, b.spec, b) for p, b in zip(batt_qps, fleet.pcms)]
+    targets, weights = fleet.targets(), [p.weight for p in qps]
     # every node's reach envelope, built at most once: for the start
     # price, or once the warm price misses the tolerance. A step whose
     # warm price balances, as most do, never reads it.
     envelopes = None
     if lambda_warm is None:
         envelopes = [_envelope(p) for p in qps]
-        lam = _envelope_price(fleet, envelopes, demand)
+        lam = _envelope_price(targets, weights, envelopes, demand)
     reach_w = None
     attained_w = BOUND_ATTAINED_RTOL * max(map(abs, demand))
     least = None  # least worst-step residual, from the LP
@@ -419,8 +477,10 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
             break
         if lambda_warm is not None and len(history) == 1:
             # the warm price missed: go on from the envelope price
-            lam = _envelope_price(fleet, envelopes, demand)
+            lam = _envelope_price(targets, weights, envelopes, demand)
         else:
+            if alpha is None:
+                alpha = default_alpha(fleet)
             lam = dual_update(lam, total, p_f, alpha)
     # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, total = best

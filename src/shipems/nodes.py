@@ -83,14 +83,10 @@ def soc_coeff(spec: PcmSpec, bus: BusSpec, td_s: float) -> float:
 def pgm_qp(spec: PgmSpec, prev_power_w: float, h: int) -> qpmod.HorizonQp:
     """Generator horizon QP at one state: (beta/2)||p - rated||^2 over
     box∩ramp; `pgm_solve` adds the price term."""
-    return qpmod.HorizonQp(
-        h=h,
-        quad_diag=floored_weight(spec),
-        lower=spec.p_min_w,
-        upper=spec.p_max_w,
-        ramp_limit=spec.ramp_limit_w_per_step,
-        prev_value=prev_power_w,
-    )
+    # positional: keywords cost a node about 0.2 us to bind
+    return qpmod.HorizonQp(h, floored_weight(spec), spec.p_min_w,
+                           spec.p_max_w, spec.ramp_limit_w_per_step,
+                           prev_power_w)
 
 
 def pcm_qp(spec: PcmSpec, bus: BusSpec, soc0: float, prev_power_w: float,
@@ -101,25 +97,17 @@ def pcm_qp(spec: PcmSpec, bus: BusSpec, soc0: float, prev_power_w: float,
         raise ValueError(
             f"soc0={soc0} outside [{spec.soc_min}, {spec.soc_max}]"
         )
-    return qpmod.HorizonQp(
-        h=h,
-        quad_diag=floored_weight(spec),
-        lower=spec.p_min_w,
-        upper=spec.p_max_w,
-        ramp_limit=spec.ramp_limit_w_per_step,
-        prev_value=prev_power_w,
-        cumsum_coeff=soc_coeff(spec, bus, td_s),
-        cumsum_init=soc0,
-        cumsum_lower=spec.soc_min,
-        cumsum_upper=spec.soc_max,
-    )
+    return qpmod.HorizonQp(h, floored_weight(spec), spec.p_min_w,
+                           spec.p_max_w, spec.ramp_limit_w_per_step,
+                           prev_power_w, soc_coeff(spec, bus, td_s), soc0,
+                           spec.soc_min, spec.soc_max)
 
 
 def pgm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
               spec: PgmSpec) -> NodeResult:
     """Solve the generator's `pgm_qp` at the price profile ``lam``; the
-    problem's Hessian diagonal is ``spec``'s floored weight."""
-    weight, rated = floored_weight(spec), spec.rated_power_w
+    problem holds ``spec``'s floored weight."""
+    weight, rated = problem.weight, spec.rated_power_w
     sol = qpmod.solve(problem, lam - weight * rated)
     return NodeResult(sol.profile, sol.status, sol.iterations, weight, rated)
 
@@ -127,8 +115,9 @@ def pgm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
 def pcm_solve(problem: qpmod.HorizonQp, lam: np.ndarray,
               spec: PcmSpec) -> NodeResult:
     """Solve the battery's `pcm_qp` at the price profile ``lam``; the
-    result carries the eliminated-state SoC path."""
+    result carries the eliminated-state SoC path and the floored weight
+    that the problem holds."""
     sol = qpmod.solve(problem, lam)
     return NodeResult(sol.profile, sol.status, sol.iterations,
-                      floored_weight(spec), 0.0,
+                      problem.weight, 0.0,
                       problem.cumsum_coeff, problem.cumsum_init)

@@ -229,15 +229,25 @@ class Ldp:
         self.rows = rows
         self.a, self.neg_d = rows.a, rows.neg_d
         self.b = b / rows.norms
-        self._box = lo, hi
+        self._box = lambda: (lo, hi)
+
+    @classmethod
+    def scaled(cls, rows: LdpRows, b: np.ndarray, box) -> Ldp:
+        """The LDP of ``rows`` whose right-hand side ``b`` is already
+        divided by ``rows.norms``; ``box()`` returns (lo, hi) when the box
+        is first read."""
+        ldp = cls.__new__(cls)
+        ldp.rows, ldp.a, ldp.neg_d = rows, rows.a, rows.neg_d
+        ldp.b, ldp._box = b, box
+        return ldp
 
     @_once
     def lo(self) -> np.ndarray:
-        return np.asarray(self._box[0], dtype=float)
+        return np.asarray(self._box()[0], dtype=float)
 
     @_once
     def hi(self) -> np.ndarray:
-        return np.asarray(self._box[1], dtype=float)
+        return np.asarray(self._box()[1], dtype=float)
 
     @_once
     def e(self) -> np.ndarray:
@@ -422,7 +432,7 @@ class Ldp:
         return float(np.sum(low) - self.b.dot(y)) > tol * x_scale * float(np.sum(y))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class HorizonQp:
     """The Hessian and constraint set of one horizon QP at one state; the
     linear term is an argument of `solve`, so one instance serves every
@@ -437,8 +447,8 @@ class HorizonQp:
 
     What the state sets (``prev_value``, ``cumsum_init``) is read once, on
     construction, into Python floats: the step-0 bounds with the ramp
-    anchor folded in and the two prefix-sum bounds. The fields are not to
-    be changed afterwards.
+    anchor folded in, the two prefix-sum bounds, and which of those are
+    finite. The fields are not to be changed afterwards.
     """
 
     h: int
@@ -452,14 +462,18 @@ class HorizonQp:
     cumsum_lower: float = 0.0
     cumsum_upper: float = 1.0
 
-    def __post_init__(self):
-        if not (isinstance(self.h, (int, np.integer)) and self.h >= 1):
-            raise ValueError(f"h must be a positive integer, got {self.h}")
-        h = self.h = int(self.h)
-        ramp = self.ramp_limit = float(self.ramp_limit)
-        prev = self.prev_value = float(self.prev_value)
-        c = self.cumsum_coeff = float(self.cumsum_coeff)
-        d, lo, hi = self.quad_diag, self.lower, self.upper
+    def __init__(self, h, quad_diag, lower, upper, ramp_limit, prev_value,
+                 cumsum_coeff=0.0, cumsum_init=0.0, cumsum_lower=0.0,
+                 cumsum_upper=1.0):
+        if not (isinstance(h, (int, np.integer)) and h >= 1):
+            raise ValueError(f"h must be a positive integer, got {h}")
+        h = self.h = int(h)
+        ramp = self.ramp_limit = float(ramp_limit)
+        prev = self.prev_value = float(prev_value)
+        c = self.cumsum_coeff = float(cumsum_coeff)
+        self.cumsum_init, self.cumsum_lower, self.cumsum_upper = (
+            cumsum_init, cumsum_lower, cumsum_upper)
+        d, lo, hi = quad_diag, lower, upper
         # the node builders pass scalars (ints too, as a config file may
         # hold them): their fixed part is checked and built once per
         # device; arrays are checked and copied every time
@@ -479,27 +493,35 @@ class HorizonQp:
             raise ValueError("prev_value must be finite")
         if not math.isfinite(c):
             raise ValueError("cumsum_coeff must be finite")
-        self._hi0 = min(fixed.upper_list[0], prev + ramp)
-        self._lo0 = max(fixed.lower_list[0], prev - ramp)
+        hi0 = self._hi0 = min(fixed.upper_list[0], prev + ramp)
+        lo0 = self._lo0 = max(fixed.lower_list[0], prev - ramp)
+        # which of the rows that the state sets are finite: the step-0
+        # upper and lower rows, then the prefix-sum bounds
+        self._flags = (math.isfinite(hi0), math.isfinite(lo0))
         self._prefix = None
         if c != 0.0:
-            if not (self.cumsum_lower <= self.cumsum_init <= self.cumsum_upper):
+            if not (cumsum_lower <= cumsum_init <= cumsum_upper):
                 raise ValueError(
                     "require cumsum_lower <= cumsum_init <= cumsum_upper, got "
-                    f"{self.cumsum_lower}, {self.cumsum_init}, {self.cumsum_upper}"
+                    f"{cumsum_lower}, {cumsum_init}, {cumsum_upper}"
                 )
             # s_k lies between these; which is the upper one depends on
             # the sign of c
-            ends = ((self.cumsum_init - self.cumsum_upper) / c,
-                    (self.cumsum_init - self.cumsum_lower) / c)
-            self._prefix = (max(ends), -min(ends))
+            ends = ((cumsum_init - cumsum_upper) / c,
+                    (cumsum_init - cumsum_lower) / c)
+            upper, neg_lower = self._prefix = (max(ends), -min(ends))
+            self._flags += (math.isfinite(upper), math.isfinite(neg_lower))
+
+    @property
+    def weight(self) -> float:
+        """The Hessian's first diagonal entry, as a float: the weight of a
+        device, whose diagonal is that weight at every step."""
+        return self._fixed.weight
 
     def effective_bounds(self):
         """Box bounds with the k=0 ramp anchor folded into the first step,
         as two lists of floats (lo, hi)."""
-        lo, hi = self._fixed.lower_list.copy(), self._fixed.upper_list.copy()
-        lo[0], hi[0] = self._lo0, self._hi0
-        return lo, hi
+        return self._fixed.anchored(self._lo0, self._hi0)
 
     def effective_box(self):
         """`effective_bounds` as two arrays."""
@@ -530,7 +552,7 @@ class HorizonQp:
         the effective box (lo, hi) as two lists, the right-hand sides of
         the finite rows as a list, and the key of those rows in the memo of
         `_ldp_rows`: (Hessian diagonal as bytes, whether prefix-sum rows
-        exist, the finite-row flags as bytes).
+        exist, the finite-row flags as bytes). No rows are built.
 
         The right-hand sides come in `_row_matrix`'s order: the box with
         the ramp anchor folded into step 0, the ramp rows, then the bounds
@@ -541,21 +563,37 @@ class HorizonQp:
         rows that the state sets are finite."""
         fixed = self._fixed
         rhs = [self._hi0, *fixed.upper_tail, -self._lo0, *fixed.rest]
-        flags = (math.isfinite(self._hi0), math.isfinite(self._lo0))
         if self._prefix is not None:
             upper, neg_lower = self._prefix
             rhs += [upper] * self.h + [neg_lower] * self.h
-            flags += (math.isfinite(upper), math.isfinite(neg_lower))
-        keep, key = fixed.pattern(flags)
+        keep, key = fixed.pattern(self._flags)
         lo, hi = self.effective_bounds()
         return lo, hi, list(compress(rhs, keep)), key
 
     @_once
     def ldp(self) -> Ldp:
-        """The LDP form of this constraint set and Hessian, built once; its
-        rows come from the memo of `_ldp_rows`."""
-        lo, hi, b, key = self.ldp_parts()
-        return Ldp(_ldp_rows(self.h, key), b, lo, hi)
+        """The LDP form of this constraint set and Hessian, built once. Its
+        rows, and its right-hand side but for the rows the state sets, are
+        its fixed part's for its row pattern (`_FixedPart.kernel`); the
+        box is made only when the kernel first reads it."""
+        fixed, lo0, hi0 = self._fixed, self._lo0, self._hi0
+        rows, base, upper_row, lower_row, prefix = fixed.kernel(self._flags)
+        b = base.copy()
+        if upper_row is not None:
+            b[upper_row[0]] = hi0 / upper_row[1]
+        if lower_row is not None:
+            b[lower_row[0]] = -lo0 / lower_row[1]
+        if prefix is not None:
+            start, norms = prefix
+            upper, neg_lower = self._prefix
+            flags = self._flags
+            tail = b[start:]
+            tail[:] = ([upper] * self.h if flags[2] else []) \
+                + ([neg_lower] * self.h if flags[3] else [])
+            tail /= norms
+        # the box reads the fixed part and the floats, not this problem,
+        # which holds the LDP
+        return Ldp.scaled(rows, b, lambda: fixed.anchored(lo0, hi0))
 
 
 class _FixedPart:
@@ -565,10 +603,17 @@ class _FixedPart:
     after step 0 and the ramp rows) with their finiteness, and whether
     prefix-sum rows exist.
 
+    For the reach envelope (`coordinator._envelope`), `reach` holds the
+    running extremes of the box after step 0, built once: per step
+    k >= 1, the least of hi_j - j*ramp and the greatest of lo_j + j*ramp
+    over 1 <= j <= k. A running extreme keeps the first of equal values,
+    as a comparison does.
+
     `pattern` maps the finiteness of the rows a state sets to the kept-row
-    flags and the `_ldp_rows` key, in a memo of at most 16 entries.
-    Construction takes ``d``, ``lo`` and ``hi`` as length-``h`` lists of
-    floats and runs every check on them."""
+    flags and the `_ldp_rows` key, and `kernel` to the kernel's rows and
+    the right-hand side of the rows no state sets; both in memos of at
+    most 16 entries. Construction takes ``d``, ``lo`` and ``hi`` as
+    length-``h`` lists of floats and runs every check on them."""
 
     def __init__(self, h: int, d: list, lo: list, hi: list, ramp: float,
                  prefix: bool):
@@ -583,7 +628,7 @@ class _FixedPart:
                              "neither NaN")
         if not ramp > 0.0:
             raise ValueError(f"ramp_limit must be > 0, got {ramp}")
-        self.h, self.prefix = h, prefix
+        self.h, self.prefix, self.weight = h, prefix, d[0]
         self.quad_diag, self.lower, self.upper = arrays = (
             np.array(d), np.array(lo), np.array(hi))
         for arr in arrays:
@@ -594,8 +639,10 @@ class _FixedPart:
         self.rest = [-v for v in lo[1:]] + [ramp] * (2 * h - 2)
         self._finite = (list(map(math.isfinite, self.upper_tail)),
                         list(map(math.isfinite, self.rest)))
+        self.ramp = ramp
         self._d_bytes = self.quad_diag.tobytes()
         self._patterns = {}
+        self._kernels = {}
 
     def pattern(self, flags: tuple):
         """(kept-row flags as a list, `_ldp_rows` key) of a problem whose
@@ -609,6 +656,61 @@ class _FixedPart:
                 keep += [flags[2]] * self.h + [flags[3]] * self.h
             hit = self._patterns[flags] = (
                 keep, (self._d_bytes, self.prefix, bytes(keep)))
+        return hit
+
+    @_once
+    def reach(self):
+        """(0*ramp, reach_hi, reach_lo): the ramp's reach at step 0 (NaN for
+        an infinite ramp), and per step k >= 1 the least of hi_j - j*ramp
+        and the greatest of lo_j + j*ramp over 1 <= j <= k, each paired
+        with k*ramp. Built when the reach envelope is first asked for."""
+        ramp, lo, hi = self.ramp, self.lower_list, self.upper_list
+        reach_hi, reach_lo = [], []
+        for k in range(1, self.h):
+            s = ramp * k
+            u, v = hi[k] - s, lo[k] + s
+            if k == 1 or u < least:
+                least = u
+            if k == 1 or v > most:
+                most = v
+            reach_hi.append((least, s))
+            reach_lo.append((most, s))
+        return ramp * 0, reach_hi, reach_lo
+
+    def anchored(self, lo0: float, hi0: float):
+        """The box as two lists of floats (lo, hi), with step 0's bounds
+        replaced by ``lo0`` and ``hi0``."""
+        lo, hi = self.lower_list.copy(), self.upper_list.copy()
+        lo[0], hi[0] = lo0, hi0
+        return lo, hi
+
+    def kernel(self, flags: tuple):
+        """What every `HorizonQp.ldp` of the row pattern ``flags`` (as in
+        `pattern`) shares: its `LdpRows` from the memo of `_ldp_rows`; the
+        kept right-hand sides divided by the row norms, read-only, with
+        0.0 in the rows the state sets; and where those go: (index, norm)
+        of the step-0 upper and of the step-0 lower row, None when the
+        row is dropped, and (first index, norms) of the kept prefix-sum
+        rows, which come last, or None without them. Built on the first
+        problem of the pattern; a memo of at most 16 entries."""
+        hit = self._kernels.get(flags)
+        if hit is None:
+            keep, key = self.pattern(flags)
+            rows = _ldp_rows(self.h, key)
+            n_prefix = (flags[2] + flags[3]) * self.h if self.prefix else 0
+            rhs = [0.0, *self.upper_tail, 0.0, *self.rest]
+            rhs += [0.0] * (len(keep) - len(rhs))
+            base = np.array(list(compress(rhs, keep)), dtype=float)
+            base /= rows.norms
+            base.flags.writeable = False
+            norms = rows.norms.tolist()
+            lower_at = flags[0] + sum(self._finite[0])
+            start = len(norms) - n_prefix
+            prefix_norms = rows.norms[start:]
+            hit = self._kernels[flags] = (
+                rows, base, (0, norms[0]) if flags[0] else None,
+                (lower_at, norms[lower_at]) if flags[1] else None,
+                (start, prefix_norms) if n_prefix else None)
         return hit
 
 

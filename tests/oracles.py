@@ -245,6 +245,25 @@ def reach_bounds(qps, p_f):
             max(0.0, float((lo.sum(axis=0) - p_f).max())))
 
 
+def reach_envelope(qp):
+    """A node's reach envelope (los, his) by its definition, step by step
+    on Python floats: hi_k = min over j <= k of hi_j + (k-j)*ramp over the
+    effective box, as the running minimum of hi_j - j*ramp with k*ramp
+    added back, and lo_k likewise with the maximum. A running extreme
+    takes a new value only when it is strictly beyond."""
+    lo, hi = qp.effective_bounds()
+    los, his = [], []
+    for k in range(qp.h):
+        s = qp.ramp_limit * k
+        if not k or hi[k] - s < run_hi:
+            run_hi = hi[k] - s
+        if not k or lo[k] + s > run_lo:
+            run_lo = lo[k] + s
+        his.append(run_hi + s)
+        los.append(run_lo - s)
+    return los, his
+
+
 def envelope_price(targets, weights, los, his, demand, steps: int = 200):
     """Per step, by bisection on the price: where the nodes' responses
     t_i - lambda/w_i, each clipped to its step's [lo_i, hi_i], sum to the

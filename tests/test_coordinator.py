@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from collections import Counter
 
@@ -12,6 +13,7 @@ from shipems.coordinator import (
     _envelope,
     _envelope_price,
     _node_problems,
+    _swept_price,
     _reach_bounds,
     CentralizedResult,
     Fleet,
@@ -29,7 +31,7 @@ from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pcm_solve, pgm_qp, pgm_solve
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
 from fleets import feasible_demand, fleet_reach_intervals, random_fleet
 from oracles import (envelope_price, min_max_residual_w, min_shortfall_w,
-                     reach_bounds)
+                     reach_bounds, reach_envelope)
 
 BUS = BusSpec()
 
@@ -358,9 +360,19 @@ def criterion_1_fleets(n):
     return out
 
 
+def clear_memos():
+    """Empty every memo that holds `LdpRows`, and with them active-set
+    maps: the rows memo, the fixed parts, which keep their row patterns'
+    rows, and the oracle's fleet rows."""
+    qpmod._ldp_rows.cache_clear()
+    qpmod._fixed_part.cache_clear()
+    coordinator._fleet_rows.cache_clear()
+
+
 class TestPathIndependence:
     """The kernel's memos of rows and active-set maps must not change an
-    answer, whatever was solved before."""
+    answer, whatever was solved before; a cold answer is taken with every
+    memo that can hold them emptied."""
 
     def test_fleet_answers_do_not_depend_on_the_memos(self):
         cases = criterion_1_fleets(40)
@@ -376,7 +388,7 @@ class TestPathIndependence:
 
         cold = {}
         for i in range(len(cases)):
-            qpmod._ldp_rows.cache_clear()
+            clear_memos()
             cold.update(answers([i]))
         answers(reversed(range(len(cases))))  # a warm pass, other order
         assert answers(range(len(cases))) == cold
@@ -396,8 +408,7 @@ class TestPathIndependence:
 
         cold = {}
         for i in range(len(cases)):
-            qpmod._ldp_rows.cache_clear()
-            coordinator._fleet_rows.cache_clear()
+            clear_memos()
             cold.update(answers([i]))
         assert answers(reversed(range(len(cases)))) == cold  # warm
         assert answers(range(len(cases))) == cold
@@ -521,6 +532,53 @@ class TestCentralizedSolve:
         np.testing.assert_allclose(cen.total_power(), 3.0)
 
 
+# a box side: unbounded, either zero, or a finite bound of that side's sign
+SIDES = ("inf", "zero", "negative zero", "finite")
+
+
+def box_side(kind, sign, scale):
+    return {"inf": sign * math.inf, "zero": 0.0, "negative zero": -0.0,
+            "finite": sign * scale}[kind]
+
+
+class TestReachEnvelope:
+    """`_envelope` takes the running extremes of the box after step 0 from
+    the device's fixed part and compares them with the step's own step-0
+    bound; it must equal the step-by-step definition bit for bit, for
+    scalar and array boxes, infinite and signed-zero bounds, and an
+    infinite ramp (every bound NaN)."""
+
+    @given(h=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           lower=st.sampled_from(SIDES), upper=st.sampled_from(SIDES),
+           ramp_inf=st.booleans(), arrays=st.booleans(),
+           soc=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_the_running_extremes(self, h, seed, lower, upper,
+                                           ramp_inf, arrays, soc):
+        rng = np.random.default_rng(seed)
+        p_max = rng.uniform(1e6, 4e7)
+        if arrays:  # each step its own kind of bound
+            lo = [box_side(rng.choice(SIDES), -1.0, rng.uniform(0.0, p_max))
+                  for _ in range(h)]
+            hi = [box_side(rng.choice(SIDES), 1.0, rng.uniform(0.0, p_max))
+                  for _ in range(h)]
+            lo, hi = np.array(lo), np.array(hi)
+        else:
+            lo = box_side(lower, -1.0, rng.uniform(0.0, p_max))
+            hi = box_side(upper, 1.0, rng.uniform(0.0, p_max))
+        kw = {}
+        if soc:
+            kw = dict(cumsum_coeff=1.0 / (rng.uniform(2e3, 2e4) * 3.6e6),
+                      cumsum_init=0.5, cumsum_lower=0.1, cumsum_upper=0.9)
+        ramp = math.inf if ramp_inf else rng.uniform(0.05, 1.0) * p_max
+        prev = rng.choice([0.0, -0.0, rng.uniform(-p_max, p_max)])
+        qp = qpmod.HorizonQp(h=h, quad_diag=1.0, lower=lo, upper=hi,
+                             ramp_limit=ramp, prev_value=prev, **kw)
+        got, want = _envelope(qp), reach_envelope(qp)
+        for g, w in zip(got, want):
+            assert np.array(g).tobytes() == np.array(w).tobytes()
+
+
 class TestReachBounds:
     """`_reach_bounds` runs on Python floats; it must equal the array form
     of the same recurrences bitwise."""
@@ -552,11 +610,95 @@ class TestReachBounds:
             PcmSpec(ramp_limit_w_per_step=np.inf)
 
 
+def swept(targets, weights, envelopes, demand):
+    """Every step's price by the sweep of `_swept_price`."""
+    return np.array([_swept_price([(t, w, los[k], his[k]) for t, w, (los, his)
+                                   in zip(targets, weights, envelopes)], d)
+                     for k, d in enumerate(demand)])
+
+
+def spy_sweep(monkeypatch):
+    """Records the (demand, nodes) of every `_swept_price` call of
+    `_envelope_price` from here on."""
+    calls = []
+
+    def recorded(nodes, d):
+        calls.append((d, nodes))
+        return _swept_price(nodes, d)
+
+    monkeypatch.setattr(coordinator, "_swept_price", recorded)
+    return calls
+
+
 class TestEnvelopePrice:
     """`_envelope_price` against the bisection oracle, on the envelopes of
     random fleets, some with floored weights (beta = 0 or gamma = 0) and
     some with infinite bounds, at demands inside, above and below what the
-    clipped responses can sum to."""
+    clipped responses can sum to; and its early exit, the all-free price,
+    against the sweep, bit for bit."""
+
+    def test_early_exit_is_the_sweep_bit_for_bit(self, monkeypatch):
+        calls = spy_sweep(monkeypatch)
+        steps = 0
+        for fleet, p_f, _ in criterion_1_fleets(200):
+            gen, batt = _node_problems(fleet, p_f.size)
+            envelopes = [_envelope(p) for p in gen + batt]
+            t, w = fleet.targets(), fleet.weights()
+            demand = p_f.tolist()
+            got = _envelope_price(t, w, envelopes, demand)
+            assert got.tobytes() == swept(t, w, envelopes, demand).tobytes()
+            steps += len(demand)
+        # most steps take the early exit (577 of the 1000)
+        assert len(calls) < 0.5 * steps
+
+    def test_a_demand_on_a_breakpoint_takes_the_sweep(self, monkeypatch):
+        # the demand that the clipped responses sum to at one node's
+        # breakpoint: the all-free price, if it is the step's, lies on the
+        # edge of the all-free segment, and the sweep must decide
+        calls = spy_sweep(monkeypatch)
+        rng = np.random.default_rng(31)
+        tried = Counter()
+        for i in range(48):
+            fleet = random_fleet(rng)
+            if i % 3 == 1:  # floored weights
+                for g in fleet.pgms:
+                    g.spec = dataclasses.replace(g.spec, weight_beta=0.0)
+            elif i % 3 == 2:  # two generators that share every breakpoint
+                fleet.pgms.append(dataclasses.replace(fleet.pgms[0]))
+            h = 1 + i % 6
+            gen, batt = _node_problems(fleet, h)
+            envelopes = [_envelope(p) for p in gen + batt]
+            if i % 4 == 0:  # a node unbounded above or below
+                los, his = envelopes[rng.integers(len(envelopes))]
+                if i % 8 == 0:
+                    his[:] = [math.inf] * h
+                else:
+                    los[:] = [-math.inf] * h
+            t, w = fleet.targets(), fleet.weights()
+            for k in range(h):
+                nodes = [(ti, wi, los[k], his[k])
+                         for ti, wi, (los, his) in zip(t, w, envelopes)]
+                for ti, wi, lo, hi in nodes:
+                    for bound in (lo, hi):
+                        if not math.isfinite(bound):
+                            continue
+                        lam = wi * (ti - bound)
+                        d = 0.0
+                        for tj, wj, lo_j, hi_j in nodes:
+                            d += min(max(tj - lam / wj, lo_j), hi_j)
+                        demand = rng.uniform(d - 1e6, d + 1e6, h).tolist()
+                        demand[k] = d
+                        calls.clear()
+                        got = _envelope_price(t, w, envelopes, demand)
+                        assert (d, nodes) in calls
+                        assert got.tobytes() == swept(t, w, envelopes,
+                                                      demand).tobytes()
+                        tried[i % 3, math.isfinite(sum(
+                            v for los, his in envelopes for v in los + his))] += 1
+        # floored, shared and plain breakpoints, each with and without an
+        # infinite bound
+        assert set(tried) == {(kind, finite) for kind in range(3)
+                              for finite in (False, True)}
 
     def test_matches_the_bisection_oracle(self):
         rng = np.random.default_rng(29)
@@ -590,12 +732,15 @@ class TestEnvelopePrice:
                 p_f = ceil + rng.uniform(1e5, 1e7, h)
             else:
                 p_f = floor - rng.uniform(1e5, 1e7, h)
-            got = _envelope_price(fleet, [(list(lo), list(hi))
-                                          for lo, hi in zip(los, his)],
-                                  p_f.tolist())
             t, w = fleet.targets(), fleet.weights()
+            got = _envelope_price(t, w, [(list(lo), list(hi))
+                                         for lo, hi in zip(los, his)],
+                                  p_f.tolist())
             want = envelope_price(t, w, los, his, p_f)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+            assert got.tobytes() == swept(
+                t, w, [(list(lo), list(hi)) for lo, hi in zip(los, his)],
+                p_f.tolist()).tobytes()
             for k, d in enumerate(p_f):
                 x = np.clip(np.array(t) - got[k] / np.array(w), los[:, k],
                             his[:, k])

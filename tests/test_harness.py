@@ -273,6 +273,25 @@ class TestCli:
         assert code == 2
         assert "--gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,values", [
+        ("--beta", "nan"), ("--beta", "1,inf"), ("--gamma", "1,-inf"),
+    ])
+    def test_sweep_non_finite_value_exits_2_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, flag, values):
+        # the config loader rejects such a weight: a config error naming
+        # the flag, not a sweep of failed cells
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a sweep cell")
+
+        monkeypatch.setattr(harness, "sweep", no_work)
+        cfg_path = write_cfg(tmp_path, short_cfg())
+        grid = {"--beta": "1", "--gamma": "1", flag: values}
+        code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--beta", grid["--beta"], "--gamma", grid["--gamma"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "finite" in err
+
     def test_sweep_failed_cell_exits_1(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, short_cfg(duration_s=6.0))
         code = main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
