@@ -28,19 +28,23 @@ is built and checked once per device:
   the ramp limit and whether SoC rows exist): the read-only length-h
   arrays of the weight and box, shared by every step's `HorizonQp`; the
   box and the right-hand sides of the rows that no state moves (the box
-  after step 0, the ramp rows) as Python floats; and, for each way the
-  rows that the state sets can be finite or not, the kept-row flags and
-  the `_ldp_rows` key;
+  after step 0, the ramp rows) as Python floats; the running extremes of
+  the box after step 0 that the reach envelope reads; and, for each way
+  the rows that the state sets can be finite or not (a row pattern), the
+  kept-row flags, the `_ldp_rows` key, that key's `LdpRows` and the kept
+  right-hand sides that no state moves, divided by the row norms;
 - the unit rows, the first n rows of E and their scales (`_ldp_rows`),
   which depend only on the Hessian and the row pattern (h, which bounds
-  are finite, whether SoC rows exist).
+  are finite, whether SoC rows exist); devices that share them share
+  their active-set maps.
 An MPC step reads its state into four floats when its `HorizonQp` is
 built: the step-0 bounds with the ramp anchor folded in, and the two
-prefix-sum bounds. `HorizonQp.ldp_parts` lists the finite right-hand
-sides and the effective box from those floats and the fixed part, without
-a numpy call; the `Ldp` makes one array of the right-hand sides. Its box
-becomes arrays, and its copy of E is made, only when its `nnls` path
-first reads them.
+prefix-sum bounds. `HorizonQp.ldp` copies its pattern's right-hand side
+and writes those floats into it, so building a node's kernel looks up no
+memo and converts no list; its box becomes arrays, and its copy of E is
+made, only when its `nnls` path first reads them. `HorizonQp.ldp_parts`,
+which the oracle stacks, lists the same right-hand sides and the
+effective box as Python floats and builds no rows.
 
 Successive prices of a dual ascent mostly leave a node's active set S
 unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
@@ -218,11 +222,11 @@ class Ldp:
     """min 0.5 x'diag(d)x + q'x s.t. a x <= b over a fixed polytope, any q.
 
     ``rows`` holds ``a`` and ``d``; ``b`` is in the units of the rows it was
-    built from. ``lo``/``hi`` bound every point of the polytope componentwise
-    (entries may be infinite); an infeasibility certificate is checked over
-    that box. ``b``, ``lo`` and ``hi`` may be arrays or lists of floats;
-    the box becomes arrays when first read, which only the `nnls` path
-    does.
+    built from (`scaled` takes it divided by the row norms). ``lo``/``hi``
+    bound every point of the polytope componentwise (entries may be
+    infinite); an infeasibility certificate is checked over that box.
+    ``b``, ``lo`` and ``hi`` may be arrays or lists of floats; the box
+    becomes arrays when first read, which only the `nnls` path does.
     """
 
     def __init__(self, rows: LdpRows, b, lo, hi):
