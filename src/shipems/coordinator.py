@@ -245,36 +245,41 @@ def _envelope_price(targets: list, weights: list, envelopes,
         # the sums of the sweep's free branch
         free += t
         slope += 1.0 / w
-        u, v = w * (t - his[0]), w * (t - los[0])
+        hi = his[0]
+        u, v = w * (t - hi), w * (t - los[0])
         if u > upper0:
             upper0 = u
         if v < lower0:
             lower0 = v
-        hi_min, hi_max = min(his), max(his)
-        size += abs(t) + 2.0 * (abs(hi_min) + abs(hi_max))
+        size += abs(t) + abs(hi)
         if len(his) > 1:
-            u, v = w * (t - min(his[1:])), w * (t - max(los[1:]))
+            later = his[1:]
+            hi = min(later)
+            u, v = w * (t - hi), w * (t - max(los[1:]))
             if u > upper:
                 upper = u
             if v < lower:
                 lower = v
+            size += abs(hi) + abs(max(later))
         # the sweep takes a NaN bound as none; an extreme over the later
         # steps that comes out NaN (a NaN first) sends every step to it
         if u != u or v != v:
             size = math.nan
     # the rounding of the sweep's sums, in price units: its level adds the
-    # targets and the finite upper bounds, its slope weighs the
-    # breakpoints it passes; the demand and the price add theirs per step
-    base = size / slope if slope else math.nan
+    # targets and the finite upper bounds (size bounds each of their sums
+    # by half), its slope weighs the breakpoints it passes; the demand and
+    # the price add theirs per step
+    base = 2.0 * size / slope if slope else math.nan
+    # per tier: the extreme breakpoints and the scale with theirs
+    tiers = [(u, v, base + (abs(u) if u > -math.inf else 0.0)
+              + (abs(v) if v < math.inf else 0.0))
+             for u, v in ((upper0, lower0), (upper, lower))]
     price = []
     for k, d in enumerate(demand):
-        if base < math.inf:
-            u, v = (upper, lower) if k else (upper0, lower0)
+        u, v, scale = tiers[min(k, 1)]
+        if scale < math.inf:
             lam = (free - d) / slope
-            margin = ENVELOPE_EXIT_RTOL * (
-                base + abs(d) / slope + abs(lam)
-                + (abs(u) if u > -math.inf else 0.0)
-                + (abs(v) if v < math.inf else 0.0))
+            margin = ENVELOPE_EXIT_RTOL * (scale + abs(d) / slope + abs(lam))
             if lam - u > margin and v - lam > margin:
                 price.append(lam)
                 continue
@@ -437,14 +442,14 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     qps = gen_qps + batt_qps
     nodes = [(True, p, g.spec, g) for p, g in zip(gen_qps, fleet.pgms)] \
         + [(False, p, b.spec, b) for p, b in zip(batt_qps, fleet.pcms)]
-    targets, weights = fleet.targets(), [p.weight for p in qps]
     # every node's reach envelope, built at most once: for the start
     # price, or once the warm price misses the tolerance. A step whose
     # warm price balances, as most do, never reads it.
     envelopes = None
     if lambda_warm is None:
         envelopes = [_envelope(p) for p in qps]
-        lam = _envelope_price(targets, weights, envelopes, demand)
+        lam = _envelope_price(fleet.targets(), [p.weight for p in qps],
+                              envelopes, demand)
     reach_w = None
     attained_w = BOUND_ATTAINED_RTOL * max(map(abs, demand))
     least = None  # least worst-step residual, from the LP
@@ -483,7 +488,8 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
             break
         if lambda_warm is not None and len(history) == 1:
             # the warm price missed: go on from the envelope price
-            lam = _envelope_price(targets, weights, envelopes, demand)
+            lam = _envelope_price(fleet.targets(), [p.weight for p in qps],
+                                  envelopes, demand)
         else:
             if alpha is None:
                 alpha = default_alpha(fleet)

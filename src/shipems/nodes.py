@@ -83,7 +83,7 @@ def soc_coeff(spec: PcmSpec, bus: BusSpec, td_s: float) -> float:
 def pgm_qp(spec: PgmSpec, prev_power_w: float, h: int) -> qpmod.HorizonQp:
     """Generator horizon QP at one state: (beta/2)||p - rated||^2 over
     box∩ramp; `pgm_solve` adds the price term."""
-    # positional: keywords cost a node about 0.2 us to bind
+    # positional: keywords cost a node about 0.2 us to bind (2 CPUs, x86-64)
     return qpmod.HorizonQp(h, floored_weight(spec), spec.p_min_w,
                            spec.p_max_w, spec.ramp_limit_w_per_step,
                            prev_power_w)

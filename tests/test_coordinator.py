@@ -413,6 +413,15 @@ class TestPathIndependence:
         assert answers(reversed(range(len(cases)))) == cold  # warm
         assert answers(range(len(cases))) == cold
 
+    def test_the_oracle_builds_no_node_rows(self):
+        # it stacks the nodes' right-hand sides and keys into fleet rows;
+        # the rows of each node's own kernel are built only when solved
+        clear_memos()
+        for fleet, p_f, _ in criterion_1_fleets(5):
+            centralized_solve(fleet, p_f, tol=1e-9)
+        assert qpmod._ldp_rows.cache_info().currsize == 0
+        assert coordinator._fleet_rows.cache_info().currsize == 5
+
 
 class TestTracerContract:
     """`perfbench/tracing.py` times the node and QP layers by replacing
