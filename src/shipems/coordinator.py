@@ -451,7 +451,6 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         lam = _envelope_price(fleet.targets(), [p.weight for p in qps],
                               envelopes, demand)
     reach_w = None
-    attained_w = BOUND_ATTAINED_RTOL * max(map(abs, demand))
     least = None  # least worst-step residual, from the LP
     best = None  # (residual, price, gen, batt, total)
     converged = False
@@ -474,6 +473,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
                 envelopes = [_envelope(p) for p in qps]
             short_w, over_w = _reach_bounds(envelopes, demand)
             reach_w = max(short_w, over_w)
+            attained_w = BOUND_ATTAINED_RTOL * max(map(abs, demand))
         at_reach = (reach_w > bal_tol_w and res_inf <= reach_w + attained_w
                     and -min(residual) <= max(short_w + attained_w,
                                               bal_tol_w))

@@ -13,8 +13,8 @@ from shipems.coordinator import (
     _envelope,
     _envelope_price,
     _node_problems,
-    _swept_price,
     _reach_bounds,
+    _swept_price,
     CentralizedResult,
     Fleet,
     PcmNodeState,
