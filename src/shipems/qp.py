@@ -40,9 +40,9 @@ is built and checked once per device:
 An MPC step reads its state into four floats when its `HorizonQp` is
 built: the step-0 bounds with the ramp anchor folded in, and the two
 prefix-sum bounds. `HorizonQp.ldp` copies its pattern's right-hand side
-and writes those floats into it, so building a node's kernel looks up no
-memo and converts no list; its box becomes arrays, and its copy of E is
-made, only when its `nnls` path first reads them. `HorizonQp.ldp_parts`,
+and writes those floats into it, without a call to `_ldp_rows`; its box
+becomes arrays, and its copy of E is made, only when its `nnls` path
+first reads them. `HorizonQp.ldp_parts`,
 which the oracle stacks, lists the same right-hand sides and the
 effective box as Python floats and builds no rows.
 
