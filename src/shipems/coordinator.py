@@ -181,21 +181,22 @@ def _envelope(qp):
     and its ramp put on its step-k power, hi_k = min over j <= k of
     (hi_j + (k-j)*ramp) and lo_k likewise; as two lists (los, his).
 
-    That is the running minimum of hi_j - j*ramp with k*ramp added back.
-    Over j >= 1 it is the device's, from its fixed part's `reach`; a step
-    compares it with its own step-0 bound, into which the ramp anchor is
-    folded. On Python floats, bitwise equal to the running minimum taken
-    step by step (and to numpy's accumulate, NaN included: an infinite
-    ramp makes every bound NaN); lo_k likewise, with the maximum.
+    That is hi_k = min(hi_0 + k*ramp, M_k), with M_k the device's, from
+    its fixed part's `reach`: the least of hi_j + (k-j)*ramp over
+    1 <= j <= k, taken as a running minimum of hi_j - j*ramp. A step
+    supplies only its hi_0, into which the ramp anchor is folded. Rounding
+    is monotone, so on Python floats this is bitwise the running minimum
+    over 0 <= j <= k taken step by step (and numpy's accumulate, NaN
+    included: an infinite ramp makes every bound NaN); lo_k likewise,
+    with the maximum.
     """
-    s, reach_hi, reach_lo = qp._fixed.reach
-    hi, lo = qp._hi0 - s, qp._lo0 + s
-    # a comparison is cheaper than the built-ins, and on a tie keeps the
-    # earlier value as the running extreme does
-    his = [hi + s]
-    his += [(v if v < hi else hi) + s_k for v, s_k in reach_hi]
-    los = [lo - s]
-    los += [(v if v > lo else lo) - s_k for v, s_k in reach_lo]
+    s0, steps, highs, lows, _, _ = qp._fixed.reach
+    hi, lo = qp._hi0 - s0, qp._lo0 + s0
+    his, los = [hi + s0], [lo - s0]
+    for s, high, low in zip(steps, highs, lows):
+        x, y = hi + s, lo - s
+        his.append(high if high < x else x)
+        los.append(low if low > y else y)
     return los, his
 
 
@@ -213,11 +214,11 @@ def _reach_bounds(envelopes, demand: list[float]):
             max(0.0, max(map(sub, lo_sum, demand))))
 
 
-def _envelope_price(targets: list, weights: list, envelopes,
+def _envelope_price(targets: list, weights: list, qps,
                     demand: list[float]) -> np.ndarray:
     """The price profile at which the nodes' unconstrained responses,
-    clipped to their ``envelopes`` (one per node, generators first), meet
-    the demand: per step k, the lambda_k with
+    clipped to their reach envelopes (`_envelope` of each of ``qps``,
+    generators first), meet the demand: per step k, the lambda_k with
     sum_i clip(t_i - lambda_k/w_i, lo_ik, hi_ik) = p_f,k for the nodes'
     ``targets`` t_i and floored ``weights`` w_i. This is the
     lambda-iteration of economic dispatch with unit limits, solved
@@ -232,8 +233,10 @@ def _envelope_price(targets: list, weights: list, envelopes,
     the all-free price when it clears, by `ENVELOPE_EXIT_RTOL` of its
     scale, the extreme breakpoints of step 0 (at step 0) or those over
     steps 1 to h-1 (at a later step); its sums are the sweep's, in the
-    nodes' order, so the price is the sweep's bit for bit. Every other
-    step runs the sweep. On Python floats.
+    nodes' order, so the price is the sweep's bit for bit. The extremes
+    come from each node's step-0 bounds and its fixed part's `reach`, so
+    the envelopes are built only for a step that runs the sweep. On
+    Python floats.
     """
     free = slope = size = 0.0
     # extreme upper and lower breakpoints at step 0, and over steps >= 1;
@@ -241,28 +244,30 @@ def _envelope_price(targets: list, weights: list, envelopes,
     # bounds
     upper0 = upper = -math.inf
     lower0 = lower = math.inf
-    for t, w, (los, his) in zip(targets, weights, envelopes):
+    for t, w, p in zip(targets, weights, qps):
         # the sums of the sweep's free branch
         free += t
         slope += 1.0 / w
-        hi = his[0]
-        u, v = w * (t - hi), w * (t - los[0])
+        s0, steps, _, _, high_min, low_max = p._fixed.reach
+        hi, lo = p._hi0 - s0, p._lo0 + s0
+        u, v = w * (t - (hi + s0)), w * (t - (lo - s0))
         if u > upper0:
             upper0 = u
         if v < lower0:
             lower0 = v
-        size += abs(t) + abs(hi)
-        if len(his) > 1:
-            later = his[1:]
-            hi = min(later)
-            u, v = w * (t - hi), w * (t - max(los[1:]))
+        size += abs(t) + abs(hi + s0)
+        if steps:
+            # over steps >= 1 the anchor's reach is least at step 1 and
+            # greatest at step h-1 (as in `_envelope`)
+            x, y = hi + steps[0], lo - steps[0]
+            x = high_min if high_min < x else x
+            u, v = w * (t - x), w * (t - (low_max if low_max > y else y))
             if u > upper:
                 upper = u
             if v < lower:
                 lower = v
-            size += abs(hi) + abs(max(later))
-        # the sweep takes a NaN bound as none; an extreme over the later
-        # steps that comes out NaN (a NaN first) sends every step to it
+            size += abs(x) + abs(hi + steps[-1])
+        # a NaN bound (an infinite ramp) sends every step to the sweep
         if u != u or v != v:
             size = math.nan
     # the rounding of the sweep's sums, in price units: its level adds the
@@ -274,6 +279,7 @@ def _envelope_price(targets: list, weights: list, envelopes,
     tiers = [(u, v, base + (abs(u) if u > -math.inf else 0.0)
               + (abs(v) if v < math.inf else 0.0))
              for u, v in ((upper0, lower0), (upper, lower))]
+    envelopes = None
     price = []
     for k, d in enumerate(demand):
         u, v, scale = tiers[min(k, 1)]
@@ -283,6 +289,8 @@ def _envelope_price(targets: list, weights: list, envelopes,
             if lam - u > margin and v - lam > margin:
                 price.append(lam)
                 continue
+        if envelopes is None:
+            envelopes = [_envelope(p) for p in qps]
         price.append(_swept_price(
             [(t, w, los[k], his[k])
              for t, w, (los, his) in zip(targets, weights, envelopes)], d))
@@ -442,14 +450,12 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     qps = gen_qps + batt_qps
     nodes = [(True, p, g.spec, g) for p, g in zip(gen_qps, fleet.pgms)] \
         + [(False, p, b.spec, b) for p, b in zip(batt_qps, fleet.pcms)]
-    # every node's reach envelope, built at most once: for the start
-    # price, or once the warm price misses the tolerance. A step whose
-    # warm price balances, as most do, never reads it.
+    # every node's reach envelope, built at most once, once an iterate
+    # misses the tolerance; most steps balance at their first price
     envelopes = None
     if lambda_warm is None:
-        envelopes = [_envelope(p) for p in qps]
-        lam = _envelope_price(fleet.targets(), [p.weight for p in qps],
-                              envelopes, demand)
+        lam = _envelope_price(fleet.targets(), [p.weight for p in qps], qps,
+                              demand)
     reach_w = None
     least = None  # least worst-step residual, from the LP
     best = None  # (residual, price, gen, batt, total)
@@ -488,8 +494,8 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
             break
         if lambda_warm is not None and len(history) == 1:
             # the warm price missed: go on from the envelope price
-            lam = _envelope_price(fleet.targets(), [p.weight for p in qps],
-                                  envelopes, demand)
+            lam = _envelope_price(fleet.targets(),
+                                  [p.weight for p in qps], qps, demand)
         else:
             if alpha is None:
                 alpha = default_alpha(fleet)

@@ -607,11 +607,10 @@ class _FixedPart:
     after step 0 and the ramp rows) with their finiteness, and whether
     prefix-sum rows exist.
 
-    For the reach envelope (`coordinator._envelope`), `reach` holds the
-    running extremes of the box after step 0, built once: per step
-    k >= 1, the least of hi_j - j*ramp and the greatest of lo_j + j*ramp
-    over 1 <= j <= k. A running extreme keeps the first of equal values,
-    as a comparison does.
+    For the reach envelope (`coordinator._envelope`), `reach` holds what
+    the box after step 0 and the ramp put on every step, built once: per
+    step k >= 1, the running extremes of hi_j - j*ramp and lo_j + j*ramp
+    over 1 <= j <= k with k*ramp added back, and their extremes over k.
 
     `pattern` maps the finiteness of the rows a state sets to the kept-row
     flags and the `_ldp_rows` key, and `kernel` to the kernel's rows and
@@ -664,12 +663,15 @@ class _FixedPart:
 
     @_once
     def reach(self):
-        """(0*ramp, reach_hi, reach_lo): the ramp's reach at step 0 (NaN for
-        an infinite ramp), and per step k >= 1 the least of hi_j - j*ramp
-        and the greatest of lo_j + j*ramp over 1 <= j <= k, each paired
-        with k*ramp. Built when the reach envelope is first asked for."""
+        """What a reach envelope reads (`coordinator._envelope`), built
+        when first asked for: the ramp's reach 0*ramp at step 0 (NaN for
+        an infinite ramp); k*ramp for k = 1..h-1; M_k = m_k + k*ramp and
+        N_k = n_k - k*ramp, where m_k is the least of hi_j - j*ramp and
+        n_k the greatest of lo_j + j*ramp over 1 <= j <= k (a running
+        extreme keeps the first of equal values); and the least M_k and
+        the greatest N_k (inf and -inf when h = 1)."""
         ramp, lo, hi = self.ramp, self.lower_list, self.upper_list
-        reach_hi, reach_lo = [], []
+        steps, highs, lows = [], [], []
         for k in range(1, self.h):
             s = ramp * k
             u, v = hi[k] - s, lo[k] + s
@@ -677,9 +679,11 @@ class _FixedPart:
                 least = u
             if k == 1 or v > most:
                 most = v
-            reach_hi.append((least, s))
-            reach_lo.append((most, s))
-        return ramp * 0, reach_hi, reach_lo
+            steps.append(s)
+            highs.append(least + s)
+            lows.append(most - s)
+        return (ramp * 0, steps, highs, lows, min(highs, default=math.inf),
+                max(lows, default=-math.inf))
 
     def anchored(self, lo0: float, hi0: float):
         """The box as two lists of floats (lo, hi), with step 0's bounds

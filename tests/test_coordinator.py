@@ -628,11 +628,11 @@ def swept(targets, weights, envelopes, demand):
 
 def spy_sweep(monkeypatch):
     """Records the (demand, nodes) of every `_swept_price` call of
-    `_envelope_price` from here on."""
+    `_envelope_price` from here on, as their repr (NaN bounds included)."""
     calls = []
 
     def recorded(nodes, d):
-        calls.append((d, nodes))
+        calls.append(repr((d, nodes)))
         return _swept_price(nodes, d)
 
     monkeypatch.setattr(coordinator, "_swept_price", recorded)
@@ -640,11 +640,12 @@ def spy_sweep(monkeypatch):
 
 
 class TestEnvelopePrice:
-    """`_envelope_price` against the bisection oracle, on the envelopes of
-    random fleets, some with floored weights (beta = 0 or gamma = 0) and
-    some with infinite bounds, at demands inside, above and below what the
-    clipped responses can sum to; and its early exit, the all-free price,
-    against the sweep, bit for bit."""
+    """The sweep of `_swept_price` against the bisection oracle, on the
+    envelopes of random fleets, some with floored weights (beta = 0 or
+    gamma = 0) and some with infinite bounds, at demands inside, above and
+    below what the clipped responses can sum to; and `_envelope_price`,
+    whose early exit takes the all-free price, against the sweep, bit for
+    bit."""
 
     def test_early_exit_is_the_sweep_bit_for_bit(self, monkeypatch):
         calls = spy_sweep(monkeypatch)
@@ -654,7 +655,7 @@ class TestEnvelopePrice:
             envelopes = [_envelope(p) for p in gen + batt]
             t, w = fleet.targets(), fleet.weights()
             demand = p_f.tolist()
-            got = _envelope_price(t, w, envelopes, demand)
+            got = _envelope_price(t, w, gen + batt, demand)
             assert got.tobytes() == swept(t, w, envelopes, demand).tobytes()
             steps += len(demand)
         # most steps take the early exit (577 of the 1000)
@@ -676,14 +677,20 @@ class TestEnvelopePrice:
                 fleet.pgms.append(dataclasses.replace(fleet.pgms[0]))
             h = 1 + i % 6
             gen, batt = _node_problems(fleet, h)
-            envelopes = [_envelope(p) for p in gen + batt]
-            if i % 4 == 0:  # a node unbounded above or below
-                los, his = envelopes[rng.integers(len(envelopes))]
-                if i % 8 == 0:
-                    his[:] = [math.inf] * h
-                else:
-                    los[:] = [-math.inf] * h
-            t, w = fleet.targets(), fleet.weights()
+            qps, t, w = gen + batt, fleet.targets(), fleet.weights()
+            extra = "none"
+            if i % 4 == 0:
+                # a floored node with an infinite box, whose envelope its
+                # ramp bounds, or with an infinite ramp too, whose
+                # envelope is NaN (no bound to the sweep)
+                extra = "infinite ramp" if i % 8 == 0 else "infinite box"
+                qps.append(qpmod.HorizonQp(
+                    h=h, quad_diag=WEIGHT_FLOOR, lower=-np.inf, upper=np.inf,
+                    ramp_limit=(np.inf if extra == "infinite ramp"
+                                else rng.uniform(1e6, 2e7)),
+                    prev_value=rng.uniform(-1e7, 1e7)))
+                t, w = t + [0.0], w + [WEIGHT_FLOOR]
+            envelopes = [_envelope(p) for p in qps]
             for k in range(h):
                 nodes = [(ti, wi, los[k], his[k])
                          for ti, wi, (los, his) in zip(t, w, envelopes)]
@@ -698,16 +705,16 @@ class TestEnvelopePrice:
                         demand = rng.uniform(d - 1e6, d + 1e6, h).tolist()
                         demand[k] = d
                         calls.clear()
-                        got = _envelope_price(t, w, envelopes, demand)
-                        assert (d, nodes) in calls
+                        got = _envelope_price(t, w, qps, demand)
+                        assert repr((d, nodes)) in calls
                         assert got.tobytes() == swept(t, w, envelopes,
                                                       demand).tobytes()
-                        tried[i % 3, math.isfinite(sum(
-                            v for los, his in envelopes for v in los + his))] += 1
-        # floored, shared and plain breakpoints, each with and without an
-        # infinite bound
-        assert set(tried) == {(kind, finite) for kind in range(3)
-                              for finite in (False, True)}
+                        tried[i % 3, extra] += 1
+        # floored, shared and plain breakpoints, each with and without a
+        # node of infinite bounds
+        assert set(tried) == {(kind, extra) for kind in range(3)
+                              for extra in ("none", "infinite box",
+                                            "infinite ramp")}
 
     def test_matches_the_bisection_oracle(self):
         rng = np.random.default_rng(29)
@@ -742,14 +749,13 @@ class TestEnvelopePrice:
             else:
                 p_f = floor - rng.uniform(1e5, 1e7, h)
             t, w = fleet.targets(), fleet.weights()
-            got = _envelope_price(t, w, [(list(lo), list(hi))
-                                         for lo, hi in zip(los, his)],
-                                  p_f.tolist())
+            got = swept(t, w, [(list(lo), list(hi))
+                               for lo, hi in zip(los, his)], p_f.tolist())
             want = envelope_price(t, w, los, his, p_f)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
-            assert got.tobytes() == swept(
-                t, w, [(list(lo), list(hi)) for lo, hi in zip(los, his)],
-                p_f.tolist()).tobytes()
+            if i % 4 and i % 5:  # the nodes' own envelopes
+                assert _envelope_price(t, w, gen + batt, p_f.tolist()
+                                       ).tobytes() == got.tobytes()
             for k, d in enumerate(p_f):
                 x = np.clip(np.array(t) - got[k] / np.array(w), los[:, k],
                             his[:, k])
