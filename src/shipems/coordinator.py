@@ -175,37 +175,12 @@ def _node_problems(fleet: Fleet, h: int):
     return gen, batt
 
 
-def _envelope(qp):
-    """A node's reach envelope: per step k, the bounds lo_k <= power <=
-    hi_k that its effective box [lo, hi] (`HorizonQp.effective_bounds`)
-    and its ramp put on its step-k power, hi_k = min over j <= k of
-    (hi_j + (k-j)*ramp) and lo_k likewise; as two lists (los, his).
-
-    That is hi_k = min(hi_0 + k*ramp, M_k), with M_k the device's, from
-    its fixed part's `reach`: the least of hi_j + (k-j)*ramp over
-    1 <= j <= k, taken as a running minimum of hi_j - j*ramp. A step
-    supplies only its hi_0, into which the ramp anchor is folded. Rounding
-    is monotone, so on Python floats this is bitwise the running minimum
-    over 0 <= j <= k taken step by step (and numpy's accumulate, NaN
-    included: an infinite ramp makes every bound NaN); lo_k likewise,
-    with the maximum.
-    """
-    s0, steps, highs, lows, _, _ = qp._fixed.reach
-    hi, lo = qp._hi0 - s0, qp._lo0 + s0
-    his, los = [hi + s0], [lo - s0]
-    for s, high, low in zip(steps, highs, lows):
-        x, y = hi + s, lo - s
-        his.append(high if high < x else x)
-        los.append(low if low > y else y)
-    return los, his
-
-
 def _reach_bounds(envelopes, demand: list[float]):
     """Lower bounds on every allocation's worst-step deficit and worst-step
     excess over the demand.
 
-    Every step-k total lies within the sum of the nodes' `_envelope`
-    bounds at step k; the sums over nodes are taken on Python floats, in
+    Every step-k total lies within the sum of the nodes' reach envelope
+    bounds (`HorizonQp.envelope`) at step k; the sums over nodes are taken on Python floats, in
     the nodes' order.
     """
     lo_sum = [sum(v) for v in zip(*(los for los, _ in envelopes))]
@@ -217,7 +192,8 @@ def _reach_bounds(envelopes, demand: list[float]):
 def _envelope_price(targets: list, weights: list, qps,
                     demand: list[float]) -> np.ndarray:
     """The price profile at which the nodes' unconstrained responses,
-    clipped to their reach envelopes (`_envelope` of each of ``qps``,
+    clipped to their reach envelopes (`HorizonQp.envelope` of each of
+    ``qps``,
     generators first), meet the demand: per step k, the lambda_k with
     sum_i clip(t_i - lambda_k/w_i, lo_ik, hi_ik) = p_f,k for the nodes'
     ``targets`` t_i and floored ``weights`` w_i. This is the
@@ -258,7 +234,7 @@ def _envelope_price(targets: list, weights: list, qps,
         size += abs(t) + abs(hi + s0)
         if steps:
             # over steps >= 1 the anchor's reach is least at step 1 and
-            # greatest at step h-1 (as in `_envelope`)
+            # greatest at step h-1 (as in `HorizonQp.envelope`)
             x, y = hi + steps[0], lo - steps[0]
             x = high_min if high_min < x else x
             u, v = w * (t - x), w * (t - (low_max if low_max > y else y))
@@ -290,7 +266,7 @@ def _envelope_price(targets: list, weights: list, qps,
                 price.append(lam)
                 continue
         if envelopes is None:
-            envelopes = [_envelope(p) for p in qps]
+            envelopes = [p.envelope for p in qps]
         price.append(_swept_price(
             [(t, w, los[k], his[k])
              for t, w, (los, his) in zip(targets, weights, envelopes)], d))
@@ -476,7 +452,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
             break
         if reach_w is None:
             if envelopes is None:
-                envelopes = [_envelope(p) for p in qps]
+                envelopes = [p.envelope for p in qps]
             short_w, over_w = _reach_bounds(envelopes, demand)
             reach_w = max(short_w, over_w)
             attained_w = BOUND_ATTAINED_RTOL * max(map(abs, demand))

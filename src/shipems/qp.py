@@ -575,6 +575,31 @@ class HorizonQp:
         return lo, hi, list(compress(rhs, keep)), key
 
     @_once
+    def envelope(self):
+        """The reach envelope, built once: per step k, the bounds
+        lo_k <= x_k <= hi_k that the effective box [lo, hi]
+        (`effective_bounds`) and the ramp put on x_k,
+        hi_k = min over j <= k of (hi_j + (k-j)*ramp) and lo_k likewise; as
+        two lists (los, his), which are not to be changed.
+
+        That is hi_k = min(hi_0 + k*ramp, M_k), with M_k the device's, from
+        its fixed part's `reach`: the least of hi_j + (k-j)*ramp over
+        1 <= j <= k, taken as a running minimum of hi_j - j*ramp. A step
+        supplies only its hi_0, into which the ramp anchor is folded.
+        Rounding is monotone, so on Python floats this is bitwise the
+        running minimum over 0 <= j <= k taken step by step (and numpy's
+        accumulate, NaN included: an infinite ramp makes every bound
+        NaN); lo_k likewise, with the maximum."""
+        s0, steps, highs, lows, _, _ = self._fixed.reach
+        hi, lo = self._hi0 - s0, self._lo0 + s0
+        his, los = [hi + s0], [lo - s0]
+        for s, high, low in zip(steps, highs, lows):
+            x, y = hi + s, lo - s
+            his.append(high if high < x else x)
+            los.append(low if low > y else y)
+        return los, his
+
+    @_once
     def ldp(self) -> Ldp:
         """The LDP form of this constraint set and Hessian, built once. Its
         rows, and its right-hand side but for the rows the state sets, are
@@ -607,7 +632,7 @@ class _FixedPart:
     after step 0 and the ramp rows) with their finiteness, and whether
     prefix-sum rows exist.
 
-    For the reach envelope (`coordinator._envelope`), `reach` holds what
+    For the reach envelope (`HorizonQp.envelope`), `reach` holds what
     the box after step 0 and the ramp put on every step, built once: per
     step k >= 1, the running extremes of hi_j - j*ramp and lo_j + j*ramp
     over 1 <= j <= k with k*ramp added back, and their extremes over k.
@@ -663,7 +688,7 @@ class _FixedPart:
 
     @_once
     def reach(self):
-        """What a reach envelope reads (`coordinator._envelope`), built
+        """What a reach envelope reads (`HorizonQp.envelope`), built
         when first asked for: the ramp's reach 0*ramp at step 0 (NaN for
         an infinite ramp); k*ramp for k = 1..h-1; M_k = m_k + k*ramp and
         N_k = n_k - k*ramp, where m_k is the least of hi_j - j*ramp and

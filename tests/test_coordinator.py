@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from shipems.coordinator import (
     LP_BOUND_ITERATION,
-    _envelope,
     _envelope_price,
     _node_problems,
     _reach_bounds,
@@ -551,9 +550,9 @@ def box_side(kind, sign, scale):
 
 
 class TestReachEnvelope:
-    """`_envelope` takes the running extremes of the box after step 0 from
-    the device's fixed part and compares them with the step's own step-0
-    bound; it must equal the step-by-step definition bit for bit, for
+    """`HorizonQp.envelope` takes the running extremes of the box after
+    step 0 from the device's fixed part and compares them with the step's
+    own step-0 bound; it must equal the step-by-step definition bit for bit, for
     scalar and array boxes, infinite and signed-zero bounds, and an
     infinite ramp (every bound NaN)."""
 
@@ -583,7 +582,7 @@ class TestReachEnvelope:
         prev = rng.choice([0.0, -0.0, rng.uniform(-p_max, p_max)])
         qp = qpmod.HorizonQp(h=h, quad_diag=1.0, lower=lo, upper=hi,
                              ramp_limit=ramp, prev_value=prev, **kw)
-        got, want = _envelope(qp), reach_envelope(qp)
+        got, want = qp.envelope, reach_envelope(qp)
         for g, w in zip(got, want):
             assert np.array(g).tobytes() == np.array(w).tobytes()
 
@@ -604,7 +603,7 @@ class TestReachBounds:
             for p_f in (np.full(h, rng.uniform(lo.min(), hi.max())
                                 + rng.uniform(-5e6, 5e6)),
                         rng.uniform(lo - 5e6, hi + 5e6)):
-                got = _reach_bounds([_envelope(p) for p in gen + batt],
+                got = _reach_bounds([p.envelope for p in gen + batt],
                                     p_f.tolist())
                 want = reach_bounds(gen + batt, p_f)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
@@ -652,7 +651,7 @@ class TestEnvelopePrice:
         steps = 0
         for fleet, p_f, _ in criterion_1_fleets(200):
             gen, batt = _node_problems(fleet, p_f.size)
-            envelopes = [_envelope(p) for p in gen + batt]
+            envelopes = [p.envelope for p in gen + batt]
             t, w = fleet.targets(), fleet.weights()
             demand = p_f.tolist()
             got = _envelope_price(t, w, gen + batt, demand)
@@ -690,7 +689,7 @@ class TestEnvelopePrice:
                                 else rng.uniform(1e6, 2e7)),
                     prev_value=rng.uniform(-1e7, 1e7)))
                 t, w = t + [0.0], w + [WEIGHT_FLOOR]
-            envelopes = [_envelope(p) for p in qps]
+            envelopes = [p.envelope for p in qps]
             for k in range(h):
                 nodes = [(ti, wi, los[k], his[k])
                          for ti, wi, (los, his) in zip(t, w, envelopes)]
@@ -730,7 +729,7 @@ class TestEnvelopePrice:
             h = 1 + i % 6
             gen, batt = _node_problems(fleet, h)
             los, his = (np.array(v)
-                        for v in zip(*(_envelope(p) for p in gen + batt)))
+                        for v in zip(*(p.envelope for p in gen + batt)))
             n = los.shape[0]
             if i % 4 == 0:
                 his[rng.integers(n)] = np.inf
