@@ -15,11 +15,14 @@ both trees into one process and alternates between them call by call:
   the tree that goes first alternating from call to call and from pass
   to pass, so that the host's drift between whole runs stays out of the
   per-step ratios.
+- `perfbench`'s `shortfall` scenario at seed `SHORTFALL_SEED` (30 s of
+  constant demand above the fleet's maximum), recorded and replayed the
+  same way.
 
-For each side it prints the p50 and p90 over fleets (steps) of each
-fleet's (step's) median time over the passes and the total dual
-iterations of one pass (for the default run, of the tree's own run), then
-the median over fleets (steps) of the per-fleet (per-step) ratio
+For each side it prints the p50, p90, p95 and p99 over fleets (steps) of
+each fleet's (step's) median time over the passes and the total dual
+iterations of one pass (for a closed-loop run, of the tree's own run),
+then the median over fleets (steps) of the per-fleet (per-step) ratio
 change/parent. The iterations tell a change in how often the loop runs
 from a change in what one iteration costs.
 
@@ -59,9 +62,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the benchmark's fleets, tolerances and run length
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import (CORPUS_SEED, CORPUS_SIZE, HORIZON,  # noqa: E402
-                       PULSE_DURATION_S, XC_BAL_TOL_REL, XC_MAX_ITER,
-                       XC_ORACLE_TOL)
+                       PULSE_DURATION_S, SHORTFALL_DURATION_S,
+                       XC_BAL_TOL_REL, XC_MAX_ITER, XC_ORACLE_TOL, Shortfall)
 
+# the seed of the replayed `shortfall` scenario: it sets the demand and
+# the battery's initial SoC
+SHORTFALL_SEED = 701
 # the package's memos; a tree that lacks one is cleared of the others
 MEMOS = (("shipems.qp", "_ldp_rows"), ("shipems.qp", "_expanded"),
          ("shipems.qp", "_fixed_part"),
@@ -206,10 +212,20 @@ def time_verify(sides, passes: int):
     return times, cases
 
 
-def record_default_run(mods: dict):
-    """The `coordinate` calls, as (args, kwargs), of the default run's
-    first `PULSE_DURATION_S` in the tree of ``mods``, and its dual
-    iterations."""
+def default_run(base):
+    """The default run's first `PULSE_DURATION_S`."""
+    return dataclasses.replace(base, duration_s=PULSE_DURATION_S)
+
+
+def shortfall_run(base):
+    """`perfbench`'s `shortfall` scenario at `SHORTFALL_SEED`."""
+    return Shortfall.scenario(base, np.random.default_rng(SHORTFALL_SEED))
+
+
+def record_run(mods: dict, scenario):
+    """The `coordinate` calls, as (args, kwargs), of ``scenario`` (a
+    function of the default config) run in the tree of ``mods``, and its
+    dual iterations."""
     sim = mods["shipems.sim"]
     coordinate, calls, reps = sim.coordinate, [], []
 
@@ -220,8 +236,7 @@ def record_default_run(mods: dict):
         return rep
 
     with active(mods):
-        cfg = dataclasses.replace(mods["shipems.config"].default_config(),
-                                  duration_s=PULSE_DURATION_S)
+        cfg = scenario(mods["shipems.config"].default_config())
         sim.coordinate = recorded
         try:
             sim.run_scenario(cfg)
@@ -230,11 +245,12 @@ def record_default_run(mods: dict):
     return calls, sum(r.iterations_used for r in reps)
 
 
-def time_default_run(sides, passes: int):
+def time_run(sides, passes: int, scenario):
     """Each side's per-step `coordinate` times (s) over the change tree's
-    default run, one list per MPC step, replayed call by call, and the
-    dual iterations of each tree's own run."""
-    runs = [record_default_run(mods) for _, mods in sides]
+    run of ``scenario`` (as in `record_run`), one list per MPC step,
+    replayed call by call, and the dual iterations of each tree's own
+    run."""
+    runs = [record_run(mods, scenario) for _, mods in sides]
     calls = runs[1][0]
     ported = [[(tuple(port(a, mods) for a in args), kwargs)
                for args, kwargs in calls] for _, mods in sides]
@@ -258,8 +274,9 @@ def report(label: str, sides, timed) -> None:
     medians = [[statistics.median(per) for per in side] for side in times]
     ratios = [c / p for p, c in zip(*medians)]
     line = ", ".join(f"{name} p50 {statistics.median(m) * 1e3:.4f} ms "
-                     f"p90 {float(np.percentile(m, 90)) * 1e3:.4f} ms "
-                     f"({note})"
+                     + "".join(f"p{q} {float(np.percentile(m, q)) * 1e3:.4f}"
+                               " ms " for q in (90, 95, 99))
+                     + f"({note})"
                      for (name, _), m, note in zip(sides, medians, notes))
     print(f"{label}: {line}; median ratio change/parent "
           f"{statistics.median(ratios):.4f} over {len(ratios)}")
@@ -270,8 +287,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="source tree A")
     parser.add_argument("--change", required=True, help="source tree B")
     parser.add_argument("--passes", type=int, default=10,
-                        help="calls per fleet, runs of the default "
-                             "scenario and of verify, per tree")
+                        help="calls per fleet, replays of each closed-loop "
+                             "run and runs of verify, per tree")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be >= 1")
@@ -279,7 +296,9 @@ def main(argv=None) -> int:
     report(f"criterion 1, first {CORPUS_SIZE} fleets", sides,
            time_fleets(sides, args.passes))
     report(f"default run, {PULSE_DURATION_S:g} s", sides,
-           time_default_run(sides, args.passes))
+           time_run(sides, args.passes, default_run))
+    report(f"shortfall, {SHORTFALL_DURATION_S:g} s, seed {SHORTFALL_SEED}",
+           sides, time_run(sides, args.passes, shortfall_run))
     for cold in (False, True):
         report(f"oracle, first {CORPUS_SIZE} fleets, "
                + ("cold" if cold else "warm"), sides,

@@ -15,7 +15,9 @@ criterion 1's 1000): their price is the all-free one, at which no node's
 response is clipped, and a margin over the rounding proves it the
 sweep's. Where each node's optimum at the envelope price is its clipped
 response, no ramp or SoC row binding between steps, the first iterate
-balances; it does on 199 of criterion 1's 200 fleets. A warm price from
+balances; it does on 199 of criterion 1's 200 fleets. The kernel then
+returns each such node's answer in closed form, as the clip of its
+unconstrained response to its reach envelope (`qp`). A warm price from
 the previous MPC step is tried first; when it misses, the envelope price
 comes next, then plain ascent.
 
@@ -162,8 +164,10 @@ def default_alpha(fleet: Fleet) -> float:
     return 0.9 / sum(1.0 / w for w in fleet.weights())
 
 
-def default_balance_tol_w(p_f: np.ndarray) -> float:
-    return 1e-4 * max(float(np.max(np.abs(p_f))), 1.0)
+def default_balance_tol_w(p_f) -> float:
+    """1e-4 of the demand profile's largest magnitude, and at least 1e-4 W.
+    ``p_f`` is a 1-D array or a list of floats."""
+    return 1e-4 * float(max(max(map(abs, p_f)), 1.0))
 
 
 def _node_problems(fleet: Fleet, h: int):
@@ -280,21 +284,31 @@ def _swept_price(nodes, d: float) -> float:
     lambda follows from the free ones, summed afresh so that no rounding
     of the sweep remains. Past the outermost breakpoint the segment goes
     on while some node is unbounded on that side; otherwise the price
-    stops at the breakpoint."""
+    stops at the breakpoint.
+
+    A saturated step, whose demand the nodes' upper bounds cannot exceed
+    (none is unbounded above), stops at the least breakpoint, which is the
+    least upper one: it returns that without the sort, bit for bit."""
     # below every breakpoint each node is at its upper bound, or free
     # when it has none; on each segment the sum is level - lam * slope,
     # and each breakpoint moves one node to or from the free ones
     level = slope = 0.0
+    least = math.inf  # the least upper breakpoint
     points = []
     for t, w, lo, hi in nodes:
         if hi < math.inf:
             level += hi
-            points.append((w * (t - hi), t - hi, 1.0 / w))
+            point = w * (t - hi)
+            if point < least:
+                least = point
+            points.append((point, t - hi, 1.0 / w))
         else:
             level += t
             slope += 1.0 / w
         if lo > -math.inf:
             points.append((w * (t - lo), lo - t, -1.0 / w))
+    if not slope and level <= d:
+        return least
     points.sort()
     a, b = -math.inf, math.inf
     for point, step, change in points:
@@ -420,7 +434,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
             raise ValueError(f"lambda_warm must be finite and of p_f's "
                              f"length {h}, got shape {lam.shape}")
     if bal_tol_w is None:
-        bal_tol_w = default_balance_tol_w(p_f)
+        bal_tol_w = default_balance_tol_w(demand)
     history = []  # worst-step residual of every iterate
     gen_qps, batt_qps = _node_problems(fleet, h)
     qps = gen_qps + batt_qps
@@ -434,7 +448,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
                               demand)
     reach_w = None
     least = None  # least worst-step residual, from the LP
-    best = None  # (residual, price, gen, batt, total)
+    best = None  # (worst-step residual, price, gen, batt, residuals)
     converged = False
     for _ in range(max_iter):
         gen, batt, total = _solve_all(nodes, lam, h)
@@ -447,7 +461,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         history.append(res_inf)
         if res_inf <= bal_tol_w:
             # every earlier iterate missed the tolerance: this is the best
-            best = (res_inf, lam, gen, batt, total)
+            best = (res_inf, lam, gen, batt, residual)
             converged = True
             break
         if reach_w is None:
@@ -460,7 +474,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
                     and -min(residual) <= max(short_w + attained_w,
                                               bal_tol_w))
         if best is None or res_inf < best[0] or at_reach:
-            best = (res_inf, lam, gen, batt, total)
+            best = (res_inf, lam, gen, batt, residual)
         if at_reach:
             break
         if len(history) == LP_BOUND_ITERATION:
@@ -477,8 +491,11 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
                 alpha = default_alpha(fleet)
             lam = dual_update(lam, total, p_f, alpha)
     # a converged or at-reach iterate is the best one
-    final_res, lam_final, gen, batt, total = best
-    shortfall = 0.0 if converged else max(0.0, float((p_f - total).max()))
+    final_res, lam_final, gen, batt, residual = best
+    # its worst deficit; a NaN residual, which the built-in min may skip,
+    # gives none
+    shortfall = 0.0 if converged or final_res != final_res \
+        else max(0.0, -min(residual))
     return CoordinationReport(
         gen=gen,
         batt=batt,

@@ -41,10 +41,25 @@ An MPC step reads its state into four floats when its `HorizonQp` is
 built: the step-0 bounds with the ramp anchor folded in, and the two
 prefix-sum bounds. `HorizonQp.ldp` copies its pattern's right-hand side
 and writes those floats into it, without a call to `_ldp_rows`; its box
-becomes arrays, and its copy of E is made, only when its `nnls` path
-first reads them. `HorizonQp.ldp_parts`,
-which the oracle stacks, lists the same right-hand sides and the
-effective box as Python floats and builds no rows.
+is made when a solve first reads it, and its copy of E when its `nnls`
+path first does. `HorizonQp.ldp_parts`, which the oracle stacks, lists
+the same right-hand sides and the effective box as Python floats and
+builds no rows.
+
+The box of a node's kernel is its reach envelope (`HorizonQp.envelope`):
+per step, the bounds that the box and the ramp from the anchor put on it
+together, which hold the polytope (for an infinite ramp, whose envelope
+is NaN, the effective box). The objective is separable, so
+clip(x_u, lo, hi) minimizes it over that box; when that point holds
+every row, it is the optimum over the polytope. A solve tries it right
+after x_u itself, before any map (exit "clip"), so its answer depends
+only on the problem, the price and the tolerance. At the envelope price
+that `coordinate` starts from, most node solves end there, among them a
+generator that ramps at its limit onto its box, an optimum with more
+active rows than steps, whose K_S is singular, so that no map
+certifies it. A clipped point that misses a row, as when a ramp or SoC
+row binds between interior points, leaves the solve to the maps and
+`nnls`.
 
 Successive prices of a dual ascent mostly leave a node's active set S
 unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
@@ -122,8 +137,8 @@ ACTIVE_MAP_MEMO_SIZE = 16
 # as `LdpRows.n_eq` equality rows) gets no map
 TWIN_DOT = -1.0 + 1e-9
 # `Ldp.solve` exits over the process: "shortcut" (x_u is the answer),
-# "hint" (the newest map of the memo), "memo" (an older one), "nnls",
-# "max_iter" and "infeasible"
+# "clip" (x_u clipped to the box is), "hint" (the newest map of the memo),
+# "memo" (an older one), "nnls", "max_iter" and "infeasible"
 EXITS = Counter()
 
 
@@ -224,9 +239,10 @@ class Ldp:
     ``rows`` holds ``a`` and ``d``; ``b`` is in the units of the rows it was
     built from (`scaled` takes it divided by the row norms). ``lo``/``hi``
     bound every point of the polytope componentwise (entries may be
-    infinite); an infeasibility certificate is checked over that box.
-    ``b``, ``lo`` and ``hi`` may be arrays or lists of floats; the box
-    becomes arrays when first read, which only the `nnls` path does.
+    infinite): the clip exit minimizes over that box, and an infeasibility
+    certificate is checked over it. ``b``, ``lo`` and ``hi`` may be arrays
+    or lists of floats; the box becomes arrays (`box`) when first read,
+    which a solve that x_u does not answer does.
     """
 
     def __init__(self, rows: LdpRows, b, lo, hi):
@@ -246,12 +262,10 @@ class Ldp:
         return ldp
 
     @_once
-    def lo(self) -> np.ndarray:
-        return np.asarray(self._box()[0], dtype=float)
-
-    @_once
-    def hi(self) -> np.ndarray:
-        return np.asarray(self._box()[1], dtype=float)
+    def box(self):
+        """The box (lo, hi) as two arrays, made when first read."""
+        lo, hi = self._box()
+        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     @_once
     def e(self) -> np.ndarray:
@@ -274,11 +288,12 @@ class Ldp:
         the box violates some row by more than tol*max(1, ||box||inf).
         Anything else is MAX_ITER with the candidate point.
 
-        Before `nnls`, the maps of the rows' memo are tried newest first
-        (`_continued`); a solve whose `nnls` point has a set that passes
-        the same certificate returns that map's point and keeps the map,
-        so the answer does not depend on which path found it. Each exit is
-        counted in `EXITS`.
+        After x_u itself, a kernel without equality rows tries the clip of
+        x_u to the box (`_clipped`). Then, before `nnls`, the maps of the
+        rows' memo are tried newest first (`_continued`); a solve whose `nnls` point has a
+        set that passes the same certificate returns that map's point and
+        keeps the map, so the answer does not depend on which path found
+        it. Each exit is counted in `EXITS`.
         """
         xu = q / self.neg_d
         slack = self.a.dot(xu)
@@ -293,32 +308,36 @@ class Ldp:
         if top <= 0.0:
             EXITS["shortcut"] += 1
             return xu, OPTIMAL, 0, 0.0
+        rows = self.rows
         # top > max(rho) makes s > 1 below, where the overflow exit cannot
         # fire; otherwise that exit's own test comes first
-        rows = self.rows
         far = top > rows.rho_max
-        if far:
-            hit = self._continued(xu, slack, tol)
-            if hit is not None:
-                return hit
-        h = slack / rows.rho
-        s = float(h.max())  # scaled so the LDP solution has ||z|| >= 1
-        # h/s overflows when x_u misses by a subnormal; never for s > 1,
-        # where s * FLOAT_MAX is inf
-        if s <= 1.0 and -float(h.min()) > s * FLOAT_MAX:
-            EXITS["shortcut"] += 1
-            return xu, OPTIMAL, 0, self.violation(xu)
         if not far:
-            hit = self._continued(xu, slack, tol)
+            # scaled so the LDP solution has ||z|| >= 1
+            h = slack / rows.rho
+            s = float(h.max())
+            # h/s overflows when x_u misses by a subnormal
+            if s <= 1.0 and -float(h.min()) > s * FLOAT_MAX:
+                EXITS["shortcut"] += 1
+                return xu, OPTIMAL, 0, self.violation(xu)
+        if not rows.n_eq:
+            hit = self._clipped(xu, tol)
             if hit is not None:
-                return hit
+                EXITS["clip"] += 1
+                return hit[0], OPTIMAL, 1, hit[1]
+        hit = self._continued(xu, slack, tol)
+        if hit is not None:
+            return hit
+        if far:
+            h = slack / rows.rho
+            s = float(h.max())
         e = self.e
         e[-1] = h / s
         try:
             u, _ = nnls(e, rows.unit, maxiter=NNLS_MAX_ITER)
         except RuntimeError:  # iteration cap
             EXITS[MAX_ITER] += 1
-            x = np.clip(xu, self.lo, self.hi)
+            x = np.clip(xu, *self.box)
             return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
         r = e.dot(u) - rows.unit
         if r[-1] < 0.0:
@@ -352,13 +371,34 @@ class Ldp:
                 EXITS["nnls"] += 1
                 return x, OPTIMAL, 1, viol
         else:
-            x = np.clip(xu, self.lo, self.hi)
+            x = np.clip(xu, *self.box)
             viol = self.violation(x)
         if self._certifies_empty(u / rows.rho, tol):
             EXITS[INFEASIBLE] += 1
             return None, INFEASIBLE, 1, np.inf
         EXITS[MAX_ITER] += 1
         return x, MAX_ITER, 1, viol
+
+    def _clipped(self, xu, tol: float):
+        """(x, violation) for x = clip(x_u, lo, hi) over the box when x
+        holds every row to t = tol*max(1, ||x||inf), else None. The
+        objective is separable, so x minimizes it over the box, which
+        contains the polytope: when x holds every row, it is the optimum.
+        The reductions run on Python floats; a NaN anywhere rejects."""
+        lo, hi = self.box
+        x = np.minimum(np.maximum(xu, lo), hi)
+        xl = x.tolist()
+        v = self.a.dot(x)
+        v -= self.b
+        vl = v.tolist()
+        top = max(vl)
+        if not top <= tol * max(1.0, max(xl), -min(xl)):
+            return None
+        total = sum(xl) + sum(vl)
+        # a NaN sum also comes from +inf and -inf without any NaN
+        if total != total and any(map(math.isnan, xl + vl)):
+            return None
+        return x, max(top, 0.0)
 
     def _continued(self, xu, slack, tol: float):
         """The solve's return when a map of the rows' memo, tried newest
@@ -427,10 +467,10 @@ class Ldp:
         exceeds tol*x_scale*sum(y) at every x of the box, where x_scale is
         the largest finite box bound (at least 1)."""
         c = self.a.T.dot(y)
+        lo, hi = self.box
         with np.errstate(invalid="ignore"):
-            low = np.where(c > 0.0, c * self.lo, np.where(c < 0.0, c * self.hi,
-                                                         0.0))
-        bounds = np.abs(np.concatenate([self.lo, self.hi]))
+            low = np.where(c > 0.0, c * lo, np.where(c < 0.0, c * hi, 0.0))
+        bounds = np.abs(np.concatenate([lo, hi]))
         x_scale = max(1.0, float(np.max(bounds[np.isfinite(bounds)],
                                         initial=0.0)))
         return float(np.sum(low) - self.b.dot(y)) > tol * x_scale * float(np.sum(y))
@@ -590,21 +630,17 @@ class HorizonQp:
         running minimum over 0 <= j <= k taken step by step (and numpy's
         accumulate, NaN included: an infinite ramp makes every bound
         NaN); lo_k likewise, with the maximum."""
-        s0, steps, highs, lows, _, _ = self._fixed.reach
-        hi, lo = self._hi0 - s0, self._lo0 + s0
-        his, los = [hi + s0], [lo - s0]
-        for s, high, low in zip(steps, highs, lows):
-            x, y = hi + s, lo - s
-            his.append(high if high < x else x)
-            los.append(low if low > y else y)
-        return los, his
+        return self._fixed.envelope(self._lo0, self._hi0)
 
     @_once
     def ldp(self) -> Ldp:
         """The LDP form of this constraint set and Hessian, built once. Its
         rows, and its right-hand side but for the rows the state sets, are
-        its fixed part's for its row pattern (`_FixedPart.kernel`); the
-        box is made only when the kernel first reads it."""
+        its fixed part's for its row pattern (`_FixedPart.kernel`). Its box
+        is the reach envelope (`envelope`), the bounds that the box and the
+        ramp from the anchor put on each step, or the effective box for an
+        infinite ramp, whose envelope is NaN (`_FixedPart.box`); it is
+        made only when the kernel first reads it."""
         fixed, lo0, hi0 = self._fixed, self._lo0, self._hi0
         rows, base, upper_row, lower_row, prefix = fixed.kernel(self._flags)
         b = base.copy()
@@ -621,8 +657,8 @@ class HorizonQp:
                 + ([neg_lower] * self.h if flags[3] else [])
             tail /= norms
         # the box reads the fixed part and the floats, not this problem,
-        # which holds the LDP
-        return Ldp.scaled(rows, b, lambda: fixed.anchored(lo0, hi0))
+        # which holds the LDP: a step's problems are then no cyclic garbage
+        return Ldp.scaled(rows, b, lambda: fixed.box(lo0, hi0))
 
 
 class _FixedPart:
@@ -709,6 +745,26 @@ class _FixedPart:
             lows.append(most - s)
         return (ramp * 0, steps, highs, lows, min(highs, default=math.inf),
                 max(lows, default=-math.inf))
+
+    def envelope(self, lo0: float, hi0: float):
+        """The reach envelope (los, his) of `HorizonQp.envelope` at the
+        step-0 bounds ``lo0`` and ``hi0``, as two lists of floats."""
+        s0, steps, highs, lows, _, _ = self.reach
+        hi, lo = hi0 - s0, lo0 + s0
+        his, los = [hi + s0], [lo - s0]
+        for s, high, low in zip(steps, highs, lows):
+            x, y = hi + s, lo - s
+            his.append(high if high < x else x)
+            los.append(low if low > y else y)
+        return los, his
+
+    def box(self, lo0: float, hi0: float):
+        """The box of the kernel at the step-0 bounds ``lo0`` and ``hi0``:
+        the reach envelope, or for an infinite ramp, whose envelope is
+        NaN, the box with step 0's bounds replaced (`anchored`)."""
+        if self.ramp < math.inf:
+            return self.envelope(lo0, hi0)
+        return self.anchored(lo0, hi0)
 
     def anchored(self, lo0: float, hi0: float):
         """The box as two lists of floats (lo, hi), with step 0's bounds

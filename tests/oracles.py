@@ -239,8 +239,9 @@ def reach_bounds(qps, p_f):
     a node's step-k power lies within [max_j (lo_j - (k-j) ramp),
     min_j (hi_j + (k-j) ramp)] over j <= k."""
     steps = np.outer([p.ramp_limit for p in qps], np.arange(p_f.size))
-    hi = np.minimum.accumulate([p.ldp.hi for p in qps] - steps, axis=1) + steps
-    lo = np.maximum.accumulate([p.ldp.lo for p in qps] + steps, axis=1) - steps
+    lo, hi = (np.array(v) for v in zip(*(p.effective_box() for p in qps)))
+    hi = np.minimum.accumulate(hi - steps, axis=1) + steps
+    lo = np.maximum.accumulate(lo + steps, axis=1) - steps
     return (max(0.0, float((p_f - hi.sum(axis=0)).max())),
             max(0.0, float((lo.sum(axis=0) - p_f).max())))
 

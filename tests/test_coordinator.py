@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -422,6 +424,45 @@ class TestPathIndependence:
         assert coordinator._fleet_rows.cache_info().currsize == 5
 
 
+class TestGarbage:
+    def test_a_step_leaves_no_cyclic_garbage(self, monkeypatch):
+        # with the collector off, reference counting alone must free a
+        # step's node problems once `coordinate` returns: nothing that
+        # they hold, their kernels' boxes included, refers back to them.
+        # Cycles there would leave every step's problems to the
+        # collector, whose passes lengthen the closed loop's tail
+        refs = []
+        build = coordinator._node_problems
+
+        def recorded(fleet, h):
+            gen, batt = build(fleet, h)
+            refs.extend(weakref.ref(p) for p in gen + batt)
+            return gen, batt
+
+        monkeypatch.setattr(coordinator, "_node_problems", recorded)
+        rng = np.random.default_rng(41)
+        cases = [(fleet, p_f, {"bal_tol_w": tol, "max_iter": 5000})
+                 for fleet, p_f, tol in criterion_1_fleets(3)]
+        for _ in range(3):  # demand beyond the fleet: the reach exit
+            fleet = random_fleet(rng)
+            _, hi = fleet_reach_intervals(fleet, 5)
+            cases.append((fleet, hi + rng.uniform(1e6, 5e6, 5), {}))
+        exits = qpmod.EXITS.copy()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for fleet, p_f, kwargs in cases:
+                for warm in (None, np.zeros(5)):
+                    coordinate(fleet, p_f, lambda_warm=warm, **kwargs)
+                    assert refs and all(r() is None for r in refs)
+                    refs.clear()
+        finally:
+            if enabled:
+                gc.enable()
+        # the steps read their kernels' boxes
+        assert (qpmod.EXITS - exits)["clip"] > 0
+
+
 class TestTracerContract:
     """`perfbench/tracing.py` times the node and QP layers by replacing
     `coordinator.pgm_solve`, `coordinator.pcm_solve` and `qp.solve` under
@@ -714,6 +755,26 @@ class TestEnvelopePrice:
         assert set(tried) == {(kind, extra) for kind in range(3)
                               for extra in ("none", "infinite box",
                                             "infinite ramp")}
+
+    def test_a_saturated_step_stops_at_the_least_breakpoint(self):
+        # a demand that the nodes' upper bounds, none of them infinite,
+        # cannot exceed: the sweep stops at its first breakpoint, which
+        # is the least upper one, and returns it without the sort
+        rng = np.random.default_rng(37)
+        for i in range(60):
+            fleet = random_fleet(rng)
+            h = 1 + i % 6
+            gen, batt = _node_problems(fleet, h)
+            t, w = fleet.targets(), fleet.weights()
+            envelopes = [p.envelope for p in gen + batt]
+            for k in range(h):
+                nodes = [(ti, wi, los[k], his[k])
+                         for ti, wi, (los, his) in zip(t, w, envelopes)]
+                top = sum(hi for _, _, _, hi in nodes)
+                points = [wi * (ti - b) for ti, wi, lo, hi in nodes
+                          for b in (lo, hi)]
+                for d in (top, top + rng.uniform(0.0, 1e7)):
+                    assert _swept_price(nodes, d).hex() == min(points).hex()
 
     def test_matches_the_bisection_oracle(self):
         rng = np.random.default_rng(29)

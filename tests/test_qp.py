@@ -27,6 +27,7 @@ from oracles import (
     horizon_qp_matrices,
     horizon_rhs,
     min_max_violation,
+    reach_envelope,
     unit_rows,
 )
 
@@ -248,13 +249,21 @@ class TestStatuses:
             raise RuntimeError("Maximum number of iterations reached.")
 
         monkeypatch.setattr(qpmod, "nnls", capped)
+        # x_u = (-5, 2, -1/3) clipped to the reach envelope misses the ramp
+        # row from step 0 to step 1
         s = solve(qp, [5.0, -4.0, 1.0])
         assert s.status == MAX_ITER
         assert np.all(np.isfinite(s.profile))
-        # a coordination whose node solves hit the cap still returns
+        # a coordination whose node solves hit the cap still returns: a
+        # demand that swings by 20 MW from step to step, which the
+        # generator's 2 MW ramp rows cannot follow between interior
+        # points, with no active-set map kept from before
+        qpmod._fixed_part.cache_clear()
+        qpmod._ldp_rows.cache_clear()
         fleet = Fleet(bus=BusSpec(), pgms=[PgmNodeState(PgmSpec(), 30e6)],
                       pcms=[PcmNodeState(PcmSpec(), 0.5, 0.0)])
-        rep = coordinate(fleet, np.full(5, 60e6), max_iter=3)
+        rep = coordinate(fleet, np.array([56e6, 36e6, 56e6, 36e6, 56e6]),
+                         max_iter=3)
         assert not rep.converged
         assert rep.gen[0].qp_status == MAX_ITER
 
@@ -371,10 +380,19 @@ class TestValidation:
         assert s.profile[0] == pytest.approx(0.8, abs=1e-9)
 
 
+def kernel_box(qp):
+    """The box that the kernel of ``qp`` gets, built by its definition:
+    the reach envelope, or the effective box for an infinite ramp."""
+    if np.isfinite(qp.ramp_limit):
+        return reach_envelope(qp)
+    return qp.effective_box()
+
+
 def fresh_ldp(qp):
-    """The kernel of ``qp`` built without the rows memo."""
+    """The kernel of ``qp`` built without the rows memo, over the box of
+    its own kernel."""
     a, b = qp.constraint_rows()
-    return qpmod.Ldp(qpmod.LdpRows(qp.quad_diag, a), b, *qp.effective_box())
+    return qpmod.Ldp(qpmod.LdpRows(qp.quad_diag, a), b, *kernel_box(qp))
 
 
 def assert_same_solve(got, want):
@@ -511,11 +529,17 @@ class TestRightHandSide:
         keep = np.isfinite(b)
         a_rows, b_rows = qp.constraint_rows()
         assert a_rows.shape == (keep.sum(), h)
+        # the kernel's box is the reach envelope, array by array, or the
+        # effective box for an infinite ramp
+        box = (lo, hi)
+        if not ramp_inf:
+            steps = kw["ramp_limit"] * np.arange(h)
+            box = (np.maximum.accumulate(lo + steps) - steps,
+                   np.minimum.accumulate(hi - steps) + steps)
         pairs = [(qp.quad_diag, np.full(h, weight)),
                  (qp.lower, np.full(h, lower)), (qp.upper, np.full(h, upper)),
-                 *zip(qp.effective_box(), (lo, hi)),
-                 (qp.ldp.lo, lo), (qp.ldp.hi, hi), (b_rows, b[keep]),
-                 (qp.ldp.b, b[keep] / qp.ldp.rows.norms)]
+                 *zip(qp.effective_box(), (lo, hi)), *zip(qp.ldp.box, box),
+                 (b_rows, b[keep]), (qp.ldp.b, b[keep] / qp.ldp.rows.norms)]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
         # the kept-row flags and the rows key come from the fixed part's
@@ -561,6 +585,31 @@ def counted_nnls(monkeypatch):
     return calls
 
 
+def ramped_box():
+    """A problem whose ramp rows bind between interior points: ramp 0.5
+    from 0 within [-1, 1], so that its reach envelope is
+    [-0.5, 0.5] x [-1, 1] x [-1, 1]."""
+    return HorizonQp(h=3, quad_diag=1.0, lower=-1.0, upper=1.0,
+                     ramp_limit=0.5, prev_value=0.0)
+
+
+def one_ramp(t):
+    """An x_u of `ramped_box` that only the ramp up from step 0 to step 1
+    moves, by less than max(rho), for t in [0, 1]."""
+    return np.array([0.2 - 0.1 * t, 0.9, 0.6])
+
+
+def two_ramps(t):
+    """An x_u of `ramped_box` beyond its box that the ramps down from step
+    0 and up to step 2 move, by more than max(rho), for t in [0, 1]."""
+    return np.array([3.0 - 0.5 * t, -3.0, 0.3])
+
+
+# an infinite box: it contains every polytope, and the clip of x_u to it
+# is x_u, which answers no solve that the shortcut does not
+NO_BOX = (np.full(2, -np.inf), np.full(2, np.inf))
+
+
 class TestActiveSetContinuation:
     """`Ldp.solve` first tries the active set of its last certified solve;
     an answer must not depend on whether that shortcut was taken."""
@@ -582,26 +631,28 @@ class TestActiveSetContinuation:
             lin = lin + size * scale * rng.uniform(-1.0, 1.0, qp.h)
 
     def test_walk_in_one_region_calls_nnls_once(self, monkeypatch):
-        qp = HorizonQp(h=3, quad_diag=1.0, lower=-1.0, upper=1.0,
-                       ramp_limit=10.0, prev_value=0.0)
+        qp = ramped_box()
         ldp = fresh_ldp(qp)
         calls = counted_nnls(monkeypatch)
-        # x_u = (2 + t, -0.5, 0.3): only the upper bound of step 0 binds
+        # x_u = (0.2 - 0.1 t, 0.9, 0.6): only the ramp up from step 0 to
+        # step 1 binds
         for t in np.linspace(0.0, 1.0, 8):
-            x, status, iters, _ = ldp.solve(np.array([-2.0 - t, 0.5, -0.3]),
-                                            1e-8)
+            x, status, iters, _ = ldp.solve(-one_ramp(t), 1e-8)
             assert status == OPTIMAL and iters == 1
-            np.testing.assert_allclose(x, [1.0, -0.5, 0.3], atol=1e-12)
+            np.testing.assert_allclose(x, [0.3 - 0.05 * t, 0.8 - 0.05 * t,
+                                           0.6], atol=1e-12)
         assert len(calls) == 1
-        # a jump to x_u = (-2, -3, 0.3) binds two lower bounds instead
+        # a jump to x_u = (3 - 0.5 t, -3, 0.3), beyond the box, binds the
+        # ramps down from step 0 and up to step 2 instead
         for t in np.linspace(0.0, 1.0, 8):
-            x, status, _, _ = ldp.solve(np.array([2.0, 3.0 + t, -0.3]), 1e-8)
-            np.testing.assert_allclose(x, [-1.0, -1.0, 0.3], atol=1e-12)
+            x, status, _, _ = ldp.solve(-two_ramps(t), 1e-8)
+            c = -(0.5 * t + 0.7) / 3.0
+            np.testing.assert_allclose(x, [c + 0.5, c, c + 0.5], atol=1e-12)
         assert len(calls) == 2
         # a new kernel over the same rows starts from their last active set
         _, b = qp.constraint_rows()
-        other = qpmod.Ldp(ldp.rows, b, *qp.effective_box())
-        other.solve(np.array([2.5, 3.5, 0.1]), 1e-8)
+        other = qpmod.Ldp(ldp.rows, b, *kernel_box(qp))
+        other.solve(-np.array([2.9, -3.1, 0.2]), 1e-8)
         assert len(calls) == 2
 
     def test_equality_rows_build_no_map(self, monkeypatch):
@@ -626,9 +677,7 @@ class TestActiveSetContinuation:
     def test_each_active_set_is_factored_once(self, monkeypatch):
         # prices alternating between two regions take turns as the newest
         # map; each region's map is factored once and then reused
-        qp = HorizonQp(h=3, quad_diag=1.0, lower=-1.0, upper=1.0,
-                       ramp_limit=10.0, prev_value=0.0)
-        ldp = fresh_ldp(qp)
+        ldp = fresh_ldp(ramped_box())
         factored = []
         eigh = np.linalg.eigh
 
@@ -639,15 +688,14 @@ class TestActiveSetContinuation:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         calls = counted_nnls(monkeypatch)
         for _ in range(5):
-            # x_u = (2, -0.5, 0.3), then (-2, -3, 0.3): one upper bound,
-            # then two lower bounds bind
-            ldp.solve(np.array([-2.0, 0.5, -0.3]), 1e-8)
-            ldp.solve(np.array([2.0, 3.0, -0.3]), 1e-8)
+            # one ramp row binds, then two
+            ldp.solve(-one_ramp(0.0), 1e-8)
+            ldp.solve(-two_ramps(0.0), 1e-8)
         assert factored == [(1, 1), (2, 2)]
-        # x_u misses the first region by 1 = max(rho), where the
-        # subnormal-overflow exit is tested first and does not fire: each
-        # region calls `nnls` once, and later solves take its map from the
-        # memo
+        # x_u misses the first region's row by less than max(rho) = 1,
+        # where the subnormal-overflow exit is tested first and does not
+        # fire, and the second's by more: each region calls `nnls` once,
+        # and later solves take its map from the memo
         assert len(calls) == 2
 
     def test_memo_holds_only_maps_that_certified(self, monkeypatch):
@@ -692,8 +740,7 @@ class TestActiveSetContinuation:
         monkeypatch.setattr(qpmod.LdpRows, "active_map", recorded)
         a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         rows = qpmod.LdpRows(np.ones(2), a)
-        ldp = qpmod.Ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]),
-                        np.full(2, -10.0), np.full(2, 1.0))
+        ldp = qpmod.Ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]), *NO_BOX)
         (x, status, _, _), exit_ = solve_exit(
             ldp, -np.array([1.0 + 1e-3, 1.0 - 4e-9]), 1e-8)
         assert (status, exit_) == (OPTIMAL, "nnls") and x[1] < 1.0
@@ -733,7 +780,7 @@ class TestWeaklyActiveRows:
     """A row active at the optimum with a zero multiplier certifies, on the
     newest map, an older one and the `nnls` path alike."""
 
-    @given(h=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+    @given(h=st.integers(4, 8), seed=st.integers(0, 2**32 - 1),
            weight=st.floats(1e-6, 10.0), ulps=st.integers(-4, 4))
     @settings(max_examples=100, deadline=None)
     def test_ramp_at_its_limit_for_two_steps(self, h, seed, weight, ulps):
@@ -746,14 +793,19 @@ class TestWeaklyActiveRows:
                        ramp_limit=ramp, prev_value=prev)
         # step 0 wants below its ramp anchor prev - ramp; from step 1 on,
         # x_u sits on (or within rounding of) the row ramping down from
-        # step 0 to step 1, which is then active with a zero multiplier
+        # step 0 to step 1, which is then active with a zero multiplier.
+        # The last step wants more than a ramp above the one before: that
+        # ramp row binds between interior points, so the clip of x_u to
+        # the reach envelope misses it
         below = prev - ramp - rng.uniform(0.1, 0.5) * ramp
         on_row = prev - 2.0 * ramp
         for _ in range(abs(ulps)):
             on_row = np.nextafter(on_row, ulps * np.inf)
-        weak = -weight * np.array([below] + [on_row] * (h - 1))
-        # only the anchored bound of step 0 binds
-        flat = -weight * np.full(h, below)
+        jump = ramp + rng.uniform(0.1, 0.5) * ramp
+        weak = -weight * np.array([below] + [on_row] * (h - 2)
+                                  + [on_row + jump])
+        # only the anchored bound of step 0 and the last ramp row bind
+        flat = -weight * np.array([below] * (h - 1) + [below + jump])
         for tol in (1e-8, 1e-6):
             cold, exit_ = solve_exit(fresh_ldp(qp), weak, tol)
             assert exit_ == "nnls" and cold[1] == OPTIMAL
@@ -778,8 +830,7 @@ class TestWeaklyActiveRows:
         b = np.array([1.0, 1.0, 10.0, 10.0])
 
         def kernel():
-            return qpmod.Ldp(qpmod.LdpRows(np.ones(2), a), b,
-                             np.full(2, -10.0), np.full(2, 1.0))
+            return qpmod.Ldp(qpmod.LdpRows(np.ones(2), a), b, *NO_BOX)
 
         warm = kernel()
         _, exit_ = solve_exit(warm, np.array([-5.0, -2.0]), 1e-8)
@@ -788,6 +839,50 @@ class TestWeaklyActiveRows:
         got = warm.solve(q, 1e-8)
         assert got[0][1] < 1.0
         assert_same_solve(got, kernel().solve(q, 1e-8))
+
+
+class TestClipExit:
+    """A solve that the clip of x_u to the kernel's box answers returns the
+    exact clip, and the optimum."""
+
+    @given(**row_patterns)
+    @settings(max_examples=150, deadline=None)
+    def test_clip_exits_are_the_optimum(self, **pattern):
+        rng, problem = pattern_problems(**pattern)
+        for tol in (1e-8, 1e-6):
+            qp, lin = problem()
+            box = kernel_box(qp)
+            # also an x_u beyond one side of the box at every step where
+            # that side is finite, which the clip answers more often
+            side = 1 if rng.uniform() < 0.5 else 0
+            beyond = np.asarray(box[side]) \
+                + (2 * side - 1) * np.abs(lin / qp.quad_diag)
+            beyond = np.where(np.isfinite(beyond), beyond,
+                              lin / -qp.quad_diag)
+            for q in (lin, -qp.quad_diag * beyond):
+                self.check(qp, box, q, tol)
+
+    @staticmethod
+    def check(qp, box, lin, tol):
+        """Solve at ``lin`` and, on a clip exit, check the point."""
+        (x, status, _, viol), exit_ = solve_exit(qp.ldp, lin, tol)
+        if exit_ == "clip":
+            xu = lin / -qp.quad_diag
+            assert status == OPTIMAL
+            assert x.tobytes() == np.clip(xu, *box).tobytes()
+            t = tol * max(1.0, float(np.abs(x).max()))
+            a, b = unit_rows(*qp.constraint_rows())
+            v = a @ x - b
+            assert viol == max(float(v.max()), 0.0) <= t
+            # x holds the rows to t, so if it is the optimum over the rows
+            # active within a margin, whose set holds the polytope, it is
+            # the optimum over the polytope
+            near = v >= -1e-6 * max(1.0, float(np.abs(x).max()))
+            assume(near.sum() <= 12)
+            x_ref, _ = enumerate_qp(qp.quad_diag, lin, a[near], b[near],
+                                    tol=t)
+            assert x_ref is not None
+            np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=t)
 
 
 def stacked_kernel(qps, p_f):
@@ -972,14 +1067,16 @@ class TestNanInputs:
 
     def warm_kernel(self):
         """A kernel whose memo holds two maps, and linear terms whose x_u
-        is inside the box, above it at step 0 (the older map's set) and
-        below it at steps 0 and 1 (the newest map's)."""
+        is inside the polytope, ramps up too fast from step 0 (the older
+        map's set: one ramp row binds) and down too fast from step 0 and
+        from step 1 (the newest map's: two). Ramp rows bind between
+        interior points, so the clip of x_u answers none of them."""
         qp = HorizonQp(h=5, quad_diag=1.0, lower=-1.0, upper=1.0,
-                       ramp_limit=10.0, prev_value=0.0)
+                       ramp_limit=0.5, prev_value=0.0)
         ldp = fresh_ldp(qp)
-        inside = -np.array([0.1, 0.5, 0.3, -0.2, 0.1])
-        above = -np.array([2.0, 0.5, 0.3, -0.2, 0.1])
-        below = -np.array([-2.0, -3.0, 0.3, 0.2, 0.1])
+        inside = -np.array([0.1, 0.5, 0.3, -0.1, 0.1])
+        above = -np.array([0.2, 0.9, 0.6, 0.3, 0.1])
+        below = -np.array([0.4, -0.3, -0.9, -0.6, -0.3])
         assert solve_exit(ldp, inside, 1e-8)[1] == "shortcut"
         for lin in (above, below):
             assert solve_exit(ldp, lin, 1e-8)[1] == "nnls"
@@ -1003,7 +1100,8 @@ class TestNanInputs:
                 q = lin.copy()
                 q[i] = np.nan
                 exits = self.exits(ldp, q)
-                assert not exits & {"shortcut", "hint", "memo"}, (i, exits)
+                assert not exits & {"shortcut", "clip", "hint", "memo"}, \
+                    (i, exits)
 
     def test_nan_in_one_right_hand_side(self):
         # only that row's slack is NaN, wherever it sits
@@ -1012,17 +1110,20 @@ class TestNanInputs:
         for k in range(b.size):
             b_nan = b.copy()
             b_nan[k] = np.nan
-            kernel = qpmod.Ldp(ldp.rows, b_nan, *qp.effective_box())
+            kernel = qpmod.Ldp(ldp.rows, b_nan, *kernel_box(qp))
             for lin in lins:
                 exits = self.exits(kernel, lin)
-                assert not exits & {"shortcut", "hint", "memo"}, (k, exits)
+                assert not exits & {"shortcut", "clip", "hint", "memo"}, \
+                    (k, exits)
 
 
 class TestExitCounters:
     def test_default_run_keeps_nnls_off_the_dual_iteration(self,
                                                            monkeypatch):
-        # the 300 s default run takes 823 LDP solves; before weakly active
-        # rows certified and the memo was tried, 272 of them called `nnls`
+        # the 300 s default run takes 600 LDP solves. Before weakly active
+        # rows certified and the memo was tried, 272 of 823 called `nnls`;
+        # before the clip exit, 4 did and 87 took an older map. Each of
+        # those optima is the clip of x_u to the reach envelope
         solves = []
         solve = qpmod.Ldp.solve
 
@@ -1033,7 +1134,7 @@ class TestExitCounters:
         monkeypatch.setattr(qpmod.Ldp, "solve", counted)
         qpmod.EXITS.clear()
         run_scenario(dataclasses.replace(default_config(), duration_s=300.0))
-        assert set(qpmod.EXITS) <= {"shortcut", "hint", "memo", "nnls",
-                                    MAX_ITER, INFEASIBLE}
+        assert set(qpmod.EXITS) <= {"shortcut", "clip", "hint", "memo",
+                                    "nnls", MAX_ITER, INFEASIBLE}
         assert sum(qpmod.EXITS.values()) == len(solves)
-        assert qpmod.EXITS["nnls"] <= 40
+        assert qpmod.EXITS["nnls"] == 0 and qpmod.EXITS["memo"] == 0
