@@ -48,18 +48,19 @@ builds no rows.
 
 The box of a node's kernel is its reach envelope (`HorizonQp.envelope`):
 per step, the bounds that the box and the ramp from the anchor put on it
-together, which hold the polytope (for an infinite ramp, whose envelope
-is NaN, the effective box). The objective is separable, so
-clip(x_u, lo, hi) minimizes it over that box; when that point holds
-every row, it is the optimum over the polytope. A solve tries it right
-after x_u itself, before any map (exit "clip"), so its answer depends
-only on the problem, the price and the tolerance. At the envelope price
-that `coordinate` starts from, most node solves end there, among them a
-generator that ramps at its limit onto its box, an optimum with more
-active rows than steps, whose K_S is singular, so that no map
-certifies it. A clipped point that misses a row, as when a ramp or SoC
-row binds between interior points, leaves the solve to the maps and
-`nnls`.
+together, which hold the polytope, up to a rounding far inside the
+kernel's tolerance at any ramp (`_FixedPart.reach`); for an infinite
+ramp, whose envelope is NaN, the effective box. The objective is
+separable, so clip(x_u, lo, hi) minimizes it over that box; when that
+point holds every row, it is the optimum over the polytope. A solve
+tries it right after x_u itself, before any map (exit "clip"), so its
+answer depends only on the problem, the price and the tolerance. At the
+envelope price that `coordinate` starts from, most node solves end
+there, among them a generator that ramps at its limit onto its box, an
+optimum with more active rows than steps, whose K_S is singular, so
+that no map certifies it. A clipped point that misses a row, as when a
+ramp or SoC row binds between interior points, leaves the solve to the
+maps and `nnls`.
 
 Successive prices of a dual ascent mostly leave a node's active set S
 unchanged. The solution on S is affine in the slack r = a_S x_u - b_S of
@@ -290,10 +291,10 @@ class Ldp:
 
         After x_u itself, a kernel without equality rows tries the clip of
         x_u to the box (`_clipped`). Then, before `nnls`, the maps of the
-        rows' memo are tried newest first (`_continued`); a solve whose `nnls` point has a
-        set that passes the same certificate returns that map's point and
-        keeps the map, so the answer does not depend on which path found
-        it. Each exit is counted in `EXITS`.
+        rows' memo are tried newest first (`_continued`); a solve whose
+        `nnls` point has a set that passes the same certificate returns
+        that map's point and keeps the map, so the answer does not depend
+        on which path found it. Each exit is counted in `EXITS`.
         """
         xu = q / self.neg_d
         slack = self.a.dot(xu)
@@ -308,29 +309,25 @@ class Ldp:
         if top <= 0.0:
             EXITS["shortcut"] += 1
             return xu, OPTIMAL, 0, 0.0
-        rows = self.rows
         # top > max(rho) makes s > 1 below, where the overflow exit cannot
         # fire; otherwise that exit's own test comes first
+        rows = self.rows
         far = top > rows.rho_max
-        if not far:
-            # scaled so the LDP solution has ||z|| >= 1
-            h = slack / rows.rho
-            s = float(h.max())
-            # h/s overflows when x_u misses by a subnormal
-            if s <= 1.0 and -float(h.min()) > s * FLOAT_MAX:
-                EXITS["shortcut"] += 1
-                return xu, OPTIMAL, 0, self.violation(xu)
-        if not rows.n_eq:
-            hit = self._clipped(xu, tol)
-            if hit is not None:
-                EXITS["clip"] += 1
-                return hit[0], OPTIMAL, 1, hit[1]
-        hit = self._continued(xu, slack, tol)
-        if hit is not None:
-            return hit
         if far:
-            h = slack / rows.rho
-            s = float(h.max())
+            hit = self._clipped(xu, tol) or self._continued(xu, slack, tol)
+            if hit is not None:
+                return hit
+        h = slack / rows.rho
+        s = float(h.max())  # scaled so the LDP solution has ||z|| >= 1
+        # h/s overflows when x_u misses by a subnormal; never for s > 1,
+        # where s * FLOAT_MAX is inf
+        if s <= 1.0 and -float(h.min()) > s * FLOAT_MAX:
+            EXITS["shortcut"] += 1
+            return xu, OPTIMAL, 0, self.violation(xu)
+        if not far:
+            hit = self._clipped(xu, tol) or self._continued(xu, slack, tol)
+            if hit is not None:
+                return hit
         e = self.e
         e[-1] = h / s
         try:
@@ -380,11 +377,14 @@ class Ldp:
         return x, MAX_ITER, 1, viol
 
     def _clipped(self, xu, tol: float):
-        """(x, violation) for x = clip(x_u, lo, hi) over the box when x
-        holds every row to t = tol*max(1, ||x||inf), else None. The
+        """The solve's return for x = clip(x_u, lo, hi) over the box when
+        the rows hold no equality rows and x holds every row to
+        t = tol*max(1, ||x||inf), else None; counted as "clip". The
         objective is separable, so x minimizes it over the box, which
         contains the polytope: when x holds every row, it is the optimum.
         The reductions run on Python floats; a NaN anywhere rejects."""
+        if self.rows.n_eq:
+            return None
         lo, hi = self.box
         x = np.minimum(np.maximum(xu, lo), hi)
         xl = x.tolist()
@@ -398,7 +398,8 @@ class Ldp:
         # a NaN sum also comes from +inf and -inf without any NaN
         if total != total and any(map(math.isnan, xl + vl)):
             return None
-        return x, max(top, 0.0)
+        EXITS["clip"] += 1
+        return x, OPTIMAL, 1, max(top, 0.0)
 
     def _continued(self, xu, slack, tol: float):
         """The solve's return when a map of the rows' memo, tried newest
@@ -623,13 +624,17 @@ class HorizonQp:
         two lists (los, his), which are not to be changed.
 
         That is hi_k = min(hi_0 + k*ramp, M_k), with M_k the device's, from
-        its fixed part's `reach`: the least of hi_j + (k-j)*ramp over
-        1 <= j <= k, taken as a running minimum of hi_j - j*ramp. A step
-        supplies only its hi_0, into which the ramp anchor is folded.
-        Rounding is monotone, so on Python floats this is bitwise the
-        running minimum over 0 <= j <= k taken step by step (and numpy's
-        accumulate, NaN included: an infinite ramp makes every bound
-        NaN); lo_k likewise, with the maximum."""
+        its fixed part's `reach`: the least of hi_k itself and of
+        hi_j + (k-j)*ramp over 1 <= j < k, the latter taken as a running
+        minimum of hi_j - j*ramp. A step supplies only its hi_0, into
+        which the ramp anchor is folded. Rounding is monotone, so on Python
+        floats this is bitwise hi_k against the running minimum over
+        0 <= j < k taken step by step (and numpy's accumulate, NaN
+        included: an infinite ramp makes every bound NaN); lo_k likewise,
+        with the maximum. The envelope holds every point of the polytope
+        up to the rounding of the carried bounds, a few ulps of j*ramp
+        where such a bound binds, which is within a few times h ulps of
+        the point's largest entry (`_FixedPart.reach`)."""
         return self._fixed.envelope(self._lo0, self._hi0)
 
     @_once
@@ -670,8 +675,9 @@ class _FixedPart:
 
     For the reach envelope (`HorizonQp.envelope`), `reach` holds what
     the box after step 0 and the ramp put on every step, built once: per
-    step k >= 1, the running extremes of hi_j - j*ramp and lo_j + j*ramp
-    over 1 <= j <= k with k*ramp added back, and their extremes over k.
+    step k >= 1, the step's own bounds against the running extremes of
+    hi_j - j*ramp and lo_j + j*ramp over 1 <= j < k with k*ramp added
+    back, and their extremes over k.
 
     `pattern` maps the finiteness of the rows a state sets to the kept-row
     flags and the `_ldp_rows` key, and `kernel` to the kernel's rows and
@@ -726,23 +732,41 @@ class _FixedPart:
     def reach(self):
         """What a reach envelope reads (`HorizonQp.envelope`), built
         when first asked for: the ramp's reach 0*ramp at step 0 (NaN for
-        an infinite ramp); k*ramp for k = 1..h-1; M_k = m_k + k*ramp and
-        N_k = n_k - k*ramp, where m_k is the least of hi_j - j*ramp and
-        n_k the greatest of lo_j + j*ramp over 1 <= j <= k (a running
-        extreme keeps the first of equal values); and the least M_k and
-        the greatest N_k (inf and -inf when h = 1)."""
+        an infinite ramp); k*ramp for k = 1..h-1; M_k, the lesser of hi_k
+        and m + k*ramp, and N_k, the greater of lo_k and n - k*ramp, where
+        m is the least of hi_j - j*ramp and n the greatest of
+        lo_j + j*ramp over 1 <= j < k (a running extreme keeps the first
+        of equal values; for k = 1 there are none); and the least M_k and
+        the greatest N_k (inf and -inf when h = 1).
+
+        Step k's own bound is taken as it is: hi_k - k*ramp + k*ramp may
+        round below hi_k by an ulp of k*ramp, which a ramp far above the
+        box makes larger than the box itself (with hi_1 = 4e7 and
+        ramp = 1e24 it gives 0). A bound carried from an earlier step j,
+        the anchor's included, rounds by a few ulps of k*ramp too, but a
+        point on it has x_k = hi_j + (k-j)*ramp and x_j <= hi_j, so that
+        its largest entry is at least ramp/2 (up to that rounding) and the
+        rounding stays within (6h+2) ulps of that entry, far inside the
+        kernel's tolerance."""
         ramp, lo, hi = self.ramp, self.lower_list, self.upper_list
         steps, highs, lows = [], [], []
         for k in range(1, self.h):
             s = ramp * k
+            high, low = hi[k], lo[k]
+            if k > 1:
+                x, y = least + s, most - s
+                if not high < x:
+                    high = x
+                if not low > y:
+                    low = y
             u, v = hi[k] - s, lo[k] + s
             if k == 1 or u < least:
                 least = u
             if k == 1 or v > most:
                 most = v
             steps.append(s)
-            highs.append(least + s)
-            lows.append(most - s)
+            highs.append(high)
+            lows.append(low)
         return (ramp * 0, steps, highs, lows, min(highs, default=math.inf),
                 max(lows, default=-math.inf))
 

@@ -237,31 +237,55 @@ def reach_bounds(qps, p_f):
     """Lower bounds (deficit, excess) on every allocation's worst-step
     imbalance from the nodes' effective boxes and ramps alone, on arrays:
     a node's step-k power lies within [max_j (lo_j - (k-j) ramp),
-    min_j (hi_j + (k-j) ramp)] over j <= k."""
+    min_j (hi_j + (k-j) ramp)] over j <= k (`envelope_arrays`)."""
     steps = np.outer([p.ramp_limit for p in qps], np.arange(p_f.size))
     lo, hi = (np.array(v) for v in zip(*(p.effective_box() for p in qps)))
-    hi = np.minimum.accumulate(hi - steps, axis=1) + steps
-    lo = np.maximum.accumulate(lo + steps, axis=1) - steps
+    lo, hi = envelope_arrays(lo, hi, steps)
     return (max(0.0, float((p_f - hi.sum(axis=0)).max())),
             max(0.0, float((lo.sum(axis=0) - p_f).max())))
+
+
+def envelope_arrays(lo, hi, steps):
+    """The reach envelope (los, his) of boxes [lo, hi] along their last
+    axis, on arrays: step k's own bound against the running minimum of
+    hi_j - j*ramp over j < k with k*ramp added back (``steps`` holds
+    k*ramp), and lo_k likewise with the maximum."""
+    run_hi = np.minimum.accumulate(hi - steps, axis=-1)
+    run_lo = np.maximum.accumulate(lo + steps, axis=-1)
+    up = run_hi[..., :-1] + steps[..., 1:]
+    down = run_lo[..., :-1] - steps[..., 1:]
+    his = np.concatenate([run_hi[..., :1] + steps[..., :1],
+                          np.where(hi[..., 1:] < up, hi[..., 1:], up)],
+                         axis=-1)
+    los = np.concatenate([run_lo[..., :1] - steps[..., :1],
+                          np.where(lo[..., 1:] > down, lo[..., 1:], down)],
+                         axis=-1)
+    return los, his
 
 
 def reach_envelope(qp):
     """A node's reach envelope (los, his) by its definition, step by step
     on Python floats: hi_k = min over j <= k of hi_j + (k-j)*ramp over the
-    effective box, as the running minimum of hi_j - j*ramp with k*ramp
-    added back, and lo_k likewise with the maximum. A running extreme
-    takes a new value only when it is strictly beyond."""
+    effective box, as step k's own bound against the running minimum of
+    hi_j - j*ramp over j < k with k*ramp added back, and lo_k likewise
+    with the maximum. A running extreme takes a new value only when it is
+    strictly beyond, and a step's own bound only when it is strictly
+    inside what the earlier steps carry."""
     lo, hi = qp.effective_bounds()
     los, his = [], []
     for k in range(qp.h):
         s = qp.ramp_limit * k
+        if k:
+            up, down = run_hi + s, run_lo - s
+            his.append(hi[k] if hi[k] < up else up)
+            los.append(lo[k] if lo[k] > down else down)
         if not k or hi[k] - s < run_hi:
             run_hi = hi[k] - s
         if not k or lo[k] + s > run_lo:
             run_lo = lo[k] + s
-        his.append(run_hi + s)
-        los.append(run_lo - s)
+        if not k:
+            his.append(run_hi + s)
+            los.append(run_lo - s)
     return los, his
 
 

@@ -593,17 +593,18 @@ def box_side(kind, sign, scale):
 class TestReachEnvelope:
     """`HorizonQp.envelope` takes the running extremes of the box after
     step 0 from the device's fixed part and compares them with the step's
-    own step-0 bound; it must equal the step-by-step definition bit for bit, for
-    scalar and array boxes, infinite and signed-zero bounds, and an
-    infinite ramp (every bound NaN)."""
+    own step-0 bound; it must equal the step-by-step definition bit for
+    bit, for scalar and array boxes, infinite and signed-zero bounds, an
+    infinite ramp (every bound NaN) and ramps far above the box, where it
+    must hold each finite bound of the effective box as it is."""
 
     @given(h=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
            lower=st.sampled_from(SIDES), upper=st.sampled_from(SIDES),
-           ramp_inf=st.booleans(), arrays=st.booleans(),
-           soc=st.booleans())
+           ramp=st.sampled_from(("inf", "finite", 1e15, 1e20, 1e24)),
+           arrays=st.booleans(), soc=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_equal_to_the_running_extremes(self, h, seed, lower, upper,
-                                           ramp_inf, arrays, soc):
+                                           ramp, arrays, soc):
         rng = np.random.default_rng(seed)
         p_max = rng.uniform(1e6, 4e7)
         if arrays:  # each step its own kind of bound
@@ -619,13 +620,23 @@ class TestReachEnvelope:
         if soc:
             kw = dict(cumsum_coeff=1.0 / (rng.uniform(2e3, 2e4) * 3.6e6),
                       cumsum_init=0.5, cumsum_lower=0.1, cumsum_upper=0.9)
-        ramp = math.inf if ramp_inf else rng.uniform(0.05, 1.0) * p_max
+        if ramp == "inf":
+            ramp = math.inf
+        elif ramp == "finite":
+            ramp = rng.uniform(0.05, 1.0) * p_max
         prev = rng.choice([0.0, -0.0, rng.uniform(-p_max, p_max)])
         qp = qpmod.HorizonQp(h=h, quad_diag=1.0, lower=lo, upper=hi,
                              ramp_limit=ramp, prev_value=prev, **kw)
         got, want = qp.envelope, reach_envelope(qp)
         for g, w in zip(got, want):
             assert np.array(g).tobytes() == np.array(w).tobytes()
+        if 1e15 <= ramp < math.inf:
+            # a ramp this far above the box moves no finite bound of the
+            # effective box (hi_k - k*ramp + k*ramp would round some to 0)
+            for g, w in zip(got, qp.effective_bounds()):
+                g, w = np.array(g), np.array(w)
+                finite = np.isfinite(w)
+                np.testing.assert_array_equal(g[finite], w[finite])
 
 
 class TestReachBounds:

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from shipems.sim import run_scenario
 from fleets import random_fleet
 from oracles import (
     enumerate_qp,
+    envelope_arrays,
     horizon_qp_matrices,
     horizon_rhs,
     min_max_violation,
@@ -413,9 +415,11 @@ row_patterns = dict(
     weight=st.one_of(st.just(WEIGHT_FLOOR), st.floats(WEIGHT_FLOOR, 10.0)))
 
 
-def pattern_problems(h, seed, lower_inf, upper_inf, with_soc, weight):
+def pattern_problems(h, seed, lower_inf, upper_inf, with_soc, weight,
+                     ramp=None):
     """The random generator of a row pattern and a function that draws a
-    (problem, linear term) pair of that pattern at a random state."""
+    (problem, linear term) pair of that pattern at a random state; the
+    ramp limit is ``ramp``, or drawn below the box's top."""
     rng = np.random.default_rng(seed)
     p_max = rng.uniform(1e6, 4e7)
     lower = -np.inf if lower_inf else -rng.uniform(0.0, 1.0) * p_max
@@ -425,7 +429,8 @@ def pattern_problems(h, seed, lower_inf, upper_inf, with_soc, weight):
         kw = dict(cumsum_coeff=1.0 / (rng.uniform(2e3, 2e4) * 3.6e6),
                   cumsum_init=rng.uniform(0.1, 0.9), cumsum_lower=0.1,
                   cumsum_upper=0.9)
-    ramp = rng.uniform(0.05, 1.0) * p_max
+    if ramp is None:
+        ramp = rng.uniform(0.05, 1.0) * p_max
 
     def problem():
         lin = weight * p_max * rng.uniform(-2.0, 2.0, h)
@@ -533,9 +538,7 @@ class TestRightHandSide:
         # effective box for an infinite ramp
         box = (lo, hi)
         if not ramp_inf:
-            steps = kw["ramp_limit"] * np.arange(h)
-            box = (np.maximum.accumulate(lo + steps) - steps,
-                   np.minimum.accumulate(hi - steps) + steps)
+            box = envelope_arrays(lo, hi, kw["ramp_limit"] * np.arange(h))
         pairs = [(qp.quad_diag, np.full(h, weight)),
                  (qp.lower, np.full(h, lower)), (qp.upper, np.full(h, upper)),
                  *zip(qp.effective_box(), (lo, hi)), *zip(qp.ldp.box, box),
@@ -820,6 +823,30 @@ class TestWeaklyActiveRows:
             for got in (first, again, memo):
                 assert_same_solve(got, cold)
 
+    @given(h=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+           weight=st.floats(1e-6, 10.0), ulps=st.integers(-4, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_ramp_at_its_limit_on_a_short_horizon(self, h, seed, weight,
+                                                  ulps):
+        # as above, but with no step left to break a ramp row between
+        # interior points (at h = 3 such a row would pull step 1 off the
+        # weak row): the weak row's optimum is the clip of x_u to the
+        # reach envelope
+        rng = np.random.default_rng(seed)
+        p_max = rng.uniform(1e6, 4e7)
+        ramp = rng.uniform(0.05, 0.3) * p_max
+        prev = rng.uniform(0.7, 1.0) * p_max
+        qp = HorizonQp(h=h, quad_diag=weight,
+                       lower=rng.uniform(0.0, 0.05) * p_max, upper=p_max,
+                       ramp_limit=ramp, prev_value=prev)
+        below = prev - ramp - rng.uniform(0.1, 0.5) * ramp
+        on_row = prev - 2.0 * ramp
+        for _ in range(abs(ulps)):
+            on_row = np.nextafter(on_row, ulps * np.inf)
+        weak = -weight * np.array([below] + [on_row] * (h - 1))
+        for tol in (1e-8, 1e-6):
+            assert TestClipExit.check(qp, weak, tol) == "clip"
+
     def test_row_just_beyond_the_margin_is_not_forced(self):
         # x_u = (5, 1 - 1.5e-8) misses x0 <= 1 and clears x1 <= 1 by
         # 1.5 t: the set {x0 <= 1} certifies. The newest map, of
@@ -843,28 +870,78 @@ class TestWeaklyActiveRows:
 
 class TestClipExit:
     """A solve that the clip of x_u to the kernel's box answers returns the
-    exact clip, and the optimum."""
+    exact clip, and the optimum, also at ramps far above the box."""
 
-    @given(**row_patterns)
+    @given(**row_patterns,
+           ramp=st.sampled_from((None, 1e15, 1e20, 1e24)))
     @settings(max_examples=150, deadline=None)
     def test_clip_exits_are_the_optimum(self, **pattern):
+        if pattern["ramp"] is not None:
+            # a huge ramp from an infinite side takes x there, where
+            # enumeration in floats is no longer accurate to t
+            pattern.update(lower_inf=False, upper_inf=False)
         rng, problem = pattern_problems(**pattern)
         for tol in (1e-8, 1e-6):
-            qp, lin = problem()
-            box = kernel_box(qp)
-            # also an x_u beyond one side of the box at every step where
-            # that side is finite, which the clip answers more often
-            side = 1 if rng.uniform() < 0.5 else 0
-            beyond = np.asarray(box[side]) \
-                + (2 * side - 1) * np.abs(lin / qp.quad_diag)
-            beyond = np.where(np.isfinite(beyond), beyond,
-                              lin / -qp.quad_diag)
-            for q in (lin, -qp.quad_diag * beyond):
-                self.check(qp, box, q, tol)
+            for q, qp in self.draws(rng, problem):
+                self.check(qp, q, tol)
+
+    def test_most_draws_beyond_the_box_exit_at_the_clip(self):
+        # the property above holds only where the clip answers: count
+        # them over fixed draws, so that it cannot pass with none
+        exits = Counter()
+        for seed in range(40):
+            for ramp in (None, 1e24):
+                rng, problem = pattern_problems(
+                    h=1 + seed % 10, seed=seed,
+                    lower_inf=ramp is None and seed % 3 == 0,
+                    upper_inf=ramp is None and seed % 4 == 0,
+                    with_soc=seed % 2 == 0, weight=1.0, ramp=ramp)
+                for q, qp in self.draws(rng, problem):
+                    exits[self.check(qp, q, 1e-8)] += 1
+        assert exits["clip"] >= 40, exits
+
+    def test_a_ramp_far_above_the_box(self):
+        # hi_1 - ramp + ramp rounds to 0 here: a box that took it would
+        # clip x_u to (4e7, 0), which holds every row
+        qp = HorizonQp(h=2, quad_diag=1.0, lower=0.0, upper=4e7,
+                       ramp_limit=1e24, prev_value=1e7)
+        x = self.exact_clip(qp, [5e7, 3e7])
+        assert x.tolist() == [4e7, 3e7]
+
+    def test_a_generator_ramping_at_its_limit_onto_its_box(self):
+        # 38, 40, 40, 40, 40 MW from 36 MW at 2 MW/step: more active rows
+        # than steps, so that no active-set map certifies it
+        qp = HorizonQp(h=5, quad_diag=1.0, lower=0.0, upper=40e6,
+                       ramp_limit=2e6, prev_value=36e6)
+        x = self.exact_clip(qp, [45e6] * 5)
+        assert x.tolist() == [38e6] + [40e6] * 4
+
+    def exact_clip(self, qp, xu):
+        """The solve at x_u = ``xu``, which must exit at the clip."""
+        xu = np.array(xu)
+        q = -qp.quad_diag * xu
+        assert self.check(qp, q, 1e-8) == "clip"
+        return qp.ldp.solve(q, 1e-8)[0]
 
     @staticmethod
-    def check(qp, box, lin, tol):
-        """Solve at ``lin`` and, on a clip exit, check the point."""
+    def draws(rng, problem):
+        """(linear term, problem) pairs: a random draw, and one whose x_u
+        lies beyond one side of the box at every step where that side is
+        finite, which the clip answers more often."""
+        qp, lin = problem()
+        box = kernel_box(qp)
+        side = 1 if rng.uniform() < 0.5 else 0
+        beyond = np.asarray(box[side]) \
+            + (2 * side - 1) * np.abs(lin / qp.quad_diag)
+        beyond = np.where(np.isfinite(beyond), beyond, lin / -qp.quad_diag)
+        return [(lin, qp), (-qp.quad_diag * beyond, qp)]
+
+    @staticmethod
+    def check(qp, lin, tol):
+        """Solve at ``lin``, on a clip exit check the point against the
+        clip to the kernel's box by its definition and against
+        enumeration, and return the exit."""
+        box = kernel_box(qp)
         (x, status, _, viol), exit_ = solve_exit(qp.ldp, lin, tol)
         if exit_ == "clip":
             xu = lin / -qp.quad_diag
@@ -878,11 +955,12 @@ class TestClipExit:
             # active within a margin, whose set holds the polytope, it is
             # the optimum over the polytope
             near = v >= -1e-6 * max(1.0, float(np.abs(x).max()))
-            assume(near.sum() <= 12)
-            x_ref, _ = enumerate_qp(qp.quad_diag, lin, a[near], b[near],
-                                    tol=t)
-            assert x_ref is not None
-            np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=t)
+            if near.sum() <= 12:
+                x_ref, _ = enumerate_qp(qp.quad_diag, lin, a[near], b[near],
+                                        tol=t)
+                assert x_ref is not None
+                np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=t)
+        return exit_
 
 
 def stacked_kernel(qps, p_f):
