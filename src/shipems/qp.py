@@ -632,9 +632,9 @@ class HorizonQp:
         0 <= j < k taken step by step (and numpy's accumulate, NaN
         included: an infinite ramp makes every bound NaN); lo_k likewise,
         with the maximum. The envelope holds every point of the polytope
-        up to the rounding of the carried bounds, a few ulps of j*ramp
-        where such a bound binds, which is within a few times h ulps of
-        the point's largest entry (`_FixedPart.reach`)."""
+        up to the rounding of the carried bounds, a few ulps of k*ramp
+        where such a bound binds, which is within (6h+2) ulps of the
+        point's largest entry (`_FixedPart.reach`)."""
         return self._fixed.envelope(self._lo0, self._hi0)
 
     @_once
