@@ -5,6 +5,9 @@ Digests:
 - the three CSVs of the default config run for 300 s;
 - every `SimLog` field of that run, and its dual iterations and
   `qp.EXITS` counts;
+- the same of `perfbench`'s `shortfall` scenario (30 s of constant demand
+  above the fleet's maximum) at `ab_coordinate.SHORTFALL_SEED`, where
+  every MPC step is a shortfall step;
 - criterion 1's 200 random fleets, as `coordinate` and
   `centralized_solve` answer them, and the `qp.EXITS` counts of each;
 - `harness.verify(default_config())`: every case's power and objective
@@ -26,13 +29,15 @@ from collections import Counter
 
 import numpy as np
 
-from shipems import harness, qp
+from shipems import harness, qp, sim
 from shipems.config import default_config
 from shipems.coordinator import centralized_solve, coordinate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 from fleets import feasible_demand, random_fleet  # noqa: E402
+# the replayed shortfall scenario, from this script's directory
+from ab_coordinate import SHORTFALL_SEED, shortfall_run  # noqa: E402
 
 DURATION_S = 300.0
 FLEETS = 200
@@ -50,6 +55,16 @@ def digest(*values) -> str:
     return h.hexdigest()
 
 
+def print_log(log, prefix: str = "") -> None:
+    """Every `SimLog` field of ``log``, its dual iterations and the
+    `qp.EXITS` counts, each line led by ``prefix``."""
+    for f in dataclasses.fields(log):
+        print(f"{prefix}simlog.{f.name} {digest(getattr(log, f.name))}")
+    print(f"{prefix}dual_iterations {int(log.mpc_iterations.sum())}")
+    print(f"{prefix}exits "
+          + " ".join(f"{k}={v}" for k, v in sorted(qp.EXITS.items())))
+
+
 def default_run():
     cfg = dataclasses.replace(default_config(), duration_s=DURATION_S)
     qp.EXITS.clear()
@@ -58,10 +73,13 @@ def default_run():
         for name in ("timeseries.csv", "mpc_diag.csv", "summary.csv"):
             with open(os.path.join(out, name), "rb") as fh:
                 print(f"{name} {hashlib.sha256(fh.read()).hexdigest()}")
-    for f in dataclasses.fields(log):
-        print(f"simlog.{f.name} {digest(getattr(log, f.name))}")
-    print(f"dual_iterations {int(log.mpc_iterations.sum())}")
-    print("exits " + " ".join(f"{k}={v}" for k, v in sorted(qp.EXITS.items())))
+    print_log(log)
+
+
+def shortfall():
+    qp.EXITS.clear()
+    print_log(sim.run_scenario(shortfall_run(default_config())),
+              "shortfall.")
 
 
 def criterion_1():
@@ -100,5 +118,6 @@ def verify():
 
 if __name__ == "__main__":
     default_run()
+    shortfall()
     criterion_1()
     verify()

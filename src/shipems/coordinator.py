@@ -43,6 +43,11 @@ that no allocation does better than the iterate it returns:
   tolerance and the best iterate attains it, the step ends.
 
 A step that no bound proves unbalanceable runs to its iteration budget.
+A cold call whose demand is at or above the fleet's reach at every step
+(a saturated call, as under a sustained shortfall) is priced by one pass
+over the envelopes: each step's least upper breakpoint, which is the
+sweep's own answer there, and the per-step sums of the envelope bounds,
+which give the reach bound that ends such a call at its first iterate.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
+from operator import add, le, sub
 
 import numpy as np
 from scipy.optimize import linprog
@@ -136,6 +141,9 @@ class CoordinationReport:
     final_residual_w: float
     shortfall_w: float  # worst per-step unmet demand, 0 when converged
     residual_history: list[float]
+    # where the loop stopped: "balanced", "reach" (the reach envelope's
+    # bound), "lp" (the residual LP's) or "max_iter"
+    exit: str
 
     def total_power(self) -> np.ndarray:
         h = self.lambda_final.size
@@ -179,30 +187,76 @@ def _node_problems(fleet: Fleet, h: int):
     return gen, batt
 
 
+def _envelope_sums(envelopes, h: int):
+    """Per step, the sums over nodes of the lower and of the upper bounds
+    of the length-``h`` reach ``envelopes``, as two lists: on Python
+    floats, in the nodes' order from 0.0, as the sweep of `_swept_price`
+    adds its upper bounds."""
+    lo_sum = hi_sum = [0.0] * h
+    for los, his in envelopes:
+        lo_sum = list(map(add, lo_sum, los))
+        hi_sum = list(map(add, hi_sum, his))
+    return lo_sum, hi_sum
+
+
+def _reach_gaps(lo_sum: list, hi_sum: list, demand: list[float]):
+    """The bounds of `_reach_bounds` from the sums of `_envelope_sums`."""
+    return (max(0.0, max(map(sub, demand, hi_sum))),
+            max(0.0, max(map(sub, lo_sum, demand))))
+
+
 def _reach_bounds(envelopes, demand: list[float]):
     """Lower bounds on every allocation's worst-step deficit and worst-step
     excess over the demand.
 
     Every step-k total lies within the sum of the nodes' reach envelope
-    bounds (`HorizonQp.envelope`) at step k; the sums over nodes are taken on Python floats, in
-    the nodes' order.
+    bounds (`HorizonQp.envelope`) at step k (`_envelope_sums`).
     """
-    lo_sum = [sum(v) for v in zip(*(los for los, _ in envelopes))]
-    hi_sum = [sum(v) for v in zip(*(his for _, his in envelopes))]
-    return (max(0.0, max(map(sub, demand, hi_sum))),
-            max(0.0, max(map(sub, lo_sum, demand))))
+    return _reach_gaps(*_envelope_sums(envelopes, len(demand)), demand)
+
+
+def _saturated_pass(targets: list, weights: list, envelopes,
+                    demand: list[float]):
+    """One pass over the nodes' reach ``envelopes`` (generators first):
+    per step, the sums of the upper and of the lower bounds
+    (`_envelope_sums`) and the least upper breakpoint w_i(t_i - hi_ik).
+    Returns (price, bounds): ``bounds`` is the pair of `_reach_bounds`, and
+    ``price`` lists each step's least upper breakpoint when every step is
+    saturated, else None.
+
+    A step is saturated when none of its upper bounds is unbounded above
+    (an infinite or NaN one makes the sum so) and their sum is at most its
+    demand: the test and the value of the sweep's saturated branch
+    (`_swept_price`), so the price is the sweep's bit for bit; the least
+    breakpoint keeps the first of equal ones, as the sweep does."""
+    lo_sum, hi_sum = _envelope_sums(envelopes, len(demand))
+    bounds = _reach_gaps(lo_sum, hi_sum, demand)
+    if not all(map(le, hi_sum, demand)):
+        return None, bounds
+    least = [math.inf] * len(demand)
+    for t, w, (_, his) in zip(targets, weights, envelopes):
+        least = list(map(min, least, [w * (t - hi) for hi in his]))
+    return least, bounds
 
 
 def _envelope_price(targets: list, weights: list, qps,
-                    demand: list[float]) -> np.ndarray:
+                    demand: list[float]):
     """The price profile at which the nodes' unconstrained responses,
     clipped to their reach envelopes (`HorizonQp.envelope` of each of
-    ``qps``,
-    generators first), meet the demand: per step k, the lambda_k with
-    sum_i clip(t_i - lambda_k/w_i, lo_ik, hi_ik) = p_f,k for the nodes'
-    ``targets`` t_i and floored ``weights`` w_i. This is the
+    ``qps``, generators first), meet the demand: per step k, the lambda_k
+    with sum_i clip(t_i - lambda_k/w_i, lo_ik, hi_ik) = p_f,k for the
+    nodes' ``targets`` t_i and floored ``weights`` w_i. This is the
     lambda-iteration of economic dispatch with unit limits, solved
-    exactly.
+    exactly. Returns (price, bounds): the price as an array, and the
+    bounds of `_reach_bounds` when the call has taken them on the way,
+    else None.
+
+    A demand at or above the fleet's reach at step 0 (the sum of the
+    nodes' step-0 upper bounds, which needs no envelope) is met by one
+    pass over the envelopes (`_saturated_pass`), which also takes the
+    bounds. When every step is saturated, its least upper breakpoints are
+    the price; otherwise the steps are priced as below, on the envelopes
+    the pass has built.
 
     The sum is piecewise linear and nonincreasing in lambda, with
     breakpoints w_i(t_i - hi_ik) and w_i(t_i - lo_ik). Most steps meet the
@@ -215,9 +269,20 @@ def _envelope_price(targets: list, weights: list, qps,
     steps 1 to h-1 (at a later step); its sums are the sweep's, in the
     nodes' order, so the price is the sweep's bit for bit. The extremes
     come from each node's step-0 bounds and its fixed part's `reach`, so
-    the envelopes are built only for a step that runs the sweep. On
-    Python floats.
+    the envelopes are built only for a call that takes the pass or a step
+    that runs the sweep. On Python floats.
     """
+    bounds = None
+    # the fleet's reach at step 0: the sum of the step-0 upper bounds, in
+    # the nodes' order from 0.0, as the pass adds them
+    reach0 = 0.0
+    for p in qps:
+        reach0 += p._hi0
+    if reach0 <= demand[0]:
+        price, bounds = _saturated_pass(targets, weights,
+                                        [p.envelope for p in qps], demand)
+        if price is not None:
+            return np.array(price), bounds
     free = slope = size = 0.0
     # extreme upper and lower breakpoints at step 0, and over steps >= 1;
     # rounding is monotone, so these are the breakpoints of the extreme
@@ -274,7 +339,7 @@ def _envelope_price(targets: list, weights: list, qps,
         price.append(_swept_price(
             [(t, w, los[k], his[k])
              for t, w, (los, his) in zip(targets, weights, envelopes)], d))
-    return np.array(price)
+    return np.array(price), bounds
 
 
 def _swept_price(nodes, d: float) -> float:
@@ -415,7 +480,11 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
       iterate attains it.
     "Attains" allows `BOUND_ATTAINED_RTOL` of the demand. Otherwise the
     ascent runs to ``max_iter``, so a step that can be balanced is never cut
-    short, and returns its best-residual iterate. ``shortfall_w`` is the
+    short, and returns its best-residual iterate. The report's ``exit``
+    names the stop: "balanced", "reach", "lp" or "max_iter". A cold call
+    whose envelope price took the reach bounds on the way (a demand at or
+    above the fleet's reach at step 0) does not take them again.
+    ``shortfall_w`` is the
     returned iterate's worst per-step deficit (0 when converged). Node
     solves are exact, so the reported allocation is the one computed at the
     reported price.
@@ -440,16 +509,17 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     qps = gen_qps + batt_qps
     nodes = [(True, p, g.spec, g) for p, g in zip(gen_qps, fleet.pgms)] \
         + [(False, p, b.spec, b) for p, b in zip(batt_qps, fleet.pcms)]
-    # every node's reach envelope, built at most once, once an iterate
-    # misses the tolerance; most steps balance at their first price
-    envelopes = None
+    # the reach envelope's (deficit, excess) bounds, taken once an iterate
+    # misses the tolerance unless the envelope price took them on the way;
+    # most steps balance at their first price
+    bounds = None
     if lambda_warm is None:
-        lam = _envelope_price(fleet.targets(), [p.weight for p in qps], qps,
-                              demand)
+        lam, bounds = _envelope_price(fleet.targets(),
+                                      [p.weight for p in qps], qps, demand)
     reach_w = None
     least = None  # least worst-step residual, from the LP
     best = None  # (worst-step residual, price, gen, batt, residuals)
-    converged = False
+    exit_ = "max_iter"
     for _ in range(max_iter):
         gen, batt, total = _solve_all(nodes, lam, h)
         residual = (total - p_f).tolist()
@@ -462,12 +532,12 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         if res_inf <= bal_tol_w:
             # every earlier iterate missed the tolerance: this is the best
             best = (res_inf, lam, gen, batt, residual)
-            converged = True
+            exit_ = "balanced"
             break
         if reach_w is None:
-            if envelopes is None:
-                envelopes = [p.envelope for p in qps]
-            short_w, over_w = _reach_bounds(envelopes, demand)
+            if bounds is None:
+                bounds = _reach_bounds([p.envelope for p in qps], demand)
+            short_w, over_w = bounds
             reach_w = max(short_w, over_w)
             attained_w = BOUND_ATTAINED_RTOL * max(map(abs, demand))
         at_reach = (reach_w > bal_tol_w and res_inf <= reach_w + attained_w
@@ -476,22 +546,25 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         if best is None or res_inf < best[0] or at_reach:
             best = (res_inf, lam, gen, batt, residual)
         if at_reach:
+            exit_ = "reach"
             break
         if len(history) == LP_BOUND_ITERATION:
             least = _min_residual_lp(qps, p_f)
         if least is not None and least > bal_tol_w \
                 and best[0] <= least + attained_w:
+            exit_ = "lp"
             break
         if lambda_warm is not None and len(history) == 1:
             # the warm price missed: go on from the envelope price
-            lam = _envelope_price(fleet.targets(),
-                                  [p.weight for p in qps], qps, demand)
+            lam, _ = _envelope_price(fleet.targets(),
+                                     [p.weight for p in qps], qps, demand)
         else:
             if alpha is None:
                 alpha = default_alpha(fleet)
             lam = dual_update(lam, total, p_f, alpha)
     # a converged or at-reach iterate is the best one
     final_res, lam_final, gen, batt, residual = best
+    converged = exit_ == "balanced"
     # its worst deficit; a NaN residual, which the built-in min may skip,
     # gives none
     shortfall = 0.0 if converged or final_res != final_res \
@@ -505,6 +578,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
         final_residual_w=final_res,
         shortfall_w=shortfall,
         residual_history=history,
+        exit=exit_,
     )
 
 

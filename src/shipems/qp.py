@@ -644,8 +644,9 @@ class HorizonQp:
         its fixed part's for its row pattern (`_FixedPart.kernel`). Its box
         is the reach envelope (`envelope`), the bounds that the box and the
         ramp from the anchor put on each step, or the effective box for an
-        infinite ramp, whose envelope is NaN (`_FixedPart.box`); it is
-        made only when the kernel first reads it."""
+        infinite ramp, whose envelope is NaN (`_FixedPart.box`). It is
+        made only when the kernel first reads it, unless this problem's
+        envelope is built already: the kernel then reads that."""
         fixed, lo0, hi0 = self._fixed, self._lo0, self._hi0
         rows, base, upper_row, lower_row, prefix = fixed.kernel(self._flags)
         b = base.copy()
@@ -661,8 +662,12 @@ class HorizonQp:
             tail[:] = ([upper] * self.h if flags[2] else []) \
                 + ([neg_lower] * self.h if flags[3] else [])
             tail /= norms
-        # the box reads the fixed part and the floats, not this problem,
-        # which holds the LDP: a step's problems are then no cyclic garbage
+        # the box reads the envelope lists, or the fixed part and the
+        # floats, not this problem, which holds the LDP: a step's problems
+        # are then no cyclic garbage
+        envelope = self.__dict__.get("envelope")
+        if envelope is not None and fixed.ramp < math.inf:
+            return Ldp.scaled(rows, b, lambda: envelope)
         return Ldp.scaled(rows, b, lambda: fixed.box(lo0, hi0))
 
 

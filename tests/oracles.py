@@ -349,4 +349,4 @@ def centralized_policy(fleet, p_f, **_):
         gen=gen, batt=batt, lambda_final=np.zeros(np.size(p_f)),
         converged=True, iterations_used=1,
         final_residual_w=cen.balance_residual_w, shortfall_w=0.0,
-        residual_history=[cen.balance_residual_w])
+        residual_history=[cen.balance_residual_w], exit="balanced")

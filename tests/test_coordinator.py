@@ -15,6 +15,7 @@ from shipems.coordinator import (
     _envelope_price,
     _node_problems,
     _reach_bounds,
+    _saturated_pass,
     _swept_price,
     CentralizedResult,
     Fleet,
@@ -27,6 +28,7 @@ from shipems.coordinator import (
     dual_update,
 )
 from shipems import coordinator
+from shipems.config import default_config
 from shipems import qp as qpmod
 from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pcm_solve, pgm_qp, pgm_solve
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
@@ -261,6 +263,13 @@ class TestExitContract:
             p_f = rng.uniform(lo - 5e6, hi + 5e6)
         max_iter = 200
         rep = coordinate(fleet, p_f, max_iter=max_iter)
+        # the report names the stop
+        assert rep.converged == (rep.exit == "balanced")
+        assert rep.exit in ("balanced", "reach", "lp", "max_iter")
+        if rep.exit == "max_iter":
+            assert rep.iterations_used == max_iter
+        if rep.exit == "lp":
+            assert rep.iterations_used >= LP_BOUND_ITERATION
         if rep.converged or rep.iterations_used == max_iter:
             return
         tol = 1e-5 * np.max(np.abs(p_f))
@@ -678,15 +687,26 @@ def swept(targets, weights, envelopes, demand):
 
 
 def spy_sweep(monkeypatch):
-    """Records the (demand, nodes) of every `_swept_price` call of
-    `_envelope_price` from here on, as their repr (NaN bounds included)."""
+    """Records the (demand, nodes) of every step that `_envelope_price`
+    decides from here on, as their repr (NaN bounds included): every
+    `_swept_price` call, and every step of a `_saturated_pass` that prices
+    its call, since the pass applies the sweep's own saturated test."""
     calls = []
 
     def recorded(nodes, d):
         calls.append(repr((d, nodes)))
         return _swept_price(nodes, d)
 
+    def saturated(targets, weights, envelopes, demand):
+        price, bounds = _saturated_pass(targets, weights, envelopes, demand)
+        if price is not None:
+            calls.extend(repr((d, [(t, w, los[k], his[k]) for t, w, (los, his)
+                                   in zip(targets, weights, envelopes)]))
+                         for k, d in enumerate(demand))
+        return price, bounds
+
     monkeypatch.setattr(coordinator, "_swept_price", recorded)
+    monkeypatch.setattr(coordinator, "_saturated_pass", saturated)
     return calls
 
 
@@ -706,7 +726,7 @@ class TestEnvelopePrice:
             envelopes = [p.envelope for p in gen + batt]
             t, w = fleet.targets(), fleet.weights()
             demand = p_f.tolist()
-            got = _envelope_price(t, w, gen + batt, demand)
+            got, _ = _envelope_price(t, w, gen + batt, demand)
             assert got.tobytes() == swept(t, w, envelopes, demand).tobytes()
             steps += len(demand)
         # most steps take the early exit (577 of the 1000)
@@ -756,7 +776,7 @@ class TestEnvelopePrice:
                         demand = rng.uniform(d - 1e6, d + 1e6, h).tolist()
                         demand[k] = d
                         calls.clear()
-                        got = _envelope_price(t, w, qps, demand)
+                        got, _ = _envelope_price(t, w, qps, demand)
                         assert repr((d, nodes)) in calls
                         assert got.tobytes() == swept(t, w, envelopes,
                                                       demand).tobytes()
@@ -786,6 +806,103 @@ class TestEnvelopePrice:
                           for b in (lo, hi)]
                 for d in (top, top + rng.uniform(0.0, 1e7)):
                     assert _swept_price(nodes, d).hex() == min(points).hex()
+
+    @pytest.mark.parametrize("extra", ["none", "infinite upper bound",
+                                       "infinite ramp"])
+    @pytest.mark.parametrize("kind", ["at the sum", "above the sum",
+                                      "saturated at step 0 only",
+                                      "saturated later only"])
+    def test_the_saturated_pass_is_the_sweep_bit_for_bit(self, kind, extra,
+                                                         monkeypatch):
+        # demands about the per-step sum of the upper envelope bounds, taken
+        # in the nodes' order from 0.0 (a NaN bound counts as its node's
+        # effective one): a call saturated at every step is priced by the
+        # pass alone, any other by the sweep; the price is the sweep's, and
+        # the bounds that the pass takes are `_reach_bounds`', bit for bit
+        sweeps = []
+
+        def recorded(nodes, d):
+            sweeps.append(d)
+            return _swept_price(nodes, d)
+
+        monkeypatch.setattr(coordinator, "_swept_price", recorded)
+        rng = np.random.default_rng(43)
+        for i in range(40):
+            fleet = random_fleet(rng)
+            h = 2 + i % 5
+            gen, batt = _node_problems(fleet, h)
+            qps, t, w = gen + batt, fleet.targets(), fleet.weights()
+            if extra != "none":
+                # an unbounded box, whose envelope its ramp bounds, or an
+                # infinite ramp, whose envelope is NaN
+                qps.append(qpmod.HorizonQp(
+                    h=h, quad_diag=1.0, lower=-1e7,
+                    upper=np.inf if extra == "infinite upper bound" else 2e7,
+                    ramp_limit=(np.inf if extra == "infinite ramp"
+                                else rng.uniform(1e6, 2e7)),
+                    prev_value=rng.uniform(-1e7, 1e7)))
+                t, w = t + [0.0], w + [1.0]
+            envelopes = [p.envelope for p in qps]
+            top = [0.0] * h
+            for p, (_, his) in zip(qps, envelopes):
+                top = [v + (b if b == b else e) for v, b, e
+                       in zip(top, his, p.effective_bounds()[1])]
+            gap = rng.uniform(1e5, 1e7, h).tolist()
+            if kind == "at the sum":
+                demand = top
+            elif kind == "above the sum":
+                demand = [v + g for v, g in zip(top, gap)]
+            else:
+                sign = [1.0] + [-1.0] * (h - 1)
+                if kind == "saturated later only":
+                    sign = [-v for v in sign]
+                demand = [v + s * g for v, s, g in zip(top, sign, gap)]
+            sweeps.clear()
+            got, bounds = _envelope_price(t, w, qps, demand)
+            assert got.tobytes() == swept(t, w, envelopes, demand).tobytes()
+            if kind == "saturated later only":
+                assert bounds is None  # step 0 is below the gate
+            else:
+                want = _reach_bounds(envelopes, demand)
+                assert [v.hex() for v in bounds] == [v.hex() for v in want]
+            if kind in ("at the sum", "above the sum") \
+                    and extra != "infinite ramp":
+                assert sweeps == []  # the pass priced every step
+            else:
+                assert sweeps  # every saturated step sweeps
+            if extra == "infinite upper bound":
+                # an upper bound of inf at one step: no step-sum reaches
+                # the demand there, so the pass prices nothing
+                his = list(envelopes[-1][1])
+                his[rng.integers(h)] = math.inf
+                unbounded = envelopes[:-1] + [(envelopes[-1][0], his)]
+                price, bounds = _saturated_pass(t, w, unbounded, demand)
+                want = _reach_bounds(unbounded, demand)
+                assert price is None
+                assert [v.hex() for v in bounds] == [v.hex() for v in want]
+
+    def test_a_shortfall_step_builds_each_envelope_once(self, monkeypatch):
+        # the default fleet 5 MW short of a constant demand, as in the
+        # benchmark's shortfall scenario: the envelope price's pass and the
+        # kernels' boxes share one envelope per node, and the step ends at
+        # its first iterate on the reach bound that the pass took
+        calls = []
+        build = qpmod._FixedPart.envelope
+
+        def recorded(fixed, lo0, hi0):
+            calls.append(fixed)
+            return build(fixed, lo0, hi0)
+
+        monkeypatch.setattr(qpmod._FixedPart, "envelope", recorded)
+        cfg = default_config()
+        fleet = Fleet(bus=cfg.bus,
+                      pgms=[PgmNodeState(s, s.rated_power_w)
+                            for s in cfg.pgms],
+                      pcms=[PcmNodeState(s, 0.6, 0.0) for s in cfg.pcms])
+        p_max = sum(s.p_max_w for s in cfg.pgms + cfg.pcms)
+        rep = coordinate(fleet, np.full(5, p_max + 5e6))
+        assert (rep.exit, rep.iterations_used) == ("reach", 1)
+        assert len(calls) == len(cfg.pgms) + len(cfg.pcms)
 
     def test_matches_the_bisection_oracle(self):
         rng = np.random.default_rng(29)
@@ -826,7 +943,7 @@ class TestEnvelopePrice:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
             if i % 4 and i % 5:  # the nodes' own envelopes
                 assert _envelope_price(t, w, gen + batt, p_f.tolist()
-                                       ).tobytes() == got.tobytes()
+                                       )[0].tobytes() == got.tobytes()
             for k, d in enumerate(p_f):
                 x = np.clip(np.array(t) - got[k] / np.array(w), los[:, k],
                             his[:, k])

@@ -916,6 +916,17 @@ class TestClipExit:
         x = self.exact_clip(qp, [45e6] * 5)
         assert x.tolist() == [38e6] + [40e6] * 4
 
+    @pytest.mark.parametrize("ramp", [2e6, np.inf])
+    def test_a_kernel_made_after_the_envelope_has_the_same_box(self, ramp):
+        # the kernel then reads the problem's envelope lists, except for an
+        # infinite ramp, whose envelope is NaN: that keeps the effective box
+        qp = HorizonQp(h=4, quad_diag=1.0, lower=0.0, upper=40e6,
+                       ramp_limit=ramp, prev_value=36e6)
+        assert np.isnan(qp.envelope[1]).all() == (ramp == np.inf)
+        got, want = qp.ldp.box, kernel_box(qp)
+        for g, w in zip(got, want):
+            assert g.tobytes() == np.asarray(w, dtype=float).tobytes()
+
     def exact_clip(self, qp, xu):
         """The solve at x_u = ``xu``, which must exit at the clip."""
         xu = np.array(xu)

@@ -399,6 +399,31 @@ class TestSustainedShortfall:
             lp = min_shortfall_w(fleet, p_f)
             assert abs(log.mpc_shortfall_w[k] - lp) <= 1e-5 * 65e6, (k, lp)
 
+    @pytest.mark.parametrize("short_w, soc", [(2e6, 0.5), (5e6, 0.6),
+                                              (8e6, 0.7)])
+    def test_every_step_exits_on_the_reach_bound_at_once(self, short_w, soc,
+                                                         monkeypatch):
+        # a constant demand 2-8 MW above the fleet's maximum, the battery
+        # far from its floor (the benchmark's shortfall scenario): every
+        # step starts cold, at the saturating price, and its first iterate
+        # attains the reach bound
+        reports = []
+        coordinate = shipems.sim.coordinate
+
+        def recorded(fleet, p_f, **kwargs):
+            reports.append(coordinate(fleet, p_f, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(shipems.sim, "coordinate", recorded)
+        base = default_config()
+        p_max = sum(s.p_max_w for s in base.pgms + base.pcms)
+        cfg = short_cfg(duration_s=30.0, initial_soc=[soc], log_every=100,
+                        load=LoadProfileSpec(kind="constant",
+                                             base_w=p_max + short_w))
+        run_scenario(cfg)
+        assert len(reports) == 30
+        assert {(r.exit, r.iterations_used) for r in reports} == {("reach", 1)}
+
 
 class TestWarmStart:
     def test_each_step_starts_from_the_shifted_price(self, monkeypatch):
