@@ -11,7 +11,9 @@ Digests:
 - criterion 1's 200 random fleets, as `coordinate` and
   `centralized_solve` answer them, and the `qp.EXITS` counts of each;
 - `harness.verify(default_config())`: every case's power and objective
-  gap.
+  gap;
+- every node problem of criterion 1's fleets: its reach envelope
+  (`HorizonQp.envelope`) and its kernel's box (`HorizonQp.ldp.box`).
 
 Two versions that print the same lines give bitwise the same answers on
 these runs. The digests may differ between platforms (BLAS, libm), so
@@ -32,6 +34,7 @@ import numpy as np
 from shipems import harness, qp, sim
 from shipems.config import default_config
 from shipems.coordinator import centralized_solve, coordinate
+from shipems.nodes import pcm_qp, pgm_qp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
@@ -110,6 +113,23 @@ def criterion_1():
               + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
 
 
+def criterion_1_envelopes():
+    """Criterion 1's node problems, each built afresh at the fleet's state;
+    run last, so that the memos it fills move no other line."""
+    rng = np.random.default_rng(2024)
+    h = 5
+    env = hashlib.sha256()
+    for _ in range(FLEETS):
+        fleet = random_fleet(rng)
+        feasible_demand(rng, fleet, h)  # keeps the draws of `criterion_1`
+        qps = [pgm_qp(g.spec, g.prev_power_w, h) for g in fleet.pgms]
+        qps += [pcm_qp(b.spec, fleet.bus, b.soc, b.prev_power_w, fleet.td_s, h)
+                for b in fleet.pcms]
+        for p in qps:
+            env.update(digest(*p.envelope, *p.ldp.box).encode())
+    print(f"criterion1.envelopes {env.hexdigest()}")
+
+
 def verify():
     rep = harness.verify(default_config())
     print("verify " + digest(*[(c.max_power_gap_w, c.objective_rel_gap)
@@ -121,3 +141,4 @@ if __name__ == "__main__":
     shortfall()
     criterion_1()
     verify()
+    criterion_1_envelopes()

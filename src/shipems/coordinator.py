@@ -24,7 +24,7 @@ comes next, then plain ascent.
 Every node problem is solved exactly by the LDP kernel of `qp`. Its
 problem is built once per MPC step from the device's fixed part, which
 `qp` keeps in a memo with the kernel's rows for each row pattern and the
-running extremes of its box that the reach envelope reads.
+ramp's reach k*ramp that the reach envelope adds.
 `centralized_solve` solves the same allocation monolithically (one
 stacked QP with the balance as equality rows, solved by the same kernel
 over stacked rows memoized per fleet shape) and serves as the
@@ -225,7 +225,7 @@ def _saturated_pass(targets: list, weights: list, envelopes,
     saturated, else None.
 
     A step is saturated when none of its upper bounds is unbounded above
-    (an infinite or NaN one makes the sum so) and their sum is at most its
+    (an infinite one makes the sum so) and their sum is at most its
     demand: the test and the value of the sweep's saturated branch
     (`_swept_price`), so the price is the sweep's bit for bit; the least
     breakpoint keeps the first of equal ones, as the sweep does."""
@@ -268,8 +268,8 @@ def _envelope_price(targets: list, weights: list, qps,
     scale, the extreme breakpoints of step 0 (at step 0) or those over
     steps 1 to h-1 (at a later step); its sums are the sweep's, in the
     nodes' order, so the price is the sweep's bit for bit. The extremes
-    come from each node's step-0 bounds and its fixed part's `reach`, so
-    the envelopes are built only for a call that takes the pass or a step
+    come from each node's step-0 bounds, box and ramp, without its
+    envelope, which is built only for a call that takes the pass or a step
     that runs the sweep. On Python floats.
     """
     bounds = None
@@ -293,28 +293,26 @@ def _envelope_price(targets: list, weights: list, qps,
         # the sums of the sweep's free branch
         free += t
         slope += 1.0 / w
-        s0, steps, _, _, high_min, low_max = p._fixed.reach
-        hi, lo = p._hi0 - s0, p._lo0 + s0
-        u, v = w * (t - (hi + s0)), w * (t - (lo - s0))
+        fixed, hi, lo = p._fixed, p._hi0, p._lo0
+        u, v = w * (t - hi), w * (t - lo)
         if u > upper0:
             upper0 = u
         if v < lower0:
             lower0 = v
-        size += abs(t) + abs(hi + s0)
+        size += abs(t) + abs(hi)
+        steps = fixed.steps
         if steps:
-            # over steps >= 1 the anchor's reach is least at step 1 and
-            # greatest at step h-1 (as in `HorizonQp.envelope`)
+            # over steps >= 1 the envelope is narrowest at step 1 and the
+            # anchor's reach greatest at step h-1
             x, y = hi + steps[0], lo - steps[0]
-            x = high_min if high_min < x else x
-            u, v = w * (t - x), w * (t - (low_max if low_max > y else y))
+            x = fixed.upper if fixed.upper < x else x
+            y = fixed.lower if fixed.lower > y else y
+            u, v = w * (t - x), w * (t - y)
             if u > upper:
                 upper = u
             if v < lower:
                 lower = v
             size += abs(x) + abs(hi + steps[-1])
-        # a NaN bound (an infinite ramp) sends every step to the sweep
-        if u != u or v != v:
-            size = math.nan
     # the rounding of the sweep's sums, in price units: its level adds the
     # targets and the finite upper bounds (size bounds each of their sums
     # by half), its slope weighs the breakpoints it passes; the demand and

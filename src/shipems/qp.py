@@ -20,19 +20,20 @@ per constraint set and reuses them for every price. Rows are scaled to unit
 norm; state-of-charge limits stay in power units (bounds on prefix sums of
 power), never scaled by the tiny per-step SoC coefficient.
 
-Within a receding-horizon run a device's Hessian, box and ramp limit stay
+A device has one power box [lo, hi] and one finite ramp limit, the same at
+every step, and within a receding-horizon run they and its Hessian stay
 fixed; only its ramp anchor (the last setpoint) and its state of charge
 change. What depends on the fixed part alone comes from bounded memos and
 is built and checked once per device:
 - its `_FixedPart` (`_fixed_part`, keyed on h, the scalar weight and box,
   the ramp limit and whether SoC rows exist): the read-only length-h
-  arrays of the weight and box, shared by every step's `HorizonQp`; the
-  box and the right-hand sides of the rows that no state moves (the box
-  after step 0, the ramp rows) as Python floats; the running extremes of
-  the box after step 0 that the reach envelope reads; and, for each way
-  the rows that the state sets can be finite or not (a row pattern), the
-  kept-row flags, the `_ldp_rows` key, that key's `LdpRows` and the kept
-  right-hand sides that no state moves, divided by the row norms;
+  array of the weight, shared by every step's `HorizonQp`; the right-hand
+  sides of the rows that no state moves (the box after step 0, the ramp
+  rows) as Python floats; the ramp's reach k*ramp that the reach envelope
+  adds; and, for each way the rows that the state sets can be finite or
+  not (a row pattern), the kept-row flags, the `_ldp_rows` key, that
+  key's `LdpRows` and the kept right-hand sides that no state moves,
+  divided by the row norms;
 - the unit rows, the first n rows of E and their scales (`_ldp_rows`),
   which depend only on the Hessian and the row pattern (h, which bounds
   are finite, whether SoC rows exist); devices that share them share
@@ -47,10 +48,10 @@ the same right-hand sides and the effective box as Python floats and
 builds no rows.
 
 The box of a node's kernel is its reach envelope (`HorizonQp.envelope`):
-per step, the bounds that the box and the ramp from the anchor put on it
-together, which hold the polytope, up to a rounding far inside the
-kernel's tolerance at any ramp (`_FixedPart.reach`); for an infinite
-ramp, whose envelope is NaN, the effective box. The objective is
+per step k, the bounds that the box and the ramp from the step-0 bounds
+put on it together, hi_k = min(hi, hi_0 + k*ramp) and
+lo_k = max(lo, lo_0 - k*ramp), which hold the polytope up to the rounding
+of hi_0 + k*ramp, far inside the kernel's tolerance. The objective is
 separable, so clip(x_u, lo, hi) minimizes it over that box; when that
 point holds every row, it is the optimum over the polytope. A solve
 tries it right after x_u itself, before any map (exit "clip"), so its
@@ -99,7 +100,6 @@ the `nnls` point. Node rows have no equality rows.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,10 +119,10 @@ FEASIBLE = "feasible"
 # many fleet shapes.
 LDP_ROWS_MEMO_SIZE = 256
 # (h, weight, lower, upper, ramp limit, whether prefix-sum rows exist) of
-# scalar `HorizonQp`s whose `_FixedPart` is kept; a fleet needs one per
-# device
+# `HorizonQp`s with a scalar weight whose `_FixedPart` is kept; a fleet
+# needs one per device
 FIXED_PART_MEMO_SIZE = 256
-# the types of the weight and box that `HorizonQp` takes as scalars
+# the types of the weight and box that `HorizonQp` takes without numpy
 _SCALAR = (float, int)
 # iteration cap of one `nnls` call; a solve that hits it is MAX_ITER
 NNLS_MAX_ITER = 100_000
@@ -483,10 +483,12 @@ class HorizonQp:
     linear term is an argument of `solve`, so one instance serves every
     price.
 
-    ``lower``/``upper``/``quad_diag`` accept scalars and are broadcast to
-    read-only length-``h`` arrays: scalars to arrays that problems with the
-    same values share, arrays to copies. ``cumsum_coeff`` = 0 disables the
-    cumulative-sum constraints; otherwise they read
+    ``lower`` and ``upper`` bound every step and are scalars, as is
+    ``ramp_limit``, which must be finite and > 0: a device has one box and
+    one ramp limit. ``quad_diag`` is a scalar or one entry per step, and is
+    held as a read-only length-``h`` array, which problems with the same
+    scalar weight share. ``cumsum_coeff`` = 0 disables the cumulative-sum
+    constraints; otherwise they read
     cumsum_lower <= cumsum_init - cumsum_coeff * sum_{j<=k} x_j <= cumsum_upper
     for every k.
 
@@ -498,8 +500,8 @@ class HorizonQp:
 
     h: int
     quad_diag: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: float
+    upper: float
     ramp_limit: float
     prev_value: float
     cumsum_coeff: float = 0.0
@@ -521,16 +523,19 @@ class HorizonQp:
         d, lo, hi = quad_diag, lower, upper
         # the node builders pass scalars (ints too, as a config file may
         # hold them): their fixed part is checked and built once per
-        # device; arrays are checked and copied every time
+        # device; anything else is checked and converted every time
         if isinstance(d, _SCALAR) and isinstance(lo, _SCALAR) \
                 and isinstance(hi, _SCALAR):
             # the sign bits keep 0.0 and -0.0 apart, which compare equal
             fixed = _fixed_part(h, d, lo, hi, ramp, c != 0.0,
                                 math.copysign(1.0, lo), math.copysign(1.0, hi))
         else:
-            d, lo, hi = (np.broadcast_to(np.asarray(v, dtype=float),
-                                         (h,)).tolist() for v in (d, lo, hi))
-            fixed = _FixedPart(h, d, lo, hi, ramp, c != 0.0)
+            for name, v in (("lower", lo), ("upper", hi)):
+                if np.ndim(v):
+                    raise ValueError(f"{name} must be a scalar, the bound of "
+                                     f"every step; got shape {np.shape(v)}")
+            d = np.broadcast_to(np.asarray(d, dtype=float), (h,)).tolist()
+            fixed = _FixedPart(h, d, float(lo), float(hi), ramp, c != 0.0)
         self._fixed = fixed
         self.quad_diag, self.lower, self.upper = (fixed.quad_diag, fixed.lower,
                                                   fixed.upper)
@@ -538,8 +543,8 @@ class HorizonQp:
             raise ValueError("prev_value must be finite")
         if not math.isfinite(c):
             raise ValueError("cumsum_coeff must be finite")
-        hi0 = self._hi0 = min(fixed.upper_list[0], prev + ramp)
-        lo0 = self._lo0 = max(fixed.lower_list[0], prev - ramp)
+        hi0 = self._hi0 = min(fixed.upper, prev + ramp)
+        lo0 = self._lo0 = max(fixed.lower, prev - ramp)
         # which of the rows that the state sets are finite: the step-0
         # upper and lower rows, then the prefix-sum bounds
         self._flags = (math.isfinite(hi0), math.isfinite(lo0))
@@ -566,7 +571,8 @@ class HorizonQp:
     def effective_bounds(self):
         """Box bounds with the k=0 ramp anchor folded into the first step,
         as two lists of floats (lo, hi)."""
-        return self._fixed.anchored(self._lo0, self._hi0)
+        fixed = self._fixed
+        return [self._lo0, *fixed.lower_tail], [self._hi0, *fixed.upper_tail]
 
     def effective_box(self):
         """`effective_bounds` as two arrays."""
@@ -618,23 +624,17 @@ class HorizonQp:
     @_once
     def envelope(self):
         """The reach envelope, built once: per step k, the bounds
-        lo_k <= x_k <= hi_k that the effective box [lo, hi]
-        (`effective_bounds`) and the ramp put on x_k,
-        hi_k = min over j <= k of (hi_j + (k-j)*ramp) and lo_k likewise; as
-        two lists (los, his), which are not to be changed.
+        lo_k <= x_k <= hi_k that the effective box (`effective_bounds`) and
+        the ramp put on x_k, hi_k = min over j <= k of (hi_j + (k-j)*ramp)
+        and lo_k likewise; as two lists (los, his), which are not to be
+        changed. For the one box [lo, hi] after step 0 that is
+        hi_k = min(hi, hi_0 + k*ramp) and lo_k = max(lo, lo_0 - k*ramp)
+        (`_FixedPart.envelope`).
 
-        That is hi_k = min(hi_0 + k*ramp, M_k), with M_k the device's, from
-        its fixed part's `reach`: the least of hi_k itself and of
-        hi_j + (k-j)*ramp over 1 <= j < k, the latter taken as a running
-        minimum of hi_j - j*ramp. A step supplies only its hi_0, into
-        which the ramp anchor is folded. Rounding is monotone, so on Python
-        floats this is bitwise hi_k against the running minimum over
-        0 <= j < k taken step by step (and numpy's accumulate, NaN
-        included: an infinite ramp makes every bound NaN); lo_k likewise,
-        with the maximum. The envelope holds every point of the polytope
-        up to the rounding of the carried bounds, a few ulps of k*ramp
-        where such a bound binds, which is within (6h+2) ulps of the
-        point's largest entry (`_FixedPart.reach`)."""
+        A point on hi_0 + k*ramp has x_0 = hi_0, so that the rounding of
+        that sum, at most an ulp of k*ramp and one of the sum, is within
+        two ulps of the point's largest entry: the envelope holds the
+        polytope far inside the kernel's tolerance."""
         return self._fixed.envelope(self._lo0, self._hi0)
 
     @_once
@@ -642,11 +642,9 @@ class HorizonQp:
         """The LDP form of this constraint set and Hessian, built once. Its
         rows, and its right-hand side but for the rows the state sets, are
         its fixed part's for its row pattern (`_FixedPart.kernel`). Its box
-        is the reach envelope (`envelope`), the bounds that the box and the
-        ramp from the anchor put on each step, or the effective box for an
-        infinite ramp, whose envelope is NaN (`_FixedPart.box`). It is
-        made only when the kernel first reads it, unless this problem's
-        envelope is built already: the kernel then reads that."""
+        is the reach envelope (`envelope`), made only when the kernel first
+        reads it, unless this problem's envelope is built already: the
+        kernel then reads that."""
         fixed, lo0, hi0 = self._fixed, self._lo0, self._hi0
         rows, base, upper_row, lower_row, prefix = fixed.kernel(self._flags)
         b = base.copy()
@@ -666,31 +664,27 @@ class HorizonQp:
         # floats, not this problem, which holds the LDP: a step's problems
         # are then no cyclic garbage
         envelope = self.__dict__.get("envelope")
-        if envelope is not None and fixed.ramp < math.inf:
+        if envelope is not None:
             return Ldp.scaled(rows, b, lambda: envelope)
-        return Ldp.scaled(rows, b, lambda: fixed.box(lo0, hi0))
+        return Ldp.scaled(rows, b, lambda: fixed.envelope(lo0, hi0))
 
 
 class _FixedPart:
     """What the horizon problems of one device share across its states: h,
-    the Hessian diagonal and the box as read-only arrays and as lists of
-    floats, the right-hand sides of the rows that no state changes (the box
-    after step 0 and the ramp rows) with their finiteness, and whether
-    prefix-sum rows exist.
-
-    For the reach envelope (`HorizonQp.envelope`), `reach` holds what
-    the box after step 0 and the ramp put on every step, built once: per
-    step k >= 1, the step's own bounds against the running extremes of
-    hi_j - j*ramp and lo_j + j*ramp over 1 <= j < k with k*ramp added
-    back, and their extremes over k.
+    the Hessian diagonal as a read-only array, the box [lower, upper] and
+    the ramp limit as floats, the right-hand sides of the rows that no
+    state changes (the box after step 0 and the ramp rows) with which are
+    finite, the ramp's reach ``steps`` (k*ramp for k = 1..h-1) that the
+    reach envelope adds, and whether prefix-sum rows exist.
 
     `pattern` maps the finiteness of the rows a state sets to the kept-row
     flags and the `_ldp_rows` key, and `kernel` to the kernel's rows and
     the right-hand side of the rows no state sets; both in memos of at
-    most 16 entries. Construction takes ``d``, ``lo`` and ``hi`` as
-    length-``h`` lists of floats and runs every check on them."""
+    most 16 entries. Construction takes ``d`` as a length-``h`` list of
+    floats and ``lo``, ``hi`` and ``ramp`` as floats, and runs every check
+    on them."""
 
-    def __init__(self, h: int, d: list, lo: list, hi: list, ramp: float,
+    def __init__(self, h: int, d: list, lo: float, hi: float, ramp: float,
                  prefix: bool):
         # NaN fails every comparison, so each test is written to pass
         if not all(v > 0.0 for v in d):
@@ -698,23 +692,20 @@ class _FixedPart:
                 "quad_diag must be strictly positive componentwise")
         if not all(map(math.isfinite, d)):
             raise ValueError("quad_diag must be finite")
-        if not all(map(operator.le, lo, hi)):
-            raise ValueError("lower must be <= upper componentwise, "
-                             "neither NaN")
-        if not ramp > 0.0:
-            raise ValueError(f"ramp_limit must be > 0, got {ramp}")
+        if not lo <= hi:
+            raise ValueError("lower must be <= upper, neither NaN")
+        if not 0.0 < ramp < math.inf:
+            raise ValueError(f"ramp_limit must be finite and > 0, got {ramp}")
         self.h, self.prefix, self.weight = h, prefix, d[0]
-        self.quad_diag, self.lower, self.upper = arrays = (
-            np.array(d), np.array(lo), np.array(hi))
-        for arr in arrays:
-            arr.flags.writeable = False
-        self.lower_list, self.upper_list = lo, hi
-        self.upper_tail = hi[1:]
+        self.quad_diag = np.array(d)
+        self.quad_diag.flags.writeable = False
+        self.lower, self.upper, self.ramp = lo, hi, ramp
+        self.lower_tail, self.upper_tail = [lo] * (h - 1), [hi] * (h - 1)
         # the rows after the step-0 lower row, through the ramp rows
-        self.rest = [-v for v in lo[1:]] + [ramp] * (2 * h - 2)
-        self._finite = (list(map(math.isfinite, self.upper_tail)),
-                        list(map(math.isfinite, self.rest)))
-        self.ramp = ramp
+        self.rest = [-lo] * (h - 1) + [ramp] * (2 * h - 2)
+        self._finite = ([math.isfinite(hi)] * (h - 1),
+                        [math.isfinite(lo)] * (h - 1) + [True] * (2 * h - 2))
+        self.steps = [ramp * k for k in range(1, h)]
         self._d_bytes = self.quad_diag.tobytes()
         self._patterns = {}
         self._kernels = {}
@@ -733,74 +724,19 @@ class _FixedPart:
                 keep, (self._d_bytes, self.prefix, bytes(keep)))
         return hit
 
-    @_once
-    def reach(self):
-        """What a reach envelope reads (`HorizonQp.envelope`), built
-        when first asked for: the ramp's reach 0*ramp at step 0 (NaN for
-        an infinite ramp); k*ramp for k = 1..h-1; M_k, the lesser of hi_k
-        and m + k*ramp, and N_k, the greater of lo_k and n - k*ramp, where
-        m is the least of hi_j - j*ramp and n the greatest of
-        lo_j + j*ramp over 1 <= j < k (a running extreme keeps the first
-        of equal values; for k = 1 there are none); and the least M_k and
-        the greatest N_k (inf and -inf when h = 1).
-
-        Step k's own bound is taken as it is: hi_k - k*ramp + k*ramp may
-        round below hi_k by an ulp of k*ramp, which a ramp far above the
-        box makes larger than the box itself (with hi_1 = 4e7 and
-        ramp = 1e24 it gives 0). A bound carried from an earlier step j,
-        the anchor's included, rounds by a few ulps of k*ramp too, but a
-        point on it has x_k = hi_j + (k-j)*ramp and x_j <= hi_j, so that
-        its largest entry is at least ramp/2 (up to that rounding) and the
-        rounding stays within (6h+2) ulps of that entry, far inside the
-        kernel's tolerance."""
-        ramp, lo, hi = self.ramp, self.lower_list, self.upper_list
-        steps, highs, lows = [], [], []
-        for k in range(1, self.h):
-            s = ramp * k
-            high, low = hi[k], lo[k]
-            if k > 1:
-                x, y = least + s, most - s
-                if not high < x:
-                    high = x
-                if not low > y:
-                    low = y
-            u, v = hi[k] - s, lo[k] + s
-            if k == 1 or u < least:
-                least = u
-            if k == 1 or v > most:
-                most = v
-            steps.append(s)
-            highs.append(high)
-            lows.append(low)
-        return (ramp * 0, steps, highs, lows, min(highs, default=math.inf),
-                max(lows, default=-math.inf))
-
     def envelope(self, lo0: float, hi0: float):
         """The reach envelope (los, his) of `HorizonQp.envelope` at the
-        step-0 bounds ``lo0`` and ``hi0``, as two lists of floats."""
-        s0, steps, highs, lows, _, _ = self.reach
-        hi, lo = hi0 - s0, lo0 + s0
-        his, los = [hi + s0], [lo - s0]
-        for s, high, low in zip(steps, highs, lows):
-            x, y = hi + s, lo - s
-            his.append(high if high < x else x)
-            los.append(low if low > y else y)
+        step-0 bounds ``lo0`` and ``hi0``, as two lists of floats:
+        hi0 + 0.0 at step 0, which is hi0 but for -0.0, taken to +0.0, and
+        min(upper, hi0 + k*ramp) at step k >= 1, the box's bound on a tie;
+        the lower bounds likewise."""
+        lo, hi = self.lower, self.upper
+        his, los = [hi0 + 0.0], [lo0 + 0.0]
+        for s in self.steps:
+            x, y = hi0 + s, lo0 - s
+            his.append(hi if hi < x else x)
+            los.append(lo if lo > y else y)
         return los, his
-
-    def box(self, lo0: float, hi0: float):
-        """The box of the kernel at the step-0 bounds ``lo0`` and ``hi0``:
-        the reach envelope, or for an infinite ramp, whose envelope is
-        NaN, the box with step 0's bounds replaced (`anchored`)."""
-        if self.ramp < math.inf:
-            return self.envelope(lo0, hi0)
-        return self.anchored(lo0, hi0)
-
-    def anchored(self, lo0: float, hi0: float):
-        """The box as two lists of floats (lo, hi), with step 0's bounds
-        replaced by ``lo0`` and ``hi0``."""
-        lo, hi = self.lower_list.copy(), self.upper_list.copy()
-        lo[0], hi[0] = lo0, hi0
-        return lo, hi
 
     def kernel(self, flags: tuple):
         """What every `HorizonQp.ldp` of the row pattern ``flags`` (as in
@@ -851,8 +787,7 @@ def _fixed_part(h: int, d: float, lo: float, hi: float, ramp: float,
     """The `_FixedPart` of the scalars ``d``, ``lo`` and ``hi``, shared by
     every `HorizonQp` built from them; the sign bits are part of the key
     only."""
-    return _FixedPart(h, [float(d)] * h, [float(lo)] * h, [float(hi)] * h,
-                      ramp, prefix)
+    return _FixedPart(h, [float(d)] * h, float(lo), float(hi), ramp, prefix)
 
 
 def _kept_rows(h: int, prefix: bool, keep: bytes) -> np.ndarray:

@@ -246,46 +246,38 @@ def reach_bounds(qps, p_f):
 
 
 def envelope_arrays(lo, hi, steps):
-    """The reach envelope (los, his) of boxes [lo, hi] along their last
-    axis, on arrays: step k's own bound against the running minimum of
-    hi_j - j*ramp over j < k with k*ramp added back (``steps`` holds
-    k*ramp), and lo_k likewise with the maximum."""
-    run_hi = np.minimum.accumulate(hi - steps, axis=-1)
-    run_lo = np.maximum.accumulate(lo + steps, axis=-1)
-    up = run_hi[..., :-1] + steps[..., 1:]
-    down = run_lo[..., :-1] - steps[..., 1:]
-    his = np.concatenate([run_hi[..., :1] + steps[..., :1],
-                          np.where(hi[..., 1:] < up, hi[..., 1:], up)],
-                         axis=-1)
-    los = np.concatenate([run_lo[..., :1] - steps[..., :1],
-                          np.where(lo[..., 1:] > down, lo[..., 1:], down)],
-                         axis=-1)
-    return los, his
+    """The reach envelope (los, his) of effective boxes [lo, hi] along
+    their last axis, on arrays, by its definition: hi_k is the least of
+    hi_j + (k-j)*ramp over j <= k (``steps`` holds k*ramp), and lo_k the
+    greatest of lo_j - (k-j)*ramp. Step 0 is hi_0 + 0*ramp and
+    lo_0 + 0*ramp, which take -0.0 to +0.0; a later step's own bound is
+    taken as it is, and beats the earlier steps' only when strictly inside
+    them."""
+    his, los = [hi[..., 0] + steps[..., 0]], [lo[..., 0] + steps[..., 0]]
+    for k in range(1, hi.shape[-1]):
+        up = np.min([hi[..., j] + steps[..., k - j] for j in range(k)], axis=0)
+        down = np.max([lo[..., j] - steps[..., k - j] for j in range(k)],
+                      axis=0)
+        his.append(np.where(hi[..., k] < up, hi[..., k], up))
+        los.append(np.where(lo[..., k] > down, lo[..., k], down))
+    return np.stack(los, axis=-1), np.stack(his, axis=-1)
 
 
 def reach_envelope(qp):
     """A node's reach envelope (los, his) by its definition, step by step
-    on Python floats: hi_k = min over j <= k of hi_j + (k-j)*ramp over the
-    effective box, as step k's own bound against the running minimum of
-    hi_j - j*ramp over j < k with k*ramp added back, and lo_k likewise
-    with the maximum. A running extreme takes a new value only when it is
-    strictly beyond, and a step's own bound only when it is strictly
-    inside what the earlier steps carry."""
+    on Python floats, as `envelope_arrays` states it for the effective
+    box: hi_k is the least of hi_j + (k-j)*ramp over j <= k, with j = k
+    written hi_k for k >= 1 and tried last; lo_k likewise, with the
+    greatest. For one box [lo, hi] after step 0 that is
+    min(hi, hi_0 + k*ramp)."""
     lo, hi = qp.effective_bounds()
-    los, his = [], []
-    for k in range(qp.h):
-        s = qp.ramp_limit * k
-        if k:
-            up, down = run_hi + s, run_lo - s
-            his.append(hi[k] if hi[k] < up else up)
-            los.append(lo[k] if lo[k] > down else down)
-        if not k or hi[k] - s < run_hi:
-            run_hi = hi[k] - s
-        if not k or lo[k] + s > run_lo:
-            run_lo = lo[k] + s
-        if not k:
-            his.append(run_hi + s)
-            los.append(run_lo - s)
+    ramp = qp.ramp_limit
+    los, his = [lo[0] + ramp * 0], [hi[0] + ramp * 0]
+    for k in range(1, qp.h):
+        up = min(hi[j] + ramp * (k - j) for j in range(k))
+        down = max(lo[j] - ramp * (k - j) for j in range(k))
+        his.append(hi[k] if hi[k] < up else up)
+        los.append(lo[k] if lo[k] > down else down)
     return los, his
 
 

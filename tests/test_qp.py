@@ -95,7 +95,7 @@ class TestSolveExamples:
                             ramp_limit=qp.ramp_limit, prev_value=qp.prev_value,
                             cumsum_coeff=-0.2, cumsum_init=0.5,
                             cumsum_lower=0.1, cumsum_upper=0.9)
-            a, b = horizon_qp_matrices(3, qp.lower[0], qp.upper[0],
+            a, b = horizon_qp_matrices(3, qp.lower, qp.upper,
                                        qp.ramp_limit, qp.prev_value,
                                        kappa=-0.2, soc0=0.5,
                                        soc_min=0.1, soc_max=0.9)
@@ -281,16 +281,6 @@ class TestFeasibilityCheck:
                        ramp_limit=1.0, prev_value=0.0)
         assert feasibility_check(qp) == INFEASIBLE
 
-    def test_chain_needs_multiple_steps(self):
-        # prev=0, ramp 1: step k reaches at most k+1, so lower=3 at h=3 is
-        # reachable only at the last step
-        qp = HorizonQp(h=3, quad_diag=1.0, lower=[0.0, 0.0, 3.0],
-                       upper=3.0, ramp_limit=1.0, prev_value=0.0)
-        assert feasibility_check(qp) == FEASIBLE
-        qp = HorizonQp(h=3, quad_diag=1.0, lower=[0.0, 0.0, 3.5],
-                       upper=4.0, ramp_limit=1.0, prev_value=0.0)
-        assert feasibility_check(qp) == INFEASIBLE
-
     def test_cumsum_feasible_interior(self):
         qp = HorizonQp(h=5, quad_diag=1.0, lower=-1.0, upper=1.0,
                        ramp_limit=2.0, prev_value=0.0, cumsum_coeff=0.01,
@@ -318,9 +308,7 @@ class TestValidation:
             HorizonQp(h=2, quad_diag=1.0, lower=2.0, upper=1.0,
                       ramp_limit=1.0, prev_value=0.0)
 
-    @pytest.mark.parametrize("lower, upper", [
-        (np.nan, 1.0), (0.0, np.nan),
-        (np.array([0.0, np.nan]), 1.0), (0.0, np.array([1.0, np.nan]))])
+    @pytest.mark.parametrize("lower, upper", [(np.nan, 1.0), (0.0, np.nan)])
     def test_rejects_nan_bounds(self, lower, upper):
         # a NaN bound compares false both ways; it used to be read as no
         # bound, and at lin (5, 5) the solve returned (-5, -5), 5 beyond
@@ -328,6 +316,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="lower must be <= upper"):
             HorizonQp(h=2, quad_diag=1.0, lower=lower, upper=upper,
                       ramp_limit=1.0, prev_value=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("lower", np.zeros(2)), ("upper", np.ones(2)), ("upper", [1.0, 1.0]),
+        ("lower", np.array([0.0, np.nan])), ("upper", np.array([1.0, np.nan])),
+        ("quad_diag and lower", np.zeros(2))])
+    def test_rejects_a_per_step_box(self, name, value):
+        # a device has one box for every step; a per-step Hessian is taken
+        kw = dict(h=2, quad_diag=1.0, lower=0.0, upper=1.0, ramp_limit=1.0,
+                  prev_value=0.0)
+        if name == "quad_diag and lower":
+            kw["quad_diag"], name = [1.0, 2.0], "lower"
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be a scalar"):
+            HorizonQp(**kw)
+
+    @pytest.mark.parametrize("ramp", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_a_ramp_limit_not_finite_and_positive(self, ramp):
+        # the reach envelope adds k*ramp, and 0*inf is NaN
+        with pytest.raises(ValueError,
+                           match="ramp_limit must be finite and > 0"):
+            HorizonQp(h=3, quad_diag=1.0, lower=0.0, upper=1.0,
+                      ramp_limit=ramp, prev_value=0.5)
 
     @pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_cumsum_coeff(self, coeff):
@@ -367,12 +377,14 @@ class TestValidation:
             solve(qp, value)
 
     def test_accepts_finite_lin_whose_sum_overflows(self):
-        # no finite row: x_u is the answer
-        qp = HorizonQp(h=2, quad_diag=1.0, lower=-np.inf, upper=np.inf,
-                       ramp_limit=np.inf, prev_value=0.0)
-        s = solve(qp, np.array([1e308, 1e308]))
+        # the largest finite ramp, and a weight that keeps x_u = -1e8 inside
+        # every row, so that the slacks do not overflow: x_u is the answer
+        qp = HorizonQp(h=2, quad_diag=1e300, lower=-np.inf, upper=np.inf,
+                       ramp_limit=qpmod.FLOAT_MAX, prev_value=0.0)
+        lin = np.array([1e308, 1e308])
+        s = solve(qp, lin)
         assert s.status == OPTIMAL
-        np.testing.assert_array_equal(s.profile, [-1e308, -1e308])
+        np.testing.assert_array_equal(s.profile, lin / -1e300)
 
     def test_h_one_minimal_problem(self):
         qp = HorizonQp(h=1, quad_diag=2.0, lower=0.0, upper=10.0,
@@ -382,19 +394,11 @@ class TestValidation:
         assert s.profile[0] == pytest.approx(0.8, abs=1e-9)
 
 
-def kernel_box(qp):
-    """The box that the kernel of ``qp`` gets, built by its definition:
-    the reach envelope, or the effective box for an infinite ramp."""
-    if np.isfinite(qp.ramp_limit):
-        return reach_envelope(qp)
-    return qp.effective_box()
-
-
 def fresh_ldp(qp):
-    """The kernel of ``qp`` built without the rows memo, over the box of
-    its own kernel."""
+    """The kernel of ``qp`` built without the rows memo, over its reach
+    envelope by the definition."""
     a, b = qp.constraint_rows()
-    return qpmod.Ldp(qpmod.LdpRows(qp.quad_diag, a), b, *kernel_box(qp))
+    return qpmod.Ldp(qpmod.LdpRows(qp.quad_diag, a), b, *reach_envelope(qp))
 
 
 def assert_same_solve(got, want):
@@ -504,43 +508,39 @@ class TestRightHandSide:
            soc_sign=st.sampled_from([0.0, 1.0, -1.0]),
            soc_lower_inf=st.booleans(), soc_upper_inf=st.booleans(),
            weight=st.one_of(st.just(WEIGHT_FLOOR),
-                            st.floats(WEIGHT_FLOOR, 10.0)),
-           arrays=st.booleans())
+                            st.floats(WEIGHT_FLOOR, 10.0)))
     @settings(max_examples=300, deadline=None)
     def test_equal_to_the_reference(self, h, seed, lower, upper_inf, ramp_inf,
                                     soc_sign, soc_lower_inf, soc_upper_inf,
-                                    weight, arrays):
+                                    weight):
         rng = np.random.default_rng(seed)
         p_max = rng.uniform(1e6, 4e7)
         lower = {"inf": -np.inf, "zero": 0.0, "negative zero": -0.0,
                  "finite": -rng.uniform(0.0, 1.0) * p_max}[lower]
         upper = np.inf if upper_inf else p_max
-        # with an infinite ramp, a step-0 row is infinite where its box
-        # side is
         kw = dict(h=h, quad_diag=weight, lower=lower, upper=upper,
-                  ramp_limit=np.inf if ramp_inf
-                  else rng.uniform(0.05, 1.0) * p_max,
+                  ramp_limit=rng.uniform(0.05, 1.0) * p_max,
                   prev_value=rng.uniform(-1.0, 1.0) * p_max)
+        if ramp_inf:
+            with pytest.raises(ValueError, match="ramp_limit must be finite"):
+                HorizonQp(**dict(kw, ramp_limit=np.inf))
+            return
         if soc_sign:
             kw.update(cumsum_coeff=soc_sign / (rng.uniform(2e3, 2e4) * 3.6e6),
                       cumsum_init=rng.uniform(0.1, 0.9),
                       cumsum_lower=-np.inf if soc_lower_inf else 0.1,
                       cumsum_upper=np.inf if soc_upper_inf else 0.9)
-        if arrays:
-            kw.update({k: np.full(h, kw[k])
-                       for k in ("quad_diag", "lower", "upper")})
         qp = HorizonQp(**kw)
         b, lo, hi = horizon_rhs(**kw)
         keep = np.isfinite(b)
         a_rows, b_rows = qp.constraint_rows()
         assert a_rows.shape == (keep.sum(), h)
-        # the kernel's box is the reach envelope, array by array, or the
-        # effective box for an infinite ramp
-        box = (lo, hi)
-        if not ramp_inf:
-            box = envelope_arrays(lo, hi, kw["ramp_limit"] * np.arange(h))
+        # the box and the ramp are the scalars given
+        assert [qp.lower.hex(), qp.upper.hex(), qp.ramp_limit.hex()] \
+            == [float(v).hex() for v in (lower, upper, kw["ramp_limit"])]
+        # the kernel's box is the reach envelope, array by array
+        box = envelope_arrays(lo, hi, kw["ramp_limit"] * np.arange(h))
         pairs = [(qp.quad_diag, np.full(h, weight)),
-                 (qp.lower, np.full(h, lower)), (qp.upper, np.full(h, upper)),
                  *zip(qp.effective_box(), (lo, hi)), *zip(qp.ldp.box, box),
                  (b_rows, b[keep]), (qp.ldp.b, b[keep] / qp.ldp.rows.norms)]
         for got, want in pairs:
@@ -557,11 +557,11 @@ class TestRightHandSide:
         g = random_fleet(rng).pgms[0]
         first = pgm_qp(g.spec, g.prev_power_w, 5)
         again = pgm_qp(g.spec, 0.5 * g.prev_power_w, 5)
-        for name in ("quad_diag", "lower", "upper"):
-            shared = getattr(first, name)
-            assert shared is getattr(again, name)
-            with pytest.raises(ValueError):
-                shared[0] = 0.0
+        shared = first.quad_diag
+        assert shared is again.quad_diag
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+        assert (first.lower, first.upper) == (g.spec.p_min_w, g.spec.p_max_w)
         for _ in range(300):
             fleet = random_fleet(rng)
             for g in fleet.pgms:
@@ -654,7 +654,7 @@ class TestActiveSetContinuation:
         assert len(calls) == 2
         # a new kernel over the same rows starts from their last active set
         _, b = qp.constraint_rows()
-        other = qpmod.Ldp(ldp.rows, b, *kernel_box(qp))
+        other = qpmod.Ldp(ldp.rows, b, *reach_envelope(qp))
         other.solve(-np.array([2.9, -3.1, 0.2]), 1e-8)
         assert len(calls) == 2
 
@@ -916,14 +916,13 @@ class TestClipExit:
         x = self.exact_clip(qp, [45e6] * 5)
         assert x.tolist() == [38e6] + [40e6] * 4
 
-    @pytest.mark.parametrize("ramp", [2e6, np.inf])
-    def test_a_kernel_made_after_the_envelope_has_the_same_box(self, ramp):
-        # the kernel then reads the problem's envelope lists, except for an
-        # infinite ramp, whose envelope is NaN: that keeps the effective box
-        qp = HorizonQp(h=4, quad_diag=1.0, lower=0.0, upper=40e6,
-                       ramp_limit=ramp, prev_value=36e6)
-        assert np.isnan(qp.envelope[1]).all() == (ramp == np.inf)
-        got, want = qp.ldp.box, kernel_box(qp)
+    @pytest.mark.parametrize("upper", [40e6, np.inf])
+    def test_a_kernel_made_after_the_envelope_has_the_same_box(self, upper):
+        # the kernel then reads the problem's envelope lists
+        qp = HorizonQp(h=4, quad_diag=1.0, lower=0.0, upper=upper,
+                       ramp_limit=2e6, prev_value=36e6)
+        qp.envelope
+        got, want = qp.ldp.box, reach_envelope(qp)
         for g, w in zip(got, want):
             assert g.tobytes() == np.asarray(w, dtype=float).tobytes()
 
@@ -940,7 +939,7 @@ class TestClipExit:
         lies beyond one side of the box at every step where that side is
         finite, which the clip answers more often."""
         qp, lin = problem()
-        box = kernel_box(qp)
+        box = reach_envelope(qp)
         side = 1 if rng.uniform() < 0.5 else 0
         beyond = np.asarray(box[side]) \
             + (2 * side - 1) * np.abs(lin / qp.quad_diag)
@@ -952,7 +951,7 @@ class TestClipExit:
         """Solve at ``lin``, on a clip exit check the point against the
         clip to the kernel's box by its definition and against
         enumeration, and return the exit."""
-        box = kernel_box(qp)
+        box = reach_envelope(qp)
         (x, status, _, viol), exit_ = solve_exit(qp.ldp, lin, tol)
         if exit_ == "clip":
             xu = lin / -qp.quad_diag
@@ -1199,7 +1198,7 @@ class TestNanInputs:
         for k in range(b.size):
             b_nan = b.copy()
             b_nan[k] = np.nan
-            kernel = qpmod.Ldp(ldp.rows, b_nan, *kernel_box(qp))
+            kernel = qpmod.Ldp(ldp.rows, b_nan, *reach_envelope(qp))
             for lin in lins:
                 exits = self.exits(kernel, lin)
                 assert not exits & {"shortcut", "clip", "hint", "memo"}, \
