@@ -27,14 +27,18 @@ change/parent. The iterations tell a change in how often the loop runs
 from a change in what one iteration costs.
 
 The oracle, `centralized_solve`, is timed the same way on the same 40
-fleets at the benchmark's oracle tolerance, and on `harness.verify`:
+fleets at the benchmark's oracle tolerance:
 
 - warm: after one untimed call per fleet, so that each tree's memos hold
   what the benchmark's later rounds find there;
 - cold: each tree's memos (those of `MEMOS` that the tree has) cleared
-  before every call, as for a fleet met once;
-- `verify`: one `harness.verify(default_config())` per side in each pass,
-  the memos cleared before it, as in a fresh process.
+  before every call, as for a fleet met once.
+
+`harness.verify(default_config())` runs once in the change tree, untimed,
+and the `centralized_solve` and `coordinate` calls of each of its cases
+are recorded. Each pass clears both trees' memos, as in a fresh process,
+then replays every case (both its calls) through both trees, the tree
+that goes first alternating from case to case and from pass to pass.
 
 For the fleets it prints each side's `qp.EXITS` counts of the last pass
 in place of dual iterations.
@@ -69,8 +73,8 @@ from workloads import (CORPUS_SEED, CORPUS_SIZE, HORIZON,  # noqa: E402
 # the battery's initial SoC
 SHORTFALL_SEED = 701
 # the package's memos; a tree that lacks one is cleared of the others
-MEMOS = (("shipems.qp", "_ldp_rows"), ("shipems.qp", "_expanded"),
-         ("shipems.qp", "_fixed_part"),
+MEMOS = (("shipems.qp", "_ldp_rows"), ("shipems.qp", "_fixed_part"),
+         ("shipems.qp", "_kept_rows"),
          ("shipems.coordinator", "_fleet_rows"))
 
 
@@ -159,11 +163,13 @@ def time_fleets(sides, passes: int):
 
 
 def clear_memos(mods: dict) -> None:
-    """Empty every memo of `MEMOS` that the tree of ``mods`` has."""
+    """Empty every memo of `MEMOS` that the tree of ``mods`` has; a name
+    that is no memo there is skipped."""
     for module, name in MEMOS:
-        memo = getattr(mods[module], name, None)
-        if memo is not None:
-            memo.cache_clear()
+        clear = getattr(getattr(mods[module], name, None), "cache_clear",
+                        None)
+        if clear is not None:
+            clear()
 
 
 def time_oracle(sides, passes: int, cold: bool):
@@ -195,21 +201,53 @@ def time_oracle(sides, passes: int, cold: bool):
     return times, exits
 
 
+def record_verify(mods: dict):
+    """The calls of each case of `harness.verify(default_config())` run in
+    the tree of ``mods``: per case, its `centralized_solve` and its
+    `coordinate` call, each as (name, args, kwargs)."""
+    harness, calls = mods["shipems.harness"], []
+    names = ("centralized_solve", "coordinate")
+    funcs = [getattr(harness, name) for name in names]
+
+    def recorder(name, func):
+        def recorded(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return func(*args, **kwargs)
+        return recorded
+
+    with active(mods):
+        for name, func in zip(names, funcs):
+            setattr(harness, name, recorder(name, func))
+        try:
+            harness.verify(mods["shipems.config"].default_config())
+        finally:
+            for name, func in zip(names, funcs):
+                setattr(harness, name, func)
+    return [calls[i:i + 2] for i in range(0, len(calls), 2)]
+
+
 def time_verify(sides, passes: int):
-    """Each side's `harness.verify(default_config())` times (s), as the
-    one list of a single item, and the number of its cases, as text."""
-    times, cases = [[[]], [[]]], [None, None]
+    """Each side's per-case times (s) of the recorded `verify` cases (as
+    in `record_verify`), one list per case, both calls of a case timed
+    together, and the number of cases, as text."""
+    cases = record_verify(sides[1][1])
+    ported = [[[(name, tuple(port(a, mods) for a in args), kwargs)
+                for name, args, kwargs in case] for case in cases]
+              for _, mods in sides]
+    times = [[[] for _ in cases] for _ in sides]
     for n in range(passes):
-        for s in ((0, 1) if n % 2 == 0 else (1, 0)):
-            mods = sides[s][1]
-            with active(mods):
-                cfg = mods["shipems.config"].default_config()
-                clear_memos(mods)
-                t0 = time.perf_counter()
-                rep = mods["shipems.harness"].verify(cfg)
-                times[s][0].append(time.perf_counter() - t0)
-            cases[s] = f"{len(rep.cases)} cases"
-    return times, cases
+        for _, mods in sides:
+            clear_memos(mods)
+        for k in range(len(cases)):
+            for s in ((0, 1) if (n + k) % 2 == 0 else (1, 0)):
+                mods = sides[s][1]
+                coordinator = mods["shipems.coordinator"]
+                with active(mods):
+                    t0 = time.perf_counter()
+                    for name, args, kwargs in ported[s][k]:
+                        getattr(coordinator, name)(*args, **kwargs)
+                    times[s][k].append(time.perf_counter() - t0)
+    return times, [f"{len(cases)} cases"] * 2
 
 
 def default_run(base):
@@ -287,8 +325,9 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="source tree A")
     parser.add_argument("--change", required=True, help="source tree B")
     parser.add_argument("--passes", type=int, default=10,
-                        help="calls per fleet, replays of each closed-loop "
-                             "run and runs of verify, per tree")
+                        help="calls per fleet, and replays of each "
+                             "closed-loop run and of verify's cases, per "
+                             "tree")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be >= 1")
@@ -303,7 +342,8 @@ def main(argv=None) -> int:
         report(f"oracle, first {CORPUS_SIZE} fleets, "
                + ("cold" if cold else "warm"), sides,
                time_oracle(sides, args.passes, cold))
-    report("verify, default config", sides, time_verify(sides, args.passes))
+    report("verify, default config, replayed", sides,
+           time_verify(sides, args.passes))
     return 0
 
 

@@ -18,8 +18,8 @@ import sys
 import typing
 from dataclasses import dataclass, field
 
-from .plant import (LOG_VALUES_MAX, BusSpec, DlcGains, PcmSpec, PgmSpec,
-                    log_values)
+from .plant import (AH_TO_AS, LOG_VALUES_MAX, BusSpec, DlcGains, PcmSpec,
+                    PgmSpec, log_values)
 from .sim import LoadProfileSpec
 
 
@@ -128,6 +128,18 @@ class ScenarioConfig:
                     f"initial_soc[{j}]={s} outside "
                     f"[{spec.soc_min}, {spec.soc_max}]"
                 )
+            # a battery's horizon QP bounds its prefix sums by SoC
+            # differences over kappa, the SoC that 1 W moves over a period
+            # (`nodes.soc_coeff`); kappa and those bounds must be finite
+            scale = spec.capacity_ah * AH_TO_AS * self.bus.v_bus_volt
+            kappa = self.mpc_period_s / scale if scale > 0.0 else math.inf
+            if not (0.0 < kappa < math.inf and math.isfinite(
+                    (spec.soc_max - spec.soc_min) / kappa)):
+                raise ValueError(
+                    f"pcms[{j}]: (soc_max - soc_min)/kappa is not finite "
+                    f"at kappa = mpc_period_s/(3600 * capacity_ah * "
+                    f"v_bus_volt) = {kappa:.6g}; lower capacity_ah or "
+                    f"raise mpc_period_s")
         if not self.constant_c_rate:
             for j, spec in enumerate(self.pcms):
                 # each plant step adds factor(c) * c * Q * dt / 3600 Ah of

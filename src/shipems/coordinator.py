@@ -21,14 +21,13 @@ unconstrained response to its reach envelope (`qp`). A warm price from
 the previous MPC step is tried first; when it misses, the envelope price
 comes next, then plain ascent.
 
-Every node problem is solved exactly by the LDP kernel of `qp`. Its
-problem is built once per MPC step from the device's fixed part, which
-`qp` keeps in a memo with the kernel's rows for each row pattern and the
-ramp's reach k*ramp that the reach envelope adds.
-`centralized_solve` solves the same allocation monolithically (one
-stacked QP with the balance as equality rows, solved by the same kernel
-over stacked rows memoized per fleet shape) and serves as the
-verification oracle for the distributed loop.
+Every node problem is solved exactly by the LDP kernel of `qp`. A
+device has one kernel, whose rows its fixed part holds; each MPC step
+builds its problem, reach envelope and kernel right-hand side in one
+pass. `centralized_solve` solves the same allocation monolithically (one
+stacked QP of its nodes' kernels with the balance as equality rows,
+solved by the same kernel over stacked rows memoized per fleet shape)
+and serves as the verification oracle for the distributed loop.
 
 When the demand lies beyond what the fleet can deliver, the dual is
 unbounded and the ascent never balances. The loop then stops on a proof
@@ -255,8 +254,7 @@ def _envelope_price(targets: list, weights: list, qps,
     nodes' step-0 upper bounds, which needs no envelope) is met by one
     pass over the envelopes (`_saturated_pass`), which also takes the
     bounds. When every step is saturated, its least upper breakpoints are
-    the price; otherwise the steps are priced as below, on the envelopes
-    the pass has built.
+    the price; otherwise the steps are priced as below.
 
     The sum is piecewise linear and nonincreasing in lambda, with
     breakpoints w_i(t_i - hi_ik) and w_i(t_i - lo_ik). Most steps meet the
@@ -268,9 +266,8 @@ def _envelope_price(targets: list, weights: list, qps,
     scale, the extreme breakpoints of step 0 (at step 0) or those over
     steps 1 to h-1 (at a later step); its sums are the sweep's, in the
     nodes' order, so the price is the sweep's bit for bit. The extremes
-    come from each node's step-0 bounds, box and ramp, without its
-    envelope, which is built only for a call that takes the pass or a step
-    that runs the sweep. On Python floats.
+    come from each node's step-0 bounds and its envelope's step-1 bounds.
+    On Python floats.
     """
     bounds = None
     # the fleet's reach at step 0: the sum of the step-0 upper bounds, in
@@ -293,26 +290,24 @@ def _envelope_price(targets: list, weights: list, qps,
         # the sums of the sweep's free branch
         free += t
         slope += 1.0 / w
-        fixed, hi, lo = p._fixed, p._hi0, p._lo0
+        hi, lo = p._hi0, p._lo0
         u, v = w * (t - hi), w * (t - lo)
         if u > upper0:
             upper0 = u
         if v < lower0:
             lower0 = v
         size += abs(t) + abs(hi)
-        steps = fixed.steps
+        steps = p._fixed.steps
         if steps:
             # over steps >= 1 the envelope is narrowest at step 1 and the
             # anchor's reach greatest at step h-1
-            x, y = hi + steps[0], lo - steps[0]
-            x = fixed.upper if fixed.upper < x else x
-            y = fixed.lower if fixed.lower > y else y
-            u, v = w * (t - x), w * (t - y)
+            los, his = p.envelope
+            u, v = w * (t - his[1]), w * (t - los[1])
             if u > upper:
                 upper = u
             if v < lower:
                 lower = v
-            size += abs(x) + abs(hi + steps[-1])
+            size += abs(his[1]) + abs(hi + steps[-1])
     # the rounding of the sweep's sums, in price units: its level adds the
     # targets and the finite upper bounds (size bounds each of their sums
     # by half), its slope weighs the breakpoints it passes; the demand and
@@ -322,7 +317,6 @@ def _envelope_price(targets: list, weights: list, qps,
     tiers = [(u, v, base + (abs(u) if u > -math.inf else 0.0)
               + (abs(v) if v < math.inf else 0.0))
              for u, v in ((upper0, lower0), (upper, lower))]
-    envelopes = None
     price = []
     for k, d in enumerate(demand):
         u, v, scale = tiers[min(k, 1)]
@@ -332,11 +326,9 @@ def _envelope_price(targets: list, weights: list, qps,
             if lam - u > margin and v - lam > margin:
                 price.append(lam)
                 continue
-        if envelopes is None:
-            envelopes = [p.envelope for p in qps]
         price.append(_swept_price(
-            [(t, w, los[k], his[k])
-             for t, w, (los, his) in zip(targets, weights, envelopes)], d))
+            [(t, w, p.envelope[0][k], p.envelope[1][k])
+             for t, w, p in zip(targets, weights, qps)], d))
     return np.array(price), bounds
 
 
@@ -598,7 +590,8 @@ class CentralizedResult:
 @lru_cache(maxsize=qpmod.LDP_ROWS_MEMO_SIZE)
 def _fleet_rows(h: int, nodes: tuple) -> qpmod.LdpRows:
     """`LdpRows` of the stacked fleet problem: each node's rows, as
-    `qp._ldp_rows` builds them from the node's key in ``nodes``, block
+    `qp._ldp_rows` builds them from the node's row key in ``nodes``
+    (`qp._FixedPart.key`), block
     diagonal over the stacked profiles, then the h balance rows
     sum_i x_ik = p_f,k and their negations as equalities."""
     a = _block_diagonal([qpmod._kept_rows(h, prefix, keep)
@@ -620,26 +613,28 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
 
     The stacked rows depend only on the fleet's shape (each node's Hessian
     and row pattern, and h), so they come from the bounded memo of
-    `_fleet_rows`, and with them the active-set maps that certified
-    earlier solves of that shape: a call fills only the right-hand side,
-    the box and the linear term, and a fleet solved again, or at a nearby
-    state, mostly exits through a kept map instead of `nnls`.
+    `_fleet_rows`, keyed on the nodes' row keys, and with them the
+    active-set maps that certified earlier solves of that shape. A call
+    stacks its nodes' kernels' right-hand sides with the balance rows' and
+    fills the box and the linear term, and a fleet solved again, or at a
+    nearby state, mostly exits through a kept map instead of `nnls`.
     """
-    p_f, demand = _demand(p_f)
+    p_f, _ = _demand(p_f)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     h = p_f.size
     gen_qps, batt_qps = _node_problems(fleet, h)
     problems = gen_qps + batt_qps
     n = len(problems)
-    # every node's parts are lists of floats, stacked before one array each
-    parts = [p.ldp_parts() for p in problems]
-    rows = _fleet_rows(h, tuple(key for _, _, _, key in parts))
-    b = [v for _, _, node_b, _ in parts for v in node_b]
-    b += demand
-    b += [-v for v in demand]
-    kernel = qpmod.Ldp(rows, b, [v for lo, _, _, _ in parts for v in lo],
-                       [v for _, hi, _, _ in parts for v in hi])
+    rows = _fleet_rows(h, tuple(p._fixed.key for p in problems))
+    # the nodes' kernels' right-hand sides, then the balance rows', each
+    # divided by its row's norm
+    b = np.concatenate([p.ldp.b for p in problems] + [p_f, -p_f])
+    balance = b[-2 * h:]
+    balance /= rows.norms[-2 * h:]
+    bounds = [p.effective_bounds() for p in problems]
+    kernel = qpmod.Ldp(rows, b, [v for lo, _ in bounds for v in lo],
+                       [v for _, hi in bounds for v in hi])
     n_g = len(gen_qps)
     targets = fleet.targets()
     # generators pull toward their rated point, batteries toward zero
@@ -648,14 +643,14 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     x, status, _, _ = kernel.solve(lin, tol)
     if status == INFEASIBLE:
         return CentralizedResult([], [], np.inf, np.inf, INFEASIBLE)
-    profiles = list(x.reshape(n, h))
+    x = x.reshape(n, h)
+    profiles = list(x)
     dev = [x_i - t for x_i, t in zip(profiles, targets)]
     return CentralizedResult(
         gen_profiles=profiles[:n_g],
         batt_profiles=profiles[n_g:],
-        objective=sum(0.5 * w * float(v @ v)
-                      for w, v in zip(fleet.weights(), dev)),
-        balance_residual_w=float(np.max(np.abs(np.sum(profiles, axis=0)
-                                                - p_f))),
+        objective=sum(0.5 * p.weight * float(v @ v)
+                      for p, v in zip(problems, dev)),
+        balance_residual_w=float(abs(x.sum(axis=0) - p_f).max()),
         status=status,
     )

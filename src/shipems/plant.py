@@ -72,6 +72,21 @@ class DegradationParams:
             return math.inf
 
 
+def _check_ramp(spec) -> None:
+    """A device's ramp limit must be finite and > 0, and so must its reach
+    past either side of the box, as a horizon QP's step-0 bounds take it."""
+    ramp = spec.ramp_limit_w_per_step
+    if not 0.0 < ramp < math.inf:
+        raise ValueError(
+            f"ramp_limit_w_per_step must be > 0 and finite, got {ramp}")
+    if not (math.isfinite(spec.p_max_w + ramp)
+            and math.isfinite(spec.p_min_w - ramp)):
+        raise ValueError(
+            "p_max_w + ramp_limit_w_per_step and p_min_w - "
+            "ramp_limit_w_per_step must be finite, got "
+            f"{spec.p_max_w} + {ramp} and {spec.p_min_w} - {ramp}")
+
+
 @dataclass(frozen=True)
 class PgmSpec:
     """Static parameters of one generator module.
@@ -96,14 +111,12 @@ class PgmSpec:
             raise ValueError(
                 f"inductance_henry must be > 0, got {self.inductance_henry}"
             )
-        if not 0.0 < self.ramp_limit_w_per_step < math.inf:
-            raise ValueError("ramp_limit_w_per_step must be > 0 and finite, "
-                             f"got {self.ramp_limit_w_per_step}")
         if not (self.p_min_w <= self.rated_power_w <= self.p_max_w):
             raise ValueError(
                 "require p_min_w <= rated_power_w <= p_max_w, got "
                 f"{self.p_min_w}, {self.rated_power_w}, {self.p_max_w}"
             )
+        _check_ramp(self)
         if self.weight_beta < 0.0:
             raise ValueError(f"weight_beta must be >= 0, got {self.weight_beta}")
 
@@ -134,9 +147,7 @@ class PcmSpec:
             raise ValueError(
                 f"require p_min_w <= 0 <= p_max_w, got [{self.p_min_w}, {self.p_max_w}]"
             )
-        if not 0.0 < self.ramp_limit_w_per_step < math.inf:
-            raise ValueError("ramp_limit_w_per_step must be > 0 and finite, "
-                             f"got {self.ramp_limit_w_per_step}")
+        _check_ramp(self)
         if not (0.0 <= self.soc_min < self.soc_max <= 1.0):
             raise ValueError(
                 f"require 0 <= soc_min < soc_max <= 1, got [{self.soc_min}, {self.soc_max}]"

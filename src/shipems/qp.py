@@ -23,29 +23,27 @@ power), never scaled by the tiny per-step SoC coefficient.
 A device has one power box [lo, hi] and one finite ramp limit, the same at
 every step, and within a receding-horizon run they and its Hessian stay
 fixed; only its ramp anchor (the last setpoint) and its state of charge
-change. What depends on the fixed part alone comes from bounded memos and
-is built and checked once per device:
-- its `_FixedPart` (`_fixed_part`, keyed on h, the scalar weight and box,
-  the ramp limit and whether SoC rows exist): the read-only length-h
-  array of the weight, shared by every step's `HorizonQp`; the right-hand
-  sides of the rows that no state moves (the box after step 0, the ramp
-  rows) as Python floats; the ramp's reach k*ramp that the reach envelope
-  adds; and, for each way the rows that the state sets can be finite or
-  not (a row pattern), the kept-row flags, the `_ldp_rows` key, that
-  key's `LdpRows` and the kept right-hand sides that no state moves,
-  divided by the row norms;
-- the unit rows, the first n rows of E and their scales (`_ldp_rows`),
-  which depend only on the Hessian and the row pattern (h, which bounds
-  are finite, whether SoC rows exist); devices that share them share
-  their active-set maps.
-An MPC step reads its state into four floats when its `HorizonQp` is
-built: the step-0 bounds with the ramp anchor folded in, and the two
-prefix-sum bounds. `HorizonQp.ldp` copies its pattern's right-hand side
-and writes those floats into it, without a call to `_ldp_rows`; its box
-is made when a solve first reads it, and its copy of E when its `nnls`
-path first does. `HorizonQp.ldp_parts`, which the oracle stacks, lists
-the same right-hand sides and the effective box as Python floats and
-builds no rows.
+change. The QP's matrices are then fixed and the state moves only its
+right-hand side, the parametric view of Ferreau, Bock & Diehl (2008). So
+a device has one kernel: its `_FixedPart` (from `_fixed_part`, a bounded
+memo keyed on h, the scalar weight and box, the ramp limit and which
+prefix-sum rows are kept) fixes, once,
+- which rows are kept: both step-0 box rows, the finite sides of the box
+  after step 0, every ramp row, and each prefix-sum row whose SoC bound is
+  finite (which bound that is follows from the sign of the SoC
+  coefficient);
+- the `LdpRows` of those rows (`_ldp_rows`, keyed on the Hessian and the
+  kept rows; devices that share them share their active-set maps);
+- the kept right-hand sides that no state moves, divided by the row
+  norms, and the slots of the rows that the state sets: the step-0 upper
+  and lower rows and the prefix-sum rows.
+A state whose step-0 bound or kept SoC bound is not finite (an overflow)
+is rejected. `HorizonQp` builds an MPC step's problem in one pass: the
+step-0 bounds with the ramp anchor folded in, the two prefix-sum bounds,
+the reach envelope, and the kernel `Ldp`, a copy of the fixed right-hand
+side with the state rows written in, over the fixed part's rows. Its box
+is the envelope, made into arrays when a solve first reads it, and its
+copy of E is made when its `nnls` path first needs one.
 
 The box of a node's kernel is its reach envelope (`HorizonQp.envelope`):
 per step k, the bounds that the box and the ramp from the step-0 bounds
@@ -84,8 +82,9 @@ solved before. An active set met again (the two levels of a pulsed load,
 the first steps of every run) costs a lookup, not a new factorization.
 `EXITS` counts how the solves ended.
 
-The oracle's fleet problem writes the h balance equalities as trailing
-rows of its `LdpRows` (``n_eq``): h rows, then their negations, which the
+The oracle's fleet problem stacks its nodes' kernels: their rows, their
+right-hand sides, and the h balance equalities as trailing rows of its
+`LdpRows` (``n_eq``): h rows, then their negations, which the
 `nnls` reduction needs. Every active set holds the equality rows and none
 of their negations, so K_S stays regular; the certificate holds both
 sides to the margin and leaves the sign of an equality's multiplier free
@@ -118,7 +117,7 @@ FEASIBLE = "feasible"
 # oracle's memo of stacked fleet rows (`coordinator._fleet_rows`) keeps as
 # many fleet shapes.
 LDP_ROWS_MEMO_SIZE = 256
-# (h, weight, lower, upper, ramp limit, whether prefix-sum rows exist) of
+# (h, weight, lower, upper, ramp limit, which prefix-sum rows are kept) of
 # `HorizonQp`s with a scalar weight whose `_FixedPart` is kept; a fleet
 # needs one per device
 FIXED_PART_MEMO_SIZE = 256
@@ -146,8 +145,8 @@ EXITS = Counter()
 class _once:
     """A method's value, computed on its first read and then stored on the
     instance, where later reads find it: `functools.cached_property`
-    without the lock that it takes on Python 3.11, which made the first
-    read of `HorizonQp.ldp` about 2 us dearer (2 CPUs, x86-64)."""
+    without the lock that it takes on Python 3.11, which cost a read about
+    2 us (2 CPUs, x86-64)."""
 
     def __init__(self, func):
         self.func, self.__doc__ = func, func.__doc__
@@ -180,21 +179,21 @@ class LdpRows:
 
     def __init__(self, d, a, n_eq: int = 0):
         self.n_eq = n_eq
-        self.norms = np.linalg.norm(a, axis=1)
-        self.d = np.array(d, dtype=float)
-        self.neg_d = -self.d
-        self.a = a / self.norms[:, None]
-        self.w = 1.0 / np.sqrt(self.d)
-        g = self.a * self.w  # the rows in z, where x = x_u + w*z
-        self.rho = np.linalg.norm(g, axis=1)
-        self.rho_max = float(self.rho.max(initial=0.0))
-        n = self.d.size
-        self.e = np.zeros((n + 1, self.a.shape[0]))
-        self.e[:n] = -(g / self.rho[:, None]).T
+        # the row norms, as `np.linalg.norm(a, axis=1)` takes them
+        norms = self.norms = np.sqrt(np.add.reduce(a * a, axis=1))
+        d = self.d = np.array(d, dtype=float)
+        self.neg_d = -d
+        a = self.a = a / norms[:, None]
+        self.w = 1.0 / np.sqrt(d)
+        g = a * self.w  # the rows in z, where x = x_u + w*z
+        rho = self.rho = np.sqrt(np.add.reduce(g * g, axis=1))
+        self.rho_max = float(rho.max(initial=0.0))
+        n = d.size
+        e = self.e = np.zeros((n + 1, a.shape[0]))
+        e[:n] = -(g / rho[:, None]).T
         self.unit = np.zeros(n + 1)
         self.unit[n] = 1.0
-        for arr in (self.norms, self.d, self.neg_d, self.a, self.w, self.rho,
-                    self.e, self.unit):
+        for arr in (norms, d, self.neg_d, a, self.w, rho, e, self.unit):
             arr.flags.writeable = False
         self.maps = {}
 
@@ -237,36 +236,24 @@ class LdpRows:
 class Ldp:
     """min 0.5 x'diag(d)x + q'x s.t. a x <= b over a fixed polytope, any q.
 
-    ``rows`` holds ``a`` and ``d``; ``b`` is in the units of the rows it was
-    built from (`scaled` takes it divided by the row norms). ``lo``/``hi``
-    bound every point of the polytope componentwise (entries may be
-    infinite): the clip exit minimizes over that box, and an infeasibility
-    certificate is checked over it. ``b``, ``lo`` and ``hi`` may be arrays
-    or lists of floats; the box becomes arrays (`box`) when first read,
-    which a solve that x_u does not answer does.
+    ``rows`` holds ``a`` and ``d``; ``b`` is an array divided by
+    ``rows.norms``, in the units of the unit rows. ``lo``/``hi`` bound
+    every point of the polytope componentwise (entries may be infinite):
+    the clip exit minimizes over that box, and an infeasibility
+    certificate is checked over it. ``lo`` and ``hi`` may be arrays or
+    lists of floats; the box becomes arrays (`box`) when first read, which
+    a solve that x_u does not answer does.
     """
 
-    def __init__(self, rows: LdpRows, b, lo, hi):
-        self.rows = rows
-        self.a, self.neg_d = rows.a, rows.neg_d
-        self.b = b / rows.norms
-        self._box = lambda: (lo, hi)
-
-    @classmethod
-    def scaled(cls, rows: LdpRows, b: np.ndarray, box) -> Ldp:
-        """The LDP of ``rows`` whose right-hand side ``b`` is already
-        divided by ``rows.norms``; ``box()`` returns (lo, hi) when the box
-        is first read."""
-        ldp = cls.__new__(cls)
-        ldp.rows, ldp.a, ldp.neg_d = rows, rows.a, rows.neg_d
-        ldp.b, ldp._box = b, box
-        return ldp
+    def __init__(self, rows: LdpRows, b: np.ndarray, lo, hi):
+        self.rows, self.a, self.neg_d = rows, rows.a, rows.neg_d
+        self.b, self._lo, self._hi = b, lo, hi
 
     @_once
     def box(self):
         """The box (lo, hi) as two arrays, made when first read."""
-        lo, hi = self._box()
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return (np.asarray(self._lo, dtype=float),
+                np.asarray(self._hi, dtype=float))
 
     @_once
     def e(self) -> np.ndarray:
@@ -492,10 +479,12 @@ class HorizonQp:
     cumsum_lower <= cumsum_init - cumsum_coeff * sum_{j<=k} x_j <= cumsum_upper
     for every k.
 
-    What the state sets (``prev_value``, ``cumsum_init``) is read once, on
-    construction, into Python floats: the step-0 bounds with the ramp
-    anchor folded in, the two prefix-sum bounds, and which of those are
-    finite. The fields are not to be changed afterwards.
+    Which rows are kept is the device's (`_FixedPart`). The state
+    (``prev_value``, ``cumsum_init``) sets the right-hand sides of the
+    step-0 box rows, with the ramp anchor folded in, and of the prefix-sum
+    rows; each of those that is kept must be finite. Construction builds,
+    in one pass, the reach ``envelope`` and the kernel ``ldp``. The fields
+    are not to be changed afterwards.
     """
 
     h: int
@@ -520,6 +509,14 @@ class HorizonQp:
         c = self.cumsum_coeff = float(cumsum_coeff)
         self.cumsum_init, self.cumsum_lower, self.cumsum_upper = (
             cumsum_init, cumsum_lower, cumsum_upper)
+        prefix = None
+        if c != 0.0:
+            # s_k lies between (cumsum_init - cumsum_upper)/c and
+            # (cumsum_init - cumsum_lower)/c, the upper bound by the latter
+            # when c > 0; a prefix-sum row is kept where its SoC bound is
+            # finite
+            low, up = math.isfinite(cumsum_lower), math.isfinite(cumsum_upper)
+            prefix = (low, up) if c > 0.0 else (up, low)
         d, lo, hi = quad_diag, lower, upper
         # the node builders pass scalars (ints too, as a config file may
         # hold them): their fixed part is checked and built once per
@@ -527,7 +524,7 @@ class HorizonQp:
         if isinstance(d, _SCALAR) and isinstance(lo, _SCALAR) \
                 and isinstance(hi, _SCALAR):
             # the sign bits keep 0.0 and -0.0 apart, which compare equal
-            fixed = _fixed_part(h, d, lo, hi, ramp, c != 0.0,
+            fixed = _fixed_part(h, d, lo, hi, ramp, prefix,
                                 math.copysign(1.0, lo), math.copysign(1.0, hi))
         else:
             for name, v in (("lower", lo), ("upper", hi)):
@@ -535,7 +532,7 @@ class HorizonQp:
                     raise ValueError(f"{name} must be a scalar, the bound of "
                                      f"every step; got shape {np.shape(v)}")
             d = np.broadcast_to(np.asarray(d, dtype=float), (h,)).tolist()
-            fixed = _FixedPart(h, d, float(lo), float(hi), ramp, c != 0.0)
+            fixed = _FixedPart(h, d, float(lo), float(hi), ramp, prefix)
         self._fixed = fixed
         self.quad_diag, self.lower, self.upper = (fixed.quad_diag, fixed.lower,
                                                   fixed.upper)
@@ -545,22 +542,41 @@ class HorizonQp:
             raise ValueError("cumsum_coeff must be finite")
         hi0 = self._hi0 = min(fixed.upper, prev + ramp)
         lo0 = self._lo0 = max(fixed.lower, prev - ramp)
-        # which of the rows that the state sets are finite: the step-0
-        # upper and lower rows, then the prefix-sum bounds
-        self._flags = (math.isfinite(hi0), math.isfinite(lo0))
+        if not (math.isfinite(hi0) and math.isfinite(lo0)):
+            raise ValueError(
+                "prev_value: the step-0 bounds max(lower, prev_value - "
+                "ramp_limit) and min(upper, prev_value + ramp_limit) must "
+                f"be finite, got {lo0} and {hi0}")
+        b = fixed.base.copy()
+        b[0] = hi0 / fixed.norm0
+        b[fixed.lower_at] = -lo0 / fixed.lower_norm
         self._prefix = None
-        if c != 0.0:
+        if prefix is not None:
             if not (cumsum_lower <= cumsum_init <= cumsum_upper):
                 raise ValueError(
                     "require cumsum_lower <= cumsum_init <= cumsum_upper, got "
                     f"{cumsum_lower}, {cumsum_init}, {cumsum_upper}"
                 )
-            # s_k lies between these; which is the upper one depends on
-            # the sign of c
+            # which end is the upper one depends on the sign of c
             ends = ((cumsum_init - cumsum_upper) / c,
                     (cumsum_init - cumsum_lower) / c)
             upper, neg_lower = self._prefix = (max(ends), -min(ends))
-            self._flags += (math.isfinite(upper), math.isfinite(neg_lower))
+            up, down = prefix
+            if up and not math.isfinite(upper) \
+                    or down and not math.isfinite(neg_lower):
+                raise ValueError(
+                    "cumsum_init: the prefix-sum bounds (cumsum_init - "
+                    "cumsum_upper)/cumsum_coeff and (cumsum_init - "
+                    "cumsum_lower)/cumsum_coeff must be finite where the "
+                    f"SoC bound is, got {ends[0]} and {ends[1]}")
+            if up or down:
+                np.divide(([upper] * h if up else [])
+                          + ([neg_lower] * h if down else []),
+                          fixed.prefix_norms, out=b[fixed.prefix_at:])
+        # the kernel reads the envelope lists, not this problem, which
+        # holds the kernel: a step's problems are then no cyclic garbage
+        envelope = self.envelope = fixed.envelope(lo0, hi0)
+        self.ldp = Ldp(fixed.rows, b, *envelope)
 
     @property
     def weight(self) -> float:
@@ -571,13 +587,9 @@ class HorizonQp:
     def effective_bounds(self):
         """Box bounds with the k=0 ramp anchor folded into the first step,
         as two lists of floats (lo, hi)."""
-        fixed = self._fixed
-        return [self._lo0, *fixed.lower_tail], [self._hi0, *fixed.upper_tail]
-
-    def effective_box(self):
-        """`effective_bounds` as two arrays."""
-        lo, hi = self.effective_bounds()
-        return np.array(lo), np.array(hi)
+        fixed, tail = self._fixed, self.h - 1
+        return ([self._lo0] + [fixed.lower] * tail,
+                [self._hi0] + [fixed.upper] * tail)
 
     def objective(self, x: np.ndarray, lin: np.ndarray) -> float:
         """0.5 x'Dx + lin'x for a linear term ``lin`` of length h."""
@@ -592,100 +604,45 @@ class HorizonQp:
         return float((a @ np.asarray(x, dtype=float) - b).max(initial=0.0))
 
     def constraint_rows(self):
-        """All inequalities as (A, b), A x <= b: box (anchor folded), ramp,
-        and prefix-sum rows in power units; rows with an infinite bound are
-        dropped."""
-        _, _, b, (_, prefix, keep) = self.ldp_parts()
-        return _kept_rows(self.h, prefix, keep), np.array(b, dtype=float)
-
-    def ldp_parts(self):
-        """What the LDP of this problem is built from, as Python floats:
-        the effective box (lo, hi) as two lists, the right-hand sides of
-        the finite rows as a list, and the key of those rows in the memo of
-        `_ldp_rows`: (Hessian diagonal as bytes, whether prefix-sum rows
-        exist, the finite-row flags as bytes). No rows are built.
-
-        The right-hand sides come in `_row_matrix`'s order: the box with
-        the ramp anchor folded into step 0, the ramp rows, then the bounds
-        that the cumsum constraints put on every prefix sum
-        s_k = sum_{j<=k} x_j, in power units. All but the two step-0 rows
-        and the prefix-sum bounds are the device's, from its `_FixedPart`,
-        and so are the finite-row flags and the key, given which of the
-        rows that the state sets are finite."""
-        fixed = self._fixed
-        rhs = [self._hi0, *fixed.upper_tail, -self._lo0, *fixed.rest]
+        """The kept inequalities as (A, b), A x <= b, in `_row_matrix`'s
+        order: the box with the ramp anchor folded into step 0, the ramp
+        rows, then the bounds that the cumsum constraints put on every
+        prefix sum s_k = sum_{j<=k} x_j, in power units."""
+        fixed, h = self._fixed, self.h
+        tail = h - 1
+        rhs = [self._hi0, *[fixed.upper] * tail, -self._lo0,
+               *[-fixed.lower] * tail, *[fixed.ramp] * (2 * tail)]
         if self._prefix is not None:
             upper, neg_lower = self._prefix
-            rhs += [upper] * self.h + [neg_lower] * self.h
-        keep, key = fixed.pattern(self._flags)
-        lo, hi = self.effective_bounds()
-        return lo, hi, list(compress(rhs, keep)), key
-
-    @_once
-    def envelope(self):
-        """The reach envelope, built once: per step k, the bounds
-        lo_k <= x_k <= hi_k that the effective box (`effective_bounds`) and
-        the ramp put on x_k, hi_k = min over j <= k of (hi_j + (k-j)*ramp)
-        and lo_k likewise; as two lists (los, his), which are not to be
-        changed. For the one box [lo, hi] after step 0 that is
-        hi_k = min(hi, hi_0 + k*ramp) and lo_k = max(lo, lo_0 - k*ramp)
-        (`_FixedPart.envelope`).
-
-        A point on hi_0 + k*ramp has x_0 = hi_0, so that the rounding of
-        that sum, at most an ulp of k*ramp and one of the sum, is within
-        two ulps of the point's largest entry: the envelope holds the
-        polytope far inside the kernel's tolerance."""
-        return self._fixed.envelope(self._lo0, self._hi0)
-
-    @_once
-    def ldp(self) -> Ldp:
-        """The LDP form of this constraint set and Hessian, built once. Its
-        rows, and its right-hand side but for the rows the state sets, are
-        its fixed part's for its row pattern (`_FixedPart.kernel`). Its box
-        is the reach envelope (`envelope`), made only when the kernel first
-        reads it, unless this problem's envelope is built already: the
-        kernel then reads that."""
-        fixed, lo0, hi0 = self._fixed, self._lo0, self._hi0
-        rows, base, upper_row, lower_row, prefix = fixed.kernel(self._flags)
-        b = base.copy()
-        if upper_row is not None:
-            b[upper_row[0]] = hi0 / upper_row[1]
-        if lower_row is not None:
-            b[lower_row[0]] = -lo0 / lower_row[1]
-        if prefix is not None:
-            start, norms = prefix
-            upper, neg_lower = self._prefix
-            flags = self._flags
-            tail = b[start:]
-            tail[:] = ([upper] * self.h if flags[2] else []) \
-                + ([neg_lower] * self.h if flags[3] else [])
-            tail /= norms
-        # the box reads the envelope lists, or the fixed part and the
-        # floats, not this problem, which holds the LDP: a step's problems
-        # are then no cyclic garbage
-        envelope = self.__dict__.get("envelope")
-        if envelope is not None:
-            return Ldp.scaled(rows, b, lambda: envelope)
-        return Ldp.scaled(rows, b, lambda: fixed.envelope(lo0, hi0))
+            rhs += [upper] * h + [neg_lower] * h
+        _, prefix, keep = fixed.key
+        return (_kept_rows(h, prefix, keep),
+                np.array(list(compress(rhs, fixed.keep)), dtype=float))
 
 
 class _FixedPart:
     """What the horizon problems of one device share across its states: h,
     the Hessian diagonal as a read-only array, the box [lower, upper] and
-    the ramp limit as floats, the right-hand sides of the rows that no
-    state changes (the box after step 0 and the ramp rows) with which are
-    finite, the ramp's reach ``steps`` (k*ramp for k = 1..h-1) that the
-    reach envelope adds, and whether prefix-sum rows exist.
+    the ramp limit as floats, the ramp's reach ``steps`` (k*ramp for
+    k = 1..h-1) that the reach envelope adds, and the device's rows.
 
-    `pattern` maps the finiteness of the rows a state sets to the kept-row
-    flags and the `_ldp_rows` key, and `kernel` to the kernel's rows and
-    the right-hand side of the rows no state sets; both in memos of at
-    most 16 entries. Construction takes ``d`` as a length-``h`` list of
-    floats and ``lo``, ``hi`` and ``ramp`` as floats, and runs every check
-    on them."""
+    Which rows are kept depends on the fixed part alone: both step-0 box
+    rows, a box row after step 0 where that side of the box is finite,
+    every ramp row, and the prefix-sum rows that ``prefix`` flags (upper,
+    then lower; None without SoC rows). Built once: the kept-row flags
+    ``keep``; their `_ldp_rows` key ``key`` (the Hessian diagonal as
+    bytes, whether prefix-sum rows exist, ``keep`` as bytes) and `LdpRows`
+    ``rows``, shared with every device of the same key; the kept
+    right-hand sides divided by the row norms (``base``, read-only, with
+    0.0 in the rows the state sets); and the slots of those rows, the
+    step-0 upper row first, the step-0 lower row at ``lower_at``, and the
+    prefix-sum rows last, from ``prefix_at``, with their norms ``norm0``,
+    ``lower_norm`` and ``prefix_norms``. Construction takes ``d`` as a
+    length-``h`` list of floats and ``lo``, ``hi`` and ``ramp`` as floats,
+    and runs every check on them."""
 
     def __init__(self, h: int, d: list, lo: float, hi: float, ramp: float,
-                 prefix: bool):
+                 prefix):
         # NaN fails every comparison, so each test is written to pass
         if not all(v > 0.0 for v in d):
             raise ValueError(
@@ -696,40 +653,40 @@ class _FixedPart:
             raise ValueError("lower must be <= upper, neither NaN")
         if not 0.0 < ramp < math.inf:
             raise ValueError(f"ramp_limit must be finite and > 0, got {ramp}")
-        self.h, self.prefix, self.weight = h, prefix, d[0]
+        self.h, self.weight = h, d[0]
         self.quad_diag = np.array(d)
         self.quad_diag.flags.writeable = False
         self.lower, self.upper, self.ramp = lo, hi, ramp
-        self.lower_tail, self.upper_tail = [lo] * (h - 1), [hi] * (h - 1)
-        # the rows after the step-0 lower row, through the ramp rows
-        self.rest = [-lo] * (h - 1) + [ramp] * (2 * h - 2)
-        self._finite = ([math.isfinite(hi)] * (h - 1),
-                        [math.isfinite(lo)] * (h - 1) + [True] * (2 * h - 2))
         self.steps = [ramp * k for k in range(1, h)]
-        self._d_bytes = self.quad_diag.tobytes()
-        self._patterns = {}
-        self._kernels = {}
-
-    def pattern(self, flags: tuple):
-        """(kept-row flags as a list, `_ldp_rows` key) of a problem whose
-        step-0 upper and lower rows and, with prefix-sum rows, upper and
-        lower prefix-sum bounds are finite as ``flags`` says."""
-        hit = self._patterns.get(flags)
-        if hit is None:
-            upper, rest = self._finite
-            keep = [flags[0], *upper, flags[1], *rest]
-            if self.prefix:
-                keep += [flags[2]] * self.h + [flags[3]] * self.h
-            hit = self._patterns[flags] = (
-                keep, (self._d_bytes, self.prefix, bytes(keep)))
-        return hit
+        tail = h - 1
+        keep = [True, *[math.isfinite(hi)] * tail,
+                True, *[math.isfinite(lo)] * tail, *[True] * (2 * tail)]
+        rhs = [0.0, *[hi] * tail, 0.0, *[-lo] * tail, *[ramp] * (2 * tail)]
+        self.lower_at = 1 + sum(keep[1:h])
+        self.prefix_at = sum(keep)
+        if prefix is not None:
+            keep += [prefix[0]] * h + [prefix[1]] * h
+            rhs += [0.0] * (2 * h)
+        self.keep = keep
+        self.key = (self.quad_diag.tobytes(), prefix is not None, bytes(keep))
+        rows = self.rows = _ldp_rows(h, self.key)
+        base = self.base = np.array(list(compress(rhs, keep)), dtype=float)
+        base /= rows.norms
+        base.flags.writeable = False
+        self.norm0, self.lower_norm = (float(rows.norms[0]),
+                                       float(rows.norms[self.lower_at]))
+        self.prefix_norms = rows.norms[self.prefix_at:]
 
     def envelope(self, lo0: float, hi0: float):
-        """The reach envelope (los, his) of `HorizonQp.envelope` at the
-        step-0 bounds ``lo0`` and ``hi0``, as two lists of floats:
+        """The reach envelope (los, his) at the step-0 bounds ``lo0`` and
+        ``hi0``, as two lists of floats: per step k, the bounds
+        lo_k <= x_k <= hi_k that the box and the ramp put on x_k together,
         hi0 + 0.0 at step 0, which is hi0 but for -0.0, taken to +0.0, and
         min(upper, hi0 + k*ramp) at step k >= 1, the box's bound on a tie;
-        the lower bounds likewise."""
+        the lower bounds likewise. A point on hi0 + k*ramp has x_0 = hi0,
+        so that the rounding of that sum, at most an ulp of k*ramp and one
+        of the sum, is within two ulps of the point's largest entry: the
+        envelope holds the polytope far inside the kernel's tolerance."""
         lo, hi = self.lower, self.upper
         his, los = [hi0 + 0.0], [lo0 + 0.0]
         for s in self.steps:
@@ -738,68 +695,43 @@ class _FixedPart:
             los.append(lo if lo > y else y)
         return los, his
 
-    def kernel(self, flags: tuple):
-        """What every `HorizonQp.ldp` of the row pattern ``flags`` (as in
-        `pattern`) shares: its `LdpRows` from the memo of `_ldp_rows`; the
-        kept right-hand sides divided by the row norms, read-only, with
-        0.0 in the rows the state sets; and where those go: (index, norm)
-        of the step-0 upper and of the step-0 lower row, None when the
-        row is dropped, and (first index, norms) of the kept prefix-sum
-        rows, which come last, or None without them. Built on the first
-        problem of the pattern; a memo of at most 16 entries."""
-        hit = self._kernels.get(flags)
-        if hit is None:
-            keep, key = self.pattern(flags)
-            rows = _ldp_rows(self.h, key)
-            n_prefix = (flags[2] + flags[3]) * self.h if self.prefix else 0
-            rhs = [0.0, *self.upper_tail, 0.0, *self.rest]
-            rhs += [0.0] * (len(keep) - len(rhs))
-            base = np.array(list(compress(rhs, keep)), dtype=float)
-            base /= rows.norms
-            base.flags.writeable = False
-            norms = rows.norms.tolist()
-            lower_at = flags[0] + sum(self._finite[0])
-            start = len(norms) - n_prefix
-            prefix_norms = rows.norms[start:]
-            hit = self._kernels[flags] = (
-                rows, base, (0, norms[0]) if flags[0] else None,
-                (lower_at, norms[lower_at]) if flags[1] else None,
-                (start, prefix_norms) if n_prefix else None)
-        return hit
-
 
 def _row_matrix(h: int, prefix: bool) -> np.ndarray:
-    """Every row of a horizon problem, as `HorizonQp.ldp_parts` orders
-    their right-hand sides: box upper and lower, ramp up and down, then
-    (with ``prefix``) the upper and lower prefix-sum rows."""
+    """Every row of a horizon problem: box upper and lower, ramp up and
+    down, then (with ``prefix``) the upper and lower prefix-sum rows."""
     eye = np.eye(h)
     diff = eye[1:] - eye[:-1]
     rows = [eye, -eye, diff, -diff]
     if prefix:
-        tri = np.tril(np.ones((h, h)))
+        tri = np.tri(h)
         rows += [tri, -tri]
-    return np.vstack(rows)
+    return np.concatenate(rows)
 
 
 @lru_cache(maxsize=FIXED_PART_MEMO_SIZE)
 def _fixed_part(h: int, d: float, lo: float, hi: float, ramp: float,
-                prefix: bool, lo_sign: float, hi_sign: float) -> _FixedPart:
+                prefix, lo_sign: float, hi_sign: float) -> _FixedPart:
     """The `_FixedPart` of the scalars ``d``, ``lo`` and ``hi``, shared by
     every `HorizonQp` built from them; the sign bits are part of the key
     only."""
     return _FixedPart(h, [float(d)] * h, float(lo), float(hi), ramp, prefix)
 
 
+@lru_cache(maxsize=LDP_ROWS_MEMO_SIZE)
 def _kept_rows(h: int, prefix: bool, keep: bytes) -> np.ndarray:
-    """The rows of `_row_matrix` flagged in ``keep``."""
-    return _row_matrix(h, prefix)[np.frombuffer(keep, dtype=bool)]
+    """The rows of `_row_matrix` flagged in ``keep``, read-only: a row
+    pattern's, which its devices' `LdpRows` and the oracle's fleet rows
+    are built from."""
+    rows = _row_matrix(h, prefix)[np.frombuffer(keep, dtype=bool)]
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=LDP_ROWS_MEMO_SIZE)
 def _ldp_rows(h: int, key: tuple) -> LdpRows:
-    """`LdpRows` of a horizon problem whose `HorizonQp.ldp_parts` key is
-    ``key``: Hessian diagonal ``quad_diag``, and the rows of `_row_matrix`
-    flagged in ``keep``."""
+    """`LdpRows` of a horizon problem whose `_FixedPart.key` is ``key``:
+    Hessian diagonal ``quad_diag``, and the rows of `_row_matrix` flagged
+    in ``keep``."""
     quad_diag, prefix, keep = key
     return LdpRows(np.frombuffer(quad_diag), _kept_rows(h, prefix, keep))
 

@@ -239,7 +239,7 @@ def reach_bounds(qps, p_f):
     a node's step-k power lies within [max_j (lo_j - (k-j) ramp),
     min_j (hi_j + (k-j) ramp)] over j <= k (`envelope_arrays`)."""
     steps = np.outer([p.ramp_limit for p in qps], np.arange(p_f.size))
-    lo, hi = (np.array(v) for v in zip(*(p.effective_box() for p in qps)))
+    lo, hi = (np.array(v) for v in zip(*(p.effective_bounds() for p in qps)))
     lo, hi = envelope_arrays(lo, hi, steps)
     return (max(0.0, float((p_f - hi.sum(axis=0)).max())),
             max(0.0, float((lo.sum(axis=0) - p_f).max())))

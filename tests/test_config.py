@@ -249,6 +249,31 @@ class TestValidation:
         d["pcms"][0]["degradation"]["c_rate"] = 1e10
         assert_config_error(d, "pcms[0].degradation", tmp_path, capsys)
 
+    @pytest.mark.parametrize("device, side, value", [
+        ("pgms[0]", "p_max_w", 1.7e308), ("pcms[0]", "p_min_w", -1.7e308)])
+    def test_ramp_reach_overflow_is_a_config_error(self, device, side, value,
+                                                   tmp_path, capsys):
+        # a horizon QP's step-0 bound is the last setpoint plus or minus
+        # the ramp, which must not overflow past the box
+        d = default_config().to_json_dict()
+        set_at(d, f"{device}.{side}", value)
+        set_at(d, f"{device}.ramp_limit_w_per_step", 1e308)
+        assert_config_error(
+            d, f"{device}: p_max_w + ramp_limit_w_per_step", tmp_path, capsys)
+
+    def test_soc_bound_overflow_is_a_config_error(self, tmp_path, capsys):
+        # at a 0.1 s period the SoC coefficient of a 4e301 Ah battery is
+        # subnormal and the SoC span over it overflows: the battery's SoC
+        # rows were once dropped as if it had no SoC limits
+        d = default_config().to_json_dict()
+        d["pcms"][0]["capacity_ah"] = 4e301
+        d["mpc_period_s"] = d["comm_delay_s"] = 0.1
+        assert_config_error(d, "pcms[0]: (soc_max - soc_min)/kappa",
+                            tmp_path, capsys)
+        # at a 1 s period the span is finite
+        d["mpc_period_s"] = d["comm_delay_s"] = 1.0
+        from_json_dict(d)
+
     # the default log has 2 + 1 + 4 columns and a row per 100 plant steps
     # of 1 ms; 1e300 s once failed in np.arange inside Plant, exit code 1
     @pytest.mark.parametrize("duration_s, log_every", [

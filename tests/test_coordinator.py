@@ -423,13 +423,17 @@ class TestPathIndependence:
         assert answers(reversed(range(len(cases)))) == cold  # warm
         assert answers(range(len(cases))) == cold
 
-    def test_the_oracle_builds_no_node_rows(self):
-        # it stacks the nodes' right-hand sides and keys into fleet rows;
-        # the rows of each node's own kernel are built only when solved
+    def test_the_oracle_builds_no_rows_beyond_its_nodes(self):
+        # it keys the fleet rows on the nodes' row keys and stacks their
+        # kernels' right-hand sides: the only node rows built are each
+        # device's own, once per row key, and one fleet entry per shape
         clear_memos()
+        keys = set()
         for fleet, p_f, _ in criterion_1_fleets(5):
             centralized_solve(fleet, p_f, tol=1e-9)
-        assert qpmod._ldp_rows.cache_info().currsize == 0
+            gen, batt = _node_problems(fleet, p_f.size)
+            keys.update(p._fixed.key for p in gen + batt)
+        assert qpmod._ldp_rows.cache_info().misses == len(keys)
         assert coordinator._fleet_rows.cache_info().currsize == 5
 
 

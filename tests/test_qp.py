@@ -140,7 +140,7 @@ class TestSolveProperties:
             s = solve(qp, q)
             if s.status != OPTIMAL:
                 continue
-            lo, hi = qp.effective_box()
+            lo, hi = map(np.array, qp.effective_bounds())
             pts = rng.uniform(lo, hi, size=(1000, qp.h))
             ok = np.all(a @ pts.T <= b[:, None], axis=0)
             for x in pts[ok]:
@@ -353,6 +353,41 @@ class TestValidation:
                       ramp_limit=1.0, prev_value=0.0, cumsum_coeff=0.1,
                       cumsum_init=0.95, cumsum_lower=0.1, cumsum_upper=0.9)
 
+    @pytest.mark.parametrize("lower, upper, prev", [
+        (-np.inf, np.inf, qpmod.FLOAT_MAX), (-np.inf, np.inf, -qpmod.FLOAT_MAX),
+        (-np.inf, -np.inf, 0.0), (np.inf, np.inf, 0.0)])
+    def test_rejects_a_step_0_bound_not_finite(self, lower, upper, prev):
+        # prev +- ramp overflows past an infinite side of the box, or the
+        # box holds no finite point: every problem keeps both step-0 rows,
+        # which once dropped such a bound as if there were none
+        with pytest.raises(ValueError, match="^prev_value: the step-0"):
+            HorizonQp(h=3, quad_diag=1.0, lower=lower, upper=upper,
+                      ramp_limit=qpmod.FLOAT_MAX, prev_value=prev)
+
+    @pytest.mark.parametrize("coeff, init, lower, upper", [
+        (1e-315, 0.5, 0.1, 0.9), (-1e-315, 0.5, 0.1, 0.9),
+        (1e-315, 0.5, 0.1, np.inf), (-1e-315, 0.5, -np.inf, 0.9),
+        (0.1, np.inf, 0.1, np.inf), (-0.1, -np.inf, -np.inf, 0.9)])
+    def test_rejects_a_kept_soc_bound_not_finite(self, coeff, init, lower,
+                                                  upper):
+        # a finite SoC bound over a tiny coefficient overflows, or a
+        # non-finite SoC meets an infinite bound (inf - inf): the row of a
+        # finite SoC bound is kept whatever the state, and such a bound
+        # was once dropped as if there were none
+        with pytest.raises(ValueError, match="^cumsum_init: the prefix-sum"):
+            HorizonQp(h=5, quad_diag=1.0, lower=-2e7, upper=2e7,
+                      ramp_limit=2e7, prev_value=0.0, cumsum_coeff=coeff,
+                      cumsum_init=init, cumsum_lower=lower,
+                      cumsum_upper=upper)
+
+    def test_accepts_infinite_soc_bounds_over_a_tiny_coefficient(self):
+        # an infinite SoC bound keeps no row, so its bound may be infinite
+        qp = HorizonQp(h=5, quad_diag=1.0, lower=-2e7, upper=2e7,
+                       ramp_limit=2e7, prev_value=0.0, cumsum_coeff=1e-315,
+                       cumsum_init=0.5, cumsum_lower=-np.inf,
+                       cumsum_upper=np.inf)
+        assert qp.constraint_rows()[0].shape == (18, 5)
+
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             HorizonQp(h=0, quad_diag=1.0, lower=0.0, upper=1.0,
@@ -394,11 +429,17 @@ class TestValidation:
         assert s.profile[0] == pytest.approx(0.8, abs=1e-9)
 
 
+def raw_ldp(rows, b, lo, hi):
+    """The `Ldp` of ``rows`` whose right-hand side ``b`` is in the units of
+    the rows given, divided by their norms as the package divides it."""
+    return qpmod.Ldp(rows, np.asarray(b, dtype=float) / rows.norms, lo, hi)
+
+
 def fresh_ldp(qp):
     """The kernel of ``qp`` built without the rows memo, over its reach
     envelope by the definition."""
     a, b = qp.constraint_rows()
-    return qpmod.Ldp(qpmod.LdpRows(qp.quad_diag, a), b, *reach_envelope(qp))
+    return raw_ldp(qpmod.LdpRows(qp.quad_diag, a), b, *reach_envelope(qp))
 
 
 def assert_same_solve(got, want):
@@ -496,6 +537,53 @@ class TestRowsMemo:
         assert info.misses > qpmod.LDP_ROWS_MEMO_SIZE  # entries were evicted
 
 
+class TestFixedRows:
+    """A device's rows do not depend on its state: its problems at any
+    state share one `LdpRows`, and each writes only its right-hand side,
+    which, with its kernel's box and its reach envelope, equals the
+    reference built array by array."""
+
+    @given(h=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           lower_inf=st.booleans(), upper_inf=st.booleans(),
+           soc_sign=st.sampled_from([0.0, 1.0, -1.0]),
+           soc_lower_inf=st.booleans(), soc_upper_inf=st.booleans(),
+           weight=st.floats(WEIGHT_FLOOR, 10.0),
+           states=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                     st.floats(0.0, 1.0)),
+                           min_size=2, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_every_state_shares_the_rows(self, h, seed, lower_inf, upper_inf,
+                                         soc_sign, soc_lower_inf,
+                                         soc_upper_inf, weight, states):
+        rng = np.random.default_rng(seed)
+        p_max = rng.uniform(1e6, 4e7)
+        p_min = -rng.uniform(0.0, 1.0) * p_max
+        ramp = rng.uniform(0.05, 1.0) * p_max
+        kw = dict(h=h, quad_diag=weight, lower=-np.inf if lower_inf else p_min,
+                  upper=np.inf if upper_inf else p_max, ramp_limit=ramp)
+        if soc_sign:
+            kw.update(cumsum_coeff=soc_sign / (rng.uniform(2e3, 2e4) * 3.6e6),
+                      cumsum_lower=-np.inf if soc_lower_inf else 0.1,
+                      cumsum_upper=np.inf if soc_upper_inf else 0.9)
+        rows = None
+        for f, g in states:
+            # prev anywhere in [p_min, p_max] widened by the ramp, the SoC
+            # anywhere within [0.1, 0.9], whichever sides are infinite
+            kw.update(prev_value=p_min - ramp + f * (p_max - p_min + 2 * ramp),
+                      cumsum_init=0.1 + 0.8 * g)
+            qp = HorizonQp(**kw)
+            rows = qp.ldp.rows if rows is None else rows
+            assert qp.ldp.rows is rows
+            b, lo, hi = horizon_rhs(**kw)
+            keep = np.isfinite(b)
+            assert keep.tolist() == qp._fixed.keep
+            box = envelope_arrays(lo, hi, ramp * np.arange(h))
+            pairs = [(qp.ldp.b, b[keep] / rows.norms), *zip(qp.ldp.box, box),
+                     *zip(map(np.array, qp.envelope), box)]
+            for got, want in pairs:
+                assert got.tobytes() == want.tobytes()
+
+
 class TestRightHandSide:
     """A step builds its right-hand side, effective box and rows key from
     Python floats over the device's shared fixed part; the kernel, the LP
@@ -541,16 +629,16 @@ class TestRightHandSide:
         # the kernel's box is the reach envelope, array by array
         box = envelope_arrays(lo, hi, kw["ramp_limit"] * np.arange(h))
         pairs = [(qp.quad_diag, np.full(h, weight)),
-                 *zip(qp.effective_box(), (lo, hi)), *zip(qp.ldp.box, box),
+                 *zip(map(np.array, qp.effective_bounds()), (lo, hi)), *zip(qp.ldp.box, box),
                  (b_rows, b[keep]), (qp.ldp.b, b[keep] / qp.ldp.rows.norms)]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
-        # the kept-row flags and the rows key come from the fixed part's
-        # memo, not from the right-hand side
-        key = qp.ldp_parts()[3]
+        # the kept-row flags and the rows key are the fixed part's, not
+        # the right-hand side's, and so are the kernel's rows
+        key = qp._fixed.key
         assert key == (np.full(h, weight).tobytes(), bool(soc_sign),
                        keep.tobytes())
-        assert qp.ldp.rows is qpmod._ldp_rows(h, key)
+        assert qp.ldp.rows is qp._fixed.rows is qpmod._ldp_rows(h, key)
 
     def test_expanded_arrays_are_shared_read_only_and_bounded(self):
         rng = np.random.default_rng(2)
@@ -654,7 +742,7 @@ class TestActiveSetContinuation:
         assert len(calls) == 2
         # a new kernel over the same rows starts from their last active set
         _, b = qp.constraint_rows()
-        other = qpmod.Ldp(ldp.rows, b, *reach_envelope(qp))
+        other = raw_ldp(ldp.rows, b, *reach_envelope(qp))
         other.solve(-np.array([2.9, -3.1, 0.2]), 1e-8)
         assert len(calls) == 2
 
@@ -664,8 +752,8 @@ class TestActiveSetContinuation:
         # no map can pass the certificate and none is built
         a = np.array([[1.0, 1.0], [-1.0, -1.0]])
         rows = qpmod.LdpRows(np.ones(2), a)
-        ldp = qpmod.Ldp(rows, np.array([1.0, -1.0]), np.full(2, -np.inf),
-                        np.full(2, np.inf))
+        ldp = raw_ldp(rows, np.array([1.0, -1.0]), np.full(2, -np.inf),
+                      np.full(2, np.inf))
 
         def no_map(self, active):
             raise AssertionError("built an active-set map")
@@ -743,7 +831,7 @@ class TestActiveSetContinuation:
         monkeypatch.setattr(qpmod.LdpRows, "active_map", recorded)
         a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         rows = qpmod.LdpRows(np.ones(2), a)
-        ldp = qpmod.Ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]), *NO_BOX)
+        ldp = raw_ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]), *NO_BOX)
         (x, status, _, _), exit_ = solve_exit(
             ldp, -np.array([1.0 + 1e-3, 1.0 - 4e-9]), 1e-8)
         assert (status, exit_) == (OPTIMAL, "nnls") and x[1] < 1.0
@@ -857,7 +945,7 @@ class TestWeaklyActiveRows:
         b = np.array([1.0, 1.0, 10.0, 10.0])
 
         def kernel():
-            return qpmod.Ldp(qpmod.LdpRows(np.ones(2), a), b, *NO_BOX)
+            return raw_ldp(qpmod.LdpRows(np.ones(2), a), b, *NO_BOX)
 
         warm = kernel()
         _, exit_ = solve_exit(warm, np.array([-5.0, -2.0]), 1e-8)
@@ -916,16 +1004,6 @@ class TestClipExit:
         x = self.exact_clip(qp, [45e6] * 5)
         assert x.tolist() == [38e6] + [40e6] * 4
 
-    @pytest.mark.parametrize("upper", [40e6, np.inf])
-    def test_a_kernel_made_after_the_envelope_has_the_same_box(self, upper):
-        # the kernel then reads the problem's envelope lists
-        qp = HorizonQp(h=4, quad_diag=1.0, lower=0.0, upper=upper,
-                       ramp_limit=2e6, prev_value=36e6)
-        qp.envelope
-        got, want = qp.ldp.box, reach_envelope(qp)
-        for g, w in zip(got, want):
-            assert g.tobytes() == np.asarray(w, dtype=float).tobytes()
-
     def exact_clip(self, qp, xu):
         """The solve at x_u = ``xu``, which must exit at the clip."""
         xu = np.array(xu)
@@ -981,11 +1059,11 @@ def stacked_kernel(qps, p_f):
     balance = np.tile(np.eye(p_f.size), len(qps))
     a = np.vstack([block_diag(*[r for r, _ in blocks]), balance, -balance])
     b = np.concatenate([b for _, b in blocks] + [p_f, -p_f])
-    boxes = [qp.effective_box() for qp in qps]
+    boxes = [qp.effective_bounds() for qp in qps]
     rows = qpmod.LdpRows(np.concatenate([qp.quad_diag for qp in qps]), a,
                          n_eq=p_f.size)
-    kernel = qpmod.Ldp(rows, b, np.concatenate([lo for lo, _ in boxes]),
-                       np.concatenate([hi for _, hi in boxes]))
+    kernel = raw_ldp(rows, b, np.concatenate([lo for lo, _ in boxes]),
+                     np.concatenate([hi for _, hi in boxes]))
     return kernel, a, b
 
 
@@ -1130,8 +1208,8 @@ class TestCertificateReductions:
         # numpy's min and max propagate a NaN; Python's skip one that is
         # not first, which must not let the map pass
         rows = qpmod.LdpRows(np.ones(2), np.vstack([np.eye(2), -np.eye(2)]))
-        ldp = qpmod.Ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]),
-                        np.full(2, -10.0), np.full(2, 1.0))
+        ldp = raw_ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]),
+                      np.full(2, -10.0), np.full(2, 1.0))
         # S is both upper bounds: K_S = I, here with a NaN below its
         # diagonal, and P_S = I
         kp = np.array([[1.0, 0.0], [np.nan, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -1198,7 +1276,7 @@ class TestNanInputs:
         for k in range(b.size):
             b_nan = b.copy()
             b_nan[k] = np.nan
-            kernel = qpmod.Ldp(ldp.rows, b_nan, *reach_envelope(qp))
+            kernel = raw_ldp(ldp.rows, b_nan, *reach_envelope(qp))
             for lin in lins:
                 exits = self.exits(kernel, lin)
                 assert not exits & {"shortcut", "clip", "hint", "memo"}, \
