@@ -72,7 +72,9 @@ from workloads import (CORPUS_SEED, CORPUS_SIZE, HORIZON,  # noqa: E402
 # the seed of the replayed `shortfall` scenario: it sets the demand and
 # the battery's initial SoC
 SHORTFALL_SEED = 701
-# the package's memos; a tree that lacks one is cleared of the others
+# the package's memos, those of earlier trees too, so that a parent tree
+# is cleared as well; a tree that lacks one is cleared of the others
+# (`tests/test_coordinator.py` checks that every memo is listed here)
 MEMOS = (("shipems.qp", "_ldp_rows"), ("shipems.qp", "_fixed_part"),
          ("shipems.qp", "_kept_rows"),
          ("shipems.coordinator", "_fleet_rows"))

@@ -26,8 +26,8 @@ device has one kernel, whose rows its fixed part holds; each MPC step
 builds its problem, reach envelope and kernel right-hand side in one
 pass. `centralized_solve` solves the same allocation monolithically (one
 stacked QP of its nodes' kernels with the balance as equality rows,
-solved by the same kernel over stacked rows memoized per fleet shape)
-and serves as the verification oracle for the distributed loop.
+solved by the same kernel over stacked rows memoized per fleet of
+devices) and serves as the verification oracle for the distributed loop.
 
 When the demand lies beyond what the fleet can deliver, the dual is
 unbounded and the ascent never balances. The loop then stops on a proof
@@ -86,6 +86,9 @@ LP_UNIT_W = 1e6
 # (2n + 5) * 2**-53 of the same scale for n nodes, for any fleet of fewer
 # than a million nodes.
 ENVELOPE_EXIT_RTOL = 1e-9
+# the oracle's stacked fleet rows (`_fleet_rows`) kept, one entry per
+# fleet of fixed parts; criterion 1's 40 cross-check fleets need 40
+FLEET_ROWS_MEMO_SIZE = 256
 
 
 @dataclass
@@ -587,17 +590,16 @@ class CentralizedResult:
         return total
 
 
-@lru_cache(maxsize=qpmod.LDP_ROWS_MEMO_SIZE)
-def _fleet_rows(h: int, nodes: tuple) -> qpmod.LdpRows:
-    """`LdpRows` of the stacked fleet problem: each node's rows, as
-    `qp._ldp_rows` builds them from the node's row key in ``nodes``
-    (`qp._FixedPart.key`), block
-    diagonal over the stacked profiles, then the h balance rows
+@lru_cache(maxsize=FLEET_ROWS_MEMO_SIZE)
+def _fleet_rows(parts: tuple) -> qpmod.LdpRows:
+    """`LdpRows` of the stacked fleet problem of the nodes' fixed parts
+    ``parts`` (`qp._FixedPart`): their rows, block diagonal over the
+    stacked profiles, and their Hessian diagonals, then the h balance rows
     sum_i x_ik = p_f,k and their negations as equalities."""
-    a = _block_diagonal([qpmod._kept_rows(h, prefix, keep)
-                         for _, prefix, keep in nodes])
-    balance = np.tile(np.eye(h), len(nodes))
-    d = np.concatenate([np.frombuffer(d) for d, _, _ in nodes])
+    h = parts[0].h
+    a = _block_diagonal([p.raw for p in parts])
+    balance = np.tile(np.eye(h), len(parts))
+    d = np.concatenate([p.quad_diag for p in parts])
     return qpmod.LdpRows(d, np.vstack([a, balance, -balance]), n_eq=h)
 
 
@@ -611,12 +613,12 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     max(1, ||x||inf); the status is "infeasible" only on a verified
     certificate that no allocation meets the demand.
 
-    The stacked rows depend only on the fleet's shape (each node's Hessian
-    and row pattern, and h), so they come from the bounded memo of
-    `_fleet_rows`, keyed on the nodes' row keys, and with them the
-    active-set maps that certified earlier solves of that shape. A call
-    stacks its nodes' kernels' right-hand sides with the balance rows' and
-    fills the box and the linear term, and a fleet solved again, or at a
+    The stacked rows depend only on the nodes' fixed parts, so they come
+    from the bounded memo of `_fleet_rows`, keyed on those parts, and with
+    them the active-set maps that certified earlier solves of the same
+    devices. A call stacks its nodes' kernels' right-hand sides with the
+    balance rows', takes its box from their reach envelopes and its
+    linear term from their weights, and a fleet solved again, or at a
     nearby state, mostly exits through a kept map instead of `nnls`.
     """
     p_f, _ = _demand(p_f)
@@ -626,20 +628,18 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     gen_qps, batt_qps = _node_problems(fleet, h)
     problems = gen_qps + batt_qps
     n = len(problems)
-    rows = _fleet_rows(h, tuple(p._fixed.key for p in problems))
+    rows = _fleet_rows(tuple(p._fixed for p in problems))
     # the nodes' kernels' right-hand sides, then the balance rows', each
     # divided by its row's norm
     b = np.concatenate([p.ldp.b for p in problems] + [p_f, -p_f])
     balance = b[-2 * h:]
     balance /= rows.norms[-2 * h:]
-    bounds = [p.effective_bounds() for p in problems]
-    kernel = qpmod.Ldp(rows, b, [v for lo, _ in bounds for v in lo],
-                       [v for _, hi in bounds for v in hi])
+    kernel = qpmod.Ldp(rows, b, [v for p in problems for v in p.envelope[0]],
+                       [v for p in problems for v in p.envelope[1]])
     n_g = len(gen_qps)
     targets = fleet.targets()
     # generators pull toward their rated point, batteries toward zero
-    lin = np.array([-d * t for p, t in zip(problems, targets)
-                    for d in p.quad_diag.tolist()])
+    lin = np.repeat([-p.weight * t for p, t in zip(problems, targets)], h)
     x, status, _, _ = kernel.solve(lin, tol)
     if status == INFEASIBLE:
         return CentralizedResult([], [], np.inf, np.inf, INFEASIBLE)

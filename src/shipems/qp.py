@@ -20,20 +20,20 @@ per constraint set and reuses them for every price. Rows are scaled to unit
 norm; state-of-charge limits stay in power units (bounds on prefix sums of
 power), never scaled by the tiny per-step SoC coefficient.
 
-A device has one power box [lo, hi] and one finite ramp limit, the same at
-every step, and within a receding-horizon run they and its Hessian stay
-fixed; only its ramp anchor (the last setpoint) and its state of charge
-change. The QP's matrices are then fixed and the state moves only its
-right-hand side, the parametric view of Ferreau, Bock & Diehl (2008). So
-a device has one kernel: its `_FixedPart` (from `_fixed_part`, a bounded
-memo keyed on h, the scalar weight and box, the ramp limit and which
+A device has one quadratic weight, one power box [lo, hi] and one finite
+ramp limit, the same at every step, and within a receding-horizon run
+they stay fixed; only its ramp anchor (the last setpoint) and its state
+of charge change. The QP's matrices are then fixed and the state moves
+only its right-hand side, the parametric view of Ferreau, Bock & Diehl
+(2008). So a device has one kernel: its `_FixedPart` (from `_fixed_part`,
+a bounded memo keyed on h, the weight and box, the ramp limit and which
 prefix-sum rows are kept) fixes, once,
 - which rows are kept: both step-0 box rows, the finite sides of the box
   after step 0, every ramp row, and each prefix-sum row whose SoC bound is
   finite (which bound that is follows from the sign of the SoC
   coefficient);
-- the `LdpRows` of those rows (`_ldp_rows`, keyed on the Hessian and the
-  kept rows; devices that share them share their active-set maps);
+- those rows, read-only, and their `LdpRows`, which hold the device's
+  active-set maps;
 - the kept right-hand sides that no state moves, divided by the row
   norms, and the slots of the rows that the state sets: the step-0 upper
   and lower rows and the prefix-sum rows.
@@ -82,16 +82,17 @@ solved before. An active set met again (the two levels of a pulsed load,
 the first steps of every run) costs a lookup, not a new factorization.
 `EXITS` counts how the solves ended.
 
-The oracle's fleet problem stacks its nodes' kernels: their rows, their
-right-hand sides, and the h balance equalities as trailing rows of its
-`LdpRows` (``n_eq``): h rows, then their negations, which the
-`nnls` reduction needs. Every active set holds the equality rows and none
-of their negations, so K_S stays regular; the certificate holds both
-sides to the margin and leaves the sign of an equality's multiplier free
-(a demand above what the nodes want makes it negative). So the oracle's
-solves certify and keep maps as node solves do, and a fleet of the same
-shape (every case of `verify`, a fleet solved again) is answered from a
-kept map. A balance that depends linearly on active bounds (demand at the
+The oracle's fleet problem stacks its nodes' fixed parts and kernels:
+their rows and weights, their right-hand sides, their reach envelopes as
+its box, and the h balance equalities as trailing rows of its `LdpRows`
+(``n_eq``): h rows, then their negations, which the `nnls` reduction
+needs. Every active set holds the equality rows and none of their
+negations, so K_S stays regular; the certificate holds both sides to the
+margin and leaves the sign of an equality's multiplier free (a demand
+above what the nodes want makes it negative). So the oracle's solves
+certify and keep maps as node solves do, and a fleet of the same devices
+(every case of `verify`, a fleet solved again) is answered from a kept
+map. A balance that depends linearly on active bounds (demand at the
 fleet's maximum) has a singular K_S and keeps no map; its solve returns
 the `nnls` point. Node rows have no equality rows.
 """
@@ -112,14 +113,10 @@ MAX_ITER = "max_iter"
 INFEASIBLE = "infeasible"
 FEASIBLE = "feasible"
 
-# (Hessian, row pattern) pairs whose `LdpRows` are kept; a fleet needs one
-# per device, and criterion 1's 40 cross-check fleets about 140. The
-# oracle's memo of stacked fleet rows (`coordinator._fleet_rows`) keeps as
-# many fleet shapes.
-LDP_ROWS_MEMO_SIZE = 256
 # (h, weight, lower, upper, ramp limit, which prefix-sum rows are kept) of
-# `HorizonQp`s with a scalar weight whose `_FixedPart` is kept; a fleet
-# needs one per device
+# `HorizonQp`s whose `_FixedPart`, and with it its rows and active-set
+# maps, is kept; a fleet needs one per device, and criterion 1's 40
+# cross-check fleets about 140
 FIXED_PART_MEMO_SIZE = 256
 # the types of the weight and box that `HorizonQp` takes without numpy
 _SCALAR = (float, int)
@@ -169,8 +166,7 @@ class LdpRows:
     certified a solve over these rows, keyed by their active-row flags and
     ordered by when each last certified, newest last. A solve tries them
     newest first, so that an active set seen again costs neither `nnls`
-    nor a new factorization; the memo never changes an answer. Devices
-    that share rows but not an active set find each other's maps in it.
+    nor a new factorization; the memo never changes an answer.
 
     The last 2 ``n_eq`` rows are equalities, written as ``n_eq`` rows
     followed by their negations (the fleet's balance); node rows have
@@ -470,11 +466,11 @@ class HorizonQp:
     linear term is an argument of `solve`, so one instance serves every
     price.
 
-    ``lower`` and ``upper`` bound every step and are scalars, as is
-    ``ramp_limit``, which must be finite and > 0: a device has one box and
-    one ramp limit. ``quad_diag`` is a scalar or one entry per step, and is
-    held as a read-only length-``h`` array, which problems with the same
-    scalar weight share. ``cumsum_coeff`` = 0 disables the cumulative-sum
+    ``quad_diag``, the weight of every step, ``lower`` and ``upper``, which
+    bound every step, and ``ramp_limit``, which must be finite and > 0, are
+    scalars: a device has one weight, one box and one ramp limit.
+    ``quad_diag`` is held as the read-only length-``h`` Hessian diagonal of
+    the device's fixed part. ``cumsum_coeff`` = 0 disables the cumulative-sum
     constraints; otherwise they read
     cumsum_lower <= cumsum_init - cumsum_coeff * sum_{j<=k} x_j <= cumsum_upper
     for every k.
@@ -518,22 +514,20 @@ class HorizonQp:
             low, up = math.isfinite(cumsum_lower), math.isfinite(cumsum_upper)
             prefix = (low, up) if c > 0.0 else (up, low)
         d, lo, hi = quad_diag, lower, upper
-        # the node builders pass scalars (ints too, as a config file may
-        # hold them): their fixed part is checked and built once per
-        # device; anything else is checked and converted every time
-        if isinstance(d, _SCALAR) and isinstance(lo, _SCALAR) \
-                and isinstance(hi, _SCALAR):
-            # the sign bits keep 0.0 and -0.0 apart, which compare equal
-            fixed = _fixed_part(h, d, lo, hi, ramp, prefix,
-                                math.copysign(1.0, lo), math.copysign(1.0, hi))
-        else:
-            for name, v in (("lower", lo), ("upper", hi)):
+        # the node builders pass Python numbers (ints too, as a config file
+        # may hold them); anything else must be a scalar, made a float
+        if not (isinstance(d, _SCALAR) and isinstance(lo, _SCALAR)
+                and isinstance(hi, _SCALAR)):
+            for name, v in (("lower", lo), ("upper", hi), ("quad_diag", d)):
                 if np.ndim(v):
-                    raise ValueError(f"{name} must be a scalar, the bound of "
+                    raise ValueError(f"{name} must be a scalar, the same at "
                                      f"every step; got shape {np.shape(v)}")
-            d = np.broadcast_to(np.asarray(d, dtype=float), (h,)).tolist()
-            fixed = _FixedPart(h, d, float(lo), float(hi), ramp, prefix)
-        self._fixed = fixed
+            d, lo, hi = float(d), float(lo), float(hi)
+        # the fixed part is checked and built once per device; the sign
+        # bits keep 0.0 and -0.0 apart, which compare equal
+        fixed = self._fixed = _fixed_part(h, d, lo, hi, ramp, prefix,
+                                          math.copysign(1.0, lo),
+                                          math.copysign(1.0, hi))
         self.quad_diag, self.lower, self.upper = (fixed.quad_diag, fixed.lower,
                                                   fixed.upper)
         if not math.isfinite(prev):
@@ -580,34 +574,15 @@ class HorizonQp:
 
     @property
     def weight(self) -> float:
-        """The Hessian's first diagonal entry, as a float: the weight of a
-        device, whose diagonal is that weight at every step."""
+        """The weight of every step, as a float."""
         return self._fixed.weight
-
-    def effective_bounds(self):
-        """Box bounds with the k=0 ramp anchor folded into the first step,
-        as two lists of floats (lo, hi)."""
-        fixed, tail = self._fixed, self.h - 1
-        return ([self._lo0] + [fixed.lower] * tail,
-                [self._hi0] + [fixed.upper] * tail)
-
-    def objective(self, x: np.ndarray, lin: np.ndarray) -> float:
-        """0.5 x'Dx + lin'x for a linear term ``lin`` of length h."""
-        x = np.asarray(x, dtype=float)
-        lin = np.asarray(lin, dtype=float)
-        return 0.5 * float(x @ (self.quad_diag * x)) + float(lin @ x)
-
-    def violation(self, x: np.ndarray) -> float:
-        """Largest violation of a row of `constraint_rows` at x (0 when
-        feasible)."""
-        a, b = self.constraint_rows()
-        return float((a @ np.asarray(x, dtype=float) - b).max(initial=0.0))
 
     def constraint_rows(self):
         """The kept inequalities as (A, b), A x <= b, in `_row_matrix`'s
         order: the box with the ramp anchor folded into step 0, the ramp
         rows, then the bounds that the cumsum constraints put on every
-        prefix sum s_k = sum_{j<=k} x_j, in power units."""
+        prefix sum s_k = sum_{j<=k} x_j, in power units. A is the fixed
+        part's, read-only."""
         fixed, h = self._fixed, self.h
         tail = h - 1
         rhs = [self._hi0, *[fixed.upper] * tail, -self._lo0,
@@ -615,46 +590,43 @@ class HorizonQp:
         if self._prefix is not None:
             upper, neg_lower = self._prefix
             rhs += [upper] * h + [neg_lower] * h
-        _, prefix, keep = fixed.key
-        return (_kept_rows(h, prefix, keep),
+        return (fixed.raw,
                 np.array(list(compress(rhs, fixed.keep)), dtype=float))
 
 
 class _FixedPart:
     """What the horizon problems of one device share across its states: h,
-    the Hessian diagonal as a read-only array, the box [lower, upper] and
-    the ramp limit as floats, the ramp's reach ``steps`` (k*ramp for
-    k = 1..h-1) that the reach envelope adds, and the device's rows.
+    the weight as a float and the Hessian diagonal as a read-only array,
+    the box [lower, upper] and the ramp limit as floats, the ramp's reach
+    ``steps`` (k*ramp for k = 1..h-1) that the reach envelope adds, and the
+    device's rows.
 
     Which rows are kept depends on the fixed part alone: both step-0 box
     rows, a box row after step 0 where that side of the box is finite,
     every ramp row, and the prefix-sum rows that ``prefix`` flags (upper,
     then lower; None without SoC rows). Built once: the kept-row flags
-    ``keep``; their `_ldp_rows` key ``key`` (the Hessian diagonal as
-    bytes, whether prefix-sum rows exist, ``keep`` as bytes) and `LdpRows`
-    ``rows``, shared with every device of the same key; the kept
-    right-hand sides divided by the row norms (``base``, read-only, with
-    0.0 in the rows the state sets); and the slots of those rows, the
-    step-0 upper row first, the step-0 lower row at ``lower_at``, and the
-    prefix-sum rows last, from ``prefix_at``, with their norms ``norm0``,
-    ``lower_norm`` and ``prefix_norms``. Construction takes ``d`` as a
-    length-``h`` list of floats and ``lo``, ``hi`` and ``ramp`` as floats,
-    and runs every check on them."""
+    ``keep``; the kept rows of `_row_matrix`, ``raw``, read-only, and their
+    `LdpRows` ``rows``; the kept right-hand sides divided by the row norms
+    (``base``, read-only, with 0.0 in the rows the state sets); and the
+    slots of those rows, the step-0 upper row first, the step-0 lower row
+    at ``lower_at``, and the prefix-sum rows last, from ``prefix_at``, with
+    their norms ``norm0``, ``lower_norm`` and ``prefix_norms``.
+    Construction takes ``d``, ``lo``, ``hi`` and ``ramp`` as floats, and
+    runs every check on them."""
 
-    def __init__(self, h: int, d: list, lo: float, hi: float, ramp: float,
+    def __init__(self, h: int, d: float, lo: float, hi: float, ramp: float,
                  prefix):
         # NaN fails every comparison, so each test is written to pass
-        if not all(v > 0.0 for v in d):
-            raise ValueError(
-                "quad_diag must be strictly positive componentwise")
-        if not all(map(math.isfinite, d)):
+        if not d > 0.0:
+            raise ValueError("quad_diag must be strictly positive")
+        if not math.isfinite(d):
             raise ValueError("quad_diag must be finite")
         if not lo <= hi:
             raise ValueError("lower must be <= upper, neither NaN")
         if not 0.0 < ramp < math.inf:
             raise ValueError(f"ramp_limit must be finite and > 0, got {ramp}")
-        self.h, self.weight = h, d[0]
-        self.quad_diag = np.array(d)
+        self.h, self.weight = h, d
+        self.quad_diag = np.full(h, d)
         self.quad_diag.flags.writeable = False
         self.lower, self.upper, self.ramp = lo, hi, ramp
         self.steps = [ramp * k for k in range(1, h)]
@@ -668,8 +640,9 @@ class _FixedPart:
             keep += [prefix[0]] * h + [prefix[1]] * h
             rhs += [0.0] * (2 * h)
         self.keep = keep
-        self.key = (self.quad_diag.tobytes(), prefix is not None, bytes(keep))
-        rows = self.rows = _ldp_rows(h, self.key)
+        raw = self.raw = _row_matrix(h, prefix is not None).compress(keep, 0)
+        raw.flags.writeable = False
+        rows = self.rows = LdpRows(self.quad_diag, raw)
         base = self.base = np.array(list(compress(rhs, keep)), dtype=float)
         base /= rows.norms
         base.flags.writeable = False
@@ -714,48 +687,17 @@ def _fixed_part(h: int, d: float, lo: float, hi: float, ramp: float,
     """The `_FixedPart` of the scalars ``d``, ``lo`` and ``hi``, shared by
     every `HorizonQp` built from them; the sign bits are part of the key
     only."""
-    return _FixedPart(h, [float(d)] * h, float(lo), float(hi), ramp, prefix)
-
-
-@lru_cache(maxsize=LDP_ROWS_MEMO_SIZE)
-def _kept_rows(h: int, prefix: bool, keep: bytes) -> np.ndarray:
-    """The rows of `_row_matrix` flagged in ``keep``, read-only: a row
-    pattern's, which its devices' `LdpRows` and the oracle's fleet rows
-    are built from."""
-    rows = _row_matrix(h, prefix)[np.frombuffer(keep, dtype=bool)]
-    rows.flags.writeable = False
-    return rows
-
-
-@lru_cache(maxsize=LDP_ROWS_MEMO_SIZE)
-def _ldp_rows(h: int, key: tuple) -> LdpRows:
-    """`LdpRows` of a horizon problem whose `_FixedPart.key` is ``key``:
-    Hessian diagonal ``quad_diag``, and the rows of `_row_matrix` flagged
-    in ``keep``."""
-    quad_diag, prefix, keep = key
-    return LdpRows(np.frombuffer(quad_diag), _kept_rows(h, prefix, keep))
+    return _FixedPart(h, float(d), float(lo), float(hi), ramp, prefix)
 
 
 @dataclass(slots=True)
 class QpSolution:
-    """One solve's point and status. ``objective`` is evaluated when read,
-    from ``problem`` and the linear term ``lin`` it was solved with (inf
-    when infeasible), so a caller that needs only the point does not pay
-    for it. ``lin`` is held, not copied."""
+    """One solve's point and status."""
 
     profile: np.ndarray
     iterations: int  # 0 for the unconstrained shortcut, 1 for an LDP solve
-    primal_residual: float  # max constraint violation of profile
     status: str
     fixed_point_residual: float
-    problem: HorizonQp
-    lin: np.ndarray
-
-    @property
-    def objective(self) -> float:
-        if self.status == INFEASIBLE:
-            return np.inf
-        return self.problem.objective(self.profile, self.lin)
 
 
 def feasibility_check(qp: HorizonQp) -> str:
@@ -778,7 +720,7 @@ def solve(qp: HorizonQp, lin, tol: float = 1e-8) -> QpSolution:
     see the module docstring for the method. ``lin`` may be a scalar.
 
     ``status`` is "infeasible" when the polytope is certified empty
-    (profile all zeros, objective inf), "max_iter" when `nnls` hit
+    (profile all zeros), "max_iter" when `nnls` hit
     `NNLS_MAX_ITER` or its point could not be verified (the best point is
     returned), "optimal" otherwise. ``tol`` is the accepted constraint
     violation relative to max(1, ||x||inf).
@@ -790,8 +732,7 @@ def solve(qp: HorizonQp, lin, tol: float = 1e-8) -> QpSolution:
         lin = np.full(qp.h, lin)
     if not all_finite(lin.ravel().tolist()):
         raise ValueError("lin must be finite")
-    x, status, iters, viol = qp.ldp.solve(lin, tol)
+    x, status, iters, _ = qp.ldp.solve(lin, tol)
     if x is None:  # infeasible
         x = np.zeros(qp.h)
-    return QpSolution(x, iters, viol, status,
-                      0.0 if status == OPTIMAL else np.nan, qp, lin)
+    return QpSolution(x, iters, status, 0.0 if status == OPTIMAL else np.nan)

@@ -45,10 +45,6 @@ def enumerate_qp(quad_diag, lin, a_ub, b_ub, tol: float = 1e-9):
     n = d.size
     m = a.shape[0]
     opposite = np.all(a[:, None, :] == -a[None, :, :], axis=2)
-
-    def objective(x):
-        return 0.5 * float(x @ (d * x)) + float(q @ x)
-
     best_x, best_obj = None, np.inf
     for k in range(0, n + 1):
         combos = list(itertools.combinations(range(m), k))
@@ -70,12 +66,31 @@ def enumerate_qp(quad_diag, lin, a_ub, b_ub, tol: float = 1e-9):
         ok = np.all(np.isfinite(x_all), axis=1)
         ok[ok] = np.all(x_all[ok] @ a.T <= b + tol, axis=1)
         for x in x_all[ok]:
-            obj = objective(x)
+            obj = qp_objective(d, q, x)
             if obj < best_obj - 1e-15:
                 best_obj, best_x = obj, x.copy()
     if best_x is None:
         return None, None
     return best_x, best_obj
+
+
+def qp_objective(quad_diag, lin, x) -> float:
+    """0.5 x'diag(d)x + q'x."""
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(quad_diag, dtype=float)
+    return 0.5 * float(x @ (d * x)) + float(np.asarray(lin, dtype=float) @ x)
+
+
+def max_violation(a_ub, b_ub, x) -> float:
+    """Largest violation of a row of A x <= b at x, 0 when x holds every
+    row, with each row scaled so that its largest coefficient is 1: in the
+    units of x, so that the state-of-charge rows of `horizon_qp_matrices`
+    are in power units (bounds on prefix sums of power), whatever kappa
+    is."""
+    a = np.asarray(a_ub, dtype=float)
+    v = (a @ np.asarray(x, dtype=float) - np.asarray(b_ub, dtype=float)) \
+        / np.abs(a).max(axis=1)
+    return float(v.max(initial=0.0))
 
 
 def horizon_qp_matrices(h, p_min, p_max, ramp, anchor, kappa=None, soc0=None,
@@ -233,13 +248,24 @@ def horizon_rhs(h, lower, upper, ramp_limit, prev_value, cumsum_coeff=0.0,
     return np.concatenate(rhs), lo, hi
 
 
+def effective_box(qp):
+    """A node's effective box (lo, hi), as two lists of floats, by its
+    definition: the ramp from the anchor folded into step 0,
+    max(lower, prev - ramp) and min(upper, prev + ramp), and the box
+    [lower, upper] after it."""
+    lower, upper, tail = qp.lower, qp.upper, qp.h - 1
+    prev, ramp = qp.prev_value, qp.ramp_limit
+    return ([max(lower, prev - ramp)] + [lower] * tail,
+            [min(upper, prev + ramp)] + [upper] * tail)
+
+
 def reach_bounds(qps, p_f):
     """Lower bounds (deficit, excess) on every allocation's worst-step
     imbalance from the nodes' effective boxes and ramps alone, on arrays:
     a node's step-k power lies within [max_j (lo_j - (k-j) ramp),
     min_j (hi_j + (k-j) ramp)] over j <= k (`envelope_arrays`)."""
     steps = np.outer([p.ramp_limit for p in qps], np.arange(p_f.size))
-    lo, hi = (np.array(v) for v in zip(*(p.effective_bounds() for p in qps)))
+    lo, hi = (np.array(v) for v in zip(*map(effective_box, qps)))
     lo, hi = envelope_arrays(lo, hi, steps)
     return (max(0.0, float((p_f - hi.sum(axis=0)).max())),
             max(0.0, float((lo.sum(axis=0) - p_f).max())))
@@ -270,7 +296,7 @@ def reach_envelope(qp):
     written hi_k for k >= 1 and tried last; lo_k likewise, with the
     greatest. For one box [lo, hi] after step 0 that is
     min(hi, hi_0 + k*ramp)."""
-    lo, hi = qp.effective_bounds()
+    lo, hi = effective_box(qp)
     ramp = qp.ramp_limit
     los, his = [lo[0] + ramp * 0], [hi[0] + ramp * 0]
     for k in range(1, qp.h):

@@ -1,6 +1,10 @@
+import ast
 import dataclasses
 import gc
+import importlib
 import math
+import os
+import pkgutil
 import warnings
 import weakref
 from collections import Counter
@@ -27,14 +31,15 @@ from shipems.coordinator import (
     default_balance_tol_w,
     dual_update,
 )
+import shipems
 from shipems import coordinator
 from shipems.config import default_config
 from shipems import qp as qpmod
 from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pcm_solve, pgm_qp, pgm_solve
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
 from fleets import feasible_demand, fleet_reach_intervals, random_fleet
-from oracles import (envelope_price, min_max_residual_w, min_shortfall_w,
-                     reach_bounds, reach_envelope)
+from oracles import (effective_box, envelope_price, min_max_residual_w,
+                     min_shortfall_w, reach_bounds, reach_envelope)
 
 BUS = BusSpec()
 
@@ -344,19 +349,6 @@ class TestReportContract:
         assert rep.objective() == sum(r.local_objective
                                       for r in rep.gen + rep.batt)
 
-    @given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 1e8))
-    @settings(max_examples=30, deadline=None)
-    def test_solution_objective_is_the_problem_objective(self, seed, spread):
-        fleet, rep = report_at_feasible_demand(seed)
-        rng = np.random.default_rng(seed)
-        gen_qps, batt_qps = fresh_node_problems(fleet, 5)
-        for problem in gen_qps + batt_qps:
-            lin = rep.lambda_final + rng.uniform(-spread, spread, 5)
-            sol = qpmod.solve(problem, lin)
-            assert sol.status != qpmod.INFEASIBLE
-            assert bits(sol.objective) == bits(problem.objective(sol.profile,
-                                                                 lin))
-
 
 def criterion_1_fleets(n):
     """The first ``n`` fleets, demands and balance tolerances of acceptance
@@ -372,11 +364,54 @@ def criterion_1_fleets(n):
 
 def clear_memos():
     """Empty every memo that holds `LdpRows`, and with them active-set
-    maps: the rows memo, the fixed parts, which keep their row patterns'
-    rows, and the oracle's fleet rows."""
-    qpmod._ldp_rows.cache_clear()
+    maps: the fixed parts, which own their devices' rows, and the oracle's
+    fleet rows."""
     qpmod._fixed_part.cache_clear()
     coordinator._fleet_rows.cache_clear()
+
+
+def package_memos():
+    """Every `functools.lru_cache` memo defined in a `shipems` module, as
+    {(module name, attribute name): memo}."""
+    memos = {}
+    names = ["shipems"] + [m.name for m in pkgutil.iter_modules(
+        shipems.__path__, "shipems.")]
+    for module in map(importlib.import_module, names):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and hasattr(value, "cache_clear") \
+                    and getattr(value, "__module__", None) == module.__name__:
+                memos[module.__name__, name] = value
+    return memos
+
+
+def ab_memos():
+    """The memos that `scripts/ab_coordinate.py` clears before its cold
+    calls (its `MEMOS`), read from its source."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "ab_coordinate.py")
+    with open(path) as f:
+        for node in ast.parse(f.read()).body:
+            if isinstance(node, ast.Assign) \
+                    and [getattr(t, "id", None) for t in node.targets] \
+                    == ["MEMOS"]:
+                return set(ast.literal_eval(node.value))
+    raise AssertionError(f"no MEMOS in {path}")
+
+
+class TestMemos:
+    def test_every_memo_is_cleared_for_a_cold_call(self):
+        # a memo that the A/B script does not clear makes its cold
+        # sections warm, and one that `clear_memos` misses makes the
+        # path-independence tests below compare warm answers
+        memos = package_memos()
+        assert {("shipems.qp", "_fixed_part"),
+                ("shipems.coordinator", "_fleet_rows")} <= set(memos)
+        assert set(memos) <= ab_memos()
+        fleet, p_f, _ = criterion_1_fleets(1)[0]
+        centralized_solve(fleet, p_f)
+        assert all(m.cache_info().currsize for m in memos.values())
+        clear_memos()
+        assert not any(m.cache_info().currsize for m in memos.values())
 
 
 class TestPathIndependence:
@@ -423,18 +458,27 @@ class TestPathIndependence:
         assert answers(reversed(range(len(cases)))) == cold  # warm
         assert answers(range(len(cases))) == cold
 
-    def test_the_oracle_builds_no_rows_beyond_its_nodes(self):
-        # it keys the fleet rows on the nodes' row keys and stacks their
-        # kernels' right-hand sides: the only node rows built are each
-        # device's own, once per row key, and one fleet entry per shape
+    def test_the_oracle_builds_no_rows_beyond_its_nodes(self, monkeypatch):
+        # it keys the fleet rows on the nodes' fixed parts and stacks their
+        # kernels' right-hand sides: the only rows built are each device's
+        # own, once per fixed part, and one fleet entry per fleet
+        built = []
+        init = qpmod.LdpRows.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(qpmod.LdpRows, "__init__", counted)
         clear_memos()
-        keys = set()
+        parts = set()
         for fleet, p_f, _ in criterion_1_fleets(5):
             centralized_solve(fleet, p_f, tol=1e-9)
             gen, batt = _node_problems(fleet, p_f.size)
-            keys.update(p._fixed.key for p in gen + batt)
-        assert qpmod._ldp_rows.cache_info().misses == len(keys)
+            parts.update(p._fixed for p in gen + batt)
+        assert qpmod._fixed_part.cache_info().misses == len(parts)
         assert coordinator._fleet_rows.cache_info().currsize == 5
+        assert len(built) == len(parts) + 5
 
 
 class TestGarbage:
@@ -642,7 +686,7 @@ class TestReachEnvelope:
         if ramp >= 1e15:
             # a ramp this far above the box moves no finite bound of the
             # effective box (hi_k - k*ramp + k*ramp would round some to 0)
-            for g, w in zip(got, qp.effective_bounds()):
+            for g, w in zip(got, effective_box(qp)):
                 g, w = np.array(g), np.array(w)
                 finite = np.isfinite(w)
                 np.testing.assert_array_equal(g[finite], w[finite])

@@ -9,7 +9,14 @@ from scipy.linalg import block_diag
 
 import shipems.qp as qpmod
 from shipems.config import default_config
-from shipems.coordinator import Fleet, PcmNodeState, PgmNodeState, coordinate
+from shipems import coordinator
+from shipems.coordinator import (
+    Fleet,
+    PcmNodeState,
+    PgmNodeState,
+    _node_problems,
+    coordinate,
+)
 from shipems.plant import BusSpec, PcmSpec, PgmSpec
 from shipems.qp import (
     FEASIBLE,
@@ -24,14 +31,49 @@ from shipems.nodes import WEIGHT_FLOOR, pcm_qp, pgm_qp
 from shipems.sim import run_scenario
 from fleets import random_fleet
 from oracles import (
+    effective_box,
     enumerate_qp,
     envelope_arrays,
     horizon_qp_matrices,
     horizon_rhs,
+    max_violation,
     min_max_violation,
+    qp_objective,
     reach_envelope,
     unit_rows,
 )
+
+
+@dataclasses.dataclass
+class PerStepQp:
+    """A horizon problem with one Hessian entry per step, which `HorizonQp`
+    does not take (a device has one weight) but the kernel does (the
+    oracle's stacked Hessian is one): ``ldp`` is an `Ldp` over the rows
+    (a, b) of `oracles.horizon_qp_matrices`, the SoC rows given by
+    ``soc`` (its keyword arguments), whose box is the reach envelope."""
+
+    quad_diag: np.ndarray
+    lower: float
+    upper: float
+    ramp_limit: float
+    prev_value: float
+    soc: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        self.h = self.quad_diag.size
+        self.a, self.b = horizon_qp_matrices(
+            self.h, self.lower, self.upper, self.ramp_limit, self.prev_value,
+            **self.soc)
+        self.ldp = raw_ldp(qpmod.LdpRows(self.quad_diag, self.a), self.b,
+                           *reach_envelope(self))
+
+    def constraint_rows(self):
+        return self.a, self.b
+
+    def solve(self, lin, tol=1e-8):
+        """The kernel's (x, status) at the linear term ``lin``."""
+        x, status, _, _ = self.ldp.solve(np.asarray(lin, dtype=float), tol)
+        return x, status
 
 
 def random_instance(rng, h=3, with_cumsum=False):
@@ -41,18 +83,13 @@ def random_instance(rng, h=3, with_cumsum=False):
     hi = lo + rng.uniform(0.5, 3.0)
     ramp = rng.uniform(0.3, 2.0)
     prev = rng.uniform(lo, hi)
-    kw = {}
-    oracle_kw = {}
+    soc = {}
     if with_cumsum:
         kappa = rng.uniform(0.05, 0.5)
         soc0 = rng.uniform(0.3, 0.7)
-        kw = dict(cumsum_coeff=kappa, cumsum_init=soc0,
-                  cumsum_lower=0.1, cumsum_upper=0.9)
-        oracle_kw = dict(kappa=kappa, soc0=soc0, soc_min=0.1, soc_max=0.9)
-    qp = HorizonQp(h=h, quad_diag=d, lower=lo, upper=hi,
-                   ramp_limit=ramp, prev_value=prev, **kw)
-    a, b = horizon_qp_matrices(h, lo, hi, ramp, prev, **oracle_kw)
-    return qp, q, a, b
+        soc = dict(kappa=kappa, soc0=soc0, soc_min=0.1, soc_max=0.9)
+    qp = PerStepQp(d, lo, hi, ramp, prev, soc)
+    return qp, q, qp.a, qp.b
 
 
 class TestSolveExamples:
@@ -77,34 +114,29 @@ class TestSolveExamples:
         for _ in range(60):
             qp, q, a, b = random_instance(rng, with_cumsum=with_cumsum)
             xo, fo = enumerate_qp(qp.quad_diag, q, a, b)
-            s = solve(qp, q)
+            x, status = qp.solve(q)
             if xo is None:
-                assert s.status == INFEASIBLE
+                assert status == INFEASIBLE
                 continue
-            assert s.status == OPTIMAL
-            assert s.objective == pytest.approx(fo, abs=1e-8)
-            assert s.primal_residual <= 1e-8
+            assert status == OPTIMAL
+            assert qp_objective(qp.quad_diag, q, x) == pytest.approx(fo,
+                                                                     abs=1e-8)
+            assert max_violation(a, b, x) <= 1e-8
 
     def test_negative_cumsum_coeff(self):
         # negative coefficient flips the prefix-sum slab orientation
         rng = np.random.default_rng(11)
         for _ in range(20):
             qp, q, _, _ = random_instance(rng)
-            qp2 = HorizonQp(h=3, quad_diag=qp.quad_diag,
-                            lower=qp.lower, upper=qp.upper,
-                            ramp_limit=qp.ramp_limit, prev_value=qp.prev_value,
-                            cumsum_coeff=-0.2, cumsum_init=0.5,
-                            cumsum_lower=0.1, cumsum_upper=0.9)
-            a, b = horizon_qp_matrices(3, qp.lower, qp.upper,
-                                       qp.ramp_limit, qp.prev_value,
-                                       kappa=-0.2, soc0=0.5,
-                                       soc_min=0.1, soc_max=0.9)
-            xo, fo = enumerate_qp(qp2.quad_diag, q, a, b)
-            s = solve(qp2, q)
+            qp2 = dataclasses.replace(qp, soc=dict(kappa=-0.2, soc0=0.5,
+                                                   soc_min=0.1, soc_max=0.9))
+            xo, fo = enumerate_qp(qp2.quad_diag, q, qp2.a, qp2.b)
+            x, status = qp2.solve(q)
             if xo is None:
-                assert s.status == INFEASIBLE
+                assert status == INFEASIBLE
             else:
-                assert s.objective == pytest.approx(fo, abs=1e-8)
+                assert qp_objective(qp2.quad_diag, q, x) \
+                    == pytest.approx(fo, abs=1e-8)
 
 
 class TestSolveProperties:
@@ -112,50 +144,51 @@ class TestSolveProperties:
     @settings(max_examples=60, deadline=None)
     def test_returned_profile_feasible(self, seed):
         rng = np.random.default_rng(seed)
-        qp, q, _, _ = random_instance(rng, with_cumsum=bool(seed % 2))
-        s = solve(qp, q)
-        if s.status == INFEASIBLE:
+        qp, q, a, b = random_instance(rng, with_cumsum=bool(seed % 2))
+        x, status = qp.solve(q)
+        if status == INFEASIBLE:
             return
-        scale = max(1.0, float(np.abs(s.profile).max()))
-        assert qp.violation(s.profile) <= 1e-7 * scale
+        scale = max(1.0, float(np.abs(x).max()))
+        assert max_violation(a, b, x) <= 1e-7 * scale
 
     @given(seed=st.integers(0, 10_000), c=st.floats(1e-3, 1e3))
     @settings(max_examples=60, deadline=None)
     def test_uniform_cost_scaling_preserves_argmin(self, seed, c):
         rng = np.random.default_rng(seed)
         qp, q, _, _ = random_instance(rng)
-        scaled = HorizonQp(h=qp.h, quad_diag=c * qp.quad_diag,
-                           lower=qp.lower, upper=qp.upper,
-                           ramp_limit=qp.ramp_limit, prev_value=qp.prev_value)
-        s1, s2 = solve(qp, q), solve(scaled, c * q)
-        if INFEASIBLE in (s1.status, s2.status):
-            assert s1.status == s2.status
+        scaled = dataclasses.replace(qp, quad_diag=c * qp.quad_diag)
+        (x1, status1), (x2, status2) = qp.solve(q), scaled.solve(c * q)
+        if INFEASIBLE in (status1, status2):
+            assert status1 == status2
             return
-        np.testing.assert_allclose(s1.profile, s2.profile, atol=1e-7)
+        np.testing.assert_allclose(x1, x2, atol=1e-7)
 
     def test_beats_rejection_sampling(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
             qp, q, a, b = random_instance(rng, with_cumsum=bool(trial % 2))
-            s = solve(qp, q)
-            if s.status != OPTIMAL:
+            x_opt, status = qp.solve(q)
+            if status != OPTIMAL:
                 continue
-            lo, hi = map(np.array, qp.effective_bounds())
+            best = qp_objective(qp.quad_diag, q, x_opt)
+            lo, hi = map(np.array, effective_box(qp))
             pts = rng.uniform(lo, hi, size=(1000, qp.h))
             ok = np.all(a @ pts.T <= b[:, None], axis=0)
             for x in pts[ok]:
-                assert s.objective <= qp.objective(x, q) + 1e-9
+                assert best <= qp_objective(qp.quad_diag, q, x) + 1e-9
 
     def test_strictly_better_than_samples_when_interior(self):
         qp = HorizonQp(h=3, quad_diag=1.0, lower=0.0, upper=1.0,
                        ramp_limit=1.0, prev_value=0.5)
         s = solve(qp, -0.5)
         np.testing.assert_allclose(s.profile, 0.5, atol=1e-10)
+        lin = np.full(3, -0.5)
+        best = qp_objective(qp.quad_diag, lin, s.profile)
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.0, 1.0, size=(1000, 3))
         for x in pts:
             if np.abs(x - s.profile).max() > 1e-3:
-                assert s.objective < qp.objective(x, np.full(3, -0.5))
+                assert best < qp_objective(qp.quad_diag, lin, x)
 
 
 def mw_instance(rng, h=3):
@@ -210,7 +243,8 @@ class TestMwScale:
                                 tol=1e-9 * scale / unit)
         assert y_ref is not None
         x_ref = y_ref * unit
-        gap = qp.objective(x, lin) - qp.objective(x_ref, lin)
+        gap = qp_objective(qp.quad_diag, lin, x) \
+            - qp_objective(qp.quad_diag, lin, x_ref)
         curvature = float(qp.quad_diag[0]) * scale * scale
         assert abs(gap) <= 1e-11 * max(curvature, 1.0), gap
 
@@ -222,7 +256,7 @@ class TestStatuses:
                        ramp_limit=1.0, prev_value=0.0)
         s = solve(qp, 0.0)
         assert s.status == INFEASIBLE
-        assert s.objective == np.inf
+        assert not s.profile.any()
 
     def test_infeasible_cumsum_vs_box(self):
         # box forces sum(x) = 5 but the cumsum slab caps it at 4
@@ -241,11 +275,11 @@ class TestStatuses:
         s = solve(qp, 0.0)
         assert s.status == OPTIMAL
         assert s.profile[0] == 0.0
-        assert s.primal_residual <= 1e-300
+        assert max_violation(*qp.constraint_rows(), s.profile) <= 1e-300
 
     def test_nnls_iteration_cap_is_max_iter(self, monkeypatch):
-        qp = HorizonQp(h=3, quad_diag=[1.0, 2.0, 3.0],
-                       lower=-1.0, upper=1.0, ramp_limit=0.4, prev_value=0.0)
+        qp = PerStepQp(np.array([1.0, 2.0, 3.0]), lower=-1.0, upper=1.0,
+                       ramp_limit=0.4, prev_value=0.0)
 
         def capped(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
@@ -253,15 +287,14 @@ class TestStatuses:
         monkeypatch.setattr(qpmod, "nnls", capped)
         # x_u = (-5, 2, -1/3) clipped to the reach envelope misses the ramp
         # row from step 0 to step 1
-        s = solve(qp, [5.0, -4.0, 1.0])
-        assert s.status == MAX_ITER
-        assert np.all(np.isfinite(s.profile))
+        x, status = qp.solve([5.0, -4.0, 1.0])
+        assert status == MAX_ITER
+        assert np.all(np.isfinite(x))
         # a coordination whose node solves hit the cap still returns: a
         # demand that swings by 20 MW from step to step, which the
         # generator's 2 MW ramp rows cannot follow between interior
         # points, with no active-set map kept from before
         qpmod._fixed_part.cache_clear()
-        qpmod._ldp_rows.cache_clear()
         fleet = Fleet(bus=BusSpec(), pgms=[PgmNodeState(PgmSpec(), 30e6)],
                       pcms=[PcmNodeState(PcmSpec(), 0.5, 0.0)])
         rep = coordinate(fleet, np.array([56e6, 36e6, 56e6, 36e6, 56e6]),
@@ -293,7 +326,13 @@ class TestFeasibilityCheck:
         rng = np.random.default_rng(seed)
         qp, q, a, b = random_instance(rng, with_cumsum=True)
         xo, _ = enumerate_qp(qp.quad_diag, q, a, b)
-        verdict = feasibility_check(qp)
+        # the polytope does not depend on the Hessian: a device's problem
+        # over the same rows, at the weight of step 0
+        soc = qp.soc
+        verdict = feasibility_check(HorizonQp(
+            qp.h, qp.quad_diag[0], qp.lower, qp.upper, qp.ramp_limit,
+            qp.prev_value, soc["kappa"], soc["soc0"], soc["soc_min"],
+            soc["soc_max"]))
         assert verdict == (FEASIBLE if xo is not None else INFEASIBLE)
 
 
@@ -320,9 +359,12 @@ class TestValidation:
     @pytest.mark.parametrize("name, value", [
         ("lower", np.zeros(2)), ("upper", np.ones(2)), ("upper", [1.0, 1.0]),
         ("lower", np.array([0.0, np.nan])), ("upper", np.array([1.0, np.nan])),
-        ("quad_diag and lower", np.zeros(2))])
+        ("quad_diag and lower", np.zeros(2)), ("quad_diag", [1.0, 2.0]),
+        ("quad_diag", np.ones(2)), ("quad_diag", np.array([1.0, np.nan])),
+        ("quad_diag", np.ones((1, 1)))])
     def test_rejects_a_per_step_box(self, name, value):
-        # a device has one box for every step; a per-step Hessian is taken
+        # a device has one box and one weight for every step; the box is
+        # checked first
         kw = dict(h=2, quad_diag=1.0, lower=0.0, upper=1.0, ramp_limit=1.0,
                   prev_value=0.0)
         if name == "quad_diag and lower":
@@ -488,8 +530,8 @@ def pattern_problems(h, seed, lower_inf, upper_inf, with_soc, weight,
 
 
 class TestRowsMemo:
-    """`HorizonQp.ldp` takes its rows from a memo keyed on the Hessian and
-    the row pattern; it must solve exactly as a kernel built afresh."""
+    """`HorizonQp.ldp` takes its rows from the device's memoized fixed
+    part; it must solve exactly as a kernel built afresh."""
 
     @given(**row_patterns)
     @settings(max_examples=120, deadline=None)
@@ -523,18 +565,17 @@ class TestRowsMemo:
             assert_same_solve(g, w)
 
     def test_memo_stays_bounded(self):
+        # the oracle's memo of stacked fleet rows, one entry per fleet
         rng = np.random.default_rng(2)
         for _ in range(300):
             fleet = random_fleet(rng)
-            for g in fleet.pgms:
-                pgm_qp(g.spec, g.prev_power_w, 5).ldp
-            for b in fleet.pcms:
-                pcm_qp(b.spec, fleet.bus, b.soc, b.prev_power_w,
-                       fleet.td_s, 5).ldp
-        info = qpmod._ldp_rows.cache_info()
-        assert info.maxsize == qpmod.LDP_ROWS_MEMO_SIZE
-        assert info.currsize <= qpmod.LDP_ROWS_MEMO_SIZE
-        assert info.misses > qpmod.LDP_ROWS_MEMO_SIZE  # entries were evicted
+            gen, batt = _node_problems(fleet, 5)
+            coordinator._fleet_rows(tuple(p._fixed for p in gen + batt))
+        info = coordinator._fleet_rows.cache_info()
+        assert info.maxsize == coordinator.FLEET_ROWS_MEMO_SIZE
+        assert info.currsize <= coordinator.FLEET_ROWS_MEMO_SIZE
+        # entries were evicted
+        assert info.misses > coordinator.FLEET_ROWS_MEMO_SIZE
 
 
 class TestFixedRows:
@@ -585,10 +626,9 @@ class TestFixedRows:
 
 
 class TestRightHandSide:
-    """A step builds its right-hand side, effective box and rows key from
-    Python floats over the device's shared fixed part; the kernel, the LP
-    rows, the effective box and the key must equal the reference built
-    array by array."""
+    """A step builds its right-hand side and reach envelope from Python
+    floats over the device's shared fixed part; the kernel, the LP rows
+    and the envelope must equal the reference built array by array."""
 
     @given(h=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
            lower=st.sampled_from(["inf", "zero", "negative zero", "finite"]),
@@ -628,17 +668,16 @@ class TestRightHandSide:
             == [float(v).hex() for v in (lower, upper, kw["ramp_limit"])]
         # the kernel's box is the reach envelope, array by array
         box = envelope_arrays(lo, hi, kw["ramp_limit"] * np.arange(h))
-        pairs = [(qp.quad_diag, np.full(h, weight)),
-                 *zip(map(np.array, qp.effective_bounds()), (lo, hi)), *zip(qp.ldp.box, box),
+        pairs = [(qp.quad_diag, np.full(h, weight)), *zip(qp.ldp.box, box),
+                 (a_rows, qpmod._row_matrix(h, bool(soc_sign))[keep]),
                  (b_rows, b[keep]), (qp.ldp.b, b[keep] / qp.ldp.rows.norms)]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
-        # the kept-row flags and the rows key are the fixed part's, not
-        # the right-hand side's, and so are the kernel's rows
-        key = qp._fixed.key
-        assert key == (np.full(h, weight).tobytes(), bool(soc_sign),
-                       keep.tobytes())
-        assert qp.ldp.rows is qp._fixed.rows is qpmod._ldp_rows(h, key)
+        # the kept-row flags, the rows and the kernel's rows are the fixed
+        # part's, not the right-hand side's
+        assert qp._fixed.keep == keep.tolist()
+        assert a_rows is qp._fixed.raw and not a_rows.flags.writeable
+        assert qp.ldp.rows is qp._fixed.rows
 
     def test_expanded_arrays_are_shared_read_only_and_bounded(self):
         rng = np.random.default_rng(2)
@@ -1053,13 +1092,14 @@ class TestClipExit:
 
 def stacked_kernel(qps, p_f):
     """The fleet problem over the node problems ``qps`` with the balance
-    sum_i x_i = ``p_f`` as equality rows, built without any memo, and its
-    rows (A, b) with the balance as two inequality rows each."""
+    sum_i x_i = ``p_f`` as equality rows, built without any memo over the
+    nodes' reach envelopes, and its rows (A, b) with the balance as two
+    inequality rows each."""
     blocks = [qp.constraint_rows() for qp in qps]
     balance = np.tile(np.eye(p_f.size), len(qps))
     a = np.vstack([block_diag(*[r for r, _ in blocks]), balance, -balance])
     b = np.concatenate([b for _, b in blocks] + [p_f, -p_f])
-    boxes = [qp.effective_bounds() for qp in qps]
+    boxes = [reach_envelope(qp) for qp in qps]
     rows = qpmod.LdpRows(np.concatenate([qp.quad_diag for qp in qps]), a,
                          n_eq=p_f.size)
     kernel = raw_ldp(rows, b, np.concatenate([lo for lo, _ in boxes]),
@@ -1132,9 +1172,9 @@ class TestEqualityRows:
         rng = np.random.default_rng(seed)
         qps = [random_instance(rng, h=2)[0],
                random_instance(rng, h=2, with_cumsum=soc)[0]]
-        points = [solve(qp, rng.uniform(-2.0, 2.0, 2)) for qp in qps]
-        assume(all(s.status == OPTIMAL for s in points))
-        p_f = sum(s.profile for s in points)
+        points = [qp.solve(rng.uniform(-2.0, 2.0, 2)) for qp in qps]
+        assume(all(status == OPTIMAL for _, status in points))
+        p_f = sum(x for x, _ in points)
         d = np.concatenate([qp.quad_diag for qp in qps])
         kernel, a, b = stacked_kernel(qps, p_f)
         for _ in range(3):
