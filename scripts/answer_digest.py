@@ -13,7 +13,7 @@ Digests:
 - `harness.verify(default_config())`: every case's power and objective
   gap;
 - every node problem of criterion 1's fleets: its reach envelope
-  (`HorizonQp.envelope`) and its kernel's box (`HorizonQp.ldp.box`).
+  (`HorizonQp.envelope`) and its kernel's box, those lists as arrays.
 
 Two versions that print the same lines give bitwise the same answers on
 these runs. The digests may differ between platforms (BLAS, libm), so
@@ -126,7 +126,8 @@ def criterion_1_envelopes():
         qps += [pcm_qp(b.spec, fleet.bus, b.soc, b.prev_power_w, fleet.td_s, h)
                 for b in fleet.pcms]
         for p in qps:
-            env.update(digest(*p.envelope, *p.ldp.box).encode())
+            box = [np.asarray(v, dtype=float) for v in p.envelope]
+            env.update(digest(*p.envelope, *box).encode())
     print(f"criterion1.envelopes {env.hexdigest()}")
 
 

@@ -22,10 +22,10 @@ the previous MPC step is tried first; when it misses, the envelope price
 comes next, then plain ascent.
 
 Every node problem is solved exactly by the LDP kernel of `qp`. A
-device has one kernel, whose rows its fixed part holds; each MPC step
-builds its problem, reach envelope and kernel right-hand side in one
+device's fixed part is its kernel rows, and each MPC step's problem is
+its kernel, built with its reach envelope and right-hand side in one
 pass. `centralized_solve` solves the same allocation monolithically (one
-stacked QP of its nodes' kernels with the balance as equality rows,
+stacked QP of its nodes' problems with the balance as equality rows,
 solved by the same kernel over stacked rows memoized per fleet of
 devices) and serves as the verification oracle for the distributed loop.
 
@@ -91,7 +91,7 @@ ENVELOPE_EXIT_RTOL = 1e-9
 FLEET_ROWS_MEMO_SIZE = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class PgmNodeState:
     """Generator spec plus the receding-horizon memory it anchors ramps to."""
 
@@ -99,14 +99,14 @@ class PgmNodeState:
     prev_power_w: float
 
 
-@dataclass
+@dataclass(slots=True)
 class PcmNodeState:
     spec: PcmSpec
     soc: float
     prev_power_w: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Fleet:
     """All devices participating in one coordination problem."""
 
@@ -131,7 +131,7 @@ class Fleet:
                 + [0.0] * len(self.pcms))
 
 
-@dataclass
+@dataclass(slots=True)
 class CoordinationReport:
     """Outcome of one coordination run (one MPC step)."""
 
@@ -300,7 +300,7 @@ def _envelope_price(targets: list, weights: list, qps,
         if v < lower0:
             lower0 = v
         size += abs(t) + abs(hi)
-        steps = p._fixed.steps
+        steps = p.rows.steps
         if steps:
             # over steps >= 1 the envelope is narrowest at step 1 and the
             # anchor's reach greatest at step h-1
@@ -575,7 +575,7 @@ def coordinate(fleet: Fleet, p_f: np.ndarray, alpha: float | None = None,
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class CentralizedResult:
     gen_profiles: list[np.ndarray]
     batt_profiles: list[np.ndarray]
@@ -591,15 +591,18 @@ class CentralizedResult:
 
 
 @lru_cache(maxsize=FLEET_ROWS_MEMO_SIZE)
-def _fleet_rows(parts: tuple) -> qpmod.LdpRows:
+def _fleet_rows(keys: tuple) -> qpmod.LdpRows:
     """`LdpRows` of the stacked fleet problem of the nodes' fixed parts
-    ``parts`` (`qp._FixedPart`): their rows, block diagonal over the
-    stacked profiles, and their Hessian diagonals, then the h balance rows
-    sum_i x_ik = p_f,k and their negations as equalities."""
+    (`qp._FixedPart`), given by their values ``keys`` (their ``key``s), so
+    that an entry holds no fixed part and outlives one rebuilt: their
+    rows, block diagonal over the stacked profiles, and their Hessian
+    diagonals, then the h balance rows sum_i x_ik = p_f,k and their
+    negations as equalities."""
+    parts = [qpmod._fixed_part(*k) for k in keys]
     h = parts[0].h
     a = _block_diagonal([p.raw for p in parts])
     balance = np.tile(np.eye(h), len(parts))
-    d = np.concatenate([p.quad_diag for p in parts])
+    d = np.concatenate([p.d for p in parts])
     return qpmod.LdpRows(d, np.vstack([a, balance, -balance]), n_eq=h)
 
 
@@ -614,9 +617,9 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     certificate that no allocation meets the demand.
 
     The stacked rows depend only on the nodes' fixed parts, so they come
-    from the bounded memo of `_fleet_rows`, keyed on those parts, and with
+    from the bounded memo of `_fleet_rows`, keyed on their values, and with
     them the active-set maps that certified earlier solves of the same
-    devices. A call stacks its nodes' kernels' right-hand sides with the
+    devices. A call stacks its nodes' right-hand sides with the
     balance rows', takes its box from their reach envelopes and its
     linear term from their weights, and a fleet solved again, or at a
     nearby state, mostly exits through a kept map instead of `nnls`.
@@ -628,19 +631,19 @@ def centralized_solve(fleet: Fleet, p_f: np.ndarray,
     gen_qps, batt_qps = _node_problems(fleet, h)
     problems = gen_qps + batt_qps
     n = len(problems)
-    rows = _fleet_rows(tuple(p._fixed for p in problems))
-    # the nodes' kernels' right-hand sides, then the balance rows', each
-    # divided by its row's norm
-    b = np.concatenate([p.ldp.b for p in problems] + [p_f, -p_f])
+    rows = _fleet_rows(tuple(p.rows.key for p in problems))
+    # the nodes' right-hand sides, then the balance rows', each divided by
+    # its row's norm
+    b = np.concatenate([p.b for p in problems] + [p_f, -p_f])
     balance = b[-2 * h:]
     balance /= rows.norms[-2 * h:]
-    kernel = qpmod.Ldp(rows, b, [v for p in problems for v in p.envelope[0]],
-                       [v for p in problems for v in p.envelope[1]])
+    kernel = qpmod.Ldp(rows, b, ([v for p in problems for v in p.envelope[0]],
+                                 [v for p in problems for v in p.envelope[1]]))
     n_g = len(gen_qps)
     targets = fleet.targets()
     # generators pull toward their rated point, batteries toward zero
     lin = np.repeat([-p.weight * t for p, t in zip(problems, targets)], h)
-    x, status, _, _ = kernel.solve(lin, tol)
+    x, status, _ = kernel.solve(lin, tol)
     if status == INFEASIBLE:
         return CentralizedResult([], [], np.inf, np.inf, INFEASIBLE)
     x = x.reshape(n, h)

@@ -15,8 +15,8 @@ certificate that it is empty. One compiled `scipy.optimize.nnls` call
 therefore solves the QP exactly or proves it infeasible, and both answers
 are checked before they are returned.
 
-Only h, the last row of E, depends on q: `Ldp` builds the scaled rows once
-per constraint set and reuses them for every price. Rows are scaled to unit
+Only h, the last row of E, depends on q: `LdpRows` holds the scaled rows
+of one constraint set, and every price reuses them. Rows are scaled to unit
 norm; state-of-charge limits stay in power units (bounds on prefix sums of
 power), never scaled by the tiny per-step SoC coefficient.
 
@@ -25,25 +25,28 @@ ramp limit, the same at every step, and within a receding-horizon run
 they stay fixed; only its ramp anchor (the last setpoint) and its state
 of charge change. The QP's matrices are then fixed and the state moves
 only its right-hand side, the parametric view of Ferreau, Bock & Diehl
-(2008). So a device has one kernel: its `_FixedPart` (from `_fixed_part`,
-a bounded memo keyed on h, the weight and box, the ramp limit and which
-prefix-sum rows are kept) fixes, once,
-- which rows are kept: both step-0 box rows, the finite sides of the box
-  after step 0, every ramp row, and each prefix-sum row whose SoC bound is
-  finite (which bound that is follows from the sign of the SoC
-  coefficient);
-- those rows, read-only, and their `LdpRows`, which hold the device's
-  active-set maps;
-- the kept right-hand sides that no state moves, divided by the row
-  norms, and the slots of the rows that the state sets: the step-0 upper
-  and lower rows and the prefix-sum rows.
+(2008). So a device is one kernel object and an MPC step another:
+
+- the device's `_FixedPart` (from `_fixed_part`, a bounded memo keyed on
+  h, the weight and box, the ramp limit and which prefix-sum rows are
+  kept) is its `LdpRows`. It fixes, once, which rows are kept (both
+  step-0 box rows, the finite sides of the box after step 0, every ramp
+  row, and each prefix-sum row whose SoC bound is finite; the sign of
+  the SoC coefficient tells which bound that is), those rows, read-only,
+  with the active-set maps they certify, the kept right-hand sides that
+  no state moves, divided by the row norms, and the slots of the rows
+  that the state sets: the step-0 upper and lower rows and the
+  prefix-sum rows.
+- each step's `HorizonQp` is its `Ldp`, over the device's fixed part.
+  One pass builds the step-0 bounds with the ramp anchor folded in, the
+  two prefix-sum bounds, the reach envelope, which is the kernel's box,
+  and the right-hand side, a copy of the fixed one with the state rows
+  written in.
+
 A state whose step-0 bound or kept SoC bound is not finite (an overflow)
-is rejected. `HorizonQp` builds an MPC step's problem in one pass: the
-step-0 bounds with the ramp anchor folded in, the two prefix-sum bounds,
-the reach envelope, and the kernel `Ldp`, a copy of the fixed right-hand
-side with the state rows written in, over the fixed part's rows. Its box
-is the envelope, made into arrays when a solve first reads it, and its
-copy of E is made when its `nnls` path first needs one.
+is rejected. A problem keeps no lazy state: the paths that read its box
+as arrays make them from the envelope's lists, and the `nnls` path copies
+E where it writes E's last row.
 
 The box of a node's kernel is its reach envelope (`HorizonQp.envelope`):
 per step k, the bounds that the box and the ramp from the step-0 bounds
@@ -82,19 +85,20 @@ solved before. An active set met again (the two levels of a pulsed load,
 the first steps of every run) costs a lookup, not a new factorization.
 `EXITS` counts how the solves ended.
 
-The oracle's fleet problem stacks its nodes' fixed parts and kernels:
-their rows and weights, their right-hand sides, their reach envelopes as
-its box, and the h balance equalities as trailing rows of its `LdpRows`
-(``n_eq``): h rows, then their negations, which the `nnls` reduction
-needs. Every active set holds the equality rows and none of their
-negations, so K_S stays regular; the certificate holds both sides to the
-margin and leaves the sign of an equality's multiplier free (a demand
-above what the nodes want makes it negative). So the oracle's solves
-certify and keep maps as node solves do, and a fleet of the same devices
-(every case of `verify`, a fleet solved again) is answered from a kept
-map. A balance that depends linearly on active bounds (demand at the
-fleet's maximum) has a singular K_S and keeps no map; its solve returns
-the `nnls` point. Node rows have no equality rows.
+The oracle's fleet problem is an `Ldp` over its nodes' problems: their
+rows and weights, stacked into an `LdpRows` memoized on the values of
+their fixed parts, their right-hand sides, their reach envelopes as its
+box, and the h balance equalities as trailing rows (``n_eq``): h rows,
+then their negations, which the `nnls` reduction needs. Every active set
+holds the equality rows and none of their negations, so K_S stays
+regular; the certificate holds both sides to the margin and leaves the
+sign of an equality's multiplier free (a demand above what the nodes want
+makes it negative). So the oracle's solves certify and keep maps as node
+solves do, and a fleet of the same devices (every case of `verify`, a
+fleet solved again) is answered from a kept map. A balance that depends
+linearly on active bounds (demand at the fleet's maximum) has a singular
+K_S and keeps no map; its solve returns the `nnls` point. Node rows have
+no equality rows.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ INFEASIBLE = "infeasible"
 FEASIBLE = "feasible"
 
 # (h, weight, lower, upper, ramp limit, which prefix-sum rows are kept) of
-# `HorizonQp`s whose `_FixedPart`, and with it its rows and active-set
+# `HorizonQp`s whose `_FixedPart`, the device's rows with their active-set
 # maps, is kept; a fleet needs one per device, and criterion 1's 40
 # cross-check fleets about 140
 FIXED_PART_MEMO_SIZE = 256
@@ -137,25 +141,6 @@ TWIN_DOT = -1.0 + 1e-9
 # "clip" (x_u clipped to the box is), "hint" (the newest map of the memo),
 # "memo" (an older one), "nnls", "max_iter" and "infeasible"
 EXITS = Counter()
-
-
-class _once:
-    """A method's value, computed on its first read and then stored on the
-    instance, where later reads find it: `functools.cached_property`
-    without the lock that it takes on Python 3.11, which cost a read about
-    2 us (2 CPUs, x86-64)."""
-
-    def __init__(self, func):
-        self.func, self.__doc__ = func, func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 class LdpRows:
@@ -233,39 +218,18 @@ class Ldp:
     """min 0.5 x'diag(d)x + q'x s.t. a x <= b over a fixed polytope, any q.
 
     ``rows`` holds ``a`` and ``d``; ``b`` is an array divided by
-    ``rows.norms``, in the units of the unit rows. ``lo``/``hi`` bound
-    every point of the polytope componentwise (entries may be infinite):
-    the clip exit minimizes over that box, and an infeasibility
-    certificate is checked over it. ``lo`` and ``hi`` may be arrays or
-    lists of floats; the box becomes arrays (`box`) when first read, which
-    a solve that x_u does not answer does.
+    ``rows.norms``, in the units of the unit rows. ``envelope``, a pair
+    (lo, hi) of arrays or lists of floats, bounds every point of the
+    polytope componentwise (entries may be infinite): the clip exit
+    minimizes over that box, and an infeasibility certificate is checked
+    over it.
     """
 
-    def __init__(self, rows: LdpRows, b: np.ndarray, lo, hi):
-        self.rows, self.a, self.neg_d = rows, rows.a, rows.neg_d
-        self.b, self._lo, self._hi = b, lo, hi
-
-    @_once
-    def box(self):
-        """The box (lo, hi) as two arrays, made when first read."""
-        return (np.asarray(self._lo, dtype=float),
-                np.asarray(self._hi, dtype=float))
-
-    @_once
-    def e(self) -> np.ndarray:
-        """This LDP's own copy of E, made by its first `nnls` solve, which
-        rewrites its last row at every call."""
-        return self.rows.e.copy()
-
-    def violation(self, x) -> float:
-        """Largest violation of a unit-norm row at x (0 when feasible)."""
-        v = self.a.dot(x)
-        v -= self.b
-        return float(np.maximum.reduce(v, initial=0.0))
+    def __init__(self, rows: LdpRows, b: np.ndarray, envelope):
+        self.rows, self.b, self.envelope = rows, b, envelope
 
     def solve(self, q, tol: float):
-        """Returns (x, status, iterations, violation); x is None when
-        infeasible.
+        """Returns (x, status, iterations); x is None when infeasible.
 
         The point is accepted when every row holds to tol*max(1, ||x||inf);
         infeasibility only when the certificate shows that every point of
@@ -279,23 +243,18 @@ class Ldp:
         that map's point and keeps the map, so the answer does not depend
         on which path found it. Each exit is counted in `EXITS`.
         """
-        xu = q / self.neg_d
-        slack = self.a.dot(xu)
-        slack -= self.b  # > 0 on the rows x_u violates
-        values = slack.tolist()
-        top = max(values, default=0.0)
-        # the built-in max skips a NaN that is not first; numpy's, and so
-        # this one, propagates it (a NaN sum also comes from +inf and -inf)
-        total = sum(values)
-        if total != total and any(map(math.isnan, values)):
-            top = math.nan
-        if top <= 0.0:
-            EXITS["shortcut"] += 1
-            return xu, OPTIMAL, 0, 0.0
-        # top > max(rho) makes s > 1 below, where the overflow exit cannot
-        # fire; otherwise that exit's own test comes first
         rows = self.rows
-        far = top > rows.rho_max
+        xu = q / rows.neg_d
+        ax = rows.a.dot(xu)
+        # x_u holds every row (no NaN does): compared, not subtracted, as
+        # the slack of a row held by more than the largest float overflows
+        if False not in (ax <= self.b).tolist():
+            EXITS["shortcut"] += 1
+            return xu, OPTIMAL, 0
+        slack = ax - self.b  # > 0 on the rows x_u misses
+        # a miss by more than max(rho) makes s > 1 below, where the
+        # overflow exit cannot fire; otherwise that exit's test comes first
+        far = slack.max() > rows.rho_max
         if far:
             hit = self._clipped(xu, tol) or self._continued(xu, slack, tol)
             if hit is not None:
@@ -306,23 +265,22 @@ class Ldp:
         # where s * FLOAT_MAX is inf
         if s <= 1.0 and -float(h.min()) > s * FLOAT_MAX:
             EXITS["shortcut"] += 1
-            return xu, OPTIMAL, 0, self.violation(xu)
+            return xu, OPTIMAL, 0
         if not far:
             hit = self._clipped(xu, tol) or self._continued(xu, slack, tol)
             if hit is not None:
                 return hit
-        e = self.e
+        e = rows.e.copy()
         e[-1] = h / s
         try:
             u, _ = nnls(e, rows.unit, maxiter=NNLS_MAX_ITER)
         except RuntimeError:  # iteration cap
             EXITS[MAX_ITER] += 1
-            x = np.clip(xu, *self.box)
-            return x, MAX_ITER, NNLS_MAX_ITER, self.violation(x)
+            return np.clip(xu, *self.envelope), MAX_ITER, NNLS_MAX_ITER
         r = e.dot(u) - rows.unit
         if r[-1] < 0.0:
             x = xu - (s / r[-1]) * rows.w * r[:-1]
-            v = self.a.dot(x)
+            v = rows.a.dot(x)
             v -= self.b
             t = tol * max(1.0, float(abs(x).max()))
             # the passive set and the rows within t/2 of active at x: the
@@ -333,7 +291,7 @@ class Ldp:
                 near[-2 * n_eq:-n_eq] = True
                 near[-n_eq:] = False
             key = near.tobytes()
-            a_s = self.a[near]
+            a_s = rows.a[near]
             # a set in the memo has just failed at this price; a row and
             # its negation (an equality written as two inequality rows)
             # make K_S singular: no map
@@ -345,19 +303,17 @@ class Ldp:
                 if hit is not None:
                     rows.keep(key, amap)
                     EXITS["nnls"] += 1
-                    return hit[0], OPTIMAL, 1, hit[1]
-            viol = float(v.max(initial=0.0))
-            if viol <= t:
+                    return hit, OPTIMAL, 1
+            if v.max(initial=0.0) <= t:
                 EXITS["nnls"] += 1
-                return x, OPTIMAL, 1, viol
+                return x, OPTIMAL, 1
         else:
-            x = np.clip(xu, *self.box)
-            viol = self.violation(x)
+            x = np.clip(xu, *self.envelope)
         if self._certifies_empty(u / rows.rho, tol):
             EXITS[INFEASIBLE] += 1
-            return None, INFEASIBLE, 1, np.inf
+            return None, INFEASIBLE, 1
         EXITS[MAX_ITER] += 1
-        return x, MAX_ITER, 1, viol
+        return x, MAX_ITER, 1
 
     def _clipped(self, xu, tol: float):
         """The solve's return for x = clip(x_u, lo, hi) over the box when
@@ -368,21 +324,21 @@ class Ldp:
         The reductions run on Python floats; a NaN anywhere rejects."""
         if self.rows.n_eq:
             return None
-        lo, hi = self.box
-        x = np.minimum(np.maximum(xu, lo), hi)
-        xl = x.tolist()
-        v = self.a.dot(x)
+        # np.minimum(np.maximum(x_u, lo), hi) bit for bit, a NaN kept
+        xl = [h if u > h else lo if u < lo else u
+              for u, lo, h in zip(xu.tolist(), *self.envelope)]
+        x = np.array(xl)
+        v = self.rows.a.dot(x)
         v -= self.b
         vl = v.tolist()
-        top = max(vl)
-        if not top <= tol * max(1.0, max(xl), -min(xl)):
+        if not max(vl) <= tol * max(1.0, max(xl), -min(xl)):
             return None
         total = sum(xl) + sum(vl)
         # a NaN sum also comes from +inf and -inf without any NaN
         if total != total and any(map(math.isnan, xl + vl)):
             return None
         EXITS["clip"] += 1
-        return x, OPTIMAL, 1, max(top, 0.0)
+        return x, OPTIMAL, 1
 
     def _continued(self, xu, slack, tol: float):
         """The solve's return when a map of the rows' memo, tried newest
@@ -390,17 +346,17 @@ class Ldp:
         counts as "hint"; an older map that passes counts as "memo" and
         becomes the newest."""
         for i, (key, amap) in enumerate(reversed(self.rows.maps.items())):
-            hit = self._certified(amap, xu, slack, tol)
-            if hit is not None:
+            x = self._certified(amap, xu, slack, tol)
+            if x is not None:
                 if i:
                     self.rows.keep(key, amap)
                 EXITS["memo" if i else "hint"] += 1
-                return hit[0], OPTIMAL, 1, hit[1]
+                return x, OPTIMAL, 1
         return None
 
     def _certified(self, amap, xu, slack, tol: float):
-        """(x, violation) of the active set S of ``amap`` when a KKT
-        certificate with margins proves x optimal, else None. With
+        """The point x of the active set S of ``amap`` when a KKT
+        certificate with margins proves it optimal, else None. With
         t = tol*max(1, ||x||inf): S is every row active within t at x (the
         rows of S and the negations of its equality rows hold as
         equalities to t, every other row holds with slack beyond t), and
@@ -428,14 +384,13 @@ class Ldp:
         x = xu - y[m:]
         xl = x.tolist()
         t = tol * max(1.0, max(xl), -min(xl))
-        v = self.a.dot(x)
+        v = self.rows.a.dot(x)
         v -= self.b
         v_off = v[off].tolist()
         if v_off and not max(v_off) < -t:
             return None
         v_s = v[held].tolist()
-        top = max(v_s)
-        if not (-t <= min(v_s) and top <= t):
+        if not (-t <= min(v_s) and max(v_s) <= t):
             return None
         if mu_min < 0.0 and not all(m >= -0.5 * t * k
                                     for m, k in zip(mu, k_diag)):
@@ -444,14 +399,14 @@ class Ldp:
         # a NaN sum also comes from +inf and -inf without any NaN
         if total != total and any(map(math.isnan, mu + xl + v_off + v_s)):
             return None
-        return x, max(top, 0.0)  # the rows outside S hold
+        return x  # the rows outside S hold
 
     def _certifies_empty(self, y, tol: float) -> bool:
         """Farkas test: y >= 0 weighs the unit rows so that y'(a x - b)
         exceeds tol*x_scale*sum(y) at every x of the box, where x_scale is
         the largest finite box bound (at least 1)."""
-        c = self.a.T.dot(y)
-        lo, hi = self.box
+        c = self.rows.a.T.dot(y)
+        lo, hi = (np.asarray(v, dtype=float) for v in self.envelope)
         with np.errstate(invalid="ignore"):
             low = np.where(c > 0.0, c * lo, np.where(c < 0.0, c * hi, 0.0))
         bounds = np.abs(np.concatenate([lo, hi]))
@@ -460,27 +415,101 @@ class Ldp:
         return float(np.sum(low) - self.b.dot(y)) > tol * x_scale * float(np.sum(y))
 
 
+class _FixedPart(LdpRows):
+    """A device's kernel rows: what its horizon problems share across its
+    states. Besides the `LdpRows` of the kept rows (``d`` is the weight at
+    every step), it holds ``key``, the `_fixed_part` arguments it is built
+    from; h, the weight, the box [lower, upper] and the ramp limit as
+    floats; the ramp's reach ``steps`` (k*ramp for k = 1..h-1) that the
+    reach envelope adds; and the kept rows' layout.
+
+    Which rows are kept depends on the fixed part alone: both step-0 box
+    rows, a box row after step 0 where that side of the box is finite,
+    every ramp row, and the prefix-sum rows that ``prefix`` flags (upper,
+    then lower; None without SoC rows). Built once: the kept-row flags
+    ``kept``; the kept rows of `_row_matrix`, ``raw``, read-only; the kept
+    right-hand sides divided by the row norms (``base``, read-only, with
+    0.0 in the rows the state sets); and the slots of those rows, the
+    step-0 upper row first, the step-0 lower row at ``lower_at``, and the
+    prefix-sum rows last, from ``prefix_at``, with their norms ``norm0``,
+    ``lower_norm`` and ``prefix_norms``. Construction runs every check on
+    the key's scalars."""
+
+    def __init__(self, key):
+        h, d, lo, hi, ramp, prefix = key[:6]
+        d, lo, hi = float(d), float(lo), float(hi)
+        # NaN fails every comparison, so each test is written to pass
+        if not d > 0.0:
+            raise ValueError("quad_diag must be strictly positive")
+        if not math.isfinite(d):
+            raise ValueError("quad_diag must be finite")
+        if not lo <= hi:
+            raise ValueError("lower must be <= upper, neither NaN")
+        if not 0.0 < ramp < math.inf:
+            raise ValueError(f"ramp_limit must be finite and > 0, got {ramp}")
+        self.key, self.h, self.weight = key, h, d
+        self.lower, self.upper, self.ramp = lo, hi, ramp
+        self.steps = [ramp * k for k in range(1, h)]
+        tail = h - 1
+        kept = [True, *[math.isfinite(hi)] * tail,
+                True, *[math.isfinite(lo)] * tail, *[True] * (2 * tail)]
+        rhs = [0.0, *[hi] * tail, 0.0, *[-lo] * tail, *[ramp] * (2 * tail)]
+        self.lower_at = 1 + sum(kept[1:h])
+        self.prefix_at = sum(kept)
+        if prefix is not None:
+            kept += [prefix[0]] * h + [prefix[1]] * h
+            rhs += [0.0] * (2 * h)
+        self.kept = kept
+        raw = self.raw = _row_matrix(h, prefix is not None).compress(kept, 0)
+        raw.flags.writeable = False
+        super().__init__(np.full(h, d), raw)
+        base = self.base = np.array(list(compress(rhs, kept)), dtype=float)
+        base /= self.norms
+        base.flags.writeable = False
+        self.norm0, self.lower_norm = (float(self.norms[0]),
+                                       float(self.norms[self.lower_at]))
+        self.prefix_norms = self.norms[self.prefix_at:]
+
+    def envelope(self, lo0: float, hi0: float):
+        """The reach envelope (los, his) at the step-0 bounds ``lo0`` and
+        ``hi0``, as two lists of floats: per step k, the bounds
+        lo_k <= x_k <= hi_k that the box and the ramp put on x_k together,
+        hi0 + 0.0 at step 0, which is hi0 but for -0.0, taken to +0.0, and
+        min(upper, hi0 + k*ramp) at step k >= 1, the box's bound on a tie;
+        the lower bounds likewise. A point on hi0 + k*ramp has x_0 = hi0,
+        so that the rounding of that sum, at most an ulp of k*ramp and one
+        of the sum, is within two ulps of the point's largest entry: the
+        envelope holds the polytope far inside the kernel's tolerance."""
+        lo, hi = self.lower, self.upper
+        his, los = [hi0 + 0.0], [lo0 + 0.0]
+        for s in self.steps:
+            x, y = hi0 + s, lo0 - s
+            his.append(hi if hi < x else x)
+            los.append(lo if lo > y else y)
+        return los, his
+
+
 @dataclass(eq=False, init=False)
-class HorizonQp:
-    """The Hessian and constraint set of one horizon QP at one state; the
-    linear term is an argument of `solve`, so one instance serves every
-    price.
+class HorizonQp(Ldp):
+    """One horizon QP at one state, which is its own kernel: the `Ldp` over
+    its device's fixed part (``rows``) with the state's right-hand side
+    ``b`` and its reach ``envelope`` as the box. The linear term is an
+    argument of `solve`, so one instance serves every price.
 
     ``quad_diag``, the weight of every step, ``lower`` and ``upper``, which
     bound every step, and ``ramp_limit``, which must be finite and > 0, are
     scalars: a device has one weight, one box and one ramp limit.
     ``quad_diag`` is held as the read-only length-``h`` Hessian diagonal of
-    the device's fixed part. ``cumsum_coeff`` = 0 disables the cumulative-sum
+    the fixed part. ``cumsum_coeff`` = 0 disables the cumulative-sum
     constraints; otherwise they read
     cumsum_lower <= cumsum_init - cumsum_coeff * sum_{j<=k} x_j <= cumsum_upper
     for every k.
 
-    Which rows are kept is the device's (`_FixedPart`). The state
-    (``prev_value``, ``cumsum_init``) sets the right-hand sides of the
-    step-0 box rows, with the ramp anchor folded in, and of the prefix-sum
-    rows; each of those that is kept must be finite. Construction builds,
-    in one pass, the reach ``envelope`` and the kernel ``ldp``. The fields
-    are not to be changed afterwards.
+    Which rows are kept is the fixed part's. The state (``prev_value``,
+    ``cumsum_init``) sets the right-hand sides of the step-0 box rows,
+    with the ramp anchor folded in, and of the prefix-sum rows; each of
+    those that is kept must be finite. Construction builds the envelope
+    and ``b`` in one pass. The fields are not to be changed afterwards.
     """
 
     h: int
@@ -525,10 +554,9 @@ class HorizonQp:
             d, lo, hi = float(d), float(lo), float(hi)
         # the fixed part is checked and built once per device; the sign
         # bits keep 0.0 and -0.0 apart, which compare equal
-        fixed = self._fixed = _fixed_part(h, d, lo, hi, ramp, prefix,
-                                          math.copysign(1.0, lo),
-                                          math.copysign(1.0, hi))
-        self.quad_diag, self.lower, self.upper = (fixed.quad_diag, fixed.lower,
+        fixed = _fixed_part(h, d, lo, hi, ramp, prefix, math.copysign(1.0, lo),
+                            math.copysign(1.0, hi))
+        self.quad_diag, self.lower, self.upper = (fixed.d, fixed.lower,
                                                   fixed.upper)
         if not math.isfinite(prev):
             raise ValueError("prev_value must be finite")
@@ -567,15 +595,12 @@ class HorizonQp:
                 np.divide(([upper] * h if up else [])
                           + ([neg_lower] * h if down else []),
                           fixed.prefix_norms, out=b[fixed.prefix_at:])
-        # the kernel reads the envelope lists, not this problem, which
-        # holds the kernel: a step's problems are then no cyclic garbage
-        envelope = self.envelope = fixed.envelope(lo0, hi0)
-        self.ldp = Ldp(fixed.rows, b, *envelope)
+        super().__init__(fixed, b, fixed.envelope(lo0, hi0))
 
     @property
     def weight(self) -> float:
         """The weight of every step, as a float."""
-        return self._fixed.weight
+        return self.rows.weight
 
     def constraint_rows(self):
         """The kept inequalities as (A, b), A x <= b, in `_row_matrix`'s
@@ -583,7 +608,7 @@ class HorizonQp:
         rows, then the bounds that the cumsum constraints put on every
         prefix sum s_k = sum_{j<=k} x_j, in power units. A is the fixed
         part's, read-only."""
-        fixed, h = self._fixed, self.h
+        fixed, h = self.rows, self.h
         tail = h - 1
         rhs = [self._hi0, *[fixed.upper] * tail, -self._lo0,
                *[-fixed.lower] * tail, *[fixed.ramp] * (2 * tail)]
@@ -591,82 +616,7 @@ class HorizonQp:
             upper, neg_lower = self._prefix
             rhs += [upper] * h + [neg_lower] * h
         return (fixed.raw,
-                np.array(list(compress(rhs, fixed.keep)), dtype=float))
-
-
-class _FixedPart:
-    """What the horizon problems of one device share across its states: h,
-    the weight as a float and the Hessian diagonal as a read-only array,
-    the box [lower, upper] and the ramp limit as floats, the ramp's reach
-    ``steps`` (k*ramp for k = 1..h-1) that the reach envelope adds, and the
-    device's rows.
-
-    Which rows are kept depends on the fixed part alone: both step-0 box
-    rows, a box row after step 0 where that side of the box is finite,
-    every ramp row, and the prefix-sum rows that ``prefix`` flags (upper,
-    then lower; None without SoC rows). Built once: the kept-row flags
-    ``keep``; the kept rows of `_row_matrix`, ``raw``, read-only, and their
-    `LdpRows` ``rows``; the kept right-hand sides divided by the row norms
-    (``base``, read-only, with 0.0 in the rows the state sets); and the
-    slots of those rows, the step-0 upper row first, the step-0 lower row
-    at ``lower_at``, and the prefix-sum rows last, from ``prefix_at``, with
-    their norms ``norm0``, ``lower_norm`` and ``prefix_norms``.
-    Construction takes ``d``, ``lo``, ``hi`` and ``ramp`` as floats, and
-    runs every check on them."""
-
-    def __init__(self, h: int, d: float, lo: float, hi: float, ramp: float,
-                 prefix):
-        # NaN fails every comparison, so each test is written to pass
-        if not d > 0.0:
-            raise ValueError("quad_diag must be strictly positive")
-        if not math.isfinite(d):
-            raise ValueError("quad_diag must be finite")
-        if not lo <= hi:
-            raise ValueError("lower must be <= upper, neither NaN")
-        if not 0.0 < ramp < math.inf:
-            raise ValueError(f"ramp_limit must be finite and > 0, got {ramp}")
-        self.h, self.weight = h, d
-        self.quad_diag = np.full(h, d)
-        self.quad_diag.flags.writeable = False
-        self.lower, self.upper, self.ramp = lo, hi, ramp
-        self.steps = [ramp * k for k in range(1, h)]
-        tail = h - 1
-        keep = [True, *[math.isfinite(hi)] * tail,
-                True, *[math.isfinite(lo)] * tail, *[True] * (2 * tail)]
-        rhs = [0.0, *[hi] * tail, 0.0, *[-lo] * tail, *[ramp] * (2 * tail)]
-        self.lower_at = 1 + sum(keep[1:h])
-        self.prefix_at = sum(keep)
-        if prefix is not None:
-            keep += [prefix[0]] * h + [prefix[1]] * h
-            rhs += [0.0] * (2 * h)
-        self.keep = keep
-        raw = self.raw = _row_matrix(h, prefix is not None).compress(keep, 0)
-        raw.flags.writeable = False
-        rows = self.rows = LdpRows(self.quad_diag, raw)
-        base = self.base = np.array(list(compress(rhs, keep)), dtype=float)
-        base /= rows.norms
-        base.flags.writeable = False
-        self.norm0, self.lower_norm = (float(rows.norms[0]),
-                                       float(rows.norms[self.lower_at]))
-        self.prefix_norms = rows.norms[self.prefix_at:]
-
-    def envelope(self, lo0: float, hi0: float):
-        """The reach envelope (los, his) at the step-0 bounds ``lo0`` and
-        ``hi0``, as two lists of floats: per step k, the bounds
-        lo_k <= x_k <= hi_k that the box and the ramp put on x_k together,
-        hi0 + 0.0 at step 0, which is hi0 but for -0.0, taken to +0.0, and
-        min(upper, hi0 + k*ramp) at step k >= 1, the box's bound on a tie;
-        the lower bounds likewise. A point on hi0 + k*ramp has x_0 = hi0,
-        so that the rounding of that sum, at most an ulp of k*ramp and one
-        of the sum, is within two ulps of the point's largest entry: the
-        envelope holds the polytope far inside the kernel's tolerance."""
-        lo, hi = self.lower, self.upper
-        his, los = [hi0 + 0.0], [lo0 + 0.0]
-        for s in self.steps:
-            x, y = hi0 + s, lo0 - s
-            his.append(hi if hi < x else x)
-            los.append(lo if lo > y else y)
-        return los, his
+                np.array(list(compress(rhs, fixed.kept)), dtype=float))
 
 
 def _row_matrix(h: int, prefix: bool) -> np.ndarray:
@@ -682,12 +632,12 @@ def _row_matrix(h: int, prefix: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=FIXED_PART_MEMO_SIZE)
-def _fixed_part(h: int, d: float, lo: float, hi: float, ramp: float,
-                prefix, lo_sign: float, hi_sign: float) -> _FixedPart:
-    """The `_FixedPart` of the scalars ``d``, ``lo`` and ``hi``, shared by
-    every `HorizonQp` built from them; the sign bits are part of the key
-    only."""
-    return _FixedPart(h, float(d), float(lo), float(hi), ramp, prefix)
+def _fixed_part(*key) -> _FixedPart:
+    """The `_FixedPart` of ``key``: h, the weight, lower, upper, the ramp
+    limit, which prefix-sum rows are kept, and the sign bits of lower and
+    upper, which are part of the key only. Shared by every `HorizonQp`
+    built from them."""
+    return _FixedPart(key)
 
 
 @dataclass(slots=True)
@@ -732,7 +682,7 @@ def solve(qp: HorizonQp, lin, tol: float = 1e-8) -> QpSolution:
         lin = np.full(qp.h, lin)
     if not all_finite(lin.ravel().tolist()):
         raise ValueError("lin must be finite")
-    x, status, iters, _ = qp.ldp.solve(lin, tol)
+    x, status, iters = qp.solve(lin, tol)
     if x is None:  # infeasible
         x = np.zeros(qp.h)
     return QpSolution(x, iters, status, 0.0 if status == OPTIMAL else np.nan)

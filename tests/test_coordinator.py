@@ -414,6 +414,32 @@ class TestMemos:
         assert not any(m.cache_info().currsize for m in memos.values())
 
 
+    def test_fleet_rows_outlive_their_fixed_parts(self):
+        # the problems of 300 other fleets evict a fleet's fixed parts from
+        # their memo; its stacked rows, keyed on the parts' values, hold
+        # none of them, and are found again with the map that its first
+        # solve kept
+        clear_memos()
+        fleet, p_f, _ = criterion_1_fleets(1)[0]
+        first = centralized_solve(fleet, p_f)
+        gen, batt = _node_problems(fleet, p_f.size)
+        parts = [weakref.ref(p.rows) for p in gen + batt]
+        del gen, batt
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            _node_problems(random_fleet(rng), p_f.size)
+        assert not any(ref() for ref in parts)
+        before = coordinator._fleet_rows.cache_info()
+        exits = qpmod.EXITS.copy()
+        again = centralized_solve(fleet, p_f)
+        after = coordinator._fleet_rows.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) \
+            == (1, 0)
+        assert qpmod.EXITS - exits == Counter(hint=1)
+        assert [bits(p) for p in again.gen_profiles + again.batt_profiles] \
+            == [bits(p) for p in first.gen_profiles + first.batt_profiles]
+
+
 class TestPathIndependence:
     """The kernel's memos of rows and active-set maps must not change an
     answer, whatever was solved before; a cold answer is taken with every
@@ -460,7 +486,7 @@ class TestPathIndependence:
 
     def test_the_oracle_builds_no_rows_beyond_its_nodes(self, monkeypatch):
         # it keys the fleet rows on the nodes' fixed parts and stacks their
-        # kernels' right-hand sides: the only rows built are each device's
+        # right-hand sides: the only rows built are each device's
         # own, once per fixed part, and one fleet entry per fleet
         built = []
         init = qpmod.LdpRows.__init__
@@ -475,7 +501,7 @@ class TestPathIndependence:
         for fleet, p_f, _ in criterion_1_fleets(5):
             centralized_solve(fleet, p_f, tol=1e-9)
             gen, batt = _node_problems(fleet, p_f.size)
-            parts.update(p._fixed for p in gen + batt)
+            parts.update(p.rows for p in gen + batt)
         assert qpmod._fixed_part.cache_info().misses == len(parts)
         assert coordinator._fleet_rows.cache_info().currsize == 5
         assert len(built) == len(parts) + 5

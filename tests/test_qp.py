@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -72,7 +73,7 @@ class PerStepQp:
 
     def solve(self, lin, tol=1e-8):
         """The kernel's (x, status) at the linear term ``lin``."""
-        x, status, _, _ = self.ldp.solve(np.asarray(lin, dtype=float), tol)
+        x, status, _ = self.ldp.solve(np.asarray(lin, dtype=float), tol)
         return x, status
 
 
@@ -463,6 +464,19 @@ class TestValidation:
         assert s.status == OPTIMAL
         np.testing.assert_array_equal(s.profile, lin / -1e300)
 
+    def test_slack_beyond_the_largest_float(self):
+        # x_u = -1e308 holds the step-0 upper row, x_0 <= FLOAT_MAX, by
+        # more than the largest float: no overflow warning, and x_u is the
+        # answer
+        qp = HorizonQp(h=2, quad_diag=1.0, lower=-np.inf, upper=np.inf,
+                       ramp_limit=qpmod.FLOAT_MAX, prev_value=0.0)
+        lin = np.array([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = solve(qp, lin)
+        assert (s.status, s.iterations) == (OPTIMAL, 0)
+        np.testing.assert_array_equal(s.profile, -lin)
+
     def test_h_one_minimal_problem(self):
         qp = HorizonQp(h=1, quad_diag=2.0, lower=0.0, upper=10.0,
                        ramp_limit=0.3, prev_value=0.5)
@@ -474,7 +488,7 @@ class TestValidation:
 def raw_ldp(rows, b, lo, hi):
     """The `Ldp` of ``rows`` whose right-hand side ``b`` is in the units of
     the rows given, divided by their norms as the package divides it."""
-    return qpmod.Ldp(rows, np.asarray(b, dtype=float) / rows.norms, lo, hi)
+    return qpmod.Ldp(rows, np.asarray(b, dtype=float) / rows.norms, (lo, hi))
 
 
 def fresh_ldp(qp):
@@ -485,9 +499,9 @@ def fresh_ldp(qp):
 
 
 def assert_same_solve(got, want):
-    x, status, iters, viol = got
-    x_ref, status_ref, iters_ref, viol_ref = want
-    assert (status, iters, viol) == (status_ref, iters_ref, viol_ref)
+    x, status, iters = got
+    x_ref, status_ref, iters_ref = want
+    assert (status, iters) == (status_ref, iters_ref)
     if x_ref is None:
         assert x is None
     else:
@@ -530,7 +544,7 @@ def pattern_problems(h, seed, lower_inf, upper_inf, with_soc, weight,
 
 
 class TestRowsMemo:
-    """`HorizonQp.ldp` takes its rows from the device's memoized fixed
+    """A `HorizonQp` is its own kernel, over its device's memoized fixed
     part; it must solve exactly as a kernel built afresh."""
 
     @given(**row_patterns)
@@ -539,30 +553,37 @@ class TestRowsMemo:
         _, problem = pattern_problems(**pattern)
         # the rows were memoized by an earlier problem at another state
         (earlier, _), (qp, lin) = problem(), problem()
-        assert qp.ldp.a is earlier.ldp.a
+        assert qp.rows is earlier.rows
         fresh = fresh_ldp(qp)
         for tol in (1e-8, 1e-6):
-            assert_same_solve(qp.ldp.solve(lin, tol),
+            assert_same_solve(qp.solve(lin, tol),
                               fresh.solve(lin, tol))
 
     def test_interleaved_solves_on_shared_rows(self):
-        # two batteries at different states share one row structure; each
-        # kernel writes only its own copy of E
+        # two states of one battery share its rows; their `nnls` solves,
+        # interleaved, each equal a solve of that state on its own, and
+        # E, whose last row every `nnls` call writes, stays as built. The
+        # ramp binds between interior points, so the clip answers none
         def battery(prev, soc):
             return HorizonQp(h=5, quad_diag=1.0, lower=-2e7,
-                             upper=2e7, ramp_limit=2e7, prev_value=prev,
+                             upper=2e7, ramp_limit=5e6, prev_value=prev,
                              cumsum_coeff=2.8e-11, cumsum_init=soc,
                              cumsum_lower=0.1, cumsum_upper=0.9)
 
         a, b = battery(5e6, 0.6), battery(-3e6, 0.1000001)
-        assert a.ldp.a is b.ldp.a and a.ldp.e is not b.ldp.e
+        rows = a.rows
+        assert b.rows is rows
+        e = rows.e.copy()
         rng = np.random.default_rng(5)
         prices = [rng.uniform(-4e7, 4e7, 5) for _ in range(6)]
-        want = [fresh_ldp(p).solve(q, 1e-8)
-                for q in prices for p in (a, b)]
-        got = [p.ldp.solve(q, 1e-8) for q in prices for p in (a, b)]
-        for g, w in zip(got, want):
-            assert_same_solve(g, w)
+        for q in prices:
+            for p in (a, b):
+                rows.maps.clear()  # no kept map answers
+                got, exit_ = solve_exit(p, q, 1e-8)
+                assert exit_ == "nnls"
+                assert_same_solve(got, fresh_ldp(p).solve(q, 1e-8))
+                assert not rows.e.flags.writeable
+                assert rows.e.tobytes() == e.tobytes()
 
     def test_memo_stays_bounded(self):
         # the oracle's memo of stacked fleet rows, one entry per fleet
@@ -570,7 +591,7 @@ class TestRowsMemo:
         for _ in range(300):
             fleet = random_fleet(rng)
             gen, batt = _node_problems(fleet, 5)
-            coordinator._fleet_rows(tuple(p._fixed for p in gen + batt))
+            coordinator._fleet_rows(tuple(p.rows.key for p in gen + batt))
         info = coordinator._fleet_rows.cache_info()
         assert info.maxsize == coordinator.FLEET_ROWS_MEMO_SIZE
         assert info.currsize <= coordinator.FLEET_ROWS_MEMO_SIZE
@@ -613,13 +634,13 @@ class TestFixedRows:
             kw.update(prev_value=p_min - ramp + f * (p_max - p_min + 2 * ramp),
                       cumsum_init=0.1 + 0.8 * g)
             qp = HorizonQp(**kw)
-            rows = qp.ldp.rows if rows is None else rows
-            assert qp.ldp.rows is rows
+            rows = qp.rows if rows is None else rows
+            assert qp.rows is rows
             b, lo, hi = horizon_rhs(**kw)
             keep = np.isfinite(b)
-            assert keep.tolist() == qp._fixed.keep
+            assert keep.tolist() == qp.rows.kept
             box = envelope_arrays(lo, hi, ramp * np.arange(h))
-            pairs = [(qp.ldp.b, b[keep] / rows.norms), *zip(qp.ldp.box, box),
+            pairs = [(qp.b, b[keep] / rows.norms),
                      *zip(map(np.array, qp.envelope), box)]
             for got, want in pairs:
                 assert got.tobytes() == want.tobytes()
@@ -668,16 +689,17 @@ class TestRightHandSide:
             == [float(v).hex() for v in (lower, upper, kw["ramp_limit"])]
         # the kernel's box is the reach envelope, array by array
         box = envelope_arrays(lo, hi, kw["ramp_limit"] * np.arange(h))
-        pairs = [(qp.quad_diag, np.full(h, weight)), *zip(qp.ldp.box, box),
+        pairs = [(qp.quad_diag, np.full(h, weight)),
+                 *zip(map(np.array, qp.envelope), box),
                  (a_rows, qpmod._row_matrix(h, bool(soc_sign))[keep]),
-                 (b_rows, b[keep]), (qp.ldp.b, b[keep] / qp.ldp.rows.norms)]
+                 (b_rows, b[keep]), (qp.b, b[keep] / qp.rows.norms)]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
-        # the kept-row flags, the rows and the kernel's rows are the fixed
-        # part's, not the right-hand side's
-        assert qp._fixed.keep == keep.tolist()
-        assert a_rows is qp._fixed.raw and not a_rows.flags.writeable
-        assert qp.ldp.rows is qp._fixed.rows
+        # the kept-row flags and the rows are the fixed part's, not the
+        # right-hand side's, and the kernel's rows are the memo's fixed part
+        assert qp.rows.kept == keep.tolist()
+        assert a_rows is qp.rows.raw and not a_rows.flags.writeable
+        assert qp.rows is qpmod._fixed_part(*qp.rows.key)
 
     def test_expanded_arrays_are_shared_read_only_and_bounded(self):
         rng = np.random.default_rng(2)
@@ -750,7 +772,7 @@ class TestActiveSetContinuation:
     def test_price_walk_equals_cold_solves(self, steps, jump, **pattern):
         rng, problem = pattern_problems(**pattern)
         qp, lin = problem()
-        warm = qp.ldp
+        warm = qp
         scale = float(np.abs(lin).max())
         for _ in range(steps):
             for tol in (1e-8, 1e-6):
@@ -767,7 +789,7 @@ class TestActiveSetContinuation:
         # x_u = (0.2 - 0.1 t, 0.9, 0.6): only the ramp up from step 0 to
         # step 1 binds
         for t in np.linspace(0.0, 1.0, 8):
-            x, status, iters, _ = ldp.solve(-one_ramp(t), 1e-8)
+            x, status, iters = ldp.solve(-one_ramp(t), 1e-8)
             assert status == OPTIMAL and iters == 1
             np.testing.assert_allclose(x, [0.3 - 0.05 * t, 0.8 - 0.05 * t,
                                            0.6], atol=1e-12)
@@ -775,7 +797,7 @@ class TestActiveSetContinuation:
         # a jump to x_u = (3 - 0.5 t, -3, 0.3), beyond the box, binds the
         # ramps down from step 0 and up to step 2 instead
         for t in np.linspace(0.0, 1.0, 8):
-            x, status, _, _ = ldp.solve(-two_ramps(t), 1e-8)
+            x, status, _ = ldp.solve(-two_ramps(t), 1e-8)
             c = -(0.5 * t + 0.7) / 3.0
             np.testing.assert_allclose(x, [c + 0.5, c, c + 0.5], atol=1e-12)
         assert len(calls) == 2
@@ -799,7 +821,7 @@ class TestActiveSetContinuation:
 
         monkeypatch.setattr(qpmod.LdpRows, "active_map", no_map)
         # x_u = (2, 3) projects onto (0, 1)
-        x, status, iters, _ = ldp.solve(np.array([-2.0, -3.0]), 1e-8)
+        x, status, iters = ldp.solve(np.array([-2.0, -3.0]), 1e-8)
         assert (status, iters) == (OPTIMAL, 1)
         np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
         assert not rows.maps
@@ -871,7 +893,7 @@ class TestActiveSetContinuation:
         a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         rows = qpmod.LdpRows(np.ones(2), a)
         ldp = raw_ldp(rows, np.array([1.0, 1.0, 10.0, 10.0]), *NO_BOX)
-        (x, status, _, _), exit_ = solve_exit(
+        (x, status, _), exit_ = solve_exit(
             ldp, -np.array([1.0 + 1e-3, 1.0 - 4e-9]), 1e-8)
         assert (status, exit_) == (OPTIMAL, "nnls") and x[1] < 1.0
         assert built == [[0, 1]] and not rows.maps
@@ -1048,7 +1070,7 @@ class TestClipExit:
         xu = np.array(xu)
         q = -qp.quad_diag * xu
         assert self.check(qp, q, 1e-8) == "clip"
-        return qp.ldp.solve(q, 1e-8)[0]
+        return qp.solve(q, 1e-8)[0]
 
     @staticmethod
     def draws(rng, problem):
@@ -1069,7 +1091,7 @@ class TestClipExit:
         clip to the kernel's box by its definition and against
         enumeration, and return the exit."""
         box = reach_envelope(qp)
-        (x, status, _, viol), exit_ = solve_exit(qp.ldp, lin, tol)
+        (x, status, _), exit_ = solve_exit(qp, lin, tol)
         if exit_ == "clip":
             xu = lin / -qp.quad_diag
             assert status == OPTIMAL
@@ -1077,7 +1099,7 @@ class TestClipExit:
             t = tol * max(1.0, float(np.abs(x).max()))
             a, b = unit_rows(*qp.constraint_rows())
             v = a @ x - b
-            assert viol == max(float(v.max()), 0.0) <= t
+            assert v.max() <= t
             # x holds the rows to t, so if it is the optimum over the rows
             # active within a margin, whose set holds the polytope, it is
             # the optimum over the polytope
@@ -1111,7 +1133,7 @@ def map_multipliers(ldp, amap, lin):
     """The multipliers of the active rows of ``amap`` at the linear term
     ``lin``, equality rows last."""
     rows, _, kp, _, _ = amap
-    slack = ldp.a @ (lin / ldp.neg_d) - ldp.b
+    slack = ldp.rows.a @ (lin / ldp.rows.neg_d) - ldp.b
     return kp[:rows.size] @ slack[rows]
 
 
@@ -1134,7 +1156,7 @@ class TestEqualityRows:
         lin = -d * np.array([0.8, 0.2, 0.5, -0.1])
         p_f = np.array([1.1, 0.5])
         kernel, a, b = stacked_kernel(qps, p_f)
-        (x, status, _, _), exit_ = solve_exit(kernel, lin, 1e-9)
+        (x, status, _), exit_ = solve_exit(kernel, lin, 1e-9)
         assert (status, exit_) == (OPTIMAL, "nnls")
         amap = newest_map(kernel.rows)
         assert amap is not None and len(kernel.rows.maps) == 1
@@ -1157,7 +1179,7 @@ class TestEqualityRows:
         lin = -d * 2.0
         kernel, a, b = stacked_kernel(qps, np.full(2, 2.0))
         for _ in range(2):
-            (x, status, _, _), exit_ = solve_exit(kernel, lin, 1e-9)
+            (x, status, _), exit_ = solve_exit(kernel, lin, 1e-9)
             assert (status, exit_) == (OPTIMAL, "nnls")
             np.testing.assert_allclose(x, 1.0, atol=1e-9)
             assert not kernel.rows.maps
@@ -1180,9 +1202,11 @@ class TestEqualityRows:
         for _ in range(3):
             lin = rng.uniform(-3.0, 3.0, 4)
             first = kernel.solve(lin, 1e-9)
-            x, status, _, viol = first
+            x, status, _ = first
             assert status == OPTIMAL
-            assert viol <= 1e-9 * max(1.0, float(np.abs(x).max()))
+            a_unit, b_unit = unit_rows(a, b)
+            assert (a_unit @ x - b_unit).max() \
+                <= 1e-9 * max(1.0, float(np.abs(x).max()))
             _, fo = enumerate_qp(d, lin, a, b)
             assert 0.5 * x @ (d * x) + lin @ x == pytest.approx(fo, abs=1e-7)
             # a kept map gives the answer of a cold kernel, bitwise
@@ -1200,15 +1224,14 @@ def numpy_certified(ldp, amap, xu, slack, tol):
         return None
     x = xu - y[rows.size:]
     t = tol * max(1.0, float(np.abs(x).max()))
-    v = ldp.a @ x - ldp.b
+    v = ldp.rows.a @ x - ldp.b
     if off.size and not v[off].max() < -t:
         return None
-    top = float(v[held].max())
-    if not (-t <= v[held].min() and top <= t):
+    if not (-t <= v[held].min() and v[held].max() <= t):
         return None
     if not np.all(mu >= -0.5 * t * np.array(k_diag)):
         return None
-    return x, max(top, 0.0)
+    return x
 
 
 class TestCertificateReductions:
@@ -1229,8 +1252,8 @@ class TestCertificateReductions:
         if amap is None:
             return
         lin = lin * rng.uniform(0.9, 1.1, qp.h)
-        xu = lin / ldp.neg_d
-        slack = ldp.a @ xu - ldp.b
+        xu = lin / ldp.rows.neg_d
+        slack = ldp.rows.a @ xu - ldp.b
         for in_slack, i, value in where:
             target = slack if in_slack else xu
             target[i % target.size] = value
@@ -1240,8 +1263,7 @@ class TestCertificateReductions:
         if want is None:
             assert got is None
         else:
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1] == want[1]
+            assert got.tobytes() == want.tobytes()
 
 
     def test_a_nan_after_the_first_multiplier_rejects(self):
@@ -1256,11 +1278,11 @@ class TestCertificateReductions:
         amap = (np.array([0, 1]), np.array([2, 3]), kp, [1.0, 1.0],
                 np.array([0, 1]))
         xu = np.array([2.0, 2.0])
-        slack = ldp.a @ xu - ldp.b
+        slack = ldp.rows.a @ xu - ldp.b
         assert numpy_certified(ldp, amap, xu, slack, 1e-8) is None
         assert ldp._certified(amap, xu, slack, 1e-8) is None
         kp[1, 0] = 0.0
-        x, _ = ldp._certified(amap, xu, slack, 1e-8)
+        x = ldp._certified(amap, xu, slack, 1e-8)
         np.testing.assert_array_equal(x, [1.0, 1.0])
 
 
